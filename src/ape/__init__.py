@@ -21,7 +21,7 @@ from .engine import (
     tip_adapter_logits,
     zero_shot_logits,
 )
-from .numkit import ZeroRowWarning, kl_one_hot, l2_normalize_rows, softmax_rows
+from .numkit import ZeroRowWarning, l2_normalize_rows, softmax_rows
 from .refine import (
     ChannelMask,
     CriterionVector,
@@ -74,7 +74,6 @@ __all__ = [
     "init_state",
     "inter_class_similarity",
     "inter_class_variance",
-    "kl_one_hot",
     "l2_normalize_rows",
     "load_checkpoint",
     "load_mask",

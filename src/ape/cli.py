@@ -82,7 +82,11 @@ class EvalReport:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("APE_SEED", "0"))
+    raw = os.environ.get("APE_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"APE_SEED must be an integer, got {raw!r}") from None
 
 
 def _engine_config(args, q: int = 0, lam: float = 0.7) -> EngineConfig:
@@ -96,7 +100,10 @@ def _engine_config(args, q: int = 0, lam: float = 0.7) -> EngineConfig:
         kl_temperature=args.kl_temperature,
         renormalize=not args.no_renormalize,
     )
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
 
 
@@ -131,7 +138,6 @@ def _holdout_split(task: FewShotTask) -> FewShotTask:
     return FewShotTask(
         text_features=task.text_features,
         support_features=task.support_features[keep],
-        support_labels=np.kron(np.eye(task.c), np.ones((task.k - 1, 1))),
         test_features=task.support_features[held],
         test_labels=np.arange(task.c),
         c=task.c,
@@ -174,7 +180,6 @@ def grid_search(
         probe = FewShotTask(
             text_features=task.text_features,
             support_features=task.support_features,
-            support_labels=task.support_labels,
             test_features=val_task.test_features,
             test_labels=val_task.test_labels,
             c=task.c,
@@ -214,19 +219,14 @@ def cmd_refine(args) -> int:
     return 0
 
 
-def _infer_methods(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig):
-    zs = zero_shot_logits(task.test_features, task.text_features)
-    tip = tip_adapter_logits(task, cfg.alpha, cfg.beta)
-    ape = ape_logits(task, mask, cfg)
-    return zs, tip, ape
-
-
 def cmd_infer(args) -> int:
     started = time.perf_counter()
     task = dataio.load_task(args.task)
     mask, mask_lam = refine.load_mask(args.mask)
     cfg = _engine_config(args, q=mask.q, lam=mask_lam)
-    zs, tip, ape = _infer_methods(task, mask, cfg)
+    zs = zero_shot_logits(task.test_features, task.text_features)
+    tip = tip_adapter_logits(task, cfg.alpha, cfg.beta)
+    ape = ape_logits(task, mask, cfg)
     if task.test_labels is None:
         logits_path = f"{args.report}.logits.apef"
         dataio.write_matrix(logits_path, ape)
@@ -269,12 +269,13 @@ def cmd_train(args) -> int:
 
     methods = []
     if task.test_labels is not None:
-        zs, _, ape = _infer_methods(task, mask, cfg)
-        ape_t = trainer.forward(state, task.test_features, cfg)
+        # A fresh state reproduces the training-free logits bitwise, so the
+        # history's first and last rows are the ape and ape_t accuracies.
+        zs = zero_shot_logits(task.test_features, task.text_features)
         methods = [
             MethodResult("zero_shot", 0, accuracy(zs, task.test_labels)),
-            MethodResult("ape", 0, accuracy(ape, task.test_labels)),
-            MethodResult("ape_t", state.param_count(), accuracy(ape_t, task.test_labels)),
+            MethodResult("ape", 0, history[0]["test_acc"]),
+            MethodResult("ape_t", state.param_count(), history[-1]["test_acc"]),
         ]
     report = EvalReport(
         methods=methods,
@@ -443,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

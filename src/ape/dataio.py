@@ -6,6 +6,10 @@ payload.  Values are float64 in memory and float32 on disk; narrowing
 happens once at write time, so write -> read round trips are bitwise
 stable.  A task manifest is a small ``key = value`` text file mapping
 dataset roles to APEF paths.
+
+The manifest's ``support_labels`` file (a C*K x C one-hot matrix) is part
+of the on-disk format only: it is validated on load and written on save,
+but in memory the labels are implied by the class-major row order.
 """
 
 from __future__ import annotations
@@ -142,12 +146,7 @@ def read_manifest(path) -> dict:
     for key in (*_ROLE_KEYS, "C", "K", "D"):
         if key not in entries:
             raise ManifestError(f"{path}: missing required key {key!r}")
-    out: dict = {
-        "c": int(entries["C"]),
-        "k": int(entries["K"]),
-        "d": int(entries["D"]),
-        "class_names": entries.get("class_names", "").split(",") if entries.get("class_names") else None,
-    }
+    out: dict = {"c": int(entries["C"]), "k": int(entries["K"]), "d": int(entries["D"])}
     base = path.parent
     for role in (*_ROLE_KEYS, "test_labels"):
         if role in entries:
@@ -159,6 +158,17 @@ def _check_shape(role: str, m: np.ndarray, rows: int | None, cols: int) -> None:
     if (rows is not None and m.shape[0] != rows) or m.shape[1] != cols:
         want = f"{rows if rows is not None else '*'}x{cols}"
         raise ShapeMismatchError(f"{role}: expected {want}, got {m.shape[0]}x{m.shape[1]}")
+
+
+def _check_labels(labels: np.ndarray, c: int, k: int) -> None:
+    """The label file must be the class-major one-hot matrix of (C, K)."""
+    _check_shape("support_labels", labels, c * k, c)
+    if not np.isin(labels, (0.0, 1.0)).all() or not (labels.sum(axis=1) == 1.0).all():
+        raise NonOneHotError("support_labels: rows must contain exactly one 1")
+    if not np.array_equal(labels.argmax(axis=1), np.repeat(np.arange(c), k)):
+        raise NonOneHotError(
+            "support_labels: rows must be grouped class-major (row c*K+j hot at column c)"
+        )
 
 
 def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
@@ -175,6 +185,8 @@ def load_task(manifest_path) -> FewShotTask:
 
     Feature rows are re-normalized on load (float32 storage wiggles the
     norms); a warning is emitted when any row is off by more than 1e-4.
+    The support label file is validated and then dropped: the task's
+    class-major row order carries the same information.
 
     Raises:
         ManifestError, ShapeMismatchError, NonOneHotError: naming the
@@ -184,20 +196,11 @@ def load_task(manifest_path) -> FewShotTask:
     c, k, d = man["c"], man["k"], man["d"]
     text = read_matrix(man["text_features"])
     support = read_matrix(man["support_features"])
-    labels = read_matrix(man["support_labels"])
+    _check_labels(read_matrix(man["support_labels"]), c, k)
     test = read_matrix(man["test_features"])
     _check_shape("text_features", text, c, d)
     _check_shape("support_features", support, c * k, d)
-    _check_shape("support_labels", labels, c * k, c)
     _check_shape("test_features", test, None, d)
-
-    if not np.isin(labels, (0.0, 1.0)).all() or not (labels.sum(axis=1) == 1.0).all():
-        raise NonOneHotError("support_labels: rows must contain exactly one 1")
-    expected_col = np.repeat(np.arange(c), k)
-    if not np.array_equal(labels.argmax(axis=1), expected_col):
-        raise NonOneHotError(
-            "support_labels: rows must be grouped class-major (row c*K+j hot at column c)"
-        )
 
     test_labels = None
     if "test_labels" in man:
@@ -211,7 +214,6 @@ def load_task(manifest_path) -> FewShotTask:
     return FewShotTask(
         text_features=_unit_rows("text_features", text),
         support_features=_unit_rows("support_features", support),
-        support_labels=labels,
         test_features=_unit_rows("test_features", test),
         test_labels=test_labels,
         c=c,
@@ -220,16 +222,17 @@ def load_task(manifest_path) -> FewShotTask:
     )
 
 
-def save_task(task: FewShotTask, out_dir, name: str = "task", class_names=None) -> Path:
-    """Write a task's matrices plus its manifest; returns the manifest path."""
+def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
+    """Write a task's matrices plus its manifest; returns the manifest path.
+
+    The support label file is the class-major one-hot matrix of (C, K).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if class_names is None:
-        class_names = [f"class_{i:03d}" for i in range(task.c)]
     roles = {
         "text_features": task.text_features,
         "support_features": task.support_features,
-        "support_labels": task.support_labels,
+        "support_labels": np.repeat(np.eye(task.c), task.k, axis=0),
         "test_features": task.test_features,
     }
     if task.test_labels is not None:
@@ -239,7 +242,7 @@ def save_task(task: FewShotTask, out_dir, name: str = "task", class_names=None) 
         f"C = {task.c}",
         f"K = {task.k}",
         f"D = {task.d}",
-        f"class_names = {','.join(class_names)}",
+        "class_names = " + ",".join(f"class_{i:03d}" for i in range(task.c)),
     ]
     for role, matrix in roles.items():
         filename = f"{name}_{role}.apef"
@@ -291,7 +294,6 @@ def gen_synthetic(
     return FewShotTask(
         text_features=protos,
         support_features=support,
-        support_labels=np.kron(np.eye(c), np.ones((k, 1))),
         test_features=test,
         test_labels=np.repeat(np.arange(c), n_test_per_class),
         c=c,

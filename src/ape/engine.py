@@ -8,8 +8,10 @@ features, the class text prototypes and the cached support features:
 * support-to-text scores that weight each cache entry by how well the
   prototypes classify it.
 
-A plain key-value cache baseline (affinities times one-hot labels on the
-full feature space) is included for comparison.
+Support rows are class-major (row c*K + j is shot j of class c), so the
+labels are implicit: one routing kernel sums each class's K cache columns.
+A plain key-value cache baseline (unit scores on the full feature space)
+is included for comparison.
 """
 
 from __future__ import annotations
@@ -71,13 +73,12 @@ class FewShotTask:
     """A bundled C-way-K-shot dataset of precomputed embeddings.
 
     Support rows are grouped class-major: row c*K + j is the j-th shot of
-    class c, and the one-hot label matrix must match that grouping.  All
-    feature rows are unit-norm.
+    class c, which is all the support labels say.  All feature rows are
+    unit-norm.
     """
 
     text_features: np.ndarray      # C x D
     support_features: np.ndarray   # C*K x D
-    support_labels: np.ndarray     # C*K x C one-hot
     test_features: np.ndarray      # N x D
     test_labels: np.ndarray | None  # N class ids, optional
     c: int
@@ -87,7 +88,6 @@ class FewShotTask:
     def __post_init__(self):
         self.text_features = numkit.as_matrix(self.text_features, "text_features")
         self.support_features = numkit.as_matrix(self.support_features, "support_features")
-        self.support_labels = numkit.as_matrix(self.support_labels, "support_labels")
         self.test_features = numkit.as_matrix(self.test_features, "test_features")
         if self.text_features.shape != (self.c, self.d):
             raise ValueError(
@@ -97,17 +97,6 @@ class FewShotTask:
             raise ValueError(
                 f"support_features must be {self.c * self.k}x{self.d}, "
                 f"got {self.support_features.shape}"
-            )
-        if self.support_labels.shape != (self.c * self.k, self.c):
-            raise ValueError(
-                f"support_labels must be {self.c * self.k}x{self.c}, "
-                f"got {self.support_labels.shape}"
-            )
-        expected = np.kron(np.eye(self.c), np.ones((self.k, 1)))
-        if not np.array_equal(self.support_labels, expected):
-            raise ValueError(
-                "support_labels must be one-hot and grouped class-major "
-                "(row c*K+j carries a 1 at column c)"
             )
         if self.test_features.shape[1] != self.d:
             raise ValueError(
@@ -173,7 +162,7 @@ def cache_affinity(f_refined, f_support_refined, beta: float) -> np.ndarray:
 def cache_scores(
     f_support_refined,
     w_refined,
-    labels,
+    k: int,
     gamma: float,
     kl_sign: int = 1,
     kl_temperature: float = 1.0,
@@ -181,30 +170,36 @@ def cache_scores(
     """Per-entry reliability weights for the cache.
 
     Each support row is classified against the refined prototypes; the
-    softmax prediction's divergence from the row's one-hot label measures
-    how well the embedding represents its class.  The weight is
-    exp(kl_sign * gamma * divergence), so gamma = 0 yields exactly 1 for
-    every entry and a perfectly predicted entry scores 1 for any gamma.
+    softmax prediction's divergence from the row's one-hot label (class
+    row // k, as rows are class-major) measures how well the embedding
+    represents its class.  The weight is exp(kl_sign * gamma * divergence),
+    so gamma = 0 yields exactly 1 for every entry and a perfectly predicted
+    entry scores 1 for any gamma.
 
     Raises:
-        ValueError: if ``labels`` is not one-hot.
+        ValueError: if the support rows are not C * k for the C prototypes.
     """
     f_support_refined = numkit.as_matrix(f_support_refined, "f_support_refined")
     w_refined = numkit.as_matrix(w_refined, "w_refined")
-    labels = numkit.as_matrix(labels, "labels")
     if kl_sign not in (1, -1):
         raise ValueError(f"kl_sign must be +1 or -1, got {kl_sign}")
     if not np.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    n, c = labels.shape
-    if f_support_refined.shape[0] != n or w_refined.shape[0] != c:
-        raise ValueError("labels shape inconsistent with features")
-    if not (np.isin(labels, (0.0, 1.0)).all() and (labels.sum(axis=1) == 1.0).all()):
-        raise ValueError("labels must be one-hot rows")
-    class_ids = labels.argmax(axis=1)
+    n, c = f_support_refined.shape[0], w_refined.shape[0]
+    if k < 1 or n != c * k:
+        raise ValueError(f"{n} support rows do not make {c} classes of {k} shots")
     probs = numkit.softmax_rows(f_support_refined @ w_refined.T, kl_temperature)
-    p_true = np.clip(probs[np.arange(n), class_ids], numkit.PROB_FLOOR, 1.0)
+    p_true = np.clip(probs[np.arange(n), np.arange(n) // k], numkit.PROB_FLOOR, 1.0)
     return np.exp(kl_sign * gamma * -np.log(p_true))
+
+
+def _combine(zs, aff, scores, alpha: float, c: int, k: int) -> np.ndarray:
+    """zs plus alpha times each class's summed, score-weighted affinities.
+
+    The cache columns are class-major, so summing each run of k columns
+    routes every entry into its own class column.
+    """
+    return zs + alpha * (aff * scores).reshape(aff.shape[0], c, k).sum(axis=-1)
 
 
 def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
@@ -221,23 +216,22 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     zs = zero_shot_logits(task.test_features, task.text_features)
     w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
     s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
+    scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
     f_ref = refine.apply_mask(task.test_features, mask, cfg.renormalize)
     aff = cache_affinity(f_ref, s_ref, cfg.beta)
-    scores = cache_scores(
-        s_ref, w_ref, task.support_labels, cfg.gamma, cfg.kl_sign, cfg.kl_temperature
-    )
-    return zs + cfg.alpha * ((aff * scores) @ task.support_labels)
+    return _combine(zs, aff, scores, cfg.alpha, task.c, task.k)
 
 
 def tip_adapter_logits(task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
     """Key-value cache baseline on the full feature space.
 
-    logits = f @ W.T + alpha * exp(-beta * (1 - f @ F.T)) @ L, i.e. the
-    combined classifier with every channel kept and unit cache scores.
+    logits = f @ W.T + alpha * exp(-beta * (1 - f @ F.T)) summed over each
+    class's shots, i.e. the combined classifier with every channel kept and
+    unit cache scores.
     """
     zs = zero_shot_logits(task.test_features, task.text_features)
     aff = cache_affinity(task.test_features, task.support_features, beta)
-    return zs + alpha * (aff @ task.support_labels)
+    return _combine(zs, aff, 1.0, alpha, task.c, task.k)
 
 
 def predict(logits) -> np.ndarray:

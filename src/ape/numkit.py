@@ -2,14 +2,13 @@
 
 Matrices are plain 2-D ``float64`` numpy arrays in row-major order; this
 module is the single place where the low-level conventions live:
-normalization, stable softmax, and the one-hot divergence used to score
-cache entries.  All functions are pure -- inputs are never mutated and
+coercion, normalization, stable softmax, and the probability floor used
+to score cache entries.  All functions are pure -- inputs are never mutated and
 results contain no NaN/Inf entries.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "as_matrix",
     "l2_normalize_rows",
     "softmax_rows",
-    "kl_one_hot",
 ]
 
 # Floor applied to probabilities before taking logarithms.  Bounds the
@@ -69,10 +67,8 @@ def l2_normalize_rows(m) -> np.ndarray:
             ZeroRowWarning,
             stacklevel=2,
         )
-    out = m.copy()
     rows = (np.abs(norms - 1.0) > _UNIT_BAND) & ~zero
-    out[rows] = m[rows] / norms[rows, None]
-    return out
+    return np.divide(m, norms[:, None], out=m.copy(), where=rows[:, None])
 
 
 def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
@@ -92,33 +88,3 @@ def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
-
-def kl_one_hot(pred_row, label_index: int) -> float:
-    """Divergence of a predicted distribution from a one-hot target.
-
-    With a hard one-hot target all 0*log(0) terms vanish by convention and
-    the divergence reduces to the negative log-probability of the true
-    class.  The probability is clamped to [PROB_FLOOR, 1] before the
-    logarithm, so the result is always finite and nonnegative.
-
-    Args:
-        pred_row: 1-D probability vector (must sum to 1 within 1e-9).
-        label_index: index of the true class.
-
-    Raises:
-        ValueError: if ``pred_row`` is not a distribution or
-            ``label_index`` is out of range.
-    """
-    p = np.asarray(pred_row, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"pred_row must be 1-D, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError("pred_row contains non-finite entries")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"pred_row does not sum to 1 (sum={p.sum()!r})")
-    if not 0 <= label_index < p.shape[0]:
-        raise ValueError(
-            f"label_index {label_index} out of range for {p.shape[0]} classes"
-        )
-    q = min(max(float(p[label_index]), PROB_FLOOR), 1.0)
-    return -math.log(q)

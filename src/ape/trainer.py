@@ -4,7 +4,7 @@ Only two tensors learn: a per-class residual over the refined channels
 (added both to the text prototypes, zero-padded back to full width, and to
 the cached support features, repeated across each class's shots) and the
 per-entry cache scores.  Everything else -- prototypes, cache features,
-labels, channel mask -- stays frozen.  Gradients are derived analytically
+channel mask -- stays frozen.  Gradients are derived analytically
 and the update rule is AdamW with decoupled weight decay under a cosine
 learning-rate schedule.
 """
@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, refine
-from .engine import EngineConfig, FewShotTask, accuracy, cache_affinity, cache_scores
+from .engine import (
+    EngineConfig,
+    FewShotTask,
+    _combine,
+    accuracy,
+    cache_affinity,
+    cache_scores,
+)
 
 __all__ = [
     "OptimConfig",
@@ -86,8 +93,7 @@ class TrainState:
     mask_idx: np.ndarray           # Q selected channel indices
     w: np.ndarray                  # C x D text prototypes
     w_refined: np.ndarray          # C x Q
-    f_support_refined: np.ndarray  # C*K x Q
-    labels: np.ndarray             # C*K x C one-hot
+    f_support_refined: np.ndarray  # C*K x Q, class-major
     c: int
     k: int
     q: int
@@ -115,9 +121,7 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
         raise ValueError(f"mask covers {mask.d_total} channels, task has {task.d}")
     w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
     s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
-    scores = cache_scores(
-        s_ref, w_ref, task.support_labels, cfg.gamma, cfg.kl_sign, cfg.kl_temperature
-    )
+    scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
     q = mask.q
     return TrainState(
         res=np.zeros((task.c, q)),
@@ -131,7 +135,6 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
         w=task.text_features.copy(),
         w_refined=w_ref,
         f_support_refined=s_ref,
-        labels=task.support_labels.copy(),
         c=task.c,
         k=task.k,
         q=q,
@@ -151,24 +154,28 @@ def _expand_residual(state: TrainState) -> np.ndarray:
     return np.repeat(state.res, state.k, axis=0)
 
 
+def _forward(state: TrainState, f_batch, cfg: EngineConfig):
+    """(logits, f_ref, aff): the logits plus the refined batch rows and the
+    cache affinities that the gradient reuses."""
+    if f_batch.shape[1] != state.d_total:
+        raise ValueError(
+            f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}"
+        )
+    zs = f_batch @ (state.w + _pad_residual(state)).T
+    f_ref = refine.take_channels(f_batch, state.mask_idx, cfg.renormalize)
+    keys = state.f_support_refined + _expand_residual(state)
+    aff = cache_affinity(f_ref, keys, cfg.beta)
+    return _combine(zs, aff, state.scores, cfg.alpha, state.c, state.k), f_ref, aff
+
+
 def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
     """Logits of the residual-augmented classifier for a batch of full-width rows.
 
     The residual shifts the text prototypes (padded to full width) and the
     cached support features (expanded across shots); the cache scores
-    multiply each entry's affinity before one-hot routing.
+    multiply each entry's affinity before it is routed to its class.
     """
-    f_batch = numkit.as_matrix(f_batch, "f_batch")
-    if f_batch.shape[1] != state.d_total:
-        raise ValueError(
-            f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}"
-        )
-    w_eff = state.w + _pad_residual(state)
-    zs = f_batch @ w_eff.T
-    f_ref = refine.take_channels(f_batch, state.mask_idx, cfg.renormalize)
-    keys = state.f_support_refined + _expand_residual(state)
-    aff = cache_affinity(f_ref, keys, cfg.beta)
-    return zs + cfg.alpha * ((aff * state.scores) @ state.labels)
+    return _forward(state, numkit.as_matrix(f_batch, "f_batch"), cfg)[0]
 
 
 def cross_entropy(logits, label_ids) -> float:
@@ -181,23 +188,18 @@ def cross_entropy(logits, label_ids) -> float:
 
 
 def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
-    """Gradient pieces of the mean cross-entropy w.r.t. the learnables.
+    """The batch logits and the gradient pieces of the mean cross-entropy
+    w.r.t. the learnables.
 
-    Returns (d_res_text, d_res_cache, d_scores): the residual gradient
-    splits into the text-prototype path and the cache-key path; both use
-    the same upstream softmax gradient, so their sum is the full residual
-    gradient.
+    Returns (logits, d_res_text, d_res_cache, d_scores): the residual
+    gradient splits into the text-prototype path and the cache-key path;
+    both use the same upstream softmax gradient, so their sum is the full
+    residual gradient.
     """
     f_batch = numkit.as_matrix(f_batch, "f_batch")
     y = np.asarray(label_ids, dtype=np.int64)
     b = f_batch.shape[0]
-
-    w_eff = state.w + _pad_residual(state)
-    zs = f_batch @ w_eff.T
-    f_ref = refine.take_channels(f_batch, state.mask_idx, cfg.renormalize)
-    keys = state.f_support_refined + _expand_residual(state)
-    aff = cache_affinity(f_ref, keys, cfg.beta)
-    logits = zs + cfg.alpha * ((aff * state.scores) @ state.labels)
+    logits, f_ref, aff = _forward(state, f_batch, cfg)
 
     g = numkit.softmax_rows(logits)
     g[np.arange(b), y] -= 1.0
@@ -206,14 +208,15 @@ def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
     # Text path: residual columns live at the mask indices of W.
     d_res_text = g.T @ f_batch[:, state.mask_idx]
 
-    # Cache path: route the class gradient back to each entry, through the
-    # exponential affinity to the keys, then collapse shots per class.
-    g_entry = g @ state.labels.T                       # B x C*K
+    # Cache path: route the class gradient back to each of its K entries,
+    # through the exponential affinity to the keys, then collapse shots
+    # per class.
+    g_entry = np.repeat(g, state.k, axis=1)            # B x C*K
     d_scores = cfg.alpha * (g_entry * aff).sum(axis=0)
     d_keys = (cfg.alpha * cfg.beta * g_entry * state.scores * aff).T @ f_ref
     d_res_cache = d_keys.reshape(state.c, state.k, state.q).sum(axis=1)
 
-    return d_res_text, d_res_cache, d_scores
+    return logits, d_res_text, d_res_cache, d_scores
 
 
 def backward(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
@@ -223,7 +226,7 @@ def backward(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
         (d_res, d_scores) with shapes (C, Q) and (C*K,).  Matches central
         finite differences of :func:`forward` + :func:`cross_entropy`.
     """
-    d_res_text, d_res_cache, d_scores = _grad_parts(state, f_batch, label_ids, cfg)
+    _, d_res_text, d_res_cache, d_scores = _grad_parts(state, f_batch, label_ids, cfg)
     return d_res_text + d_res_cache, d_scores
 
 
@@ -266,7 +269,7 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
 def frozen_checksum(state: TrainState) -> str:
     """Digest over every frozen tensor; must not change across training."""
     h = hashlib.sha256()
-    for arr in (state.mask_idx, state.w, state.w_refined, state.f_support_refined, state.labels):
+    for arr in (state.mask_idx, state.w, state.w_refined, state.f_support_refined):
         h.update(arr.tobytes())
     h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
     return h.hexdigest()
@@ -318,10 +321,10 @@ def train(
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb = task.support_features[idx]
             yb = y_support[idx]
-            losses.append(cross_entropy(forward(state, fb, cfg), yb))
-            grads = backward(state, fb, yb, cfg)
+            logits, d_res_text, d_res_cache, d_scores = _grad_parts(state, fb, yb, cfg)
+            losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
-            adamw_step(state, grads, lr_t, optim)
+            adamw_step(state, (d_res_text + d_res_cache, d_scores), lr_t, optim)
         if frozen_checksum(state) != baseline:
             raise RuntimeError("frozen tensors changed during training")
         history.append(eval_row(epoch + 1, float(np.mean(losses))))
@@ -414,7 +417,6 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
         w=task.text_features.copy(),
         w_refined=refine.take_channels(task.text_features, mask_idx, cfg.renormalize),
         f_support_refined=refine.take_channels(task.support_features, mask_idx, cfg.renormalize),
-        labels=task.support_labels.copy(),
         c=task.c,
         k=task.k,
         q=int(q),

@@ -19,7 +19,7 @@ from ape import dataio, engine, numkit, refine, trainer
 from ape.cli import grid_search
 from ape.engine import EngineConfig
 from ape.trainer import OptimConfig
-from helpers import one_hot_labels, random_task, unit_rows
+from helpers import random_task, unit_rows
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -252,7 +252,6 @@ def test_criterion_7_scheduler_and_optimizer_contracts():
         w=np.zeros((1, 1)),
         w_refined=np.zeros((1, 1)),
         f_support_refined=np.zeros((1, 1)),
-        labels=one_hot_labels(1, 1),
         c=1,
         k=1,
         q=1,

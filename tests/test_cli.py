@@ -352,3 +352,24 @@ class TestSeedFallback:
         ])
         assert rc == 0
         assert read_kv(report)["config.seed"] == "77"
+
+    def test_non_integer_env_seed_is_usage_error(self, workspace, monkeypatch, capsys):
+        tmp_path, manifest, mask_path = workspace
+        monkeypatch.setenv("APE_SEED", "abc")
+        rc = main([
+            "infer", "--task", str(manifest), "--mask", str(mask_path),
+            "--report", str(tmp_path / "env.report"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: APE_SEED")
+
+
+class TestConfigErrors:
+    def test_non_finite_beta_is_usage_error(self, workspace, capsys):
+        tmp_path, manifest, mask_path = workspace
+        rc = main([
+            "infer", "--task", str(manifest), "--mask", str(mask_path),
+            "--beta", "nan", "--report", str(tmp_path / "nan.report"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: beta")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ape import dataio, engine, numkit
-from helpers import random_task
+from helpers import one_hot_labels, random_task
 
 
 class TestMatrixRoundTrip:
@@ -94,7 +94,9 @@ class TestTaskManifest:
         loaded = dataio.load_task(manifest)
         assert (loaded.c, loaded.k, loaded.d) == (task.c, task.k, task.d)
         np.testing.assert_array_equal(loaded.test_labels, task.test_labels)
-        np.testing.assert_array_equal(loaded.support_labels, task.support_labels)
+        # the label file is the class-major one-hot matrix of (C, K)
+        labels = dataio.read_matrix(tmp_path / "task_support_labels.apef")
+        assert labels.tobytes() == one_hot_labels(task.c, task.k).tobytes()
         # feature rows survive one float32 quantization plus re-normalization
         np.testing.assert_allclose(loaded.text_features, task.text_features, atol=1e-6)
         # a second round trip is exact
@@ -128,7 +130,7 @@ class TestTaskManifest:
         rng = np.random.default_rng(55)
         task = random_task(rng, c=3, k=2)
         manifest = dataio.save_task(task, tmp_path)
-        labels = task.support_labels.copy()
+        labels = one_hot_labels(task.c, task.k)
         labels[0, 2] = 1.0
         dataio.write_matrix(tmp_path / "task_support_labels.apef", labels)
         with pytest.raises(dataio.NonOneHotError):
@@ -138,7 +140,7 @@ class TestTaskManifest:
         rng = np.random.default_rng(56)
         task = random_task(rng, c=3, k=2)
         manifest = dataio.save_task(task, tmp_path)
-        labels = task.support_labels.copy()
+        labels = one_hot_labels(task.c, task.k)
         labels[[0, 5]] = labels[[5, 0]]
         dataio.write_matrix(tmp_path / "task_support_labels.apef", labels)
         with pytest.raises(dataio.NonOneHotError):

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ape import engine, refine
+from ape import engine, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
-from helpers import one_hot_labels, random_task, unit_rows
+from helpers import kl_one_hot, one_hot_labels, random_task, unit_rows
 
 
 class TestZeroShotLogits:
@@ -65,26 +67,25 @@ class TestCacheScores:
     def test_gamma_zero_all_ones(self):
         rng = np.random.default_rng(16)
         scores = engine.cache_scores(
-            unit_rows(rng, 6, 4), unit_rows(rng, 3, 4), one_hot_labels(3, 2), gamma=0.0
+            unit_rows(rng, 6, 4), unit_rows(rng, 3, 4), 2, gamma=0.0
         )
         np.testing.assert_array_equal(scores, np.ones(6))
 
     def test_uniform_prediction_closed_form(self):
-        # Two orthogonal prototypes and a support row at 45 degrees: the
-        # softmax is uniform, so the divergence is ln 2.
+        # Two orthogonal prototypes and one support row per class, both at
+        # 45 degrees: the softmax is uniform, so each divergence is ln 2.
         w = np.eye(2)
-        sup = np.array([[math.sqrt(0.5), math.sqrt(0.5)]])
-        labels = np.array([[1.0, 0.0]])
-        scores = engine.cache_scores(sup, w, labels, gamma=0.2, kl_sign=1)
-        np.testing.assert_allclose(scores, [math.exp(0.2 * math.log(2.0))], rtol=1e-12)
-        np.testing.assert_allclose(scores, [1.14870], rtol=1e-5)
+        sup = np.full((2, 2), math.sqrt(0.5))
+        scores = engine.cache_scores(sup, w, 1, gamma=0.2, kl_sign=1)
+        np.testing.assert_allclose(scores, [math.exp(0.2 * math.log(2.0))] * 2, rtol=1e-12)
+        np.testing.assert_allclose(scores, [1.14870] * 2, rtol=1e-5)
 
     def test_perfect_prediction_scores_one(self):
         # A tiny temperature saturates the softmax at the true class.
         w = np.eye(2)
         sup = np.eye(2)
         scores = engine.cache_scores(
-            sup, w, np.eye(2), gamma=0.7, kl_sign=1, kl_temperature=1e-3
+            sup, w, 1, gamma=0.7, kl_sign=1, kl_temperature=1e-3
         )
         np.testing.assert_array_equal(scores, np.ones(2))
 
@@ -96,22 +97,20 @@ class TestCacheScores:
         c, k, q = 4, 3, 6
         sup = unit_rows(rng, c * k, q)
         w = unit_rows(rng, c, q)
-        labels = one_hot_labels(c, k)
         gamma, sign, temp = 0.3, -1, 0.7
-        got = engine.cache_scores(sup, w, labels, gamma, sign, temp)
+        got = engine.cache_scores(sup, w, k, gamma, sign, temp)
         probs = numkit.softmax_rows(sup @ w.T, temp)
         expected = [
-            math.exp(sign * gamma * numkit.kl_one_hot(probs[i], i // k))
+            math.exp(sign * gamma * kl_one_hot(probs[i], i // k))
             for i in range(c * k)
         ]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_bad_labels_rejected(self):
+        # Three support rows cannot be two classes of one shot each.
         rng = np.random.default_rng(18)
-        bad = one_hot_labels(2, 1)
-        bad[0, 1] = 1.0
         with pytest.raises(ValueError):
-            engine.cache_scores(unit_rows(rng, 2, 4), unit_rows(rng, 2, 4), bad, 0.2)
+            engine.cache_scores(unit_rows(rng, 3, 4), unit_rows(rng, 2, 4), 1, 0.2)
 
 
 class TestApeLogits:
@@ -146,7 +145,7 @@ class TestApeLogits:
         w_ref = refine.apply_mask(task.text_features, mask)
         s_ref = refine.apply_mask(task.support_features, mask)
         f_ref = refine.apply_mask(task.test_features, mask)
-        scores = engine.cache_scores(s_ref, w_ref, task.support_labels, cfg.gamma)
+        scores = engine.cache_scores(s_ref, w_ref, task.k, cfg.gamma)
         expected = np.zeros((task.n_test, task.c))
         for n in range(task.n_test):
             for c in range(task.c):
@@ -167,7 +166,6 @@ class TestApeLogits:
         task = FewShotTask(
             text_features=w,
             support_features=support,
-            support_labels=one_hot_labels(c, 1),
             test_features=support[[target_class]],
             test_labels=None,
             c=c,
@@ -196,7 +194,6 @@ class TestApeLogits:
         bumped = FewShotTask(
             text_features=task.text_features,
             support_features=perturbed,
-            support_labels=task.support_labels,
             test_features=task.test_features,
             test_labels=task.test_labels,
             c=task.c,
@@ -223,6 +220,53 @@ class TestTipAdapterLogits:
         zs = engine.zero_shot_logits(task.test_features, task.text_features)
         np.testing.assert_allclose(got - zs, 0.9 * task.k, rtol=1e-12)
         np.testing.assert_array_equal(got.argmax(axis=1), zs.argmax(axis=1))
+
+
+class TestRoutingOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(2, 6),
+        k=st.integers(1, 4),
+        n=st.integers(1, 9),
+        q=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_logits_path_matches_dense_one_hot(self, c, k, n, q, seed):
+        """Class-major routing equals the dense one-hot product it replaces."""
+        rng = np.random.default_rng(seed)
+        d = 8
+        task = random_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(
+            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+        )
+        cfg = EngineConfig(alpha=float(rng.uniform(0.1, 2.0)), beta=float(rng.uniform(0.5, 8.0)))
+        labels = one_hot_labels(c, k)
+        f = task.test_features
+        zs = engine.zero_shot_logits(f, task.text_features)
+
+        w_ref = refine.apply_mask(task.text_features, mask)
+        s_ref = refine.apply_mask(task.support_features, mask)
+        f_ref = refine.apply_mask(f, mask)
+        aff = engine.cache_affinity(f_ref, s_ref, cfg.beta)
+        scores = engine.cache_scores(s_ref, w_ref, k, cfg.gamma)
+        want = zs + cfg.alpha * (aff * scores) @ labels
+        got = engine.ape_logits(task, mask, cfg)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        aff = engine.cache_affinity(f, task.support_features, cfg.beta)
+        want = zs + cfg.alpha * aff @ labels
+        got = engine.tip_adapter_logits(task, cfg.alpha, cfg.beta)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        state = trainer.init_state(task, mask, cfg)
+        state.res += 0.1 * rng.standard_normal(state.res.shape)
+        padded = np.zeros((c, d))
+        padded[:, mask.selected] = state.res
+        keys = s_ref + np.repeat(state.res, k, axis=0)
+        aff = engine.cache_affinity(f_ref, keys, cfg.beta)
+        want = f @ (task.text_features + padded).T + cfg.alpha * (aff * state.scores) @ labels
+        got = trainer.forward(state, f, cfg)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestPredictAccuracy:
@@ -252,29 +296,12 @@ class TestConfigAndTaskValidation:
             with pytest.raises(ValueError):
                 bad.validate()
 
-    def test_task_rejects_bad_labels(self):
-        rng = np.random.default_rng(27)
-        labels = one_hot_labels(3, 2)
-        labels[0] = 0.0
-        with pytest.raises(ValueError):
-            FewShotTask(
-                text_features=unit_rows(rng, 3, 5),
-                support_features=unit_rows(rng, 6, 5),
-                support_labels=labels,
-                test_features=unit_rows(rng, 2, 5),
-                test_labels=None,
-                c=3,
-                k=2,
-                d=5,
-            )
-
     def test_task_rejects_non_unit_rows(self):
         rng = np.random.default_rng(28)
         with pytest.raises(ValueError):
             FewShotTask(
                 text_features=rng.standard_normal((3, 5)) * 2,
                 support_features=unit_rows(rng, 6, 5),
-                support_labels=one_hot_labels(3, 2),
                 test_features=unit_rows(rng, 2, 5),
                 test_labels=None,
                 c=3,
@@ -288,7 +315,6 @@ class TestConfigAndTaskValidation:
             random_task(rng).__class__(
                 text_features=unit_rows(rng, 3, 5),
                 support_features=unit_rows(rng, 6, 5),
-                support_labels=one_hot_labels(3, 2),
                 test_features=unit_rows(rng, 2, 5),
                 test_labels=np.array([0, 3]),
                 c=3,

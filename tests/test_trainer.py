@@ -8,7 +8,7 @@ import pytest
 from ape import engine, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
-from helpers import one_hot_labels, random_task, unit_rows
+from helpers import random_task, unit_rows
 
 
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
@@ -93,7 +93,7 @@ class TestInitState:
         want = engine.cache_scores(
             refine.apply_mask(task.support_features, mask, cfg.renormalize),
             refine.apply_mask(task.text_features, mask, cfg.renormalize),
-            task.support_labels,
+            task.k,
             cfg.gamma,
             cfg.kl_sign,
             cfg.kl_temperature,
@@ -140,7 +140,6 @@ class TestBackward:
         task = FewShotTask(
             text_features=w,
             support_features=support,
-            support_labels=one_hot_labels(c, 1),
             test_features=support,
             test_labels=np.arange(c),
             c=c,
@@ -186,7 +185,7 @@ class TestBackward:
         state.res += 0.1 * rng.standard_normal(state.res.shape)
         f_batch = unit_rows(rng, 4, task.d)
         y = rng.integers(0, task.c, 4)
-        d_text, d_cache, _ = trainer._grad_parts(state, f_batch, y, cfg)
+        _, d_text, d_cache, _ = trainer._grad_parts(state, f_batch, y, cfg)
         d_res, _ = trainer.backward(state, f_batch, y, cfg)
         np.testing.assert_array_equal(d_res, d_text + d_cache)
         assert d_text.any() and d_cache.any()
@@ -208,7 +207,6 @@ class TestAdamWStep:
             w=np.zeros((c, q)),
             w_refined=np.zeros((c, q)),
             f_support_refined=np.zeros((c * k, q)),
-            labels=one_hot_labels(c, k),
             c=c,
             k=k,
             q=q,
