@@ -22,8 +22,11 @@ from . import dataio, refine, trainer
 from .engine import (
     EngineConfig,
     FewShotTask,
+    _class_sums,
+    _sharpen,
     accuracy,
     ape_logits,
+    cache_scores,
     tip_adapter_logits,
     zero_shot_logits,
 )
@@ -116,16 +119,25 @@ def _config_echo(cfg: EngineConfig, seed: int, **extra) -> dict:
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse ``a0:a1:steps`` into a linspace; a bare number is a 1-point grid."""
+    """Parse ``a0:a1:steps`` into a linspace; a bare number is a 1-point grid.
+
+    Raises:
+        UsageError: naming ``spec`` if it is malformed, has a non-finite
+            end or no steps.
+    """
     parts = spec.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
-        raise UsageError(f"grid must look like a0:a1:steps, got {spec!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        if len(parts) not in (1, 3):
+            raise ValueError(spec)
+        ends = np.array([float(p) for p in parts[:2]])
+        steps = int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        raise UsageError(f"grid must look like a0:a1:steps, got {spec!r}") from None
+    if not np.isfinite(ends).all():
+        raise UsageError(f"grid {spec!r} has a non-finite end")
     if steps < 1:
         raise UsageError(f"grid {spec!r} is empty")
-    return np.linspace(lo, hi, steps)
+    return ends if len(parts) == 1 else np.linspace(ends[0], ends[1], steps)
 
 
 def _holdout_split(task: FewShotTask) -> FewShotTask:
@@ -133,8 +145,8 @@ def _holdout_split(task: FewShotTask) -> FewShotTask:
     test split (the default validation fold for the grid search)."""
     if task.k < 2:
         raise UsageError("validation holdout needs K >= 2 (or pass --val-task)")
-    keep = np.array([c * task.k + j for c in range(task.c) for j in range(task.k - 1)])
-    held = np.array([c * task.k + (task.k - 1) for c in range(task.c)])
+    rows = np.arange(task.c * task.k).reshape(task.c, task.k)
+    keep, held = rows[:, :-1].ravel(), rows[:, -1]
     return FewShotTask(
         text_features=task.text_features,
         support_features=task.support_features[keep],
@@ -161,14 +173,29 @@ def grid_search(
     when given, otherwise one held-out shot per class.  Ties break toward
     the smaller alpha, then beta, then gamma.
 
+    The cache is frozen across candidates, so the search computes the
+    refined rows, the zero-shot logits and the cosines once, the cache
+    scores once per gamma and the affinities once per (beta, gamma); alpha
+    only scales the finished class sums.  Every candidate's logits equal
+    ``ape_logits`` bitwise.
+
     Raises:
-        UsageError: if any grid is empty.
+        UsageError: if any grid is empty or holds a value the engine
+            config rejects.
     """
     alphas = np.sort(np.asarray(alphas, dtype=np.float64))
     betas = np.sort(np.asarray(betas, dtype=np.float64))
     gammas = np.sort(np.asarray(gammas, dtype=np.float64)) if gammas is not None else np.array([base_cfg.gamma])
     if alphas.size == 0 or betas.size == 0 or gammas.size == 0:
         raise UsageError("grid must contain at least one point")
+    for name, grid in (("alpha", alphas), ("beta", betas), ("gamma", gammas)):
+        for value in grid:
+            try:
+                replace(base_cfg, **{name: float(value)}).validate()
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+    if mask.d_total != task.d:
+        raise ValueError(f"mask covers {mask.d_total} channels, task has {task.d}")
 
     if val_task is not None:
         if val_task.test_labels is None:
@@ -189,15 +216,28 @@ def grid_search(
     else:
         probe = _holdout_split(task)
 
-    best_cfg, best_acc = None, -1.0
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                cfg = replace(base_cfg, alpha=float(alpha), beta=float(beta), gamma=float(gamma))
-                acc = accuracy(ape_logits(probe, mask, cfg), probe.test_labels)
-                if acc > best_acc:
-                    best_cfg, best_acc = cfg, acc
-    return best_cfg, best_acc
+    zs = zero_shot_logits(probe.test_features, probe.text_features)
+    w_ref, s_ref, f_ref = (
+        refine.apply_mask(m, mask, base_cfg.renormalize)
+        for m in (probe.text_features, probe.support_features, probe.test_features)
+    )
+    cos = f_ref @ s_ref.T
+    weighted = np.empty_like(cos)
+    acc = np.empty((alphas.size, betas.size, gammas.size))
+    for g, gamma in enumerate(gammas):
+        scores = cache_scores(
+            s_ref, w_ref, probe.k, float(gamma), base_cfg.kl_sign, base_cfg.kl_temperature
+        )
+        for b, beta in enumerate(betas):
+            _sharpen(cos, float(beta), out=weighted)
+            weighted *= scores
+            sums = _class_sums(weighted, probe.c, probe.k)
+            for a, alpha in enumerate(alphas):
+                acc[a, b, g] = accuracy(zs + float(alpha) * sums, probe.test_labels)
+    # The first maximum in C order is the smallest alpha, then beta, then gamma.
+    a, b, g = np.unravel_index(np.argmax(acc), acc.shape)
+    best = replace(base_cfg, alpha=float(alphas[a]), beta=float(betas[b]), gamma=float(gammas[g]))
+    return best, float(acc[a, b, g])
 
 
 def cmd_refine(args) -> int:
@@ -299,20 +339,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_search(args) -> int:
+    alphas, betas = parse_grid(args.alpha_grid), parse_grid(args.beta_grid)
+    gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
     task = dataio.load_task(args.task)
     mask, mask_lam = refine.load_mask(args.mask)
     cfg = _engine_config(args, q=mask.q, lam=mask_lam)
     val_task = dataio.load_task(args.val_task) if args.val_task else None
-    gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
-    best, best_acc = grid_search(
-        task,
-        mask,
-        cfg,
-        parse_grid(args.alpha_grid),
-        parse_grid(args.beta_grid),
-        gammas,
-        val_task,
-    )
+    best, best_acc = grid_search(task, mask, cfg, alphas, betas, gammas, val_task)
     print(f"best.alpha = {best.alpha!r}")
     print(f"best.beta = {best.beta!r}")
     print(f"best.gamma = {best.gamma!r}")

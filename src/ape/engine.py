@@ -156,7 +156,19 @@ def cache_affinity(f_refined, f_support_refined, beta: float) -> np.ndarray:
         )
     if not np.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    return np.exp(-beta * (1.0 - f_refined @ f_support_refined.T))
+    cos = f_refined @ f_support_refined.T
+    return _sharpen(cos, beta, out=cos)
+
+
+def _sharpen(cos, beta: float, out) -> np.ndarray:
+    """exp(-beta * (1 - cos)) written into ``out`` (which may be ``cos``).
+
+    Bitwise equal to the expression, without its temporaries: ``out`` is
+    the only matrix written, so the peak stays at one output's bytes.
+    """
+    np.subtract(1.0, cos, out=out)
+    out *= -beta
+    return np.exp(out, out=out)
 
 
 def cache_scores(
@@ -193,13 +205,18 @@ def cache_scores(
     return np.exp(kl_sign * gamma * -np.log(p_true))
 
 
-def _combine(zs, aff, scores, alpha: float, c: int, k: int) -> np.ndarray:
-    """zs plus alpha times each class's summed, score-weighted affinities.
+def _class_sums(weighted, c: int, k: int) -> np.ndarray:
+    """N x C sums of each class's k cache columns.
 
     The cache columns are class-major, so summing each run of k columns
     routes every entry into its own class column.
     """
-    return zs + alpha * (aff * scores).reshape(aff.shape[0], c, k).sum(axis=-1)
+    return weighted.reshape(weighted.shape[0], c, k).sum(axis=-1)
+
+
+def _combine(zs, aff, scores, alpha: float, c: int, k: int) -> np.ndarray:
+    """zs plus alpha times each class's summed, score-weighted affinities."""
+    return zs + alpha * _class_sums(aff * scores, c, k)
 
 
 def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:

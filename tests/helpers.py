@@ -1,10 +1,11 @@
 """Shared constructors and oracles for randomized test instances."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from ape import FewShotTask, l2_normalize_rows
+from ape import FewShotTask, accuracy, ape_logits, l2_normalize_rows
 from ape.numkit import PROB_FLOOR
 
 
@@ -56,3 +57,50 @@ def kl_one_hot(pred_row, label_index: int) -> float:
         )
     q = min(max(float(p[label_index]), PROB_FLOOR), 1.0)
     return -math.log(q)
+
+
+def holdout_split_loop(task):
+    """Reference holdout: the last shot of every class becomes the test
+    split, with the row indices built one by one."""
+    keep = np.array([c * task.k + j for c in range(task.c) for j in range(task.k - 1)])
+    held = np.array([c * task.k + (task.k - 1) for c in range(task.c)])
+    return FewShotTask(
+        text_features=task.text_features,
+        support_features=task.support_features[keep],
+        test_features=task.support_features[held],
+        test_labels=np.arange(task.c),
+        c=task.c,
+        k=task.k - 1,
+        d=task.d,
+    )
+
+
+def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=None):
+    """Reference grid search: one full ``ape_logits`` pipeline per
+    candidate, scanned alpha-major; the strict ``>`` keeps the first of
+    tied candidates."""
+    alphas = np.sort(np.asarray(alphas, dtype=np.float64))
+    betas = np.sort(np.asarray(betas, dtype=np.float64))
+    gammas = np.sort(np.asarray(gammas, dtype=np.float64)) if gammas is not None else np.array([base_cfg.gamma])
+    if val_task is not None:
+        probe = FewShotTask(
+            text_features=task.text_features,
+            support_features=task.support_features,
+            test_features=val_task.test_features,
+            test_labels=val_task.test_labels,
+            c=task.c,
+            k=task.k,
+            d=task.d,
+        )
+    else:
+        probe = holdout_split_loop(task)
+
+    best_cfg, best_acc = None, -1.0
+    for alpha in alphas:
+        for beta in betas:
+            for gamma in gammas:
+                cfg = replace(base_cfg, alpha=float(alpha), beta=float(beta), gamma=float(gamma))
+                acc = accuracy(ape_logits(probe, mask, cfg), probe.test_labels)
+                if acc > best_acc:
+                    best_cfg, best_acc = cfg, acc
+    return best_cfg, best_acc

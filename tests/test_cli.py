@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line surface."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ape import dataio, refine, trainer
-from ape.cli import main, parse_grid
+from ape.cli import _holdout_split, grid_search, main, parse_grid
 from ape.engine import EngineConfig
+from helpers import brute_force_grid, holdout_split_loop, random_task
 
 
 @pytest.fixture()
@@ -261,6 +265,41 @@ class TestSearchCommand:
         ])
         assert rc == 2
 
+    def test_holdout_split_matches_loop(self, workspace):
+        _, manifest, _ = workspace
+        task = dataio.load_task(manifest)
+        got, want = _holdout_split(task), holdout_split_loop(task)
+        for name in ("text_features", "support_features", "test_features", "test_labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (got.c, got.k, got.d) == (want.c, want.k, want.d)
+
+    @pytest.mark.parametrize("flag, spec, message", [
+        ("--alpha-grid", "nan", "error: grid 'nan' has a non-finite end"),
+        ("--beta-grid", "1:inf:2", "error: grid '1:inf:2' has a non-finite end"),
+        ("--gamma-grid", "-1:0:2", "error: gamma must be finite and >= 0, got -1.0"),
+        ("--alpha-grid", "0:2:x", "error: grid must look like a0:a1:steps, got '0:2:x'"),
+    ], ids=["alpha-nan", "beta-inf", "gamma-negative", "alpha-malformed"])
+    def test_bad_grid_value_is_usage_error(self, workspace, capsys, flag, spec, message):
+        _, manifest, mask_path = workspace
+        grids = {"--alpha-grid": "0:1:2", "--beta-grid": "1:2:2", flag: spec}
+        argv = ["search", "--task", str(manifest), "--mask", str(mask_path)]
+        argv += [f"{name}={value}" for name, value in grids.items()]
+        rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_mask_width_mismatch_is_runtime_error(self, workspace, capsys):
+        tmp_path, manifest, _ = workspace
+        narrow = tmp_path / "narrow.txt"
+        refine.save_mask(narrow, refine.full_mask(16), 0.7)
+        rc = main([
+            "search", "--task", str(manifest), "--mask", str(narrow),
+            "--alpha-grid", "0:1:2", "--beta-grid", "1:2:2",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: mask covers 16 channels")
+
     def test_val_task_manifest(self, workspace):
         tmp_path, manifest, mask_path = workspace
         val_dir = tmp_path / "val"
@@ -276,6 +315,56 @@ class TestSearchCommand:
         ])
         assert rc == 0
         assert "best.alpha" in (tmp_path / "search.report").read_text()
+
+
+grid_values = st.one_of(st.sampled_from([0.0, 1.0, 5.5]), st.floats(0.0, 10.0))
+
+
+class TestGridOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c=st.integers(2, 6),
+        k=st.integers(2, 4),
+        q=st.integers(1, 8),
+        alphas=st.lists(grid_values, min_size=1, max_size=4),
+        betas=st.lists(grid_values, min_size=1, max_size=3),
+        gammas=st.none() | st.lists(grid_values, min_size=1, max_size=3),
+        with_val=st.booleans(),
+        kl_sign=st.sampled_from([1, -1]),
+        renormalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Seeds where distinct candidates tie at the best accuracy, so only the
+    # alpha, then beta, then gamma order picks the reference's config.
+    @example(c=2, k=2, q=8, alphas=[1.0, 5.5, 0.0], betas=[0.0, 1.0, 0.0], gammas=None,
+             with_val=False, kl_sign=1, renormalize=True, seed=2553558759)
+    @example(c=3, k=2, q=7, alphas=[1.0, 1.0, 1.0, 5.5], betas=[5.5, 1.0, 0.0], gammas=None,
+             with_val=True, kl_sign=-1, renormalize=True, seed=916578816)
+    @example(c=2, k=2, q=4, alphas=[1.0, 5.5, 5.5], betas=[1.0, 0.0, 5.5],
+             gammas=[0.0, 0.0, 5.5], with_val=True, kl_sign=1, renormalize=False,
+             seed=300041115)
+    @example(c=3, k=3, q=4, alphas=[5.5], betas=[0.0, 5.5], gammas=[1.0, 0.0, 1.0],
+             with_val=False, kl_sign=-1, renormalize=True, seed=4074326702)
+    def test_matches_brute_force(self, c, k, q, alphas, betas, gammas, with_val,
+                                 kl_sign, renormalize, seed):
+        """Same config and bitwise-same accuracy as one ape_logits per candidate."""
+        rng = np.random.default_rng(seed)
+        d = 8
+        task = random_task(rng, c=c, k=k, d=d, n_test=1)
+        val_task = random_task(rng, c=c, k=k, d=d, n_test=int(rng.integers(1, 12))) if with_val else None
+        mask = refine.ChannelMask(
+            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+        )
+        base = EngineConfig(
+            gamma=float(rng.uniform(0.0, 2.0)),
+            kl_sign=kl_sign,
+            kl_temperature=float(rng.uniform(0.5, 2.0)),
+            renormalize=renormalize,
+        )
+        got_cfg, got_acc = grid_search(task, mask, base, alphas, betas, gammas, val_task)
+        want_cfg, want_acc = brute_force_grid(task, mask, base, alphas, betas, gammas, val_task)
+        assert dataclasses.asdict(got_cfg) == dataclasses.asdict(want_cfg)
+        assert got_acc.hex() == want_acc.hex()
 
 
 class TestEvalCommand:

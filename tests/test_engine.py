@@ -1,6 +1,7 @@
 """Unit and property tests for the training-free classifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,34 @@ class TestTipAdapterLogits:
         zs = engine.zero_shot_logits(task.test_features, task.text_features)
         np.testing.assert_allclose(got - zs, 0.9 * task.k, rtol=1e-12)
         np.testing.assert_array_equal(got.argmax(axis=1), zs.argmax(axis=1))
+
+
+class TestAffinityKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        m=st.integers(1, 9),
+        d=st.integers(1, 8),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_kernel_equals_expression(self, n, m, d, beta, seed):
+        rng = np.random.default_rng(seed)
+        f, F = unit_rows(rng, n, d), unit_rows(rng, m, d)
+        got = engine.cache_affinity(f, F, beta)
+        np.testing.assert_array_equal(got, np.exp(-beta * (1.0 - f @ F.T)))
+
+    def test_peak_memory_is_one_output(self):
+        """The cosines are sharpened in place: no second N x C*K matrix."""
+        rng = np.random.default_rng(0)
+        f, F = unit_rows(rng, 256, 64), unit_rows(rng, 512, 64)
+        tracemalloc.start()
+        try:
+            out = engine.cache_affinity(f, F, 5.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
 
 class TestRoutingOracle:
