@@ -22,12 +22,13 @@ from . import dataio, refine, trainer
 from .engine import (
     EngineConfig,
     FewShotTask,
+    _ape_core,
     _class_sums,
     _sharpen,
+    _tip_core,
     accuracy,
-    ape_logits,
+    ape_logits,  # noqa: F401 - perfbench's tracer test rebinds ape.cli.ape_logits
     cache_scores,
-    tip_adapter_logits,
     zero_shot_logits,
 )
 
@@ -265,8 +266,8 @@ def cmd_infer(args) -> int:
     mask, mask_lam = refine.load_mask(args.mask)
     cfg = _engine_config(args, q=mask.q, lam=mask_lam)
     zs = zero_shot_logits(task.test_features, task.text_features)
-    tip = tip_adapter_logits(task, cfg.alpha, cfg.beta)
-    ape = ape_logits(task, mask, cfg)
+    tip = _tip_core(zs, task, cfg.alpha, cfg.beta)
+    ape = _ape_core(zs, task, mask, cfg)
     if task.test_labels is None:
         logits_path = f"{args.report}.logits.apef"
         dataio.write_matrix(logits_path, ape)

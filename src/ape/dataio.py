@@ -116,13 +116,10 @@ def read_matrix(path) -> np.ndarray:
     rows, cols = struct.unpack("<QQ", blob[8:24])
     if rows * cols > _MAX_ELEMENTS:
         raise ShapeOverflowError(f"{path}: shape {rows}x{cols} too large")
-    expected = rows * cols * 4
-    payload = blob[24:]
-    if len(payload) != expected:
-        raise TruncatedError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    expected, size = rows * cols * 4, len(blob) - 24
+    if size != expected:
+        raise TruncatedError(f"{path}: payload is {size} bytes, header implies {expected}")
+    data = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
     return numkit.as_matrix(data.reshape(rows, cols), str(path))
 
 
@@ -172,12 +169,13 @@ def _check_labels(labels: np.ndarray, c: int, k: int) -> None:
 
 
 def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
-    """Re-normalize feature rows, warning when they drift more than 1e-4."""
-    norms = np.sqrt((m * m).sum(axis=1))
+    """Re-normalize freshly read feature rows in place, warning when they
+    drift more than 1e-4."""
+    norms = numkit._row_norms(m)
     drift = np.abs(norms - 1.0).max() if m.size else 0.0
     if drift > 1e-4:
         warnings.warn(f"{role}: rows off unit norm by up to {drift:.2e}; renormalizing")
-    return numkit.l2_normalize_rows(m)
+    return numkit._normalize_rows_inplace(m)
 
 
 def load_task(manifest_path) -> FewShotTask:

@@ -10,6 +10,8 @@ features, the class text prototypes and the cached support features:
 
 Support rows are class-major (row c*K + j is shot j of class c), so the
 labels are implicit: one routing kernel sums each class's K cache columns.
+It runs over row blocks of the test rows, so inference holds one block of
+affinities (about ``numkit._BLOCK_BYTES``), never an N x C*K matrix.
 A plain key-value cache baseline (unit scores on the full feature space)
 is included for comparison.
 """
@@ -103,8 +105,7 @@ class FewShotTask:
                 f"test_features must have {self.d} columns, got {self.test_features.shape[1]}"
             )
         for name in ("text_features", "support_features", "test_features"):
-            m = getattr(self, name)
-            norms = np.sqrt((m * m).sum(axis=1))
+            norms = numkit._row_norms(getattr(self, name))
             if np.abs(norms - 1.0).max() > 1e-6:
                 raise ValueError(f"{name} rows must be unit-norm within 1e-6")
         if self.test_labels is not None:
@@ -200,8 +201,12 @@ def cache_scores(
     n, c = f_support_refined.shape[0], w_refined.shape[0]
     if k < 1 or n != c * k:
         raise ValueError(f"{n} support rows do not make {c} classes of {k} shots")
-    probs = numkit.softmax_rows(f_support_refined @ w_refined.T, kl_temperature)
-    p_true = np.clip(probs[np.arange(n), np.arange(n) // k], numkit.PROB_FLOOR, 1.0)
+    p_true = np.empty(n)
+    for rows in numkit._row_blocks(n, c):
+        probs = numkit.softmax_rows(f_support_refined[rows] @ w_refined.T, kl_temperature)
+        ids = np.arange(rows.start, rows.stop)
+        p_true[rows] = probs[ids - rows.start, ids // k]
+    p_true = np.clip(p_true, numkit.PROB_FLOOR, 1.0)
     return np.exp(kl_sign * gamma * -np.log(p_true))
 
 
@@ -214,9 +219,42 @@ def _class_sums(weighted, c: int, k: int) -> np.ndarray:
     return weighted.reshape(weighted.shape[0], c, k).sum(axis=-1)
 
 
-def _combine(zs, aff, scores, alpha: float, c: int, k: int) -> np.ndarray:
-    """zs plus alpha times each class's summed, score-weighted affinities."""
-    return zs + alpha * _class_sums(aff * scores, c, k)
+def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, c: int, k: int):
+    """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T))
+    into ``zs`` in place, one row block at a time; returns ``zs``.
+
+    Only one block of affinities is alive at once.  Rows are independent,
+    so the result is bitwise that of the whole matrix.
+    """
+    blocks = numkit._row_blocks(f_ref.shape[0], keys.shape[0])
+    buf = np.empty((blocks[0].stop, keys.shape[0]))
+    for rows in blocks:
+        blk = np.matmul(f_ref[rows], keys.T, out=buf[: rows.stop - rows.start])
+        _sharpen(blk, beta, out=blk)
+        blk *= scores
+        zs[rows] += alpha * _class_sums(blk, c, k)
+    return zs
+
+
+def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
+    """:func:`ape_logits` from the task's zero-shot logits ``zs`` (not modified)."""
+    cfg.validate()
+    if mask.d_total != task.d:
+        raise ValueError(f"mask covers {mask.d_total} channels, task has {task.d}")
+    w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
+    s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
+    scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
+    f_ref = refine.apply_mask(task.test_features, mask, cfg.renormalize)
+    return _add_cache_term(zs.copy(), f_ref, s_ref, scores, cfg.alpha, cfg.beta, task.c, task.k)
+
+
+def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
+    """:func:`tip_adapter_logits` from the task's zero-shot logits ``zs`` (not modified)."""
+    if not np.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    return _add_cache_term(
+        zs.copy(), task.test_features, task.support_features, 1.0, alpha, beta, task.c, task.k
+    )
 
 
 def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
@@ -227,16 +265,7 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     each support entry's affinity, scaled by its reliability score, into
     its own class column.
     """
-    cfg.validate()
-    if mask.d_total != task.d:
-        raise ValueError(f"mask covers {mask.d_total} channels, task has {task.d}")
-    zs = zero_shot_logits(task.test_features, task.text_features)
-    w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
-    s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
-    scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
-    f_ref = refine.apply_mask(task.test_features, mask, cfg.renormalize)
-    aff = cache_affinity(f_ref, s_ref, cfg.beta)
-    return _combine(zs, aff, scores, cfg.alpha, task.c, task.k)
+    return _ape_core(zero_shot_logits(task.test_features, task.text_features), task, mask, cfg)
 
 
 def tip_adapter_logits(task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
@@ -246,9 +275,7 @@ def tip_adapter_logits(task: FewShotTask, alpha: float, beta: float) -> np.ndarr
     class's shots, i.e. the combined classifier with every channel kept and
     unit cache scores.
     """
-    zs = zero_shot_logits(task.test_features, task.text_features)
-    aff = cache_affinity(task.test_features, task.support_features, beta)
-    return _combine(zs, aff, 1.0, alpha, task.c, task.k)
+    return _tip_core(zero_shot_logits(task.test_features, task.text_features), task, alpha, beta)
 
 
 def predict(logits) -> np.ndarray:

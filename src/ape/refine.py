@@ -159,9 +159,9 @@ def take_channels(m, indices, renormalize: bool) -> np.ndarray:
     :func:`ape.numkit.l2_normalize_rows`.
     """
     m = numkit.as_matrix(m, "m")
-    out = np.ascontiguousarray(m[:, np.asarray(indices, dtype=np.int64)])
+    out = np.take(m, np.asarray(indices, dtype=np.int64), axis=1)
     if renormalize:
-        out = numkit.l2_normalize_rows(out)
+        numkit._normalize_rows_inplace(out)
     return out
 
 

@@ -23,7 +23,8 @@ from . import numkit, refine
 from .engine import (
     EngineConfig,
     FewShotTask,
-    _combine,
+    _add_cache_term,
+    _class_sums,
     accuracy,
     cache_affinity,
     cache_scores,
@@ -154,9 +155,9 @@ def _expand_residual(state: TrainState) -> np.ndarray:
     return np.repeat(state.res, state.k, axis=0)
 
 
-def _forward(state: TrainState, f_batch, cfg: EngineConfig):
-    """(logits, f_ref, aff): the logits plus the refined batch rows and the
-    cache affinities that the gradient reuses."""
+def _forward_parts(state: TrainState, f_batch, cfg: EngineConfig):
+    """(zs, f_ref, keys): the residual-shifted zero-shot logits, the refined
+    batch rows and the residual-shifted cache keys."""
     if f_batch.shape[1] != state.d_total:
         raise ValueError(
             f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}"
@@ -164,8 +165,7 @@ def _forward(state: TrainState, f_batch, cfg: EngineConfig):
     zs = f_batch @ (state.w + _pad_residual(state)).T
     f_ref = refine.take_channels(f_batch, state.mask_idx, cfg.renormalize)
     keys = state.f_support_refined + _expand_residual(state)
-    aff = cache_affinity(f_ref, keys, cfg.beta)
-    return _combine(zs, aff, state.scores, cfg.alpha, state.c, state.k), f_ref, aff
+    return zs, f_ref, keys
 
 
 def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
@@ -175,7 +175,10 @@ def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
     cached support features (expanded across shots); the cache scores
     multiply each entry's affinity before it is routed to its class.
     """
-    return _forward(state, numkit.as_matrix(f_batch, "f_batch"), cfg)[0]
+    zs, f_ref, keys = _forward_parts(state, numkit.as_matrix(f_batch, "f_batch"), cfg)
+    return _add_cache_term(
+        zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta, state.c, state.k
+    )
 
 
 def cross_entropy(logits, label_ids) -> float:
@@ -199,14 +202,18 @@ def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
     f_batch = numkit.as_matrix(f_batch, "f_batch")
     y = np.asarray(label_ids, dtype=np.int64)
     b = f_batch.shape[0]
-    logits, f_ref, aff = _forward(state, f_batch, cfg)
+    # The backward pass needs the whole B x C*K affinity matrix, so this
+    # forward materializes it rather than running by row blocks.
+    zs, f_ref, keys = _forward_parts(state, f_batch, cfg)
+    aff = cache_affinity(f_ref, keys, cfg.beta)
+    logits = zs + cfg.alpha * _class_sums(aff * state.scores, state.c, state.k)
 
     g = numkit.softmax_rows(logits)
     g[np.arange(b), y] -= 1.0
     g /= b
 
     # Text path: residual columns live at the mask indices of W.
-    d_res_text = g.T @ f_batch[:, state.mask_idx]
+    d_res_text = g.T @ np.take(f_batch, state.mask_idx, axis=1)
 
     # Cache path: route the class gradient back to each of its K entries,
     # through the exponential affinity to the keys, then collapse shots
@@ -303,8 +310,12 @@ def train(
     total_steps = optim.total_steps if optim.total_steps > 0 else optim.epochs * steps_per_epoch
     rng = np.random.default_rng(optim.seed)
 
-    def eval_row(epoch: int, loss: float) -> dict:
-        support_acc = accuracy(forward(state, task.support_features, cfg), y_support)
+    def eval_row(epoch: int, loss: float | None = None) -> dict:
+        """History row; ``loss`` None takes it from the support forward."""
+        support_logits = forward(state, task.support_features, cfg)
+        if loss is None:
+            loss = cross_entropy(support_logits, y_support)
+        support_acc = accuracy(support_logits, y_support)
         test_acc = (
             accuracy(forward(state, task.test_features, cfg), task.test_labels)
             if task.test_labels is not None
@@ -312,7 +323,7 @@ def train(
         )
         return {"epoch": epoch, "loss": loss, "support_acc": support_acc, "test_acc": test_acc}
 
-    history = [eval_row(0, cross_entropy(forward(state, task.support_features, cfg), y_support))]
+    history = [eval_row(0)]
 
     for epoch in range(optim.epochs):
         perm = rng.permutation(n)

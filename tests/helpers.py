@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ape import FewShotTask, accuracy, ape_logits, l2_normalize_rows
+from ape import FewShotTask, accuracy, ape_logits, l2_normalize_rows, softmax_rows
 from ape.numkit import PROB_FLOOR
 
 
@@ -104,3 +104,18 @@ def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=
                 if acc > best_acc:
                     best_cfg, best_acc = cfg, acc
     return best_cfg, best_acc
+
+
+def cache_term_unblocked(zs, f_ref, keys, scores, alpha, beta, c, k):
+    """Reference logits: zs plus the cache term over the whole N x C*K
+    affinity matrix at once."""
+    weighted = np.exp(-beta * (1.0 - f_ref @ keys.T)) * scores
+    return zs + alpha * weighted.reshape(len(f_ref), c, k).sum(axis=-1)
+
+
+def cache_scores_unblocked(s_ref, w_ref, k, gamma, kl_sign=1, kl_temperature=1.0):
+    """Reference cache scores: one softmax over all C*K support rows."""
+    n = s_ref.shape[0]
+    probs = softmax_rows(s_ref @ w_ref.T, kl_temperature)
+    p_true = np.clip(probs[np.arange(n), np.arange(n) // k], PROB_FLOOR, 1.0)
+    return np.exp(kl_sign * gamma * -np.log(p_true))

@@ -2,13 +2,14 @@
 
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ape import dataio, refine, trainer
+from ape import cli, dataio, engine, refine, trainer
 from ape.cli import _holdout_split, grid_search, main, parse_grid
 from ape.engine import EngineConfig
 from helpers import brute_force_grid, holdout_split_loop, random_task
@@ -151,6 +152,41 @@ class TestInferCommand:
             ])
             assert rc == 0
         assert strip_volatile(r1) == strip_volatile(r2)
+
+    def test_zero_shot_logits_computed_once(self, workspace):
+        """All three methods share one zero-shot pass and match the public
+        functions."""
+        tmp_path, manifest, mask_path = workspace
+        report = tmp_path / "once.report"
+        spy = mock.Mock(wraps=engine.zero_shot_logits)
+        with mock.patch.object(cli, "zero_shot_logits", spy), \
+                mock.patch.object(engine, "zero_shot_logits", spy):
+            rc = main([
+                "infer", "--task", str(manifest), "--mask", str(mask_path),
+                "--alpha", "1.3", "--gamma", "0.4", "--report", str(report),
+            ])
+        assert rc == 0 and spy.call_count == 1
+        kv = read_kv(report)
+        task = dataio.load_task(manifest)
+        mask, _ = refine.load_mask(mask_path)
+        cfg = EngineConfig(alpha=1.3, gamma=0.4)
+        for name, logits in (
+            ("zero_shot", engine.zero_shot_logits(task.test_features, task.text_features)),
+            ("tip_adapter", engine.tip_adapter_logits(task, cfg.alpha, cfg.beta)),
+            ("ape", engine.ape_logits(task, mask, cfg)),
+        ):
+            assert kv[f"accuracy.{name}"] == repr(100.0 * engine.accuracy(logits, task.test_labels))
+
+    def test_mask_width_mismatch_is_runtime_error(self, workspace, capsys):
+        tmp_path, manifest, _ = workspace
+        mask_path = tmp_path / "narrow.txt"
+        refine.save_mask(mask_path, refine.full_mask(16), 0.7)
+        rc = main([
+            "infer", "--task", str(manifest), "--mask", str(mask_path),
+            "--report", str(tmp_path / "r"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: mask covers 16 channels")
 
     def test_unlabeled_task_emits_logits(self, tmp_path):
         task = dataio.gen_synthetic(4, 2, 16, 3, 0.4, seed=2)

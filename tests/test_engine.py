@@ -2,15 +2,23 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ape import engine, refine, trainer
+from ape import engine, numkit, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
-from helpers import kl_one_hot, one_hot_labels, random_task, unit_rows
+from helpers import (
+    cache_scores_unblocked,
+    cache_term_unblocked,
+    kl_one_hot,
+    one_hot_labels,
+    random_task,
+    unit_rows,
+)
 
 
 class TestZeroShotLogits:
@@ -296,6 +304,111 @@ class TestRoutingOracle:
         want = f @ (task.text_features + padded).T + cfg.alpha * (aff * state.scores) @ labels
         got = trainer.forward(state, f, cfg)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def block_budget(cols, rows):
+    """Patch the row-block budget to ``rows`` rows of ``cols`` float64."""
+    return mock.patch.object(numkit, "_BLOCK_BYTES", 8 * cols * rows)
+
+
+class TestRowBlocks:
+    """Inference runs over row blocks; rows are independent, so every
+    blocked result equals the whole-matrix result bitwise."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c=st.integers(2, 6),
+        k=st.integers(1, 4),
+        n=st.integers(1, 40),
+        q=st.integers(1, 8),
+        rows=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=2, k=2, n=3, q=5, rows=2, seed=0)
+    @example(c=3, k=1, n=1, q=8, rows=2, seed=1)
+    def test_blocked_paths_equal_whole_matrix(self, c, k, n, q, rows, seed):
+        rng = np.random.default_rng(seed)
+        d = 8
+        task = random_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(
+            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+        )
+        cfg = EngineConfig(
+            alpha=float(rng.uniform(0.1, 2.0)),
+            beta=float(rng.uniform(0.0, 8.0)),
+            gamma=float(rng.uniform(0.0, 1.0)),
+            kl_sign=int(rng.choice([1, -1])),
+            kl_temperature=float(rng.uniform(0.5, 2.0)),
+        )
+        f, w = task.test_features, task.text_features
+        w_ref, s_ref, f_ref = (refine.apply_mask(m, mask) for m in (w, task.support_features, f))
+        score_args = (s_ref, w_ref, k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
+        state = trainer.init_state(task, mask, cfg)
+        state.res += 0.1 * rng.standard_normal(state.res.shape)
+        padded = np.zeros((c, d))
+        padded[:, mask.selected] = state.res
+        keys = s_ref + np.repeat(state.res, k, axis=0)
+
+        scores = cache_scores_unblocked(*score_args)
+        want = {
+            "ape": cache_term_unblocked(f @ w.T, f_ref, s_ref, scores, cfg.alpha, cfg.beta, c, k),
+            "tip": cache_term_unblocked(
+                f @ w.T, f, task.support_features, 1.0, cfg.alpha, cfg.beta, c, k
+            ),
+            "forward": cache_term_unblocked(
+                f @ (w + padded).T, f_ref, keys, state.scores, cfg.alpha, cfg.beta, c, k
+            ),
+        }
+
+        def logits():
+            return {
+                "ape": engine.ape_logits(task, mask, cfg),
+                "tip": engine.tip_adapter_logits(task, cfg.alpha, cfg.beta),
+                "forward": trainer.forward(state, f, cfg),
+            }
+
+        default = logits()
+        with block_budget(c * k, rows):
+            blocked = logits()
+        for name, expected in want.items():
+            assert default[name].tobytes() == expected.tobytes(), name
+            assert blocked[name].tobytes() == expected.tobytes(), name
+
+        assert engine.cache_scores(*score_args).tobytes() == scores.tobytes()
+        with block_budget(c, rows):
+            assert engine.cache_scores(*score_args).tobytes() == scores.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), cols=st.integers(1, 64), rows=st.integers(1, 20))
+    @example(n=3, cols=4, rows=2)
+    def test_partition(self, n, cols, rows):
+        """Blocks cover 0..n in order, near-equal with the largest first,
+        within budget, and no block has one row unless n = 1 (a one-row
+        matmul takes another BLAS path)."""
+        with block_budget(cols, rows):
+            blocks = numkit._row_blocks(n, cols)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) - min(sizes) <= 1 and sizes[0] == max(sizes)
+        assert max(sizes) <= max(rows, 3)
+        assert n == 1 or min(sizes) >= 2
+
+    def test_peak_memory_is_one_block(self):
+        """No N x C*K matrix is held: the parent peaked near two of them."""
+        rng = np.random.default_rng(0)
+        c, k, n, d = 32, 16, 1024, 64
+        task = random_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(selected=np.arange(32), d_total=d, scores=np.zeros(d))
+        whole = n * c * k * 8
+        with block_budget(c * k, n // 16):
+            tracemalloc.start()
+            try:
+                out = engine.ape_logits(task, mask, EngineConfig())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak - out.nbytes < 0.5 * whole
 
 
 class TestPredictAccuracy:

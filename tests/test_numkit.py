@@ -1,9 +1,13 @@
 """Unit tests for the shared numeric kernels."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ape import numkit
 from helpers import kl_one_hot
@@ -46,6 +50,39 @@ class TestL2NormalizeRows:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             numkit.l2_normalize_rows(np.zeros((0, 3)))
+
+    def test_input_not_mutated(self):
+        m = np.random.default_rng(2).standard_normal((6, 5))
+        before = m.copy()
+        numkit.l2_normalize_rows(m)
+        assert m.tobytes() == before.tobytes()
+
+    def test_in_place_helper_overwrites_its_argument(self):
+        m = np.random.default_rng(3).standard_normal((6, 5))
+        want = numkit.l2_normalize_rows(m)
+        assert numkit._normalize_rows_inplace(m) is m
+        assert m.tobytes() == want.tobytes()
+
+    def test_zero_rows_warn_once_per_call(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            numkit.l2_normalize_rows([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (numkit.ZeroRowWarning, "2 zero row(s) passed through unnormalized")
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 16),
+        rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_row_norms_equal_whole_matrix(self, n, d, rows, seed):
+        m = np.random.default_rng(seed).standard_normal((n, d))
+        with mock.patch.object(numkit, "_BLOCK_BYTES", 8 * d * rows):
+            got = numkit._row_norms(m)
+        assert got.tobytes() == np.sqrt((m * m).sum(axis=1)).tobytes()
 
 
 class TestSoftmaxRows:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ class TestApplyMask:
         with pytest.warns(numkit.ZeroRowWarning):
             out = refine.apply_mask(np.array([[1.0, 0.0]]), mask, renormalize=True)
         np.testing.assert_array_equal(out, [[0.0]])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_take_channels_equals_gather_then_normalize(self, order, renormalize):
+        rng = np.random.default_rng(11)
+        m = np.asarray(rng.standard_normal((37, 20)), order=order)
+        m[4] = 0.0
+        before = m.copy()
+        idx = np.sort(rng.choice(20, 9, replace=False))
+        gathered = np.ascontiguousarray(m[:, idx])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", numkit.ZeroRowWarning)
+            want = numkit.l2_normalize_rows(gathered) if renormalize else gathered
+            got = refine.take_channels(m, idx, renormalize)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert m.tobytes() == before.tobytes()
 
     def test_dimension_mismatch(self):
         mask = refine.full_mask(3)

@@ -1,6 +1,7 @@
 """Unit and property tests for residual training."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,6 +297,19 @@ class TestTrain:
         )
         assert history[-1]["support_acc"] >= history[0]["support_acc"]
         assert all(math.isfinite(row["loss"]) for row in history)
+
+    def test_one_support_forward_per_history_row(self):
+        """Row 0 takes its loss and support accuracy from one forward."""
+        rng = np.random.default_rng(43)
+        task, mask, cfg = make_instance(rng)
+        with mock.patch.object(trainer, "forward", wraps=trainer.forward) as spy:
+            _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=2, batch_size=3))
+        assert spy.call_count == 2 * len(history)  # support + test per row
+        fresh = trainer.init_state(task, mask, cfg)
+        logits = trainer.forward(fresh, task.support_features, cfg)
+        y = task.support_class_ids()
+        assert history[0]["loss"] == trainer.cross_entropy(logits, y)
+        assert history[0]["support_acc"] == engine.accuracy(logits, y)
 
     def test_loss_decreases_with_training(self):
         rng = np.random.default_rng(42)
