@@ -93,10 +93,8 @@ def _default_seed() -> int:
         raise UsageError(f"APE_SEED must be an integer, got {raw!r}") from None
 
 
-def _engine_config(args, q: int = 0, lam: float = 0.7) -> EngineConfig:
+def _engine_config(args) -> EngineConfig:
     cfg = EngineConfig(
-        lam=lam,
-        q=q,
         alpha=args.alpha,
         beta=args.beta,
         gamma=args.gamma,
@@ -111,11 +109,9 @@ def _engine_config(args, q: int = 0, lam: float = 0.7) -> EngineConfig:
     return cfg
 
 
-def _config_echo(cfg: EngineConfig, seed: int, **extra) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["lambda"] = echo.pop("lam")
-    echo["seed"] = seed
-    echo.update(extra)
+def _config_echo(cfg: EngineConfig, seed: int, lam: float, q: int, **extra) -> dict:
+    echo = dict(dataclasses.asdict(cfg), q=q, seed=seed, **extra)
+    echo["lambda"] = lam
     return echo
 
 
@@ -195,9 +191,6 @@ def grid_search(
                 replace(base_cfg, **{name: float(value)}).validate()
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
-    if mask.d_total != task.d:
-        raise ValueError(f"mask covers {mask.d_total} channels, task has {task.d}")
-
     if val_task is not None:
         if val_task.test_labels is None:
             raise UsageError("--val-task manifest must provide test_labels")
@@ -264,7 +257,7 @@ def cmd_infer(args) -> int:
     started = time.perf_counter()
     task = dataio.load_task(args.task)
     mask, mask_lam = refine.load_mask(args.mask)
-    cfg = _engine_config(args, q=mask.q, lam=mask_lam)
+    cfg = _engine_config(args)
     zs = zero_shot_logits(task.test_features, task.text_features)
     tip = _tip_core(zs, task, cfg.alpha, cfg.beta)
     ape = _ape_core(zs, task, mask, cfg)
@@ -285,7 +278,7 @@ def cmd_infer(args) -> int:
         ]
     report = EvalReport(
         methods=methods,
-        config=_config_echo(cfg, args.seed, task=args.task, mask=args.mask),
+        config=_config_echo(cfg, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask),
         wall_time_s=time.perf_counter() - started,
     )
     report.write(args.report)
@@ -297,7 +290,7 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     task = dataio.load_task(args.task)
     mask, mask_lam = refine.load_mask(args.mask)
-    cfg = _engine_config(args, q=mask.q, lam=mask_lam)
+    cfg = _engine_config(args)
     optim = trainer.OptimConfig(
         lr=args.lr,
         weight_decay=args.weight_decay,
@@ -323,6 +316,8 @@ def cmd_train(args) -> int:
         config=_config_echo(
             cfg,
             args.seed,
+            mask_lam,
+            mask.q,
             task=args.task,
             mask=args.mask,
             lr=optim.lr,
@@ -344,7 +339,7 @@ def cmd_search(args) -> int:
     gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
     task = dataio.load_task(args.task)
     mask, mask_lam = refine.load_mask(args.mask)
-    cfg = _engine_config(args, q=mask.q, lam=mask_lam)
+    cfg = _engine_config(args)
     val_task = dataio.load_task(args.val_task) if args.val_task else None
     best, best_acc = grid_search(task, mask, cfg, alphas, betas, gammas, val_task)
     print(f"best.alpha = {best.alpha!r}")
@@ -360,7 +355,8 @@ def cmd_search(args) -> int:
             f"best.gamma = {best.gamma!r}",
             f"best.val_accuracy = {100.0 * best_acc!r}",
         ]
-        for key, value in sorted(_config_echo(cfg, args.seed, task=args.task, mask=args.mask).items()):
+        echo = _config_echo(cfg, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask)
+        for key, value in sorted(echo.items()):
             lines.append(f"config.{key} = {value}")
         Path(args.report).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
@@ -386,7 +382,8 @@ def cmd_eval(args) -> int:
     logits = trainer.forward(state, task.test_features, cfg)
     report = EvalReport(
         methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
-        config=_config_echo(cfg, args.seed, task=args.task, ckpt=args.ckpt),
+        # Checkpoint v1 records neither lambda nor Q: echo the old placeholders.
+        config=_config_echo(cfg, args.seed, 0.7, 0, task=args.task, ckpt=args.ckpt),
         wall_time_s=time.perf_counter() - started,
     )
     report.write(args.report)

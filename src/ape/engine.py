@@ -41,13 +41,11 @@ __all__ = [
 class EngineConfig:
     """Scalar knobs of the classifier.
 
-    ``q`` is informational (the mask carries the operative channel set);
-    0 means "all channels".  ``kl_sign`` selects whether high-divergence
-    cache entries are up-weighted (+1) or down-weighted (-1).
+    The channel set and its lambda belong to the mask, not here.
+    ``kl_sign`` selects whether high-divergence cache entries are
+    up-weighted (+1) or down-weighted (-1).
     """
 
-    lam: float = 0.7
-    q: int = 0
     alpha: float = 1.0
     beta: float = 5.5
     gamma: float = 0.2
@@ -56,10 +54,6 @@ class EngineConfig:
     renormalize: bool = True
 
     def validate(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        if self.q < 0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
         for name in ("alpha", "beta", "gamma"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
@@ -88,6 +82,8 @@ class FewShotTask:
     d: int
 
     def __post_init__(self):
+        if self.c < 1 or self.k < 1:
+            raise ValueError(f"a task needs C >= 1 classes and K >= 1 shots, got {self.c}, {self.k}")
         self.text_features = numkit.as_matrix(self.text_features, "text_features")
         self.support_features = numkit.as_matrix(self.support_features, "support_features")
         self.test_features = numkit.as_matrix(self.test_features, "test_features")
@@ -115,10 +111,6 @@ class FewShotTask:
             if labels.min() < 0 or labels.max() >= self.c:
                 raise ValueError("test_labels contain out-of-range class ids")
             self.test_labels = labels
-
-    @property
-    def n_test(self) -> int:
-        return int(self.test_features.shape[0])
 
     def support_class_ids(self) -> np.ndarray:
         """Class id of each support row, in class-major order."""
@@ -190,20 +182,17 @@ def cache_scores(
     entry scores 1 for any gamma.
 
     Raises:
-        ValueError: if the support rows are not C * k for the C prototypes.
+        ValueError: if the support rows are not C * k or a scalar is out of range.
     """
     f_support_refined = numkit.as_matrix(f_support_refined, "f_support_refined")
     w_refined = numkit.as_matrix(w_refined, "w_refined")
-    if kl_sign not in (1, -1):
-        raise ValueError(f"kl_sign must be +1 or -1, got {kl_sign}")
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    EngineConfig(gamma=gamma, kl_sign=kl_sign, kl_temperature=kl_temperature).validate()
     n, c = f_support_refined.shape[0], w_refined.shape[0]
     if k < 1 or n != c * k:
         raise ValueError(f"{n} support rows do not make {c} classes of {k} shots")
     p_true = np.empty(n)
     for rows in numkit._row_blocks(n, c):
-        probs = numkit.softmax_rows(f_support_refined[rows] @ w_refined.T, kl_temperature)
+        probs = numkit._softmax(f_support_refined[rows] @ w_refined.T, kl_temperature)
         ids = np.arange(rows.start, rows.stop)
         p_true[rows] = probs[ids - rows.start, ids // k]
     p_true = np.clip(p_true, numkit.PROB_FLOOR, 1.0)
@@ -238,9 +227,6 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, c: int, 
 
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
     """:func:`ape_logits` from the task's zero-shot logits ``zs`` (not modified)."""
-    cfg.validate()
-    if mask.d_total != task.d:
-        raise ValueError(f"mask covers {mask.d_total} channels, task has {task.d}")
     w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
     s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
     scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
@@ -250,8 +236,6 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
 
 def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
     """:func:`tip_adapter_logits` from the task's zero-shot logits ``zs`` (not modified)."""
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     return _add_cache_term(
         zs.copy(), task.test_features, task.support_features, 1.0, alpha, beta, task.c, task.k
     )
@@ -265,6 +249,7 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     each support entry's affinity, scaled by its reliability score, into
     its own class column.
     """
+    cfg.validate()
     return _ape_core(zero_shot_logits(task.test_features, task.text_features), task, mask, cfg)
 
 
@@ -275,6 +260,8 @@ def tip_adapter_logits(task: FewShotTask, alpha: float, beta: float) -> np.ndarr
     class's shots, i.e. the combined classifier with every channel kept and
     unit cache scores.
     """
+    if not np.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     return _tip_core(zero_shot_logits(task.test_features, task.text_features), task, alpha, beta)
 
 

@@ -4,9 +4,10 @@ Matrices are plain 2-D ``float64`` numpy arrays in row-major order; this
 module is the single place where the low-level conventions live:
 coercion, normalization, stable softmax, and the probability floor used
 to score cache entries.  All public functions are pure -- inputs are never
-mutated and results contain no NaN/Inf entries.  The one exception is the
-private :func:`_normalize_rows_inplace`, which callers use on matrices they
-own.
+mutated and results contain no NaN/Inf entries.  Public functions check
+their inputs; the private helpers :func:`_normalize_rows_inplace` (which
+overwrites a matrix the caller owns) and :func:`_softmax` do not, so
+callers use them only on matrices the library has already validated.
 
 Row-wise work over large matrices runs in row blocks (:func:`_row_blocks`)
 of about :data:`_BLOCK_BYTES` each, so no kernel holds a second
@@ -127,7 +128,11 @@ def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
     """
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    m = as_matrix(m, "m")
+    return _softmax(as_matrix(m, "m"), temperature)
+
+
+def _softmax(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Unchecked :func:`softmax_rows`: ``m`` finite 2-D float64, ``temperature`` > 0."""
     z = m / temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)

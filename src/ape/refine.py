@@ -24,7 +24,6 @@ __all__ = [
     "blend_criteria",
     "select_channels",
     "apply_mask",
-    "take_channels",
     "full_mask",
     "save_mask",
     "load_mask",
@@ -152,14 +151,14 @@ def select_channels(s: CriterionVector, v: CriterionVector, lam: float, q: int) 
     return ChannelMask(selected=np.sort(order[:q]), d_total=d, scores=j.values)
 
 
-def take_channels(m, indices, renormalize: bool) -> np.ndarray:
-    """Keep the given columns of ``m``, optionally re-normalizing each row.
+def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool) -> np.ndarray:
+    """Keep the given columns of a finite 2-D float64 ``m``, optionally
+    re-normalizing each row; the indices must be in range.
 
     Zero rows survive renormalization unchanged (with a warning), matching
     :func:`ape.numkit.l2_normalize_rows`.
     """
-    m = numkit.as_matrix(m, "m")
-    out = np.take(m, np.asarray(indices, dtype=np.int64), axis=1)
+    out = np.take(m, indices, axis=1)
     if renormalize:
         numkit._normalize_rows_inplace(out)
     return out
@@ -173,10 +172,8 @@ def apply_mask(m, mask: ChannelMask, renormalize: bool = True) -> np.ndarray:
     """
     m = numkit.as_matrix(m, "m")
     if m.shape[1] != mask.d_total:
-        raise ValueError(
-            f"matrix has {m.shape[1]} columns, mask expects {mask.d_total}"
-        )
-    return take_channels(m, mask.selected, renormalize)
+        raise ValueError(f"mask covers {mask.d_total} channels, matrix has {m.shape[1]}")
+    return _take_channels(m, mask.selected, renormalize)
 
 
 def full_mask(d: int) -> ChannelMask:
@@ -204,22 +201,36 @@ def load_mask(path) -> tuple[ChannelMask, float]:
 
     Returns:
         The mask and the lambda recorded in the header.
+
+    Raises:
+        ValueError: naming the file, unless the header gives D, Q and a lambda in [0, 1]
+            and the rows list each channel 0..D-1 once, in any order, flagged 0 or 1.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(MASK_HEADER):
-        raise ValueError(f"not a mask file: {path}")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-    d, q, lam = int(fields["D"]), int(fields["Q"]), float(fields["lambda"])
-    if len(lines) - 1 != d:
-        raise ValueError(f"mask file declares D={d} but has {len(lines) - 1} rows")
-    scores = np.empty(d)
-    flags = np.empty(d, dtype=np.int64)
-    for ln in lines[1:]:
-        idx_s, score_s, flag_s = ln.split()
-        scores[int(idx_s)] = float(score_s)
-        flags[int(idx_s)] = int(flag_s)
-    selected = np.flatnonzero(flags)
-    if len(selected) != q:
-        raise ValueError(f"mask file declares Q={q} but flags {len(selected)} channels")
-    return ChannelMask(selected=selected, d_total=d, scores=scores), lam
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if not lines or lines[0].split()[:2] != MASK_HEADER.split():
+            raise ValueError("not a mask file")
+        fields = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        if not {"D", "Q", "lambda"} <= fields.keys():
+            raise ValueError("header must give D, Q and lambda")
+        d, q, lam = int(fields["D"]), int(fields["Q"]), float(fields["lambda"])
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+        if len(lines) - 1 != d:
+            raise ValueError(f"header declares D={d} but the file has {len(lines) - 1} rows")
+        scores, flags = np.empty(d), np.full(d, -1)
+        for ln in lines[1:]:
+            row = ln.split()
+            if len(row) != 3 or row[2] not in ("0", "1"):
+                raise ValueError(f"row {ln!r} is not 'index score selected(0|1)'")
+            i = int(row[0])
+            if not 0 <= i < d or flags[i] >= 0:
+                raise ValueError(f"rows must list channels 0..{d - 1} once each")
+            scores[i], flags[i] = float(row[1]), int(row[2])
+        selected = np.flatnonzero(flags)
+        if len(selected) != q:
+            raise ValueError(f"header declares Q={q} but {len(selected)} channels are flagged")
+        return ChannelMask(selected=selected, d_total=d, scores=scores), lam
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

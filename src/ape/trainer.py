@@ -51,8 +51,8 @@ CKPT_MAGIC = b"APE-CKPT v1\n"
 
 @dataclass
 class OptimConfig:
-    """AdamW and schedule settings.  ``total_steps`` 0 means derive from
-    epochs * ceil(support / batch_size)."""
+    """AdamW and schedule settings.  The cosine schedule spans
+    epochs * ceil(support / batch_size) steps."""
 
     lr: float = 1e-3
     weight_decay: float = 0.01
@@ -61,7 +61,6 @@ class OptimConfig:
     eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 256
-    total_steps: int = 0
     seed: int = 0
 
     def validate(self) -> None:
@@ -118,8 +117,6 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     bitwise.
     """
     cfg.validate()
-    if mask.d_total != task.d:
-        raise ValueError(f"mask covers {mask.d_total} channels, task has {task.d}")
     w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
     s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
     scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
@@ -150,11 +147,6 @@ def _pad_residual(state: TrainState) -> np.ndarray:
     return padded
 
 
-def _expand_residual(state: TrainState) -> np.ndarray:
-    """Repeat each class residual K times to align with the cache rows."""
-    return np.repeat(state.res, state.k, axis=0)
-
-
 def _forward_parts(state: TrainState, f_batch, cfg: EngineConfig):
     """(zs, f_ref, keys): the residual-shifted zero-shot logits, the refined
     batch rows and the residual-shifted cache keys."""
@@ -163,8 +155,8 @@ def _forward_parts(state: TrainState, f_batch, cfg: EngineConfig):
             f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}"
         )
     zs = f_batch @ (state.w + _pad_residual(state)).T
-    f_ref = refine.take_channels(f_batch, state.mask_idx, cfg.renormalize)
-    keys = state.f_support_refined + _expand_residual(state)
+    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+    keys = state.f_support_refined + np.repeat(state.res, state.k, axis=0)  # K shots per class
     return zs, f_ref, keys
 
 
@@ -192,14 +184,13 @@ def cross_entropy(logits, label_ids) -> float:
 
 def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
     """The batch logits and the gradient pieces of the mean cross-entropy
-    w.r.t. the learnables.
+    w.r.t. the learnables, for a finite 2-D float64 ``f_batch``.
 
     Returns (logits, d_res_text, d_res_cache, d_scores): the residual
     gradient splits into the text-prototype path and the cache-key path;
     both use the same upstream softmax gradient, so their sum is the full
     residual gradient.
     """
-    f_batch = numkit.as_matrix(f_batch, "f_batch")
     y = np.asarray(label_ids, dtype=np.int64)
     b = f_batch.shape[0]
     # The backward pass needs the whole B x C*K affinity matrix, so this
@@ -208,7 +199,7 @@ def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
     aff = cache_affinity(f_ref, keys, cfg.beta)
     logits = zs + cfg.alpha * _class_sums(aff * state.scores, state.c, state.k)
 
-    g = numkit.softmax_rows(logits)
+    g = numkit._softmax(logits)
     g[np.arange(b), y] -= 1.0
     g /= b
 
@@ -233,6 +224,7 @@ def backward(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
         (d_res, d_scores) with shapes (C, Q) and (C*K,).  Matches central
         finite differences of :func:`forward` + :func:`cross_entropy`.
     """
+    f_batch = numkit.as_matrix(f_batch, "f_batch")
     _, d_res_text, d_res_cache, d_scores = _grad_parts(state, f_batch, label_ids, cfg)
     return d_res_text + d_res_cache, d_scores
 
@@ -294,20 +286,15 @@ def train(
     epoch (last short batch kept).  The history holds one row per epoch
     plus the pre-training row 0, each with the mean batch loss and
     support/test accuracy.  Frozen tensors are checksum-verified per epoch.
-
-    Raises:
-        ValueError: if the task has no support samples.
     """
     optim.validate()
-    if task.k < 1 or task.support_features.shape[0] == 0:
-        raise ValueError("training requires at least one support sample per class")
     state = init_state(task, mask, cfg)
     baseline = frozen_checksum(state)
 
     n = task.c * task.k
     y_support = task.support_class_ids()
     steps_per_epoch = math.ceil(n / optim.batch_size)
-    total_steps = optim.total_steps if optim.total_steps > 0 else optim.epochs * steps_per_epoch
+    total_steps = optim.epochs * steps_per_epoch
     rng = np.random.default_rng(optim.seed)
 
     def eval_row(epoch: int, loss: float | None = None) -> dict:
@@ -396,7 +383,7 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
         raise ValueError(f"checkpoint has {k} shots per class, task has {task.k}")
     raw_idx = np.frombuffer(take(8 * q), dtype="<u8")
     # range-check on the unsigned view so corrupt indices cannot wrap negative
-    if q > task.d or (len(raw_idx) and raw_idx.max() >= task.d):
+    if not 1 <= q <= task.d or raw_idx.max() >= task.d:
         raise ValueError(f"checkpoint mask does not fit a {task.d}-channel task")
     if len(np.unique(raw_idx)) != q:
         raise ValueError("checkpoint mask indices are not distinct")
@@ -415,6 +402,8 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
     (step,) = struct.unpack("<Q", take(8))
     if off != len(blob):
         raise ValueError(f"checkpoint has trailing bytes: {path}")
+    if not all(np.isfinite(a).all() for a in (res, scores, m_res, v_res, m_scores, v_scores)):
+        raise ValueError(f"checkpoint holds non-finite values: {path}")
 
     return TrainState(
         res=res,
@@ -426,8 +415,8 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
         step=int(step),
         mask_idx=mask_idx,
         w=task.text_features.copy(),
-        w_refined=refine.take_channels(task.text_features, mask_idx, cfg.renormalize),
-        f_support_refined=refine.take_channels(task.support_features, mask_idx, cfg.renormalize),
+        w_refined=refine._take_channels(task.text_features, mask_idx, cfg.renormalize),
+        f_support_refined=refine._take_channels(task.support_features, mask_idx, cfg.renormalize),
         c=task.c,
         k=task.k,
         q=int(q),

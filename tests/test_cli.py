@@ -201,7 +201,7 @@ class TestInferCommand:
         ])
         assert rc == 0
         logits = dataio.read_matrix(f"{report}.logits.apef")
-        assert logits.shape == (task.n_test, task.c)
+        assert logits.shape == (task.test_features.shape[0], task.c)
         assert "accuracy.ape" not in read_kv(report)
 
     def test_missing_task_is_runtime_error(self, tmp_path):
@@ -498,3 +498,39 @@ class TestConfigErrors:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: beta")
+
+
+class TestMaskEcho:
+    """Lambda and Q live in the mask file; the reports echo them from it."""
+
+    COMMANDS = {
+        "infer": ["--report", "{out}"],
+        "train": ["--epochs", "1", "--out", "{out}.ckpt", "--report", "{out}"],
+        "search": ["--alpha-grid", "0:1:2", "--beta-grid", "1:2:2", "--report", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_report_echoes_mask_lambda_and_q(self, workspace, command):
+        tmp_path, manifest, _ = workspace
+        mask_path = tmp_path / "mask03.txt"
+        assert main([
+            "refine", "--task", str(manifest), "--lambda", "0.3", "--q", "20",
+            "--out", str(mask_path),
+        ]) == 0
+        out = tmp_path / f"{command}.report"
+        extra = [arg.format(out=out) for arg in self.COMMANDS[command]]
+        assert main([command, "--task", str(manifest), "--mask", str(mask_path), *extra]) == 0
+        kv = read_kv(out)
+        assert (kv["config.lambda"], kv["config.q"]) == ("0.3", "20")
+
+    def test_mask_lambda_out_of_range_is_runtime_error(self, workspace, capsys):
+        tmp_path, manifest, _ = workspace
+        mask_path = tmp_path / "lam15.txt"
+        refine.save_mask(mask_path, refine.full_mask(32), 1.5)
+        rc = main([
+            "infer", "--task", str(manifest), "--mask", str(mask_path),
+            "--report", str(tmp_path / "r"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mask_path}") and "lambda" in err

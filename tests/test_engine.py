@@ -1,5 +1,6 @@
 """Unit and property tests for the training-free classifier."""
 
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -155,8 +156,9 @@ class TestApeLogits:
         s_ref = refine.apply_mask(task.support_features, mask)
         f_ref = refine.apply_mask(task.test_features, mask)
         scores = engine.cache_scores(s_ref, w_ref, task.k, cfg.gamma)
-        expected = np.zeros((task.n_test, task.c))
-        for n in range(task.n_test):
+        n_test = task.test_features.shape[0]
+        expected = np.zeros((n_test, task.c))
+        for n in range(n_test):
             for c in range(task.c):
                 total = float(task.test_features[n] @ task.text_features[c])
                 for i in range(task.c * task.k):
@@ -394,6 +396,26 @@ class TestRowBlocks:
         assert max(sizes) <= max(rows, 3)
         assert n == 1 or min(sizes) >= 2
 
+    def test_inputs_checked_once_per_call_not_per_block(self):
+        """Two-row blocks make as many ``as_matrix`` calls as the default
+        budget: the blocks trust what the public entry checked."""
+        rng = np.random.default_rng(5)
+        c, k, n, d = 4, 8, 40, 16
+        task = random_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(selected=np.arange(10), d_total=d, scores=np.zeros(d))
+        s_ref, w_ref = (refine.apply_mask(m, mask) for m in (task.support_features, task.text_features))
+        calls = {
+            "ape_logits": lambda: engine.ape_logits(task, mask, EngineConfig()),
+            "cache_scores": lambda: engine.cache_scores(s_ref, w_ref, k, 0.2),
+        }
+        for name, call in calls.items():
+            counts = []
+            for budget in (contextlib.nullcontext(), block_budget(1, 2)):
+                with budget, mock.patch.object(numkit, "as_matrix", wraps=numkit.as_matrix) as spy:
+                    call()
+                counts.append(spy.call_count)
+            assert counts[0] == counts[1], name
+
     def test_peak_memory_is_one_block(self):
         """No N x C*K matrix is held: the parent peaked near two of them."""
         rng = np.random.default_rng(0)
@@ -428,7 +450,6 @@ class TestPredictAccuracy:
 class TestConfigAndTaskValidation:
     def test_bad_scalars_rejected(self):
         for bad in (
-            EngineConfig(lam=1.5),
             EngineConfig(alpha=-0.1),
             EngineConfig(beta=float("nan")),
             EngineConfig(gamma=-1.0),
@@ -448,6 +469,20 @@ class TestConfigAndTaskValidation:
                 test_labels=None,
                 c=3,
                 k=2,
+                d=5,
+            )
+
+    def test_task_rejects_empty_support(self):
+        rng = np.random.default_rng(29)
+        w = unit_rows(rng, 3, 5)
+        with pytest.raises(ValueError, match="K >= 1"):
+            FewShotTask(
+                text_features=w,
+                support_features=np.zeros((0, 5)),
+                test_features=w,
+                test_labels=None,
+                c=3,
+                k=0,
                 d=5,
             )
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestApplyMask:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", numkit.ZeroRowWarning)
             want = numkit.l2_normalize_rows(gathered) if renormalize else gathered
-            got = refine.take_channels(m, idx, renormalize)
+            got = refine._take_channels(m, idx, renormalize)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
         assert m.tobytes() == before.tobytes()
@@ -250,3 +251,36 @@ class TestMaskFile:
         path.write_text("WRONG v9 D=2 Q=1 lambda=0.5\n0 0.0 1\n1 0.0 0\n")
         with pytest.raises(ValueError):
             refine.load_mask(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("D=3 Q=1 lambda=0.7\n0 0.1 1\n0 0.2 0\n2 0.3 0\n", id="repeated-index"),
+            pytest.param("D=3 Q=1 lambda=0.7\n1 0.2 0\n2 0.3 0\n-3 0.1 1\n", id="negative-index"),
+            pytest.param("D=3 Q=1 lambda=0.7\n0 0.1 1\n1 0.2 0\n3 0.3 0\n", id="index-past-d"),
+            pytest.param("D=3 Q=1 lambda=0.7\n0 0.1 1\n1 0.2 0\n", id="missing-row"),
+            pytest.param("D=3 Q=1 lambda=0.7\n0 0.1 1\n1 0.2\n2 0.3 0\n", id="short-row"),
+            pytest.param("D=3 Q=1 lambda=0.7\n0 0.1 2\n1 0.2 0\n2 0.3 0\n", id="flag-two"),
+            pytest.param("D=3 Q=2 lambda=0.7\n0 0.1 1\n1 0.2 0\n2 0.3 0\n", id="q-mismatch"),
+            pytest.param("D=3 lambda=0.7\n0 0.1 1\n1 0.2 0\n2 0.3 0\n", id="missing-q"),
+            pytest.param("D=3 Q=1\n0 0.1 1\n1 0.2 0\n2 0.3 0\n", id="missing-lambda"),
+            pytest.param("D=3 Q=1 lambda=1.5\n0 0.1 1\n1 0.2 0\n2 0.3 0\n", id="lambda-above-one"),
+            pytest.param("D=3 Q=1 lambda=nan\n0 0.1 1\n1 0.2 0\n2 0.3 0\n", id="lambda-nan"),
+            pytest.param("D=3 Q=1 lambda=0.7\n0 nan 1\n1 0.2 0\n2 0.3 0\n", id="score-nan"),
+            pytest.param("D=3 Q=1 lambda=0.7\n0 0.5 1\n1 0.2 0\n2 0.3 0\n", id="score-order"),
+            pytest.param("D=3 Q=1 lambda=0.7\n0 0.1 1\n1 0.2 0\n2 0.3 \xe9\n", id="non-ascii"),
+        ],
+    )
+    def test_malformed_file_rejected_naming_it(self, tmp_path, text):
+        path = tmp_path / "mask.txt"
+        path.write_bytes(f"{refine.MASK_HEADER} {text}".encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            refine.load_mask(path)
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        path.write_text(f"{refine.MASK_HEADER} D=3 Q=1 lambda=0.25\n2 0.3 0\n0 0.1 1\n1 0.2 0\n")
+        mask, lam = refine.load_mask(path)
+        assert lam == 0.25
+        np.testing.assert_array_equal(mask.selected, [0])
+        np.testing.assert_array_equal(mask.scores, [0.1, 0.2, 0.3])

@@ -1,6 +1,7 @@
 """Unit and property tests for residual training."""
 
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -364,3 +365,32 @@ class TestCheckpoint:
         path.write_bytes(blob[:-4])
         with pytest.raises(ValueError, match="truncated"):
             trainer.load_checkpoint(path, task, cfg)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        rng = np.random.default_rng(48)
+        task, mask, cfg = make_instance(rng)
+        state = trainer.init_state(task, mask, cfg)
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(path, state)
+        blob = bytearray(path.read_bytes())
+        first_score = len(trainer.CKPT_MAGIC) + 8 * (3 + state.q + state.res.size)
+        blob[first_score : first_score + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite"):
+            trainer.load_checkpoint(path, task, cfg)
+
+    def test_empty_mask_rejected(self, tmp_path):
+        rng = np.random.default_rng(49)
+        task, _, cfg = make_instance(rng, c=3, k=2)
+        n = task.c * task.k
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            trainer.CKPT_MAGIC
+            + struct.pack("<QQQ", task.c, task.k, 0)
+            + np.ones(n).astype("<f8").tobytes()
+            + np.zeros(2 * n).astype("<f8").tobytes()
+            + struct.pack("<Q", 0)
+        )
+        # Without renormalization nothing downstream trips over Q = 0.
+        with pytest.raises(ValueError, match="mask"):
+            trainer.load_checkpoint(path, task, EngineConfig(renormalize=False))
