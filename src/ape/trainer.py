@@ -4,9 +4,9 @@ Only two tensors learn: a per-class residual over the refined channels
 (added both to the text prototypes, zero-padded back to full width, and to
 the cached support features, repeated across each class's shots) and the
 per-entry cache scores.  Everything else -- prototypes, cache features,
-channel mask -- stays frozen.  Gradients are derived analytically
-and the update rule is AdamW with decoupled weight decay under a cosine
-learning-rate schedule.
+channel mask -- stays frozen and read-only.  Gradients are derived
+analytically and the update rule is AdamW with decoupled weight decay
+under a cosine learning-rate schedule.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class OptimConfig:
 
 @dataclass(eq=False)
 class TrainState:
-    """Learnable tensors, their optimizer moments, and the frozen context."""
+    """Learnable tensors, their optimizer moments, and the read-only frozen context."""
 
     # learnable
     res: np.ndarray        # C x Q class residuals
@@ -98,6 +98,10 @@ class TrainState:
     k: int
     q: int
     d_total: int
+
+    def __post_init__(self):
+        for arr in (self.mask_idx, self.w, self.w_refined, self.f_support_refined):
+            arr.flags.writeable = False
 
     def param_count(self) -> int:
         return param_count(self.c, self.q, self.k)
@@ -140,24 +144,26 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     )
 
 
-def _pad_residual(state: TrainState) -> np.ndarray:
-    """Zero-pad the C x Q residual to C x D, placing columns at the mask indices."""
+def _shifted(state: TrainState):
+    """(w_shift, keys): prototypes and C*K cache keys shifted by their class's residual."""
     padded = np.zeros((state.c, state.d_total))
     padded[:, state.mask_idx] = state.res
-    return padded
+    keys = state.f_support_refined.reshape(state.c, state.k, state.q) + state.res[:, None, :]
+    return state.w + padded, keys.reshape(-1, state.q)
 
 
-def _forward_parts(state: TrainState, f_batch, cfg: EngineConfig):
-    """(zs, f_ref, keys): the residual-shifted zero-shot logits, the refined
-    batch rows and the residual-shifted cache keys."""
+def _refined_batch(state: TrainState, f_batch, cfg: EngineConfig):
+    """(f_batch, f_ref): checked full-width rows and their refined channels."""
+    f_batch = numkit.as_matrix(f_batch, "f_batch")
     if f_batch.shape[1] != state.d_total:
-        raise ValueError(
-            f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}"
-        )
-    zs = f_batch @ (state.w + _pad_residual(state)).T
-    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
-    keys = state.f_support_refined + np.repeat(state.res, state.k, axis=0)  # K shots per class
-    return zs, f_ref, keys
+        raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
+    return f_batch, refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+
+
+def _logits(state: TrainState, f_batch, f_ref, w_shift, keys, cfg: EngineConfig) -> np.ndarray:
+    """Logits of full-width rows and their refined channels, from :func:`_shifted`'s parts."""
+    zs = f_batch @ w_shift.T
+    return _add_cache_term(zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta, state.c, state.k)
 
 
 def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
@@ -167,10 +173,7 @@ def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
     cached support features (expanded across shots); the cache scores
     multiply each entry's affinity before it is routed to its class.
     """
-    zs, f_ref, keys = _forward_parts(state, numkit.as_matrix(f_batch, "f_batch"), cfg)
-    return _add_cache_term(
-        zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta, state.c, state.k
-    )
+    return _logits(state, *_refined_batch(state, f_batch, cfg), *_shifted(state), cfg)
 
 
 def cross_entropy(logits, label_ids) -> float:
@@ -182,9 +185,9 @@ def cross_entropy(logits, label_ids) -> float:
     return float((log_norm - z[np.arange(len(y)), y]).mean())
 
 
-def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
+def _grad_parts(state: TrainState, f_batch, f_ref, label_ids, cfg: EngineConfig):
     """The batch logits and the gradient pieces of the mean cross-entropy
-    w.r.t. the learnables, for a finite 2-D float64 ``f_batch``.
+    w.r.t. the learnables, for full-width rows and their refined channels.
 
     Returns (logits, d_res_text, d_res_cache, d_scores): the residual
     gradient splits into the text-prototype path and the cache-key path;
@@ -192,12 +195,13 @@ def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
     residual gradient.
     """
     y = np.asarray(label_ids, dtype=np.int64)
-    b = f_batch.shape[0]
+    b, c, k = f_batch.shape[0], state.c, state.k
     # The backward pass needs the whole B x C*K affinity matrix, so this
     # forward materializes it rather than running by row blocks.
-    zs, f_ref, keys = _forward_parts(state, f_batch, cfg)
+    w_shift, keys = _shifted(state)
     aff = cache_affinity(f_ref, keys, cfg.beta)
-    logits = zs + cfg.alpha * _class_sums(aff * state.scores, state.c, state.k)
+    logits = f_batch @ w_shift.T + cfg.alpha * _class_sums(aff * state.scores, c, k)
+    del w_shift, keys  # unused below; freed before the C*K x Q key gradient
 
     g = numkit._softmax(logits)
     g[np.arange(b), y] -= 1.0
@@ -206,13 +210,11 @@ def _grad_parts(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
     # Text path: residual columns live at the mask indices of W.
     d_res_text = g.T @ np.take(f_batch, state.mask_idx, axis=1)
 
-    # Cache path: route the class gradient back to each of its K entries,
-    # through the exponential affinity to the keys, then collapse shots
-    # per class.
-    g_entry = np.repeat(g, state.k, axis=1)            # B x C*K
-    d_scores = cfg.alpha * (g_entry * aff).sum(axis=0)
-    d_keys = (cfg.alpha * cfg.beta * g_entry * state.scores * aff).T @ f_ref
-    d_res_cache = d_keys.reshape(state.c, state.k, state.q).sum(axis=1)
+    # Cache path: each class gradient reaches its K entries through B x C x K views.
+    aff = aff.reshape(b, c, k)
+    d_scores = cfg.alpha * (g[:, :, None] * aff).sum(axis=0).reshape(c * k)
+    d_aff = (cfg.alpha * cfg.beta * g)[:, :, None] * state.scores.reshape(c, k) * aff
+    d_res_cache = (d_aff.reshape(b, c * k).T @ f_ref).reshape(c, k, state.q).sum(axis=1)
 
     return logits, d_res_text, d_res_cache, d_scores
 
@@ -224,8 +226,8 @@ def backward(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
         (d_res, d_scores) with shapes (C, Q) and (C*K,).  Matches central
         finite differences of :func:`forward` + :func:`cross_entropy`.
     """
-    f_batch = numkit.as_matrix(f_batch, "f_batch")
-    _, d_res_text, d_res_cache, d_scores = _grad_parts(state, f_batch, label_ids, cfg)
+    f_batch, f_ref = _refined_batch(state, f_batch, cfg)
+    _, d_res_text, d_res_cache, d_scores = _grad_parts(state, f_batch, f_ref, label_ids, cfg)
     return d_res_text + d_res_cache, d_scores
 
 
@@ -285,28 +287,27 @@ def train(
     Batches are sampled without replacement from a seeded shuffle each
     epoch (last short batch kept).  The history holds one row per epoch
     plus the pre-training row 0, each with the mean batch loss and
-    support/test accuracy.  Frozen tensors are checksum-verified per epoch.
+    support/test accuracy.  Support and test rows are refined once per call.
     """
     optim.validate()
     state = init_state(task, mask, cfg)
-    baseline = frozen_checksum(state)
 
     n = task.c * task.k
     y_support = task.support_class_ids()
     steps_per_epoch = math.ceil(n / optim.batch_size)
     total_steps = optim.epochs * steps_per_epoch
     rng = np.random.default_rng(optim.seed)
+    if task.test_labels is not None:
+        test_ref = refine._take_channels(task.test_features, state.mask_idx, cfg.renormalize)
 
     def eval_row(epoch: int, loss: float | None = None) -> dict:
-        """History row; ``loss`` None takes it from the support forward."""
-        support_logits = forward(state, task.support_features, cfg)
-        if loss is None:
-            loss = cross_entropy(support_logits, y_support)
+        """History row; ``loss`` None takes it from the support logits."""
+        shifted = _shifted(state)
+        support_logits = _logits(state, task.support_features, state.f_support_refined, *shifted, cfg)
+        loss = cross_entropy(support_logits, y_support) if loss is None else loss
         support_acc = accuracy(support_logits, y_support)
-        test_acc = (
-            accuracy(forward(state, task.test_features, cfg), task.test_labels)
-            if task.test_labels is not None
-            else None
+        test_acc = None if task.test_labels is None else accuracy(
+            _logits(state, task.test_features, test_ref, *shifted, cfg), task.test_labels
         )
         return {"epoch": epoch, "loss": loss, "support_acc": support_acc, "test_acc": test_acc}
 
@@ -317,14 +318,11 @@ def train(
         losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
-            fb = task.support_features[idx]
-            yb = y_support[idx]
-            logits, d_res_text, d_res_cache, d_scores = _grad_parts(state, fb, yb, cfg)
+            fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], y_support[idx]
+            logits, d_res_text, d_res_cache, d_scores = _grad_parts(state, fb, fb_ref, yb, cfg)
             losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res_text + d_res_cache, d_scores), lr_t, optim)
-        if frozen_checksum(state) != baseline:
-            raise RuntimeError("frozen tensors changed during training")
         history.append(eval_row(epoch + 1, float(np.mean(losses))))
 
     return state, history
@@ -404,6 +402,8 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
         raise ValueError(f"checkpoint has trailing bytes: {path}")
     if not all(np.isfinite(a).all() for a in (res, scores, m_res, v_res, m_scores, v_scores)):
         raise ValueError(f"checkpoint holds non-finite values: {path}")
+    if (v_res < 0).any() or (v_scores < 0).any():
+        raise ValueError(f"checkpoint holds negative second moments: {path}")
 
     return TrainState(
         res=res,

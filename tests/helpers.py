@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ape import FewShotTask, accuracy, ape_logits, l2_normalize_rows, softmax_rows
+from ape import FewShotTask, accuracy, ape_logits, l2_normalize_rows, softmax_rows, trainer
 from ape.numkit import PROB_FLOOR
 
 
@@ -119,3 +119,38 @@ def cache_scores_unblocked(s_ref, w_ref, k, gamma, kl_sign=1, kl_temperature=1.0
     probs = softmax_rows(s_ref @ w_ref.T, kl_temperature)
     p_true = np.clip(probs[np.arange(n), np.arange(n) // k], PROB_FLOOR, 1.0)
     return np.exp(kl_sign * gamma * -np.log(p_true))
+
+
+def train_reference(task, mask, cfg, optim):
+    """Reference training loop from the public parts only: every step
+    refines its own batch through ``forward`` and ``backward``, and every
+    history row runs ``forward`` on the whole support and test splits."""
+    state = trainer.init_state(task, mask, cfg)
+    n = task.c * task.k
+    y_support = task.support_class_ids()
+    steps_per_epoch = math.ceil(n / optim.batch_size)
+    total_steps = optim.epochs * steps_per_epoch
+    rng = np.random.default_rng(optim.seed)
+
+    def eval_row(epoch, loss=None):
+        support_logits = trainer.forward(state, task.support_features, cfg)
+        if loss is None:
+            loss = trainer.cross_entropy(support_logits, y_support)
+        test_acc = None
+        if task.test_labels is not None:
+            test_acc = accuracy(trainer.forward(state, task.test_features, cfg), task.test_labels)
+        return {"epoch": epoch, "loss": loss,
+                "support_acc": accuracy(support_logits, y_support), "test_acc": test_acc}
+
+    history = [eval_row(0)]
+    for epoch in range(optim.epochs):
+        perm = rng.permutation(n)
+        losses = []
+        for b in range(steps_per_epoch):
+            idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
+            fb, yb = task.support_features[idx], y_support[idx]
+            losses.append(trainer.cross_entropy(trainer.forward(state, fb, cfg), yb))
+            grads = trainer.backward(state, fb, yb, cfg)
+            trainer.adamw_step(state, grads, trainer.cosine_lr(state.step, total_steps, optim.lr), optim)
+        history.append(eval_row(epoch + 1, float(np.mean(losses))))
+    return state, history

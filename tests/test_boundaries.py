@@ -25,6 +25,7 @@ def check_state(state):
     assert state.res.shape == (state.c, state.q) and state.scores.shape == (state.c * state.k,)
     for arr in (state.res, state.scores, state.m_res, state.v_res, state.m_scores, state.v_scores):
         assert np.isfinite(arr).all()
+    assert (state.v_res >= 0).all() and (state.v_scores >= 0).all()
 
 
 def check_mask(loaded):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import struct
 from unittest import mock
 
 import numpy as np
@@ -446,6 +447,25 @@ class TestEvalCommand:
             out_acc = accuracy(forward(rebound, shifted.test_features, cfg), shifted.test_labels)
             held += out_acc <= in_acc
         assert held >= 8
+
+    def test_negative_second_moment_is_usage_error(self, workspace):
+        ws_path, manifest, mask_path = workspace
+        ckpt = ws_path / "model.ckpt"
+        main([
+            "train", "--task", str(manifest), "--mask", str(mask_path),
+            "--epochs", "2", "--batch-size", "8", "--out", str(ckpt),
+            "--report", str(ws_path / "t.report"),
+        ])
+        blob = bytearray(ckpt.read_bytes())
+        # The last v_scores float sits just before the u64 step counter.
+        assert struct.unpack("<d", blob[-16:-8])[0] > 0
+        blob[-9] ^= 0x80
+        ckpt.write_bytes(bytes(blob))
+        rc = main([
+            "eval", "--ckpt", str(ckpt), "--task", str(manifest),
+            "--report", str(ws_path / "e.report"),
+        ])
+        assert rc == 2
 
     def test_class_count_mismatch_is_usage_error(self, workspace, tmp_path):
         ws_path, manifest, mask_path = workspace

@@ -6,11 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ape import engine, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
-from helpers import random_task, unit_rows
+from helpers import random_task, train_reference, unit_rows
 
 
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
@@ -109,10 +111,12 @@ class TestForward:
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
         state.res[:] = rng.standard_normal(state.res.shape)
-        padded = trainer._pad_residual(state)
+        w_shift, _ = trainer._shifted(state)
         unselected = np.setdiff1d(np.arange(task.d), state.mask_idx)
-        assert not padded[:, unselected].any()
-        np.testing.assert_array_equal(padded[:, state.mask_idx], state.res)
+        np.testing.assert_array_equal(w_shift[:, unselected], state.w[:, unselected])
+        np.testing.assert_array_equal(
+            w_shift[:, state.mask_idx], state.w[:, state.mask_idx] + state.res
+        )
 
     def test_residual_row_touches_only_its_class_column(self):
         rng = np.random.default_rng(34)
@@ -130,6 +134,37 @@ class TestForward:
         state = trainer.init_state(task, mask, cfg)
         with pytest.raises(ValueError):
             trainer.forward(state, np.zeros((2, task.d + 1)), cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.integers(2, 5), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_class_permutation_equivariant(self, c, k, seed):
+        """Relabelling the classes -- text rows, support blocks, residual
+        rows and score blocks together -- permutes the logit columns."""
+        rng = np.random.default_rng(seed)
+        task, mask, cfg = make_instance(rng, c=c, k=k)
+        state = trainer.init_state(task, mask, cfg)
+        state.res[:] = 0.2 * rng.standard_normal(state.res.shape)
+        state.scores[:] = rng.uniform(0.5, 2.0, state.scores.shape)
+        perm = rng.permutation(c)
+
+        def blocks(m):
+            return m.reshape(c, k, *m.shape[1:])[perm].reshape(m.shape)
+
+        permuted = FewShotTask(
+            text_features=task.text_features[perm],
+            support_features=blocks(task.support_features),
+            test_features=task.test_features,
+            test_labels=None,
+            c=c,
+            k=k,
+            d=task.d,
+        )
+        moved = trainer.init_state(permuted, mask, cfg)
+        moved.res[:] = state.res[perm]
+        moved.scores[:] = blocks(state.scores)
+        want = trainer.forward(state, task.test_features, cfg)[:, perm]
+        got = trainer.forward(moved, task.test_features, cfg)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestBackward:
@@ -187,7 +222,8 @@ class TestBackward:
         state.res += 0.1 * rng.standard_normal(state.res.shape)
         f_batch = unit_rows(rng, 4, task.d)
         y = rng.integers(0, task.c, 4)
-        _, d_text, d_cache, _ = trainer._grad_parts(state, f_batch, y, cfg)
+        f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+        _, d_text, d_cache, _ = trainer._grad_parts(state, f_batch, f_ref, y, cfg)
         d_res, _ = trainer.backward(state, f_batch, y, cfg)
         np.testing.assert_array_equal(d_res, d_text + d_cache)
         assert d_text.any() and d_cache.any()
@@ -300,10 +336,10 @@ class TestTrain:
         assert all(math.isfinite(row["loss"]) for row in history)
 
     def test_one_support_forward_per_history_row(self):
-        """Row 0 takes its loss and support accuracy from one forward."""
+        """Row 0 takes its loss and support accuracy from one logits pass."""
         rng = np.random.default_rng(43)
         task, mask, cfg = make_instance(rng)
-        with mock.patch.object(trainer, "forward", wraps=trainer.forward) as spy:
+        with mock.patch.object(trainer, "_logits", wraps=trainer._logits) as spy:
             _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=2, batch_size=3))
         assert spy.call_count == 2 * len(history)  # support + test per row
         fresh = trainer.init_state(task, mask, cfg)
@@ -311,6 +347,49 @@ class TestTrain:
         y = task.support_class_ids()
         assert history[0]["loss"] == trainer.cross_entropy(logits, y)
         assert history[0]["support_acc"] == engine.accuracy(logits, y)
+
+    @pytest.mark.parametrize(
+        "c, k, batch_size, with_labels",
+        [
+            (3, 3, 4, True),  # 9 support rows: a short last batch
+            (3, 2, 1, True),
+            (4, 2, 3, False),
+        ],
+    )
+    def test_bitwise_equal_to_reference_loop(self, c, k, batch_size, with_labels):
+        rng = np.random.default_rng(50 + batch_size)
+        task, mask, cfg = make_instance(rng, c=c, k=k)
+        if not with_labels:
+            task.test_labels = None
+        optim = OptimConfig(lr=5e-3, epochs=3, batch_size=batch_size, seed=11)
+        state, history = trainer.train(task, mask, cfg, optim)
+        ref_state, ref_history = train_reference(task, mask, cfg, optim)
+        assert history == ref_history
+        for field in ("res", "scores", "m_res", "v_res", "m_scores", "v_scores"):
+            assert getattr(state, field).tobytes() == getattr(ref_state, field).tobytes(), field
+        assert state.step == ref_state.step == 3 * math.ceil(c * k / batch_size)
+
+    def test_frozen_arrays_read_only_after_train(self):
+        rng = np.random.default_rng(44)
+        task, mask, cfg = make_instance(rng)
+        state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=1, batch_size=3))
+        with pytest.raises(ValueError):
+            state.w[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.f_support_refined += 1.0
+
+    def test_refines_once_per_call(self):
+        """The number of channel gathers does not grow with the epochs."""
+        rng = np.random.default_rng(45)
+        task, mask, cfg = make_instance(rng)
+        counts = []
+        for epochs in (1, 3):
+            with mock.patch.object(
+                refine, "_take_channels", wraps=refine._take_channels
+            ) as spy:
+                trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=3))
+            counts.append(spy.call_count)
+        assert counts[0] == counts[1]
 
     def test_loss_decreases_with_training(self):
         rng = np.random.default_rng(42)
@@ -377,6 +456,21 @@ class TestCheckpoint:
         blob[first_score : first_score + 8] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="non-finite"):
+            trainer.load_checkpoint(path, task, cfg)
+
+    def test_negative_second_moment_rejected(self, tmp_path):
+        rng = np.random.default_rng(51)
+        task, mask, cfg = make_instance(rng)
+        state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=2, batch_size=3))
+        assert state.v_scores[0] > 0
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(path, state)
+        blob = bytearray(path.read_bytes())
+        # v_scores is the last tensor before the u64 step counter
+        sign_byte = len(blob) - 8 - 8 * state.v_scores.size + 7
+        blob[sign_byte] ^= 0x80
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="negative second moments"):
             trainer.load_checkpoint(path, task, cfg)
 
     def test_empty_mask_rejected(self, tmp_path):
