@@ -89,9 +89,14 @@ def write_matrix(path, m) -> None:
     if m.size and not np.isfinite(payload).all():
         raise ValueError("matrix values exceed the float32 range")
     header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<QQ", *m.shape)
+    _atomic_write(path, header + payload.tobytes())
+
+
+def _atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to a temporary sibling, then rename it over ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(header + payload.tobytes())
+        fh.write(data)
     os.replace(tmp, path)
 
 

@@ -18,7 +18,7 @@ is included for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,8 +147,7 @@ def cache_affinity(f_refined, f_support_refined, beta: float) -> np.ndarray:
         raise ValueError(
             f"refined dims differ: {f_refined.shape[1]} vs {f_support_refined.shape[1]}"
         )
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    EngineConfig(beta=beta).validate()
     cos = f_refined @ f_support_refined.T
     return _sharpen(cos, beta, out=cos)
 
@@ -260,8 +259,7 @@ def tip_adapter_logits(task: FewShotTask, alpha: float, beta: float) -> np.ndarr
     class's shots, i.e. the combined classifier with every channel kept and
     unit cache scores.
     """
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    EngineConfig(beta=beta).validate()
     return _tip_core(zero_shot_logits(task.test_features, task.text_features), task, alpha, beta)
 
 

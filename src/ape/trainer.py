@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from . import numkit, refine
+from . import dataio, numkit, refine
 from .engine import (
     EngineConfig,
     FewShotTask,
@@ -52,13 +52,15 @@ CKPT_MAGIC = b"APE-CKPT v1\n"
 @dataclass
 class OptimConfig:
     """AdamW and schedule settings.  The cosine schedule spans
-    epochs * ceil(support / batch_size) steps."""
+    epochs * ceil(support / batch_size) steps; the moment decays and eps
+    are AdamW's fixed defaults."""
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     lr: float = 1e-3
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 256
     seed: int = 0
@@ -66,19 +68,16 @@ class OptimConfig:
     def validate(self) -> None:
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {b}")
-        if self.weight_decay < 0 or self.eps <= 0:
-            raise ValueError("weight_decay must be >= 0 and eps > 0")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
 
 @dataclass(eq=False)
 class TrainState:
-    """Learnable tensors, their optimizer moments, and the read-only frozen context."""
+    """Learnable tensors, their optimizer moments, and the read-only frozen
+    context; the sizes C, K, Q and D are read off the arrays."""
 
     # learnable
     res: np.ndarray        # C x Q class residuals
@@ -92,16 +91,27 @@ class TrainState:
     # frozen context
     mask_idx: np.ndarray           # Q selected channel indices
     w: np.ndarray                  # C x D text prototypes
-    w_refined: np.ndarray          # C x Q
     f_support_refined: np.ndarray  # C*K x Q, class-major
-    c: int
-    k: int
-    q: int
-    d_total: int
 
     def __post_init__(self):
-        for arr in (self.mask_idx, self.w, self.w_refined, self.f_support_refined):
+        for arr in (self.mask_idx, self.w, self.f_support_refined):
             arr.flags.writeable = False
+
+    @property
+    def c(self) -> int:
+        return self.res.shape[0]
+
+    @property
+    def q(self) -> int:
+        return self.res.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.scores.shape[0] // self.c
+
+    @property
+    def d_total(self) -> int:
+        return self.w.shape[1]
 
     def param_count(self) -> int:
         return param_count(self.c, self.q, self.k)
@@ -135,12 +145,7 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
         step=0,
         mask_idx=np.asarray(mask.selected, dtype=np.int64).copy(),
         w=task.text_features.copy(),
-        w_refined=w_ref,
         f_support_refined=s_ref,
-        c=task.c,
-        k=task.k,
-        q=q,
-        d_total=task.d,
     )
 
 
@@ -270,7 +275,7 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
 def frozen_checksum(state: TrainState) -> str:
     """Digest over every frozen tensor; must not change across training."""
     h = hashlib.sha256()
-    for arr in (state.mask_idx, state.w, state.w_refined, state.f_support_refined):
+    for arr in (state.mask_idx, state.w, state.f_support_refined):
         h.update(arr.tobytes())
     h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
     return h.hexdigest()
@@ -328,13 +333,6 @@ def train(
     return state, history
 
 
-def _atomic_write(path, data: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def save_checkpoint(path, state: TrainState) -> None:
     """Serialize the learnable tensors and optimizer state.
 
@@ -347,7 +345,7 @@ def save_checkpoint(path, state: TrainState) -> None:
     for arr in (state.res, state.scores, state.m_res, state.v_res, state.m_scores, state.v_scores):
         parts.append(np.ascontiguousarray(arr).astype("<f8").tobytes())
     parts.append(struct.pack("<Q", state.step))
-    _atomic_write(path, b"".join(parts))
+    dataio._atomic_write(path, b"".join(parts))
 
 
 def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
@@ -415,10 +413,5 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
         step=int(step),
         mask_idx=mask_idx,
         w=task.text_features.copy(),
-        w_refined=refine._take_channels(task.text_features, mask_idx, cfg.renormalize),
         f_support_refined=refine._take_channels(task.support_features, mask_idx, cfg.renormalize),
-        c=task.c,
-        k=task.k,
-        q=int(q),
-        d_total=task.d,
     )

@@ -250,12 +250,7 @@ def test_criterion_7_scheduler_and_optimizer_contracts():
         step=0,
         mask_idx=np.arange(1),
         w=np.zeros((1, 1)),
-        w_refined=np.zeros((1, 1)),
         f_support_refined=np.zeros((1, 1)),
-        c=1,
-        k=1,
-        q=1,
-        d_total=1,
     )
     optim = OptimConfig(lr=1e-3, weight_decay=0.01)
     trainer.adamw_step(state, (np.ones((1, 1)), np.zeros(1)), 1e-3, optim)

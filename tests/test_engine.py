@@ -233,6 +233,52 @@ class TestTipAdapterLogits:
         np.testing.assert_array_equal(got.argmax(axis=1), zs.argmax(axis=1))
 
 
+class TestClassPermutation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(2, 5),
+        k=st.integers(1, 3),
+        kl_sign=st.sampled_from([1, -1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relabelling_classes_permutes_logits_and_scores(self, c, k, kl_sign, seed):
+        """Permuting the text rows and the support class blocks together
+        permutes the logit columns and the cache-score blocks the same way."""
+        rng = np.random.default_rng(seed)
+        d, q = 8, 5
+        task = random_task(rng, c=c, k=k, d=d, n_test=6, with_labels=False)
+        mask = refine.ChannelMask(
+            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+        )
+        cfg = EngineConfig(alpha=0.9, beta=3.0, gamma=0.4, kl_sign=kl_sign, kl_temperature=0.7)
+        perm = rng.permutation(c)
+
+        def blocks(m):
+            return m.reshape(c, k, *m.shape[1:])[perm].reshape(m.shape)
+
+        moved = FewShotTask(
+            text_features=task.text_features[perm],
+            support_features=blocks(task.support_features),
+            test_features=task.test_features,
+            test_labels=None,
+            c=c,
+            k=k,
+            d=d,
+        )
+        for logits in (
+            lambda t: engine.ape_logits(t, mask, cfg),
+            lambda t: engine.tip_adapter_logits(t, cfg.alpha, cfg.beta),
+        ):
+            np.testing.assert_allclose(logits(moved), logits(task)[:, perm], rtol=0, atol=1e-12)
+
+        def scores(t):
+            s_ref = refine.apply_mask(t.support_features, mask)
+            w_ref = refine.apply_mask(t.text_features, mask)
+            return engine.cache_scores(s_ref, w_ref, k, cfg.gamma, kl_sign, cfg.kl_temperature)
+
+        np.testing.assert_allclose(scores(moved), blocks(scores(task)), rtol=0, atol=1e-12)
+
+
 class TestAffinityKernel:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ape import numkit, refine
 from helpers import unit_rows
@@ -137,16 +139,30 @@ class TestSelectChannels:
             )
             assert chosen == best
 
-    def test_nested_selection(self):
-        rng = np.random.default_rng(8)
-        w = unit_rows(rng, 4, 10)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c=st.integers(2, 6),
+        d=st.integers(1, 12),
+        lam=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nested_selection(self, c, d, lam, seed):
+        """The selection for q is a subset of the one for q + 1.  Columns
+        drawn with repetition duplicate channels, so their scores tie and
+        the lower index must be kept first."""
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((c, d))
+        w = numkit.l2_normalize_rows(base[:, rng.integers(0, d, d)])
         s = refine.inter_class_similarity(w)
         v = refine.inter_class_variance(w)
         previous = set()
-        for q in range(1, 11):
-            mask = refine.select_channels(s, v, 0.7, q)
+        for q in range(1, d + 1):
+            mask = refine.select_channels(s, v, lam, q)
             current = set(mask.selected.tolist())
             assert previous <= current
+            for i in current:
+                tied_below = np.flatnonzero(mask.scores[:i] == mask.scores[i])
+                assert set(tied_below.tolist()) <= current
             previous = current
 
     def test_masking_reduces_prototype_similarity(self):

@@ -1,5 +1,6 @@
 """Unit and property tests for residual training."""
 
+import dataclasses
 import math
 import struct
 from unittest import mock
@@ -103,6 +104,16 @@ class TestInitState:
             cfg.kl_temperature,
         )
         np.testing.assert_array_equal(state.scores, want)
+
+    def test_sizes_come_from_the_arrays(self):
+        rng = np.random.default_rng(33)
+        task, mask, cfg = make_instance(rng, c=4, k=3, d=9, q=5)
+        state = trainer.init_state(task, mask, cfg)
+        assert (state.c, state.k, state.q, state.d_total) == (4, 3, 5, 9)
+        values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+        assert len(values) == 10  # learnables, moments, step and three frozen arrays
+        with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
+            trainer.TrainState(**values, c=4)
 
 
 class TestForward:
@@ -243,12 +254,7 @@ class TestAdamWStep:
             step=0,
             mask_idx=np.arange(q),
             w=np.zeros((c, q)),
-            w_refined=np.zeros((c, q)),
             f_support_refined=np.zeros((c * k, q)),
-            c=c,
-            k=k,
-            q=q,
-            d_total=q,
         )
 
     def test_single_step_closed_form(self):
@@ -274,6 +280,13 @@ class TestAdamWStep:
         trainer.adamw_step(state, (np.zeros((1, 1)), np.zeros(1)), 0.01, optim)
         np.testing.assert_allclose(state.res[0, 0], 0.999, rtol=1e-15)
         np.testing.assert_allclose(state.scores[0], 0.999, rtol=1e-15)
+
+    def test_moment_decays_and_eps_are_fixed(self):
+        assert (OptimConfig.beta1, OptimConfig.beta2, OptimConfig.eps) == (0.9, 0.999, 1e-8)
+        assert len(dataclasses.fields(OptimConfig)) == 5
+        for name in ("beta1", "beta2", "eps"):
+            with pytest.raises(TypeError):
+                OptimConfig(**{name: 0.5})
 
 
 class TestCosineLr:
@@ -415,6 +428,16 @@ class TestCheckpoint:
         got = trainer.forward(loaded, task.test_features, cfg)
         want = trainer.forward(state, task.test_features, cfg)
         assert got.tobytes() == want.tobytes()
+
+    def test_load_refines_only_the_support_rows(self, tmp_path):
+        rng = np.random.default_rng(50)
+        task, mask, cfg = make_instance(rng)
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(path, trainer.init_state(task, mask, cfg))
+        with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
+            trainer.load_checkpoint(path, task, cfg)
+        assert spy.call_count == 1
+        assert spy.call_args.args[0] is task.support_features
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
