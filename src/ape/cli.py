@@ -93,20 +93,24 @@ def _default_seed() -> int:
         raise UsageError(f"APE_SEED must be an integer, got {raw!r}") from None
 
 
+def _validated(cfg):
+    """``cfg`` after its ``validate()``, whose ValueError becomes a UsageError."""
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return cfg
+
+
 def _engine_config(args) -> EngineConfig:
-    cfg = EngineConfig(
+    return _validated(EngineConfig(
         alpha=args.alpha,
         beta=args.beta,
         gamma=args.gamma,
         kl_sign=args.kl_sign,
         kl_temperature=args.kl_temperature,
         renormalize=not args.no_renormalize,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return cfg
+    ))
 
 
 def _config_echo(cfg: EngineConfig, seed: int, lam: float, q: int, **extra) -> dict:
@@ -187,10 +191,7 @@ def grid_search(
         raise UsageError("grid must contain at least one point")
     for name, grid in (("alpha", alphas), ("beta", betas), ("gamma", gammas)):
         for value in grid:
-            try:
-                replace(base_cfg, **{name: float(value)}).validate()
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            _validated(replace(base_cfg, **{name: float(value)}))
     if val_task is not None:
         if val_task.test_labels is None:
             raise UsageError("--val-task manifest must provide test_labels")
@@ -259,9 +260,9 @@ def cmd_infer(args) -> int:
     mask, mask_lam = refine.load_mask(args.mask)
     cfg = _engine_config(args)
     zs = zero_shot_logits(task.test_features, task.text_features)
-    tip = _tip_core(zs, task, cfg.alpha, cfg.beta)
     ape = _ape_core(zs, task, mask, cfg)
     if task.test_labels is None:
+        # Only the APE logits are written, so the baseline is not computed.
         logits_path = f"{args.report}.logits.apef"
         dataio.write_matrix(logits_path, ape)
         methods = [
@@ -271,6 +272,7 @@ def cmd_infer(args) -> int:
         ]
         print(f"task has no test labels; wrote logits to {logits_path}")
     else:
+        tip = _tip_core(zs, task, cfg.alpha, cfg.beta)
         methods = [
             MethodResult("zero_shot", 0, accuracy(zs, task.test_labels)),
             MethodResult("tip_adapter", 0, accuracy(tip, task.test_labels)),
@@ -291,13 +293,13 @@ def cmd_train(args) -> int:
     task = dataio.load_task(args.task)
     mask, mask_lam = refine.load_mask(args.mask)
     cfg = _engine_config(args)
-    optim = trainer.OptimConfig(
+    optim = _validated(trainer.OptimConfig(
         lr=args.lr,
         weight_decay=args.weight_decay,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
-    )
+    ))
     state, history = trainer.train(task, mask, cfg, optim)
     trainer.save_checkpoint(args.out, state)
 

@@ -9,7 +9,8 @@ dataset roles to APEF paths.
 
 The manifest's ``support_labels`` file (a C*K x C one-hot matrix) is part
 of the on-disk format only: it is validated on load and written on save,
-but in memory the labels are implied by the class-major row order.
+but in memory the labels are implied by the class-major row order.  The
+check runs on the file's float32 payload, which is never widened.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def read_matrix(path) -> np.ndarray:
         BadMagicError, UnsupportedVersionError, TruncatedError,
         ShapeOverflowError: on the corresponding header/payload defects.
     """
+    return numkit.as_matrix(_read_payload(path).astype(np.float64), str(path))
+
+
+def _read_payload(path) -> np.ndarray:
+    """The checked float32 payload of an APEF file, as a read-only view."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4:
@@ -124,8 +130,7 @@ def read_matrix(path) -> np.ndarray:
     expected, size = rows * cols * 4, len(blob) - 24
     if size != expected:
         raise TruncatedError(f"{path}: payload is {size} bytes, header implies {expected}")
-    data = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
-    return numkit.as_matrix(data.reshape(rows, cols), str(path))
+    return np.frombuffer(blob, dtype="<f4", offset=24).reshape(rows, cols)
 
 
 _ROLE_KEYS = ("text_features", "support_features", "support_labels", "test_features")
@@ -148,7 +153,15 @@ def read_manifest(path) -> dict:
     for key in (*_ROLE_KEYS, "C", "K", "D"):
         if key not in entries:
             raise ManifestError(f"{path}: missing required key {key!r}")
-    out: dict = {"c": int(entries["C"]), "k": int(entries["K"]), "d": int(entries["D"])}
+    out: dict = {}
+    for key in ("C", "K", "D"):
+        try:
+            n = int(entries[key])
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ManifestError(f"{path}: {key} must be a positive integer, got {entries[key]!r}")
+        out[key.lower()] = n
     base = path.parent
     for role in (*_ROLE_KEYS, "test_labels"):
         if role in entries:
@@ -163,14 +176,21 @@ def _check_shape(role: str, m: np.ndarray, rows: int | None, cols: int) -> None:
 
 
 def _check_labels(labels: np.ndarray, c: int, k: int) -> None:
-    """The label file must be the class-major one-hot matrix of (C, K)."""
+    """The label file must be the class-major one-hot matrix of (C, K).
+
+    Works on the float32 payload: exactly C*K nonzeros (NaN counts, -0.0
+    does not), and row r holds 1.0 at column r // K.
+    """
     _check_shape("support_labels", labels, c * k, c)
-    if not np.isin(labels, (0.0, 1.0)).all() or not (labels.sum(axis=1) == 1.0).all():
-        raise NonOneHotError("support_labels: rows must contain exactly one 1")
-    if not np.array_equal(labels.argmax(axis=1), np.repeat(np.arange(c), k)):
+    rows = np.arange(c * k)
+    if np.count_nonzero(labels) == rows.size and (labels[rows, rows // k] == 1.0).all():
+        return
+    # Rejected: name the first rule the file breaks.
+    if np.isin(labels, (0.0, 1.0)).all() and (np.count_nonzero(labels, axis=1) == 1).all():
         raise NonOneHotError(
             "support_labels: rows must be grouped class-major (row c*K+j hot at column c)"
         )
+    raise NonOneHotError("support_labels: rows must contain exactly one 1")
 
 
 def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
@@ -188,8 +208,8 @@ def load_task(manifest_path) -> FewShotTask:
 
     Feature rows are re-normalized on load (float32 storage wiggles the
     norms); a warning is emitted when any row is off by more than 1e-4.
-    The support label file is validated and then dropped: the task's
-    class-major row order carries the same information.
+    The support label file is validated on its float32 payload and then
+    dropped: the task's class-major row order carries the same information.
 
     Raises:
         ManifestError, ShapeMismatchError, NonOneHotError: naming the
@@ -199,7 +219,7 @@ def load_task(manifest_path) -> FewShotTask:
     c, k, d = man["c"], man["k"], man["d"]
     text = read_matrix(man["text_features"])
     support = read_matrix(man["support_features"])
-    _check_labels(read_matrix(man["support_labels"]), c, k)
+    _check_labels(_read_payload(man["support_labels"]), c, k)
     test = read_matrix(man["test_features"])
     _check_shape("text_features", text, c, d)
     _check_shape("support_features", support, c * k, d)

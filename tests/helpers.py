@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ape import FewShotTask, accuracy, ape_logits, l2_normalize_rows, softmax_rows, trainer
+from ape import FewShotTask, accuracy, ape_logits, dataio, l2_normalize_rows, softmax_rows, trainer
 from ape.numkit import PROB_FLOOR
 
 
@@ -29,6 +29,19 @@ def random_task(rng, c=3, k=2, d=8, n_test=5, with_labels=True):
         k=k,
         d=d,
     )
+
+
+def check_labels_reference(labels, c, k):
+    """Reference label check: the class-major one-hot test on the label
+    file widened to float64, as ``load_task`` ran it before it checked the
+    float32 payload."""
+    dataio._check_shape("support_labels", labels, c * k, c)
+    if not np.isin(labels, (0.0, 1.0)).all() or not (labels.sum(axis=1) == 1.0).all():
+        raise dataio.NonOneHotError("support_labels: rows must contain exactly one 1")
+    if not np.array_equal(labels.argmax(axis=1), np.repeat(np.arange(c), k)):
+        raise dataio.NonOneHotError(
+            "support_labels: rows must be grouped class-major (row c*K+j hot at column c)"
+        )
 
 
 def kl_one_hot(pred_row, label_index: int) -> float:

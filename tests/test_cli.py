@@ -205,6 +205,27 @@ class TestInferCommand:
         assert logits.shape == (task.test_features.shape[0], task.c)
         assert "accuracy.ape" not in read_kv(report)
 
+    def test_tip_adapter_pass_only_with_labels(self, workspace):
+        """The baseline runs only where its accuracy is reported; an
+        unlabelled task's logits file holds the APE logits."""
+        tmp_path, manifest, mask_path = workspace
+        task = dataio.gen_synthetic(4, 2, 32, 3, 0.4, seed=2)
+        task.test_labels = None
+        unlabeled = dataio.save_task(task, tmp_path / "u", name="unlabeled")
+        for path, calls in ((unlabeled, 0), (manifest, 1)):
+            report = tmp_path / f"tip{calls}.report"
+            spy = mock.Mock(wraps=engine._tip_core)
+            with mock.patch.object(cli, "_tip_core", spy):
+                rc = main([
+                    "infer", "--task", str(path), "--mask", str(mask_path),
+                    "--report", str(report),
+                ])
+            assert rc == 0 and spy.call_count == calls
+        loaded = dataio.load_task(unlabeled)
+        mask, _ = refine.load_mask(mask_path)
+        expected = engine.ape_logits(loaded, mask, EngineConfig()).astype(np.float32).astype(np.float64)
+        assert dataio.read_matrix(f"{tmp_path / 'tip0.report'}.logits.apef").tobytes() == expected.tobytes()
+
     def test_missing_task_is_runtime_error(self, tmp_path):
         rc = main([
             "infer", "--task", str(tmp_path / "nope.manifest"),
@@ -518,6 +539,26 @@ class TestConfigErrors:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: beta")
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--lr", "nan", "lr"),
+        ("--lr", "0", "lr"),
+        ("--lr", "inf", "lr"),
+        ("--batch-size", "0", "batch_size"),
+        ("--epochs", "-1", "epochs"),
+        ("--weight-decay", "-1", "weight_decay"),
+        ("--weight-decay", "nan", "weight_decay"),
+    ])
+    def test_bad_optimizer_flag_is_usage_error(self, workspace, capsys, flag, value, name):
+        tmp_path, manifest, mask_path = workspace
+        rc = main([
+            "train", "--task", str(manifest), "--mask", str(mask_path), flag, value,
+            "--out", str(tmp_path / "bad.ckpt"), "--report", str(tmp_path / "bad.report"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (tmp_path / "bad.ckpt").exists()
 
 
 class TestMaskEcho:

@@ -1,12 +1,16 @@
 """Tests for the binary matrix format, manifests, and the task generator."""
 
+import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ape import dataio, engine, numkit
-from helpers import one_hot_labels, random_task
+from helpers import check_labels_reference, one_hot_labels, random_task
 
 
 class TestMatrixRoundTrip:
@@ -162,6 +166,89 @@ class TestTaskManifest:
         with pytest.warns(UserWarning, match="renormalizing"):
             loaded = dataio.load_task(manifest)
         np.testing.assert_allclose(np.linalg.norm(loaded.text_features, axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("key", ["C", "K", "D"])
+    @pytest.mark.parametrize("value", ["three", "0", "-2", "2.5"])
+    def test_bad_count_rejected_naming_manifest_and_key(self, tmp_path, key, value):
+        rng = np.random.default_rng(59)
+        manifest = dataio.save_task(random_task(rng), tmp_path)
+        content = [
+            f"{key} = {value}" if ln.startswith(f"{key} =") else ln
+            for ln in manifest.read_text().splitlines()
+        ]
+        manifest.write_text("\n".join(content) + "\n")
+        pattern = f"^{re.escape(str(manifest))}: {key} must be a positive integer, got '{re.escape(value)}'$"
+        with pytest.raises(dataio.ManifestError, match=pattern):
+            dataio.load_task(manifest)
+
+
+def write_raw_apef(path, m):
+    """Write ``m`` as float32 APEF bytes with no value checks, so NaN and
+    Inf reach the file."""
+    header = b"APEF" + struct.pack("<I", 1) + struct.pack("<QQ", *m.shape)
+    path.write_bytes(header + np.ascontiguousarray(m, dtype="<f4").tobytes())
+
+
+PERTURB_VALUES = [0.0, 1.0, 0.5, 2.0, -1.0, -0.0, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def perturbed_labels(draw):
+    """A class-major one-hot label matrix with one entry set or two rows swapped."""
+    c, k = draw(st.integers(1, 5), label="c"), draw(st.integers(1, 4), label="k")
+    labels = one_hot_labels(c, k)
+    rows = st.integers(0, c * k - 1)
+    if draw(st.booleans(), label="swap"):
+        i, j = draw(rows, label="i"), draw(rows, label="j")
+        labels[[i, j]] = labels[[j, i]]
+    else:
+        labels[draw(rows, label="row"), draw(st.integers(0, c - 1), label="col")] = draw(
+            st.sampled_from(PERTURB_VALUES), label="value"
+        )
+    return c, k, labels
+
+
+class TestLabelCheck:
+    """``load_task`` checks the label file on its float32 payload."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=perturbed_labels())
+    def test_accepts_exactly_what_the_float64_check_accepts(self, tmp_path, case):
+        c, k, labels = case
+        manifest = dataio.save_task(random_task(np.random.default_rng(60), c=c, k=k), tmp_path)
+        write_raw_apef(tmp_path / "task_support_labels.apef", labels)
+        widened = labels.astype("<f4").astype(np.float64)
+        try:
+            check_labels_reference(widened, c, k)
+            ref_error = None
+        except dataio.DataIOError as exc:
+            ref_error = exc
+        try:
+            dataio.load_task(manifest)
+            error = None
+        except (dataio.DataIOError, ValueError) as exc:
+            error = exc
+        assert (error is None) == (ref_error is None)
+        if error is not None and np.isfinite(widened).all():
+            assert type(error) is type(ref_error) and str(error) == str(ref_error)
+
+    def test_label_file_never_widened(self, tmp_path):
+        rng = np.random.default_rng(61)
+        manifest = dataio.save_task(random_task(rng, c=3, k=2), tmp_path)
+        spy = mock.Mock(wraps=dataio.read_matrix)
+        with mock.patch.object(dataio, "read_matrix", spy):
+            dataio.load_task(manifest)
+        read = {call.args[0].name for call in spy.call_args_list}
+        assert read == {f"task_{role}.apef" for role in
+                        ("text_features", "support_features", "test_features", "test_labels")}
+
+    def test_truncated_label_file_rejected(self, tmp_path):
+        rng = np.random.default_rng(62)
+        manifest = dataio.save_task(random_task(rng, c=3, k=2), tmp_path)
+        path = tmp_path / "task_support_labels.apef"
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(dataio.TruncatedError, match="task_support_labels"):
+            dataio.load_task(manifest)
 
 
 class TestGenSynthetic:
