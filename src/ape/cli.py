@@ -23,8 +23,7 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _ape_core,
-    _class_sums,
-    _sharpen,
+    _grid_hits,
     _tip_core,
     accuracy,
     ape_logits,  # noqa: F401 - perfbench's tracer test rebinds ape.cli.ape_logits
@@ -141,22 +140,15 @@ def parse_grid(spec: str) -> np.ndarray:
     return ends if len(parts) == 1 else np.linspace(ends[0], ends[1], steps)
 
 
-def _holdout_split(task: FewShotTask) -> FewShotTask:
-    """Rebuild the task with the last shot of every class held out as the
-    test split (the default validation fold for the grid search)."""
+def _holdout_split(task: FewShotTask) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The default validation fold for the grid search: the last shot of
+    every class held out.  Returns the kept support rows, their shots per
+    class, the held-out rows and their class ids."""
     if task.k < 2:
         raise UsageError("validation holdout needs K >= 2 (or pass --val-task)")
     rows = np.arange(task.c * task.k).reshape(task.c, task.k)
-    keep, held = rows[:, :-1].ravel(), rows[:, -1]
-    return FewShotTask(
-        text_features=task.text_features,
-        support_features=task.support_features[keep],
-        test_features=task.support_features[held],
-        test_labels=np.arange(task.c),
-        c=task.c,
-        k=task.k - 1,
-        d=task.d,
-    )
+    support, test = task.support_features[rows[:, :-1].ravel()], task.support_features[rows[:, -1]]
+    return support, task.k - 1, test, np.arange(task.c)
 
 
 def grid_search(
@@ -175,10 +167,11 @@ def grid_search(
     the smaller alpha, then beta, then gamma.
 
     The cache is frozen across candidates, so the search computes the
-    refined rows, the zero-shot logits and the cosines once, the cache
-    scores once per gamma and the affinities once per (beta, gamma); alpha
-    only scales the finished class sums.  Every candidate's logits equal
-    ``ape_logits`` bitwise.
+    refined rows and the zero-shot logits once and the cache scores once
+    per gamma; ``engine._grid_hits`` counts every candidate's correct rows
+    over row blocks of the split.  Every candidate's predictions equal
+    ``ape_logits``'s bitwise, and its accuracy is the float ``accuracy``
+    returns.
 
     Raises:
         UsageError: if any grid is empty or holds a value the engine
@@ -199,43 +192,29 @@ def grid_search(
             raise UsageError(
                 "--val-task must share the task's class count and feature width"
             )
-        probe = FewShotTask(
-            text_features=task.text_features,
-            support_features=task.support_features,
-            test_features=val_task.test_features,
-            test_labels=val_task.test_labels,
-            c=task.c,
-            k=task.k,
-            d=task.d,
-        )
+        support, k = task.support_features, task.k
+        test, labels = val_task.test_features, val_task.test_labels
     else:
-        probe = _holdout_split(task)
+        support, k, test, labels = _holdout_split(task)
 
-    zs = zero_shot_logits(probe.test_features, probe.text_features)
+    zs = zero_shot_logits(test, task.text_features)
     w_ref, s_ref, f_ref = (
-        refine.apply_mask(m, mask, base_cfg.renormalize)
-        for m in (probe.text_features, probe.support_features, probe.test_features)
+        refine.apply_mask(m, mask, base_cfg.renormalize) for m in (task.text_features, support, test)
     )
-    cos = f_ref @ s_ref.T
-    weighted = np.empty_like(cos)
-    acc = np.empty((alphas.size, betas.size, gammas.size))
-    for g, gamma in enumerate(gammas):
-        scores = cache_scores(
-            s_ref, w_ref, probe.k, float(gamma), base_cfg.kl_sign, base_cfg.kl_temperature
-        )
-        for b, beta in enumerate(betas):
-            _sharpen(cos, float(beta), out=weighted)
-            weighted *= scores
-            sums = _class_sums(weighted, probe.c, probe.k)
-            for a, alpha in enumerate(alphas):
-                acc[a, b, g] = accuracy(zs + float(alpha) * sums, probe.test_labels)
+    score_sets = [
+        cache_scores(s_ref, w_ref, k, float(gamma), base_cfg.kl_sign, base_cfg.kl_temperature)
+        for gamma in gammas
+    ]
+    hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets, task.c, k)
     # The first maximum in C order is the smallest alpha, then beta, then gamma.
-    a, b, g = np.unravel_index(np.argmax(acc), acc.shape)
+    a, b, g = np.unravel_index(np.argmax(hits), hits.shape)
     best = replace(base_cfg, alpha=float(alphas[a]), beta=float(betas[b]), gamma=float(gammas[g]))
-    return best, float(acc[a, b, g])
+    return best, int(hits[a, b, g]) / labels.shape[0]
 
 
 def cmd_refine(args) -> int:
+    if not 0.0 <= args.lam <= 1.0:
+        raise UsageError(f"lambda must lie in [0, 1], got {args.lam}")
     task = dataio.load_task(args.task)
     if not 1 <= args.q <= task.d:
         raise UsageError(f"--q must lie in [1, {task.d}], got {args.q}")
@@ -261,25 +240,18 @@ def cmd_infer(args) -> int:
     cfg = _engine_config(args)
     zs = zero_shot_logits(task.test_features, task.text_features)
     ape = _ape_core(zs, task, mask, cfg)
-    if task.test_labels is None:
+    labels = task.test_labels
+    if labels is None:
         # Only the APE logits are written, so the baseline is not computed.
         logits_path = f"{args.report}.logits.apef"
         dataio.write_matrix(logits_path, ape)
-        methods = [
-            MethodResult("zero_shot", 0, None),
-            MethodResult("tip_adapter", 0, None),
-            MethodResult("ape", 0, None),
-        ]
         print(f"task has no test labels; wrote logits to {logits_path}")
-    else:
-        tip = _tip_core(zs, task, cfg.alpha, cfg.beta)
-        methods = [
-            MethodResult("zero_shot", 0, accuracy(zs, task.test_labels)),
-            MethodResult("tip_adapter", 0, accuracy(tip, task.test_labels)),
-            MethodResult("ape", 0, accuracy(ape, task.test_labels)),
-        ]
+    tip = None if labels is None else _tip_core(zs, task, cfg.alpha, cfg.beta)
     report = EvalReport(
-        methods=methods,
+        methods=[
+            MethodResult(name, 0, None if labels is None else accuracy(logits, labels))
+            for name, logits in (("zero_shot", zs), ("tip_adapter", tip), ("ape", ape))
+        ],
         config=_config_echo(cfg, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask),
         wall_time_s=time.perf_counter() - started,
     )
@@ -344,28 +316,22 @@ def cmd_search(args) -> int:
     cfg = _engine_config(args)
     val_task = dataio.load_task(args.val_task) if args.val_task else None
     best, best_acc = grid_search(task, mask, cfg, alphas, betas, gammas, val_task)
-    print(f"best.alpha = {best.alpha!r}")
-    print(f"best.beta = {best.beta!r}")
-    print(f"best.gamma = {best.gamma!r}")
-    print(f"best.val_accuracy = {100.0 * best_acc!r}")
+    found = {"alpha": best.alpha, "beta": best.beta, "gamma": best.gamma,
+             "val_accuracy": 100.0 * best_acc}
+    lines = [f"best.{key} = {value!r}" for key, value in found.items()]
+    print("\n".join(lines))
     if args.report:
-        lines = [
-            REPORT_HEADER,
-            "",
-            f"best.alpha = {best.alpha!r}",
-            f"best.beta = {best.beta!r}",
-            f"best.gamma = {best.gamma!r}",
-            f"best.val_accuracy = {100.0 * best_acc!r}",
-        ]
         echo = _config_echo(cfg, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask)
-        for key, value in sorted(echo.items()):
-            lines.append(f"config.{key} = {value}")
-        Path(args.report).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines += [f"config.{key} = {value}" for key, value in sorted(echo.items())]
+        Path(args.report).write_text("\n".join([REPORT_HEADER, "", *lines]) + "\n", encoding="utf-8")
     return 0
 
 
 def cmd_synth(args) -> int:
-    task = dataio.gen_synthetic(args.c, args.k, args.d, args.n_test, args.sigma, args.seed)
+    try:
+        task = dataio.gen_synthetic(args.c, args.k, args.d, args.n_test, args.sigma, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     manifest = dataio.save_task(task, args.out)
     print(f"manifest -> {manifest}")
     return 0

@@ -170,8 +170,8 @@ def read_manifest(path) -> dict:
 
 
 def _check_shape(role: str, m: np.ndarray, rows: int | None, cols: int) -> None:
-    if (rows is not None and m.shape[0] != rows) or m.shape[1] != cols:
-        want = f"{rows if rows is not None else '*'}x{cols}"
+    if (m.shape[0] == 0 if rows is None else m.shape[0] != rows) or m.shape[1] != cols:
+        want = f"{rows}x{cols}" if rows is not None else f"Nx{cols} with N >= 1"
         raise ShapeMismatchError(f"{role}: expected {want}, got {m.shape[0]}x{m.shape[1]}")
 
 
@@ -293,14 +293,14 @@ def gen_synthetic(
     re-normalize; with ``noise_sigma=0`` they equal the prototype exactly.
 
     Raises:
-        ValueError: on invalid counts.
+        ValueError: on invalid counts or a negative or non-finite sigma.
     """
     if c < 2 or d < 2:
         raise ValueError("need at least 2 classes and 2 channels")
     if k < 1 or n_test_per_class < 1:
         raise ValueError("k and n_test_per_class must be >= 1")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     protos = rng.standard_normal((c, d))
     zeroed = rng.choice(d, size=d // 4, replace=False)

@@ -10,8 +10,9 @@ features, the class text prototypes and the cached support features:
 
 Support rows are class-major (row c*K + j is shot j of class c), so the
 labels are implicit: one routing kernel sums each class's K cache columns.
-It runs over row blocks of the test rows, so inference holds one block of
-affinities (about ``numkit._BLOCK_BYTES``), never an N x C*K matrix.
+It runs over row blocks of the test rows, so inference and the grid
+search hold one block of affinities (about ``numkit._BLOCK_BYTES``),
+never an N x C*K matrix.
 A plain key-value cache baseline (unit scores on the full feature space)
 is included for comparison.
 """
@@ -96,9 +97,9 @@ class FewShotTask:
                 f"support_features must be {self.c * self.k}x{self.d}, "
                 f"got {self.support_features.shape}"
             )
-        if self.test_features.shape[1] != self.d:
+        if self.test_features.shape[0] == 0 or self.test_features.shape[1] != self.d:
             raise ValueError(
-                f"test_features must have {self.d} columns, got {self.test_features.shape[1]}"
+                f"test_features must be N x {self.d} with N >= 1, got {self.test_features.shape}"
             )
         for name in ("text_features", "support_features", "test_features"):
             norms = numkit._row_norms(getattr(self, name))
@@ -207,6 +208,16 @@ def _class_sums(weighted, c: int, k: int) -> np.ndarray:
     return weighted.reshape(weighted.shape[0], c, k).sum(axis=-1)
 
 
+def _cosine_blocks(f_ref, keys):
+    """Yield ``(rows, f_ref[rows] @ keys.T)`` over ``numkit._row_blocks`` of
+    ``f_ref``, each written into one reused buffer (so a caller is done with
+    a block when it asks for the next)."""
+    blocks = numkit._row_blocks(f_ref.shape[0], keys.shape[0])
+    buf = np.empty((blocks[0].stop, keys.shape[0]))
+    for rows in blocks:
+        yield rows, np.matmul(f_ref[rows], keys.T, out=buf[: rows.stop - rows.start])
+
+
 def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, c: int, k: int):
     """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T))
     into ``zs`` in place, one row block at a time; returns ``zs``.
@@ -214,14 +225,36 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, c: int, 
     Only one block of affinities is alive at once.  Rows are independent,
     so the result is bitwise that of the whole matrix.
     """
-    blocks = numkit._row_blocks(f_ref.shape[0], keys.shape[0])
-    buf = np.empty((blocks[0].stop, keys.shape[0]))
-    for rows in blocks:
-        blk = np.matmul(f_ref[rows], keys.T, out=buf[: rows.stop - rows.start])
+    for rows, blk in _cosine_blocks(f_ref, keys):
         _sharpen(blk, beta, out=blk)
         blk *= scores
         zs[rows] += alpha * _class_sums(blk, c, k)
     return zs
+
+
+def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets, c: int, k: int) -> np.ndarray:
+    """Count of rows whose ``labels`` entry is the argmax of
+    ``_add_cache_term(zs.copy(), f_ref, keys, score_sets[g], alphas[a],
+    betas[b], c, k)``, bitwise, as an alphas x betas x score_sets array.
+
+    Each block's cosines are sharpened once per (beta, scores) into one
+    reused block of weights; alpha only scales the finished class sums.
+    """
+    hits = np.zeros((len(alphas), len(betas), len(score_sets)), dtype=np.int64)
+    weights = None
+    for rows, cos in _cosine_blocks(f_ref, keys):
+        if weights is None:  # the first block is the largest
+            weights = np.empty_like(cos)
+        blk = weights[: cos.shape[0]]
+        for g, scores in enumerate(score_sets):
+            for b, beta in enumerate(betas):
+                _sharpen(cos, float(beta), out=blk)
+                blk *= scores
+                sums = _class_sums(blk, c, k)
+                for a, alpha in enumerate(alphas):
+                    pred = (zs[rows] + float(alpha) * sums).argmax(axis=1)  # as predict()
+                    hits[a, b, g] += np.count_nonzero(pred == labels[rows])
+    return hits
 
 
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:

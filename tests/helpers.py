@@ -2,15 +2,21 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
-from ape import FewShotTask, accuracy, ape_logits, dataio, l2_normalize_rows, softmax_rows, trainer
+from ape import FewShotTask, accuracy, ape_logits, dataio, l2_normalize_rows, numkit, softmax_rows, trainer
 from ape.numkit import PROB_FLOOR
 
 
 def unit_rows(rng, n, d):
     return l2_normalize_rows(rng.standard_normal((n, d)))
+
+
+def block_budget(cols, rows):
+    """Patch the row-block budget to ``rows`` rows of ``cols`` float64."""
+    return mock.patch.object(numkit, "_BLOCK_BYTES", 8 * cols * rows)
 
 
 def one_hot_labels(c, k):
@@ -74,18 +80,11 @@ def kl_one_hot(pred_row, label_index: int) -> float:
 
 def holdout_split_loop(task):
     """Reference holdout: the last shot of every class becomes the test
-    split, with the row indices built one by one."""
+    split, with the row indices built one by one.  Returns the kept
+    support rows, K - 1, the held-out rows and their class ids."""
     keep = np.array([c * task.k + j for c in range(task.c) for j in range(task.k - 1)])
     held = np.array([c * task.k + (task.k - 1) for c in range(task.c)])
-    return FewShotTask(
-        text_features=task.text_features,
-        support_features=task.support_features[keep],
-        test_features=task.support_features[held],
-        test_labels=np.arange(task.c),
-        c=task.c,
-        k=task.k - 1,
-        d=task.d,
-    )
+    return task.support_features[keep], task.k - 1, task.support_features[held], np.arange(task.c)
 
 
 def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=None):
@@ -96,17 +95,18 @@ def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=
     betas = np.sort(np.asarray(betas, dtype=np.float64))
     gammas = np.sort(np.asarray(gammas, dtype=np.float64)) if gammas is not None else np.array([base_cfg.gamma])
     if val_task is not None:
-        probe = FewShotTask(
-            text_features=task.text_features,
-            support_features=task.support_features,
-            test_features=val_task.test_features,
-            test_labels=val_task.test_labels,
-            c=task.c,
-            k=task.k,
-            d=task.d,
-        )
+        support, k, test, labels = task.support_features, task.k, val_task.test_features, val_task.test_labels
     else:
-        probe = holdout_split_loop(task)
+        support, k, test, labels = holdout_split_loop(task)
+    probe = FewShotTask(
+        text_features=task.text_features,
+        support_features=support,
+        test_features=test,
+        test_labels=labels,
+        c=task.c,
+        k=k,
+        d=task.d,
+    )
 
     best_cfg, best_acc = None, -1.0
     for alpha in alphas:

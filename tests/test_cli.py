@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from ape import cli, dataio, engine, refine, trainer
 from ape.cli import _holdout_split, grid_search, main, parse_grid
 from ape.engine import EngineConfig
-from helpers import brute_force_grid, holdout_split_loop, random_task
+from helpers import block_budget, brute_force_grid, holdout_split_loop, random_task
 
 
 @pytest.fixture()
@@ -327,10 +328,10 @@ class TestSearchCommand:
         _, manifest, _ = workspace
         task = dataio.load_task(manifest)
         got, want = _holdout_split(task), holdout_split_loop(task)
-        for name in ("text_features", "support_features", "test_features", "test_labels"):
-            a, b = getattr(got, name), getattr(want, name)
+        assert got[1] == want[1] == task.k - 1
+        for i in (0, 2, 3):  # support rows, held-out rows, their labels
+            a, b = got[i], want[i]
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert (got.c, got.k, got.d) == (want.c, want.k, want.d)
 
     @pytest.mark.parametrize("flag, spec, message", [
         ("--alpha-grid", "nan", "error: grid 'nan' has a non-finite end"),
@@ -378,51 +379,79 @@ class TestSearchCommand:
 grid_values = st.one_of(st.sampled_from([0.0, 1.0, 5.5]), st.floats(0.0, 10.0))
 
 
-class TestGridOracle:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        c=st.integers(2, 6),
-        k=st.integers(2, 4),
-        q=st.integers(1, 8),
-        alphas=st.lists(grid_values, min_size=1, max_size=4),
-        betas=st.lists(grid_values, min_size=1, max_size=3),
-        gammas=st.none() | st.lists(grid_values, min_size=1, max_size=3),
-        with_val=st.booleans(),
-        kl_sign=st.sampled_from([1, -1]),
-        renormalize=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
+@settings(max_examples=80, deadline=None)
+@given(
+    c=st.integers(2, 6),
+    k=st.integers(2, 4),
+    q=st.integers(1, 8),
+    alphas=st.lists(grid_values, min_size=1, max_size=4),
+    betas=st.lists(grid_values, min_size=1, max_size=3),
+    gammas=st.none() | st.lists(grid_values, min_size=1, max_size=3),
+    with_val=st.booleans(),
+    kl_sign=st.sampled_from([1, -1]),
+    renormalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Seeds where distinct candidates tie at the best accuracy, so only the
+# alpha, then beta, then gamma order picks the reference's config.
+@example(c=2, k=2, q=8, alphas=[1.0, 5.5, 0.0], betas=[0.0, 1.0, 0.0], gammas=None,
+         with_val=False, kl_sign=1, renormalize=True, seed=2553558759)
+@example(c=3, k=2, q=7, alphas=[1.0, 1.0, 1.0, 5.5], betas=[5.5, 1.0, 0.0], gammas=None,
+         with_val=True, kl_sign=-1, renormalize=True, seed=916578816)
+@example(c=2, k=2, q=4, alphas=[1.0, 5.5, 5.5], betas=[1.0, 0.0, 5.5],
+         gammas=[0.0, 0.0, 5.5], with_val=True, kl_sign=1, renormalize=False,
+         seed=300041115)
+@example(c=3, k=3, q=4, alphas=[5.5], betas=[0.0, 5.5], gammas=[1.0, 0.0, 1.0],
+         with_val=False, kl_sign=-1, renormalize=True, seed=4074326702)
+def check_grid_oracle(c, k, q, alphas, betas, gammas, with_val, kl_sign, renormalize, seed):
+    """Same config and bitwise-same accuracy as one ape_logits per candidate."""
+    rng = np.random.default_rng(seed)
+    d = 8
+    task = random_task(rng, c=c, k=k, d=d, n_test=1)
+    val_task = random_task(rng, c=c, k=k, d=d, n_test=int(rng.integers(1, 12))) if with_val else None
+    mask = refine.ChannelMask(
+        selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
     )
-    # Seeds where distinct candidates tie at the best accuracy, so only the
-    # alpha, then beta, then gamma order picks the reference's config.
-    @example(c=2, k=2, q=8, alphas=[1.0, 5.5, 0.0], betas=[0.0, 1.0, 0.0], gammas=None,
-             with_val=False, kl_sign=1, renormalize=True, seed=2553558759)
-    @example(c=3, k=2, q=7, alphas=[1.0, 1.0, 1.0, 5.5], betas=[5.5, 1.0, 0.0], gammas=None,
-             with_val=True, kl_sign=-1, renormalize=True, seed=916578816)
-    @example(c=2, k=2, q=4, alphas=[1.0, 5.5, 5.5], betas=[1.0, 0.0, 5.5],
-             gammas=[0.0, 0.0, 5.5], with_val=True, kl_sign=1, renormalize=False,
-             seed=300041115)
-    @example(c=3, k=3, q=4, alphas=[5.5], betas=[0.0, 5.5], gammas=[1.0, 0.0, 1.0],
-             with_val=False, kl_sign=-1, renormalize=True, seed=4074326702)
-    def test_matches_brute_force(self, c, k, q, alphas, betas, gammas, with_val,
-                                 kl_sign, renormalize, seed):
-        """Same config and bitwise-same accuracy as one ape_logits per candidate."""
-        rng = np.random.default_rng(seed)
-        d = 8
+    base = EngineConfig(
+        gamma=float(rng.uniform(0.0, 2.0)),
+        kl_sign=kl_sign,
+        kl_temperature=float(rng.uniform(0.5, 2.0)),
+        renormalize=renormalize,
+    )
+    got_cfg, got_acc = grid_search(task, mask, base, alphas, betas, gammas, val_task)
+    want_cfg, want_acc = brute_force_grid(task, mask, base, alphas, betas, gammas, val_task)
+    assert dataclasses.asdict(got_cfg) == dataclasses.asdict(want_cfg)
+    assert got_acc.hex() == want_acc.hex()
+
+
+class TestGridOracle:
+    def test_matches_brute_force(self):
+        check_grid_oracle()
+
+    def test_matches_brute_force_across_row_blocks(self):
+        """The same oracle with two rows per block, so every validation
+        split of four or more rows spans several blocks."""
+        with block_budget(1, 2):
+            check_grid_oracle()
+
+    def test_peak_memory_does_not_grow_with_n_x_ck(self):
+        """Past one row block, more validation rows cost only their N x C
+        and N x Q arrays: no N x C*K matrix is held (a whole-split search held two)."""
+        rng = np.random.default_rng(0)
+        c, k, d, q = 32, 16, 64, 32
         task = random_task(rng, c=c, k=k, d=d, n_test=1)
-        val_task = random_task(rng, c=c, k=k, d=d, n_test=int(rng.integers(1, 12))) if with_val else None
-        mask = refine.ChannelMask(
-            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
-        )
-        base = EngineConfig(
-            gamma=float(rng.uniform(0.0, 2.0)),
-            kl_sign=kl_sign,
-            kl_temperature=float(rng.uniform(0.5, 2.0)),
-            renormalize=renormalize,
-        )
-        got_cfg, got_acc = grid_search(task, mask, base, alphas, betas, gammas, val_task)
-        want_cfg, want_acc = brute_force_grid(task, mask, base, alphas, betas, gammas, val_task)
-        assert dataclasses.asdict(got_cfg) == dataclasses.asdict(want_cfg)
-        assert got_acc.hex() == want_acc.hex()
+        mask = refine.ChannelMask(selected=np.arange(q), d_total=d, scores=np.zeros(d))
+        peaks = {}
+        for n in (512, 2048):
+            val_task = random_task(rng, c=c, k=k, d=d, n_test=n)
+            with block_budget(c * k, 64):
+                tracemalloc.start()
+                try:
+                    grid_search(task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], [0.1, 0.2], val_task)
+                    _, peaks[n] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert peaks[2048] - peaks[512] <= 2 * (2048 - 512) * 8 * (c + q)
 
 
 class TestEvalCommand:
@@ -559,6 +588,65 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
         assert not (tmp_path / "bad.ckpt").exists()
+
+
+class TestEmptyTestSplit:
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    @pytest.mark.parametrize("command", ["infer", "search"])
+    def test_empty_test_split_names_test_features(self, workspace, capsys, command, labelled):
+        """A 0 x D test_features file is rejected where the task is loaded."""
+        tmp_path, manifest, mask_path = workspace
+        task = dataio.load_task(manifest)
+        if not labelled:
+            task.test_labels = None
+        empty = dataio.save_task(task, tmp_path / "empty")
+        dataio.write_matrix(tmp_path / "empty" / "task_test_features.apef", np.zeros((0, task.d)))
+        if labelled:
+            dataio.write_matrix(tmp_path / "empty" / "task_test_labels.apef", np.zeros((0, 1)))
+        argv = {
+            "infer": ["--task", empty, "--report", tmp_path / "r"],
+            "search": ["--task", manifest, "--val-task", empty, "--alpha-grid", "0:1:2", "--beta-grid", "1:2:2"],
+        }[command]
+        rc = main([command, "--mask", str(mask_path), *map(str, argv)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: test_features: expected Nx32 with N >= 1, got 0x32\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("refine", "--q", "0", "--q must lie in [1, 32], got 0"),
+        ("refine", "--lambda", "1.5", "lambda must lie in [0, 1], got 1.5"),
+        ("refine", "--lambda", "nan", "lambda must lie in [0, 1], got nan"),
+        ("refine", "--lambda", "-0.1", "lambda must lie in [0, 1], got -0.1"),
+        ("infer", "--alpha", "-1", "alpha must be finite and >= 0, got -1.0"),
+    ], ids=["refine-q-0", "refine-lambda-1.5", "refine-lambda-nan", "refine-lambda-negative", "infer-alpha-negative"])
+    def test_bad_flag_exits_2(self, workspace, capsys, command, flag, value, message):
+        tmp_path, manifest, mask_path = workspace
+        out = tmp_path / "bad.out"
+        extra = {
+            "refine": ["--q", "24", "--out", str(out)],
+            "infer": ["--mask", str(mask_path), "--report", str(out)],
+        }[command]
+        rc = main([command, "--task", str(manifest), *extra, f"{flag}={value}"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--c", "1", "need at least 2 classes and 2 channels"),
+        ("--d", "1", "need at least 2 classes and 2 channels"),
+        ("--k", "0", "k and n_test_per_class must be >= 1"),
+        ("--n-test", "0", "k and n_test_per_class must be >= 1"),
+        ("--sigma", "-1", "noise_sigma must be finite and >= 0, got -1.0"),
+        ("--sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+        ("--sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ], ids=["c-1", "d-1", "k-0", "n-test-0", "sigma-negative", "sigma-nan", "sigma-inf"])
+    def test_bad_synth_flag_exits_2(self, tmp_path, capsys, flag, value, message):
+        flags = {"--c": "3", "--k": "2", "--d": "8", "--n-test": "2", "--sigma": "0.5", flag: value}
+        rc = main(["synth", *(f"{name}={v}" for name, v in flags.items()), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestMaskEcho:

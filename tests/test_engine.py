@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ape import engine, numkit, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from helpers import (
+    block_budget,
     cache_scores_unblocked,
     cache_term_unblocked,
     kl_one_hot,
@@ -354,11 +355,6 @@ class TestRoutingOracle:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def block_budget(cols, rows):
-    """Patch the row-block budget to ``rows`` rows of ``cols`` float64."""
-    return mock.patch.object(numkit, "_BLOCK_BYTES", 8 * cols * rows)
-
-
 class TestRowBlocks:
     """Inference runs over row blocks; rows are independent, so every
     blocked result equals the whole-matrix result bitwise."""
@@ -512,6 +508,20 @@ class TestConfigAndTaskValidation:
                 text_features=rng.standard_normal((3, 5)) * 2,
                 support_features=unit_rows(rng, 6, 5),
                 test_features=unit_rows(rng, 2, 5),
+                test_labels=None,
+                c=3,
+                k=2,
+                d=5,
+            )
+
+    def test_task_rejects_empty_test_split(self):
+        rng = np.random.default_rng(30)
+        w = unit_rows(rng, 3, 5)
+        with pytest.raises(ValueError, match="test_features"):
+            FewShotTask(
+                text_features=w,
+                support_features=unit_rows(rng, 6, 5),
+                test_features=np.zeros((0, 5)),
                 test_labels=None,
                 c=3,
                 k=2,
