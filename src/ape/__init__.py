@@ -18,10 +18,9 @@ from .engine import (
     cache_affinity,
     cache_scores,
     predict,
-    tip_adapter_logits,
     zero_shot_logits,
 )
-from .numkit import ZeroRowWarning, l2_normalize_rows, softmax_rows
+from .numkit import ZeroRowWarning, l2_normalize_rows
 from .refine import (
     ChannelMask,
     CriterionVector,
@@ -38,7 +37,6 @@ from .trainer import (
     OptimConfig,
     TrainState,
     adamw_step,
-    backward,
     cosine_lr,
     forward,
     init_state,
@@ -63,7 +61,6 @@ __all__ = [
     "adamw_step",
     "ape_logits",
     "apply_mask",
-    "backward",
     "blend_criteria",
     "cache_affinity",
     "cache_scores",
@@ -85,8 +82,6 @@ __all__ = [
     "save_mask",
     "save_task",
     "select_channels",
-    "softmax_rows",
-    "tip_adapter_logits",
     "train",
     "write_matrix",
     "zero_shot_logits",

@@ -112,9 +112,11 @@ def _engine_config(args) -> EngineConfig:
     ))
 
 
-def _config_echo(cfg: EngineConfig, seed: int, lam: float, q: int, **extra) -> dict:
+def _config_echo(cfg: EngineConfig, seed: int, lam: float | None, q: int, **extra) -> dict:
+    """The report's config lines; ``lam`` None (unknown) echoes no lambda."""
     echo = dict(dataclasses.asdict(cfg), q=q, seed=seed, **extra)
-    echo["lambda"] = lam
+    if lam is not None:
+        echo["lambda"] = lam
     return echo
 
 
@@ -350,8 +352,7 @@ def cmd_eval(args) -> int:
     logits = trainer.forward(state, task.test_features, cfg)
     report = EvalReport(
         methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
-        # Checkpoint v1 records neither lambda nor Q: echo the old placeholders.
-        config=_config_echo(cfg, args.seed, 0.7, 0, task=args.task, ckpt=args.ckpt),
+        config=_config_echo(cfg, args.seed, None, state.q, task=args.task, ckpt=args.ckpt),
         wall_time_s=time.perf_counter() - started,
     )
     report.write(args.report)

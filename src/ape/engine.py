@@ -13,8 +13,6 @@ labels are implicit: one routing kernel sums each class's K cache columns.
 It runs over row blocks of the test rows, so inference and the grid
 search hold one block of affinities (about ``numkit._BLOCK_BYTES``),
 never an N x C*K matrix.
-A plain key-value cache baseline (unit scores on the full feature space)
-is included for comparison.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ __all__ = [
     "cache_affinity",
     "cache_scores",
     "ape_logits",
-    "tip_adapter_logits",
     "predict",
     "accuracy",
 ]
@@ -106,12 +103,13 @@ class FewShotTask:
             if np.abs(norms - 1.0).max() > 1e-6:
                 raise ValueError(f"{name} rows must be unit-norm within 1e-6")
         if self.test_labels is not None:
-            labels = np.asarray(self.test_labels, dtype=np.int64)
+            labels = np.asarray(self.test_labels)
             if labels.shape != (self.test_features.shape[0],):
                 raise ValueError("test_labels length must match test_features rows")
-            if labels.min() < 0 or labels.max() >= self.c:
-                raise ValueError("test_labels contain out-of-range class ids")
-            self.test_labels = labels
+            # NaN fails every comparison, so only finite integral ids pass to the cast.
+            if not ((labels >= 0) & (labels < self.c) & (labels == np.round(labels))).all():
+                raise ValueError(f"test_labels must be integral class ids in [0, {self.c})")
+            self.test_labels = labels.astype(np.int64, copy=False)
 
     def support_class_ids(self) -> np.ndarray:
         """Class id of each support row, in class-major order."""
@@ -267,7 +265,8 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
 
 
 def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
-    """:func:`tip_adapter_logits` from the task's zero-shot logits ``zs`` (not modified)."""
+    """Tip-Adapter cache baseline from the zero-shot logits ``zs`` (not modified):
+    :func:`ape_logits` with every channel kept, gamma = 0 and no renormalization."""
     return _add_cache_term(
         zs.copy(), task.test_features, task.support_features, 1.0, alpha, beta, task.c, task.k
     )
@@ -283,17 +282,6 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     """
     cfg.validate()
     return _ape_core(zero_shot_logits(task.test_features, task.text_features), task, mask, cfg)
-
-
-def tip_adapter_logits(task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
-    """Key-value cache baseline on the full feature space.
-
-    logits = f @ W.T + alpha * exp(-beta * (1 - f @ F.T)) summed over each
-    class's shots, i.e. the combined classifier with every channel kept and
-    unit cache scores.
-    """
-    EngineConfig(beta=beta).validate()
-    return _tip_core(zero_shot_logits(task.test_features, task.text_features), task, alpha, beta)
 
 
 def predict(logits) -> np.ndarray:

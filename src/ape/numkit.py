@@ -25,7 +25,6 @@ __all__ = [
     "ZeroRowWarning",
     "as_matrix",
     "l2_normalize_rows",
-    "softmax_rows",
 ]
 
 # Floor applied to probabilities before taking logarithms.  Bounds the
@@ -117,22 +116,9 @@ def _normalize_rows_inplace(m: np.ndarray) -> np.ndarray:
     return np.divide(m, norms[:, None], out=m, where=rows[:, None])
 
 
-def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of ``m / temperature``.
-
-    The row maximum is subtracted before exponentiation, so rows such as
-    (1000, 0) do not overflow.  Every output row sums to 1 within 1e-12.
-
-    Raises:
-        ValueError: if ``temperature`` is not strictly positive.
-    """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    return _softmax(as_matrix(m, "m"), temperature)
-
-
 def _softmax(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Unchecked :func:`softmax_rows`: ``m`` finite 2-D float64, ``temperature`` > 0."""
+    """Unchecked row-wise softmax of ``m / temperature`` (``m`` finite 2-D
+    float64, ``temperature`` > 0), stable: the row maximum is subtracted first."""
     z = m / temperature
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)

@@ -36,7 +36,6 @@ __all__ = [
     "param_count",
     "init_state",
     "forward",
-    "backward",
     "cross_entropy",
     "adamw_step",
     "cosine_lr",
@@ -157,14 +156,6 @@ def _shifted(state: TrainState):
     return state.w + padded, keys.reshape(-1, state.q)
 
 
-def _refined_batch(state: TrainState, f_batch, cfg: EngineConfig):
-    """(f_batch, f_ref): checked full-width rows and their refined channels."""
-    f_batch = numkit.as_matrix(f_batch, "f_batch")
-    if f_batch.shape[1] != state.d_total:
-        raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
-    return f_batch, refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
-
-
 def _logits(state: TrainState, f_batch, f_ref, w_shift, keys, cfg: EngineConfig) -> np.ndarray:
     """Logits of full-width rows and their refined channels, from :func:`_shifted`'s parts."""
     zs = f_batch @ w_shift.T
@@ -178,26 +169,35 @@ def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
     cached support features (expanded across shots); the cache scores
     multiply each entry's affinity before it is routed to its class.
     """
-    return _logits(state, *_refined_batch(state, f_batch, cfg), *_shifted(state), cfg)
+    f_batch = numkit.as_matrix(f_batch, "f_batch")
+    if f_batch.shape[1] != state.d_total:
+        raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
+    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+    return _logits(state, f_batch, f_ref, *_shifted(state), cfg)
 
 
 def cross_entropy(logits, label_ids) -> float:
-    """Mean softmax cross-entropy of logits against integer class ids."""
+    """Mean softmax cross-entropy of logits against integer class ids.
+
+    Raises:
+        ValueError: unless ``label_ids`` holds one id in [0, C) per logits row.
+    """
     z = numkit.as_matrix(logits, "logits")
     y = np.asarray(label_ids, dtype=np.int64)
+    if y.shape != (z.shape[0],) or not ((y >= 0) & (y < z.shape[1])).all():
+        raise ValueError(f"label_ids must be {z.shape[0]} class ids in [0, {z.shape[1]})")
     z = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     return float((log_norm - z[np.arange(len(y)), y]).mean())
 
 
 def _grad_parts(state: TrainState, f_batch, f_ref, label_ids, cfg: EngineConfig):
-    """The batch logits and the gradient pieces of the mean cross-entropy
+    """The batch logits and the analytic gradients of the mean cross-entropy
     w.r.t. the learnables, for full-width rows and their refined channels.
 
-    Returns (logits, d_res_text, d_res_cache, d_scores): the residual
-    gradient splits into the text-prototype path and the cache-key path;
-    both use the same upstream softmax gradient, so their sum is the full
-    residual gradient.
+    Returns (logits, d_res, d_scores), the gradients shaped (C, Q) and
+    (C*K,).  The residual gradient is the sum of the text-prototype path
+    and the cache-key path, which share the upstream softmax gradient.
     """
     y = np.asarray(label_ids, dtype=np.int64)
     b, c, k = f_batch.shape[0], state.c, state.k
@@ -221,19 +221,7 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids, cfg: EngineConfig)
     d_aff = (cfg.alpha * cfg.beta * g)[:, :, None] * state.scores.reshape(c, k) * aff
     d_res_cache = (d_aff.reshape(b, c * k).T @ f_ref).reshape(c, k, state.q).sum(axis=1)
 
-    return logits, d_res_text, d_res_cache, d_scores
-
-
-def backward(state: TrainState, f_batch, label_ids, cfg: EngineConfig):
-    """Analytic gradients of the mean cross-entropy loss.
-
-    Returns:
-        (d_res, d_scores) with shapes (C, Q) and (C*K,).  Matches central
-        finite differences of :func:`forward` + :func:`cross_entropy`.
-    """
-    f_batch, f_ref = _refined_batch(state, f_batch, cfg)
-    _, d_res_text, d_res_cache, d_scores = _grad_parts(state, f_batch, f_ref, label_ids, cfg)
-    return d_res_text + d_res_cache, d_scores
+    return logits, d_res_text + d_res_cache, d_scores
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -324,10 +312,10 @@ def train(
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], y_support[idx]
-            logits, d_res_text, d_res_cache, d_scores = _grad_parts(state, fb, fb_ref, yb, cfg)
+            logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, yb, cfg)
             losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
-            adamw_step(state, (d_res_text + d_res_cache, d_scores), lr_t, optim)
+            adamw_step(state, (d_res, d_scores), lr_t, optim)
         history.append(eval_row(epoch + 1, float(np.mean(losses))))
 
     return state, history

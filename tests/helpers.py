@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 
-from ape import FewShotTask, accuracy, ape_logits, dataio, l2_normalize_rows, numkit, softmax_rows, trainer
+from ape import FewShotTask, accuracy, ape_logits, dataio, engine, l2_normalize_rows, numkit, refine, trainer
 from ape.numkit import PROB_FLOOR
 
 
@@ -35,6 +35,21 @@ def random_task(rng, c=3, k=2, d=8, n_test=5, with_labels=True):
         k=k,
         d=d,
     )
+
+
+def tip_logits(task, alpha, beta):
+    """The Tip-Adapter baseline as ``ape infer`` computes it: ``engine._tip_core``
+    on the task's zero-shot logits."""
+    zs = engine.zero_shot_logits(task.test_features, task.text_features)
+    return engine._tip_core(zs, task, alpha, beta)
+
+
+def grads(state, f_batch, label_ids, cfg):
+    """(d_res, d_scores) of ``trainer._grad_parts`` on a float64 batch of
+    full-width rows, refined here as ``trainer.forward`` refines it."""
+    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+    _, d_res, d_scores = trainer._grad_parts(state, f_batch, f_ref, label_ids, cfg)
+    return d_res, d_scores
 
 
 def check_labels_reference(labels, c, k):
@@ -129,15 +144,15 @@ def cache_term_unblocked(zs, f_ref, keys, scores, alpha, beta, c, k):
 def cache_scores_unblocked(s_ref, w_ref, k, gamma, kl_sign=1, kl_temperature=1.0):
     """Reference cache scores: one softmax over all C*K support rows."""
     n = s_ref.shape[0]
-    probs = softmax_rows(s_ref @ w_ref.T, kl_temperature)
+    probs = numkit._softmax(s_ref @ w_ref.T, kl_temperature)
     p_true = np.clip(probs[np.arange(n), np.arange(n) // k], PROB_FLOOR, 1.0)
     return np.exp(kl_sign * gamma * -np.log(p_true))
 
 
 def train_reference(task, mask, cfg, optim):
-    """Reference training loop from the public parts only: every step
-    refines its own batch through ``forward`` and ``backward``, and every
-    history row runs ``forward`` on the whole support and test splits."""
+    """Reference training loop: every step refines its own batch through
+    ``forward`` and :func:`grads`, and every history row runs ``forward`` on
+    the whole support and test splits."""
     state = trainer.init_state(task, mask, cfg)
     n = task.c * task.k
     y_support = task.support_class_ids()
@@ -163,7 +178,7 @@ def train_reference(task, mask, cfg, optim):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb, yb = task.support_features[idx], y_support[idx]
             losses.append(trainer.cross_entropy(trainer.forward(state, fb, cfg), yb))
-            grads = trainer.backward(state, fb, yb, cfg)
-            trainer.adamw_step(state, grads, trainer.cosine_lr(state.step, total_steps, optim.lr), optim)
+            step_grads = grads(state, fb, yb, cfg)
+            trainer.adamw_step(state, step_grads, trainer.cosine_lr(state.step, total_steps, optim.lr), optim)
         history.append(eval_row(epoch + 1, float(np.mean(losses))))
     return state, history

@@ -19,7 +19,7 @@ from ape import dataio, engine, numkit, refine, trainer
 from ape.cli import grid_search
 from ape.engine import EngineConfig
 from ape.trainer import OptimConfig
-from helpers import random_task, unit_rows
+from helpers import grads, random_task, unit_rows
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -68,13 +68,13 @@ def test_criterion_2_degeneration_identities():
         mask = refine.full_mask(d)
 
         got = engine.ape_logits(task, mask, EngineConfig(alpha=0.0, beta=3.0, gamma=0.4))
-        want = engine.zero_shot_logits(task.test_features, task.text_features)
-        assert got.tobytes() == want.tobytes()
+        zs = engine.zero_shot_logits(task.test_features, task.text_features)
+        assert got.tobytes() == zs.tobytes()
 
         alpha, beta = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 8.0))
         cfg = EngineConfig(alpha=alpha, beta=beta, gamma=0.0, renormalize=False)
         got = engine.ape_logits(task, mask, cfg)
-        want = engine.tip_adapter_logits(task, alpha, beta)
+        want = engine._tip_core(zs, task, alpha, beta)
         np.testing.assert_allclose(got, want, atol=1e-12)
     elapsed = time.perf_counter() - started
     report(
@@ -112,7 +112,7 @@ def test_criterion_3_gradient_check():
         state.scores += 0.1 * rng.standard_normal(state.scores.shape)
         f_batch = unit_rows(rng, b, d)
         y = rng.integers(0, c, b)
-        d_res, d_scores = trainer.backward(state, f_batch, y, cfg)
+        d_res, d_scores = grads(state, f_batch, y, cfg)
 
         def loss():
             return trainer.cross_entropy(trainer.forward(state, f_batch, cfg), y)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ape import cli, dataio, engine, refine, trainer
 from ape.cli import _holdout_split, grid_search, main, parse_grid
 from ape.engine import EngineConfig
-from helpers import block_budget, brute_force_grid, holdout_split_loop, random_task
+from helpers import block_budget, brute_force_grid, holdout_split_loop, random_task, tip_logits
 
 
 @pytest.fixture()
@@ -174,7 +174,7 @@ class TestInferCommand:
         cfg = EngineConfig(alpha=1.3, gamma=0.4)
         for name, logits in (
             ("zero_shot", engine.zero_shot_logits(task.test_features, task.text_features)),
-            ("tip_adapter", engine.tip_adapter_logits(task, cfg.alpha, cfg.beta)),
+            ("tip_adapter", tip_logits(task, cfg.alpha, cfg.beta)),
             ("ape", engine.ape_logits(task, mask, cfg)),
         ):
             assert kv[f"accuracy.{name}"] == repr(100.0 * engine.accuracy(logits, task.test_labels))
@@ -471,6 +471,19 @@ class TestEvalCommand:
         ])
         assert rc == 0
         assert read_kv(eval_report)["accuracy.ape_t"] == read_kv(train_report)["accuracy.ape_t"]
+
+    def test_report_echoes_checkpoint_q_without_lambda(self, workspace):
+        """A v1 checkpoint stores Q but not lambda, so eval echoes only Q."""
+        tmp_path, manifest, _ = workspace
+        mask_path, ckpt, report = tmp_path / "mask20.txt", tmp_path / "q20.ckpt", tmp_path / "e.report"
+        assert main(["refine", "--task", str(manifest), "--q", "20", "--out", str(mask_path)]) == 0
+        assert main([
+            "train", "--task", str(manifest), "--mask", str(mask_path), "--epochs", "1",
+            "--out", str(ckpt), "--report", str(tmp_path / "t.report"),
+        ]) == 0
+        assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest), "--report", str(report)]) == 0
+        kv = read_kv(report)
+        assert kv["config.q"] == "20" and "config.lambda" not in kv
 
     def test_distribution_shift_lowers_accuracy(self, tmp_path):
         """Evaluating a checkpoint on a noisier task from the same prototypes

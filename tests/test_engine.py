@@ -19,6 +19,7 @@ from helpers import (
     kl_one_hot,
     one_hot_labels,
     random_task,
+    tip_logits,
     unit_rows,
 )
 
@@ -110,7 +111,7 @@ class TestCacheScores:
         w = unit_rows(rng, c, q)
         gamma, sign, temp = 0.3, -1, 0.7
         got = engine.cache_scores(sup, w, k, gamma, sign, temp)
-        probs = numkit.softmax_rows(sup @ w.T, temp)
+        probs = numkit._softmax(sup @ w.T, temp)
         expected = [
             math.exp(sign * gamma * kl_one_hot(probs[i], i // k))
             for i in range(c * k)
@@ -140,8 +141,21 @@ class TestApeLogits:
             task = random_task(rng, c=3, k=2, d=6, n_test=4)
             cfg = EngineConfig(alpha=1.3, beta=2.5, gamma=0.0, renormalize=False)
             got = engine.ape_logits(task, refine.full_mask(task.d), cfg)
-            want = engine.tip_adapter_logits(task, 1.3, 2.5)
+            want = tip_logits(task, 1.3, 2.5)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_baseline_config_equals_tip_core_bitwise(self):
+        """Every channel, gamma = 0 (unit scores) and no renormalization is
+        the Tip-Adapter baseline that ``ape infer`` reports, bit for bit."""
+        for seed in range(5):
+            rng = np.random.default_rng(200 + seed)
+            task = random_task(rng, c=4, k=3, d=9, n_test=7)
+            zs = engine.zero_shot_logits(task.test_features, task.text_features)
+            for alpha, beta in ((0.5, 1.0), (1.3, 2.5), (2.0, 7.0)):
+                for kl_sign in (1, -1):
+                    cfg = EngineConfig(alpha, beta, 0.0, kl_sign, renormalize=False)
+                    got = engine.ape_logits(task, refine.full_mask(task.d), cfg)
+                    assert got.tobytes() == engine._tip_core(zs, task, alpha, beta).tobytes()
 
     def test_matches_bruteforce_loops(self):
         """Vectorized logits agree with an explicit per-sample loop."""
@@ -221,14 +235,14 @@ class TestTipAdapterLogits:
     def test_alpha_zero(self):
         rng = np.random.default_rng(24)
         task = random_task(rng)
-        got = engine.tip_adapter_logits(task, 0.0, 3.0)
+        got = tip_logits(task, 0.0, 3.0)
         want = engine.zero_shot_logits(task.test_features, task.text_features)
         np.testing.assert_array_equal(got, want)
 
     def test_beta_zero_constant_shift_keeps_argmax(self):
         rng = np.random.default_rng(25)
         task = random_task(rng, c=4, k=3, d=8, n_test=10)
-        got = engine.tip_adapter_logits(task, 0.9, 0.0)
+        got = tip_logits(task, 0.9, 0.0)
         zs = engine.zero_shot_logits(task.test_features, task.text_features)
         np.testing.assert_allclose(got - zs, 0.9 * task.k, rtol=1e-12)
         np.testing.assert_array_equal(got.argmax(axis=1), zs.argmax(axis=1))
@@ -268,7 +282,7 @@ class TestClassPermutation:
         )
         for logits in (
             lambda t: engine.ape_logits(t, mask, cfg),
-            lambda t: engine.tip_adapter_logits(t, cfg.alpha, cfg.beta),
+            lambda t: tip_logits(t, cfg.alpha, cfg.beta),
         ):
             np.testing.assert_allclose(logits(moved), logits(task)[:, perm], rtol=0, atol=1e-12)
 
@@ -341,7 +355,7 @@ class TestRoutingOracle:
 
         aff = engine.cache_affinity(f, task.support_features, cfg.beta)
         want = zs + cfg.alpha * aff @ labels
-        got = engine.tip_adapter_logits(task, cfg.alpha, cfg.beta)
+        got = tip_logits(task, cfg.alpha, cfg.beta)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
         state = trainer.init_state(task, mask, cfg)
@@ -407,7 +421,7 @@ class TestRowBlocks:
         def logits():
             return {
                 "ape": engine.ape_logits(task, mask, cfg),
-                "tip": engine.tip_adapter_logits(task, cfg.alpha, cfg.beta),
+                "tip": tip_logits(task, cfg.alpha, cfg.beta),
                 "forward": trainer.forward(state, f, cfg),
             }
 
@@ -497,6 +511,8 @@ class TestConfigAndTaskValidation:
             EngineConfig(gamma=-1.0),
             EngineConfig(kl_sign=0),
             EngineConfig(kl_temperature=0.0),
+            EngineConfig(kl_temperature=-1.0),
+            EngineConfig(kl_temperature=float("nan")),
         ):
             with pytest.raises(ValueError):
                 bad.validate()
@@ -544,13 +560,15 @@ class TestConfigAndTaskValidation:
 
     def test_task_rejects_bad_test_labels(self):
         rng = np.random.default_rng(29)
-        with pytest.raises(ValueError):
-            random_task(rng).__class__(
-                text_features=unit_rows(rng, 3, 5),
-                support_features=unit_rows(rng, 6, 5),
-                test_features=unit_rows(rng, 2, 5),
-                test_labels=np.array([0, 3]),
-                c=3,
-                k=2,
-                d=5,
-            )
+        # Out of range, then non-integral ids, which a cast would truncate.
+        for labels in (np.array([0, 3]), [0.6, 1.9], [0.0, float("nan")]):
+            with pytest.raises(ValueError):
+                random_task(rng).__class__(
+                    text_features=unit_rows(rng, 3, 5),
+                    support_features=unit_rows(rng, 6, 5),
+                    test_features=unit_rows(rng, 2, 5),
+                    test_labels=labels,
+                    c=3,
+                    k=2,
+                    d=5,
+                )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ape import engine, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
-from helpers import random_task, train_reference, unit_rows
+from helpers import grads, random_task, train_reference, unit_rows
 
 
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
@@ -196,7 +196,7 @@ class TestBackward:
         )
         cfg = EngineConfig(alpha=200.0, beta=30.0, gamma=0.0)
         state = trainer.init_state(task, refine.full_mask(d), cfg)
-        d_res, d_scores = trainer.backward(state, support, np.arange(c), cfg)
+        d_res, d_scores = grads(state, support, np.arange(c), cfg)
         assert np.abs(d_res).max() <= 1e-8
         assert np.abs(d_scores).max() <= 1e-8
 
@@ -208,7 +208,7 @@ class TestBackward:
         state.scores += 0.05 * rng.standard_normal(state.scores.shape)
         f_batch = unit_rows(rng, 5, task.d)
         y = rng.integers(0, task.c, 5)
-        d_res, d_scores = trainer.backward(state, f_batch, y, cfg)
+        d_res, d_scores = grads(state, f_batch, y, cfg)
         num_res, num_scores = numeric_grads(state, f_batch, y, cfg)
         assert max_rel_err(d_res, num_res) < 1e-4
         assert max_rel_err(d_scores, num_scores) < 1e-4
@@ -221,23 +221,19 @@ class TestBackward:
         state.res += 0.1 * rng.standard_normal(state.res.shape)
         f_batch = unit_rows(rng, 4, task.d)
         y = rng.integers(0, task.c, 4)
-        d_res, d_scores = trainer.backward(state, f_batch, y, cfg)
+        d_res, d_scores = grads(state, f_batch, y, cfg)
         assert not d_scores.any()
         num_res, _ = numeric_grads(state, f_batch, y, cfg)
         assert max_rel_err(d_res, num_res) < 1e-4
 
-    def test_residual_gradient_is_sum_of_both_paths(self):
-        rng = np.random.default_rng(38)
-        task, mask, cfg = make_instance(rng)
-        state = trainer.init_state(task, mask, cfg)
-        state.res += 0.1 * rng.standard_normal(state.res.shape)
-        f_batch = unit_rows(rng, 4, task.d)
-        y = rng.integers(0, task.c, 4)
-        f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
-        _, d_text, d_cache, _ = trainer._grad_parts(state, f_batch, f_ref, y, cfg)
-        d_res, _ = trainer.backward(state, f_batch, y, cfg)
-        np.testing.assert_array_equal(d_res, d_text + d_cache)
-        assert d_text.any() and d_cache.any()
+
+class TestCrossEntropy:
+    def test_rejects_ids_that_do_not_match_the_rows(self):
+        logits = np.random.default_rng(39).standard_normal((3, 4))
+        for bad in ([1], [[0], [1], [2]], [0, -1, 2], [0, 1, 4]):
+            with pytest.raises(ValueError, match="label_ids"):
+                trainer.cross_entropy(logits, bad)
+        assert math.isfinite(trainer.cross_entropy(logits, [0, 1, 3]))
 
 
 class TestAdamWStep:
