@@ -101,6 +101,15 @@ def _validated(cfg):
     return cfg
 
 
+def _task_and_mask(args) -> tuple[FewShotTask, refine.ChannelMask, float]:
+    """``--task``, ``--mask`` and its lambda; a mask of another width is a UsageError."""
+    task = dataio.load_task(args.task)
+    mask, lam = refine.load_mask(args.mask)
+    if mask.d_total != task.d:
+        raise UsageError(f"mask covers {mask.d_total} channels, task has {task.d}")
+    return task, mask, lam
+
+
 def _engine_config(args) -> EngineConfig:
     return _validated(EngineConfig(
         alpha=args.alpha,
@@ -142,15 +151,15 @@ def parse_grid(spec: str) -> np.ndarray:
     return ends if len(parts) == 1 else np.linspace(ends[0], ends[1], steps)
 
 
-def _holdout_split(task: FewShotTask) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+def _holdout_split(task: FewShotTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The default validation fold for the grid search: the last shot of
-    every class held out.  Returns the kept support rows, their shots per
-    class, the held-out rows and their class ids."""
+    every class held out.  Returns the kept support rows (K - 1 per class,
+    class-major), the held-out rows and their class ids."""
     if task.k < 2:
         raise UsageError("validation holdout needs K >= 2 (or pass --val-task)")
     rows = np.arange(task.c * task.k).reshape(task.c, task.k)
     support, test = task.support_features[rows[:, :-1].ravel()], task.support_features[rows[:, -1]]
-    return support, task.k - 1, test, np.arange(task.c)
+    return support, test, np.arange(task.c)
 
 
 def grid_search(
@@ -191,23 +200,20 @@ def grid_search(
         if val_task.test_labels is None:
             raise UsageError("--val-task manifest must provide test_labels")
         if val_task.c != task.c or val_task.d != task.d:
-            raise UsageError(
-                "--val-task must share the task's class count and feature width"
-            )
-        support, k = task.support_features, task.k
-        test, labels = val_task.test_features, val_task.test_labels
+            raise UsageError("--val-task must share the task's class count and feature width")
+        support, test, labels = task.support_features, val_task.test_features, val_task.test_labels
     else:
-        support, k, test, labels = _holdout_split(task)
+        support, test, labels = _holdout_split(task)
 
     zs = zero_shot_logits(test, task.text_features)
     w_ref, s_ref, f_ref = (
         refine.apply_mask(m, mask, base_cfg.renormalize) for m in (task.text_features, support, test)
     )
     score_sets = [
-        cache_scores(s_ref, w_ref, k, float(gamma), base_cfg.kl_sign, base_cfg.kl_temperature)
+        cache_scores(s_ref, w_ref, float(gamma), base_cfg.kl_sign, base_cfg.kl_temperature)
         for gamma in gammas
     ]
-    hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets, task.c, k)
+    hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets)
     # The first maximum in C order is the smallest alpha, then beta, then gamma.
     a, b, g = np.unravel_index(np.argmax(hits), hits.shape)
     best = replace(base_cfg, alpha=float(alphas[a]), beta=float(betas[b]), gamma=float(gammas[g]))
@@ -237,8 +243,7 @@ def cmd_refine(args) -> int:
 
 def cmd_infer(args) -> int:
     started = time.perf_counter()
-    task = dataio.load_task(args.task)
-    mask, mask_lam = refine.load_mask(args.mask)
+    task, mask, mask_lam = _task_and_mask(args)
     cfg = _engine_config(args)
     zs = zero_shot_logits(task.test_features, task.text_features)
     ape = _ape_core(zs, task, mask, cfg)
@@ -264,8 +269,7 @@ def cmd_infer(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    task = dataio.load_task(args.task)
-    mask, mask_lam = refine.load_mask(args.mask)
+    task, mask, mask_lam = _task_and_mask(args)
     cfg = _engine_config(args)
     optim = _validated(trainer.OptimConfig(
         lr=args.lr,
@@ -313,8 +317,7 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     alphas, betas = parse_grid(args.alpha_grid), parse_grid(args.beta_grid)
     gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
-    task = dataio.load_task(args.task)
-    mask, mask_lam = refine.load_mask(args.mask)
+    task, mask, mask_lam = _task_and_mask(args)
     cfg = _engine_config(args)
     val_task = dataio.load_task(args.val_task) if args.val_task else None
     best, best_acc = grid_search(task, mask, cfg, alphas, betas, gammas, val_task)

@@ -214,6 +214,7 @@ def load_task(manifest_path) -> FewShotTask:
     Raises:
         ManifestError, ShapeMismatchError, NonOneHotError: naming the
         offending role.
+        ValueError: from :class:`FewShotTask`, naming ``test_labels`` for a bad class id.
     """
     man = read_manifest(manifest_path)
     c, k, d = man["c"], man["k"], man["d"]
@@ -229,19 +230,13 @@ def load_task(manifest_path) -> FewShotTask:
     if "test_labels" in man:
         raw = read_matrix(man["test_labels"])
         _check_shape("test_labels", raw, test.shape[0], 1)
-        ids = raw[:, 0]
-        if not np.array_equal(ids, np.round(ids)) or ids.min() < 0 or ids.max() >= c:
-            raise ShapeMismatchError("test_labels: entries must be class ids in [0, C)")
-        test_labels = ids.astype(np.int64)
+        test_labels = raw[:, 0]
 
     return FewShotTask(
         text_features=_unit_rows("text_features", text),
         support_features=_unit_rows("support_features", support),
         test_features=_unit_rows("test_features", test),
         test_labels=test_labels,
-        c=c,
-        k=k,
-        d=d,
     )
 
 
@@ -319,7 +314,4 @@ def gen_synthetic(
         support_features=support,
         test_features=test,
         test_labels=np.repeat(np.arange(c), n_test_per_class),
-        c=c,
-        k=k,
-        d=d,
     )

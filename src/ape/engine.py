@@ -68,35 +68,27 @@ class FewShotTask:
 
     Support rows are grouped class-major: row c*K + j is the j-th shot of
     class c, which is all the support labels say.  All feature rows are
-    unit-norm.
+    unit-norm.  C and D are the text shape; K is support rows // C.
     """
 
     text_features: np.ndarray      # C x D
     support_features: np.ndarray   # C*K x D
     test_features: np.ndarray      # N x D
     test_labels: np.ndarray | None  # N class ids, optional
-    c: int
-    k: int
-    d: int
 
     def __post_init__(self):
-        if self.c < 1 or self.k < 1:
-            raise ValueError(f"a task needs C >= 1 classes and K >= 1 shots, got {self.c}, {self.k}")
         self.text_features = numkit.as_matrix(self.text_features, "text_features")
         self.support_features = numkit.as_matrix(self.support_features, "support_features")
         self.test_features = numkit.as_matrix(self.test_features, "test_features")
-        if self.text_features.shape != (self.c, self.d):
+        (c, d), (n_support, d_support) = self.text_features.shape, self.support_features.shape
+        if c < 1 or n_support < c or n_support % c or d_support != d:
             raise ValueError(
-                f"text_features must be {self.c}x{self.d}, got {self.text_features.shape}"
+                f"a task needs C >= 1 text rows and C*K x {d} support_features with K >= 1, "
+                f"got C = {c} and {n_support}x{d_support}"
             )
-        if self.support_features.shape != (self.c * self.k, self.d):
+        if self.test_features.shape[0] == 0 or self.test_features.shape[1] != d:
             raise ValueError(
-                f"support_features must be {self.c * self.k}x{self.d}, "
-                f"got {self.support_features.shape}"
-            )
-        if self.test_features.shape[0] == 0 or self.test_features.shape[1] != self.d:
-            raise ValueError(
-                f"test_features must be N x {self.d} with N >= 1, got {self.test_features.shape}"
+                f"test_features must be N x {d} with N >= 1, got {self.test_features.shape}"
             )
         for name in ("text_features", "support_features", "test_features"):
             norms = numkit._row_norms(getattr(self, name))
@@ -107,9 +99,21 @@ class FewShotTask:
             if labels.shape != (self.test_features.shape[0],):
                 raise ValueError("test_labels length must match test_features rows")
             # NaN fails every comparison, so only finite integral ids pass to the cast.
-            if not ((labels >= 0) & (labels < self.c) & (labels == np.round(labels))).all():
-                raise ValueError(f"test_labels must be integral class ids in [0, {self.c})")
+            if not ((labels >= 0) & (labels < c) & (labels == np.round(labels))).all():
+                raise ValueError(f"test_labels must be integral class ids in [0, {c})")
             self.test_labels = labels.astype(np.int64, copy=False)
+
+    @property
+    def c(self) -> int:
+        return self.text_features.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.text_features.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.support_features.shape[0] // self.c
 
     def support_class_ids(self) -> np.ndarray:
         """Class id of each support row, in class-major order."""
@@ -165,7 +169,6 @@ def _sharpen(cos, beta: float, out) -> np.ndarray:
 def cache_scores(
     f_support_refined,
     w_refined,
-    k: int,
     gamma: float,
     kl_sign: int = 1,
     kl_temperature: float = 1.0,
@@ -174,20 +177,21 @@ def cache_scores(
 
     Each support row is classified against the refined prototypes; the
     softmax prediction's divergence from the row's one-hot label (class
-    row // k, as rows are class-major) measures how well the embedding
+    row // K, as rows are class-major) measures how well the embedding
     represents its class.  The weight is exp(kl_sign * gamma * divergence),
     so gamma = 0 yields exactly 1 for every entry and a perfectly predicted
     entry scores 1 for any gamma.
 
     Raises:
-        ValueError: if the support rows are not C * k or a scalar is out of range.
+        ValueError: if the support rows are not K >= 1 per class or a scalar is out of range.
     """
     f_support_refined = numkit.as_matrix(f_support_refined, "f_support_refined")
     w_refined = numkit.as_matrix(w_refined, "w_refined")
     EngineConfig(gamma=gamma, kl_sign=kl_sign, kl_temperature=kl_temperature).validate()
     n, c = f_support_refined.shape[0], w_refined.shape[0]
-    if k < 1 or n != c * k:
-        raise ValueError(f"{n} support rows do not make {c} classes of {k} shots")
+    k, rest = divmod(n, c)
+    if k < 1 or rest:
+        raise ValueError(f"{n} support rows do not make {c} classes of K >= 1 shots")
     p_true = np.empty(n)
     for rows in numkit._row_blocks(n, c):
         probs = numkit._softmax(f_support_refined[rows] @ w_refined.T, kl_temperature)
@@ -197,13 +201,13 @@ def cache_scores(
     return np.exp(kl_sign * gamma * -np.log(p_true))
 
 
-def _class_sums(weighted, c: int, k: int) -> np.ndarray:
-    """N x C sums of each class's k cache columns.
+def _class_sums(weighted, c: int) -> np.ndarray:
+    """N x C sums of each class's K cache columns (K = columns // c).
 
-    The cache columns are class-major, so summing each run of k columns
+    The cache columns are class-major, so summing each run of K columns
     routes every entry into its own class column.
     """
-    return weighted.reshape(weighted.shape[0], c, k).sum(axis=-1)
+    return weighted.reshape(weighted.shape[0], c, -1).sum(axis=-1)
 
 
 def _cosine_blocks(f_ref, keys):
@@ -216,9 +220,9 @@ def _cosine_blocks(f_ref, keys):
         yield rows, np.matmul(f_ref[rows], keys.T, out=buf[: rows.stop - rows.start])
 
 
-def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, c: int, k: int):
+def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float):
     """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T))
-    into ``zs`` in place, one row block at a time; returns ``zs``.
+    into the N x C ``zs`` in place, one row block at a time; returns ``zs``.
 
     Only one block of affinities is alive at once.  Rows are independent,
     so the result is bitwise that of the whole matrix.
@@ -226,14 +230,14 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, c: int, 
     for rows, blk in _cosine_blocks(f_ref, keys):
         _sharpen(blk, beta, out=blk)
         blk *= scores
-        zs[rows] += alpha * _class_sums(blk, c, k)
+        zs[rows] += alpha * _class_sums(blk, zs.shape[1])
     return zs
 
 
-def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets, c: int, k: int) -> np.ndarray:
+def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray:
     """Count of rows whose ``labels`` entry is the argmax of
     ``_add_cache_term(zs.copy(), f_ref, keys, score_sets[g], alphas[a],
-    betas[b], c, k)``, bitwise, as an alphas x betas x score_sets array.
+    betas[b])``, bitwise, as an alphas x betas x score_sets array.
 
     Each block's cosines are sharpened once per (beta, scores) into one
     reused block of weights; alpha only scales the finished class sums.
@@ -248,7 +252,7 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets, c: int, k: in
             for b, beta in enumerate(betas):
                 _sharpen(cos, float(beta), out=blk)
                 blk *= scores
-                sums = _class_sums(blk, c, k)
+                sums = _class_sums(blk, zs.shape[1])
                 for a, alpha in enumerate(alphas):
                     pred = (zs[rows] + float(alpha) * sums).argmax(axis=1)  # as predict()
                     hits[a, b, g] += np.count_nonzero(pred == labels[rows])
@@ -259,17 +263,15 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
     """:func:`ape_logits` from the task's zero-shot logits ``zs`` (not modified)."""
     w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
     s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
-    scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
+    scores = cache_scores(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
     f_ref = refine.apply_mask(task.test_features, mask, cfg.renormalize)
-    return _add_cache_term(zs.copy(), f_ref, s_ref, scores, cfg.alpha, cfg.beta, task.c, task.k)
+    return _add_cache_term(zs.copy(), f_ref, s_ref, scores, cfg.alpha, cfg.beta)
 
 
 def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
     """Tip-Adapter cache baseline from the zero-shot logits ``zs`` (not modified):
     :func:`ape_logits` with every channel kept, gamma = 0 and no renormalization."""
-    return _add_cache_term(
-        zs.copy(), task.test_features, task.support_features, 1.0, alpha, beta, task.c, task.k
-    )
+    return _add_cache_term(zs.copy(), task.test_features, task.support_features, 1.0, alpha, beta)
 
 
 def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:

@@ -58,21 +58,20 @@ class ChannelMask:
     """
 
     selected: np.ndarray
-    d_total: int
     scores: np.ndarray
 
     def __post_init__(self):
         sel = np.asarray(self.selected, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
+        if scores.ndim != 1 or not np.isfinite(scores).all():
+            raise ValueError("scores must be a finite 1-D vector, one per channel")
         if sel.ndim != 1 or len(sel) == 0:
             raise ValueError("selected must be a nonempty 1-D index vector")
         if len(np.unique(sel)) != len(sel):
             raise ValueError("selected indices must be distinct")
-        if sel.min() < 0 or sel.max() >= self.d_total:
+        if sel.min() < 0 or sel.max() >= len(scores):
             raise ValueError("selected indices out of range")
-        if scores.shape != (self.d_total,) or not np.isfinite(scores).all():
-            raise ValueError(f"scores must be a finite vector of length {self.d_total}")
-        unsel = np.setdiff1d(np.arange(self.d_total), sel)
+        unsel = np.setdiff1d(np.arange(len(scores)), sel)
         if len(unsel) and scores[sel].max() > scores[unsel].min():
             raise ValueError("selected channels must carry the smallest scores")
         object.__setattr__(self, "selected", np.sort(sel))
@@ -81,6 +80,10 @@ class ChannelMask:
     @property
     def q(self) -> int:
         return int(len(self.selected))
+
+    @property
+    def d_total(self) -> int:
+        return len(self.scores)
 
 
 def inter_class_similarity(w) -> CriterionVector:
@@ -148,7 +151,7 @@ def select_channels(s: CriterionVector, v: CriterionVector, lam: float, q: int) 
     if not 1 <= q <= d:
         raise ValueError(f"q must lie in [1, {d}], got {q}")
     order = np.argsort(j.values, kind="stable")
-    return ChannelMask(selected=np.sort(order[:q]), d_total=d, scores=j.values)
+    return ChannelMask(selected=np.sort(order[:q]), scores=j.values)
 
 
 def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool) -> np.ndarray:
@@ -178,7 +181,7 @@ def apply_mask(m, mask: ChannelMask, renormalize: bool = True) -> np.ndarray:
 
 def full_mask(d: int) -> ChannelMask:
     """Mask keeping all ``d`` channels (zero scores)."""
-    return ChannelMask(selected=np.arange(d), d_total=d, scores=np.zeros(d))
+    return ChannelMask(selected=np.arange(d), scores=np.zeros(d))
 
 
 def save_mask(path, mask: ChannelMask, lam: float) -> None:
@@ -231,6 +234,6 @@ def load_mask(path) -> tuple[ChannelMask, float]:
         selected = np.flatnonzero(flags)
         if len(selected) != q:
             raise ValueError(f"header declares Q={q} but {len(selected)} channels are flagged")
-        return ChannelMask(selected=selected, d_total=d, scores=scores), lam
+        return ChannelMask(selected=selected, scores=scores), lam
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

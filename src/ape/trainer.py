@@ -132,15 +132,14 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     cfg.validate()
     w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
     s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
-    scores = cache_scores(s_ref, w_ref, task.k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
-    q = mask.q
+    scores = cache_scores(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
     return TrainState(
-        res=np.zeros((task.c, q)),
+        res=np.zeros((task.c, mask.q)),
         scores=scores,
-        m_res=np.zeros((task.c, q)),
-        v_res=np.zeros((task.c, q)),
-        m_scores=np.zeros(task.c * task.k),
-        v_scores=np.zeros(task.c * task.k),
+        m_res=np.zeros((task.c, mask.q)),
+        v_res=np.zeros((task.c, mask.q)),
+        m_scores=np.zeros_like(scores),
+        v_scores=np.zeros_like(scores),
         step=0,
         mask_idx=np.asarray(mask.selected, dtype=np.int64).copy(),
         w=task.text_features.copy(),
@@ -159,7 +158,7 @@ def _shifted(state: TrainState):
 def _logits(state: TrainState, f_batch, f_ref, w_shift, keys, cfg: EngineConfig) -> np.ndarray:
     """Logits of full-width rows and their refined channels, from :func:`_shifted`'s parts."""
     zs = f_batch @ w_shift.T
-    return _add_cache_term(zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta, state.c, state.k)
+    return _add_cache_term(zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta)
 
 
 def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
@@ -205,7 +204,7 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids, cfg: EngineConfig)
     # forward materializes it rather than running by row blocks.
     w_shift, keys = _shifted(state)
     aff = cache_affinity(f_ref, keys, cfg.beta)
-    logits = f_batch @ w_shift.T + cfg.alpha * _class_sums(aff * state.scores, c, k)
+    logits = f_batch @ w_shift.T + cfg.alpha * _class_sums(aff * state.scores, c)
     del w_shift, keys  # unused below; freed before the C*K x Q key gradient
 
     g = numkit._softmax(logits)

@@ -31,9 +31,6 @@ def random_task(rng, c=3, k=2, d=8, n_test=5, with_labels=True):
         support_features=unit_rows(rng, c * k, d),
         test_features=unit_rows(rng, n_test, d),
         test_labels=rng.integers(0, c, n_test) if with_labels else None,
-        c=c,
-        k=k,
-        d=d,
     )
 
 
@@ -96,10 +93,10 @@ def kl_one_hot(pred_row, label_index: int) -> float:
 def holdout_split_loop(task):
     """Reference holdout: the last shot of every class becomes the test
     split, with the row indices built one by one.  Returns the kept
-    support rows, K - 1, the held-out rows and their class ids."""
+    support rows, the held-out rows and their class ids."""
     keep = np.array([c * task.k + j for c in range(task.c) for j in range(task.k - 1)])
     held = np.array([c * task.k + (task.k - 1) for c in range(task.c)])
-    return task.support_features[keep], task.k - 1, task.support_features[held], np.arange(task.c)
+    return task.support_features[keep], task.support_features[held], np.arange(task.c)
 
 
 def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=None):
@@ -110,17 +107,14 @@ def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=
     betas = np.sort(np.asarray(betas, dtype=np.float64))
     gammas = np.sort(np.asarray(gammas, dtype=np.float64)) if gammas is not None else np.array([base_cfg.gamma])
     if val_task is not None:
-        support, k, test, labels = task.support_features, task.k, val_task.test_features, val_task.test_labels
+        support, test, labels = task.support_features, val_task.test_features, val_task.test_labels
     else:
-        support, k, test, labels = holdout_split_loop(task)
+        support, test, labels = holdout_split_loop(task)
     probe = FewShotTask(
         text_features=task.text_features,
         support_features=support,
         test_features=test,
         test_labels=labels,
-        c=task.c,
-        k=k,
-        d=task.d,
     )
 
     best_cfg, best_acc = None, -1.0
@@ -141,9 +135,10 @@ def cache_term_unblocked(zs, f_ref, keys, scores, alpha, beta, c, k):
     return zs + alpha * weighted.reshape(len(f_ref), c, k).sum(axis=-1)
 
 
-def cache_scores_unblocked(s_ref, w_ref, k, gamma, kl_sign=1, kl_temperature=1.0):
+def cache_scores_unblocked(s_ref, w_ref, gamma, kl_sign=1, kl_temperature=1.0):
     """Reference cache scores: one softmax over all C*K support rows."""
     n = s_ref.shape[0]
+    k = n // w_ref.shape[0]
     probs = numkit._softmax(s_ref @ w_ref.T, kl_temperature)
     p_true = np.clip(probs[np.arange(n), np.arange(n) // k], PROB_FLOOR, 1.0)
     return np.exp(kl_sign * gamma * -np.log(p_true))

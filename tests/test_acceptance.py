@@ -99,7 +99,6 @@ def test_criterion_3_gradient_check():
         task = random_task(rng, c=c, k=k, d=d, n_test=2)
         mask = refine.ChannelMask(
             selected=np.sort(rng.choice(d, q, replace=False)),
-            d_total=d,
             scores=np.zeros(d),
         )
         cfg = EngineConfig(
@@ -215,7 +214,6 @@ def test_criterion_6_refinement_benefit():
         rng = np.random.default_rng(1000 + seed)
         rnd = refine.ChannelMask(
             selected=np.sort(rng.choice(64, 48, replace=False)),
-            d_total=64,
             scores=np.zeros(64),
         )
         refined_accs.append(

@@ -30,7 +30,7 @@ def check_state(state):
 
 def check_mask(loaded):
     mask, lam = loaded
-    refine.ChannelMask(selected=mask.selected, d_total=mask.d_total, scores=mask.scores)
+    refine.ChannelMask(selected=mask.selected, scores=mask.scores)
     assert 0.0 <= lam <= 1.0
 
 
@@ -40,7 +40,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     rng = np.random.default_rng(0)
     task = random_task(rng, c=3, k=2, d=6, n_test=4)
-    mask = refine.ChannelMask(selected=[0, 2, 5], d_total=6, scores=[0, 1, 0, 1, 1, 0])
+    mask = refine.ChannelMask(selected=[0, 2, 5], scores=[0, 1, 0, 1, 1, 0])
     cfg = EngineConfig()
     state, _ = trainer.train(task, mask, cfg, trainer.OptimConfig(epochs=2, batch_size=4))
     dataio.write_matrix(root / "m.apef", task.test_features)

@@ -179,17 +179,6 @@ class TestInferCommand:
         ):
             assert kv[f"accuracy.{name}"] == repr(100.0 * engine.accuracy(logits, task.test_labels))
 
-    def test_mask_width_mismatch_is_runtime_error(self, workspace, capsys):
-        tmp_path, manifest, _ = workspace
-        mask_path = tmp_path / "narrow.txt"
-        refine.save_mask(mask_path, refine.full_mask(16), 0.7)
-        rc = main([
-            "infer", "--task", str(manifest), "--mask", str(mask_path),
-            "--report", str(tmp_path / "r"),
-        ])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: mask covers 16 channels")
-
     def test_unlabeled_task_emits_logits(self, tmp_path):
         task = dataio.gen_synthetic(4, 2, 16, 3, 0.4, seed=2)
         task.test_labels = None
@@ -328,9 +317,8 @@ class TestSearchCommand:
         _, manifest, _ = workspace
         task = dataio.load_task(manifest)
         got, want = _holdout_split(task), holdout_split_loop(task)
-        assert got[1] == want[1] == task.k - 1
-        for i in (0, 2, 3):  # support rows, held-out rows, their labels
-            a, b = got[i], want[i]
+        assert len(got[0]) == len(want[0]) == task.c * (task.k - 1)
+        for a, b in zip(got, want, strict=True):  # support rows, held-out rows, their labels
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("flag, spec, message", [
@@ -347,17 +335,6 @@ class TestSearchCommand:
         rc = main(argv)
         assert rc == 2
         assert capsys.readouterr().err.startswith(message)
-
-    def test_mask_width_mismatch_is_runtime_error(self, workspace, capsys):
-        tmp_path, manifest, _ = workspace
-        narrow = tmp_path / "narrow.txt"
-        refine.save_mask(narrow, refine.full_mask(16), 0.7)
-        rc = main([
-            "search", "--task", str(manifest), "--mask", str(narrow),
-            "--alpha-grid", "0:1:2", "--beta-grid", "1:2:2",
-        ])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: mask covers 16 channels")
 
     def test_val_task_manifest(self, workspace):
         tmp_path, manifest, mask_path = workspace
@@ -410,7 +387,7 @@ def check_grid_oracle(c, k, q, alphas, betas, gammas, with_val, kl_sign, renorma
     task = random_task(rng, c=c, k=k, d=d, n_test=1)
     val_task = random_task(rng, c=c, k=k, d=d, n_test=int(rng.integers(1, 12))) if with_val else None
     mask = refine.ChannelMask(
-        selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+        selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d)
     )
     base = EngineConfig(
         gamma=float(rng.uniform(0.0, 2.0)),
@@ -440,7 +417,7 @@ class TestGridOracle:
         rng = np.random.default_rng(0)
         c, k, d, q = 32, 16, 64, 32
         task = random_task(rng, c=c, k=k, d=d, n_test=1)
-        mask = refine.ChannelMask(selected=np.arange(q), d_total=d, scores=np.zeros(d))
+        mask = refine.ChannelMask(selected=np.arange(q), scores=np.zeros(d))
         peaks = {}
         for n in (512, 2048):
             val_task = random_task(rng, c=c, k=k, d=d, n_test=n)
@@ -684,6 +661,24 @@ class TestMaskEcho:
         assert main([command, "--task", str(manifest), "--mask", str(mask_path), *extra]) == 0
         kv = read_kv(out)
         assert (kv["config.lambda"], kv["config.q"]) == ("0.3", "20")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_mask_width_mismatch_is_usage_error(self, workspace, capsys, command):
+        """A mask for another channel count is rejected, naming both widths,
+        before any logits are computed."""
+        tmp_path, manifest, _ = workspace
+        narrow = tmp_path / "narrow.txt"
+        refine.save_mask(narrow, refine.full_mask(16), 0.7)
+        out = tmp_path / f"{command}.report"
+        extra = [arg.format(out=out) for arg in self.COMMANDS[command]]
+        with mock.patch.object(cli, "zero_shot_logits") as zs, \
+                mock.patch.object(trainer, "train") as train, \
+                mock.patch.object(cli, "grid_search") as search:
+            rc = main([command, "--task", str(manifest), "--mask", str(narrow), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: mask covers 16 channels, task has 32\n"
+        assert zs.call_count == train.call_count == search.call_count == 0
+        assert not out.exists()
 
     def test_mask_lambda_out_of_range_is_runtime_error(self, workspace, capsys):
         tmp_path, manifest, _ = workspace

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ape import dataio, engine, numkit
-from helpers import check_labels_reference, one_hot_labels, random_task
+from helpers import check_labels_reference, one_hot_labels, random_task, unit_rows
 
 
 class TestMatrixRoundTrip:
@@ -114,6 +115,13 @@ class TestTaskManifest:
         loaded = dataio.load_task(dataio.save_task(task, tmp_path))
         assert loaded.test_labels is None
 
+    @pytest.mark.parametrize("bad", [3.0, -1.0, 0.5], ids=["too-large", "negative", "non-integral"])
+    def test_bad_test_label_id_names_test_labels(self, tmp_path, bad):
+        manifest = dataio.save_task(random_task(np.random.default_rng(56), c=3), tmp_path)
+        dataio.write_matrix(tmp_path / "task_test_labels.apef", np.array([[0.0], [1.0], [2.0], [bad], [0.0]]))
+        with pytest.raises(ValueError, match="test_labels"):
+            dataio.load_task(manifest)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.manifest"
         path.write_text("C = 2\n")
@@ -206,6 +214,41 @@ def perturbed_labels(draw):
             st.sampled_from(PERTURB_VALUES), label="value"
         )
     return c, k, labels
+
+
+class TestDerivedSizes:
+    """A task's C, K and D are read off its arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 6),
+        k=st.integers(1, 4),
+        d=st.integers(1, 8),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sizes_match_the_shapes_and_survive_a_round_trip(self, c, k, d, n, seed):
+        task = random_task(np.random.default_rng(seed), c=c, k=k, d=d, n_test=n)
+        assert (task.c, task.k, task.d) == (c, k, d)
+        with tempfile.TemporaryDirectory() as out:
+            loaded = dataio.load_task(dataio.save_task(task, out))
+        assert (loaded.c, loaded.k, loaded.d) == (c, k, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(2, 6),
+        rows=st.integers(0, 20),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_support_rows_not_a_positive_multiple_of_c_rejected(self, c, rows, d, seed):
+        if rows and rows % c == 0:
+            rows += 1
+        rng = np.random.default_rng(seed)
+        text, test = unit_rows(rng, c, d), unit_rows(rng, 2, d)
+        support = unit_rows(rng, rows, d) if rows else np.zeros((0, d))
+        with pytest.raises(ValueError, match="support_features"):
+            engine.FewShotTask(text_features=text, support_features=support, test_features=test, test_labels=None)
 
 
 class TestLabelCheck:

@@ -79,7 +79,7 @@ class TestCacheScores:
     def test_gamma_zero_all_ones(self):
         rng = np.random.default_rng(16)
         scores = engine.cache_scores(
-            unit_rows(rng, 6, 4), unit_rows(rng, 3, 4), 2, gamma=0.0
+            unit_rows(rng, 6, 4), unit_rows(rng, 3, 4), gamma=0.0
         )
         np.testing.assert_array_equal(scores, np.ones(6))
 
@@ -88,7 +88,7 @@ class TestCacheScores:
         # 45 degrees: the softmax is uniform, so each divergence is ln 2.
         w = np.eye(2)
         sup = np.full((2, 2), math.sqrt(0.5))
-        scores = engine.cache_scores(sup, w, 1, gamma=0.2, kl_sign=1)
+        scores = engine.cache_scores(sup, w, gamma=0.2, kl_sign=1)
         np.testing.assert_allclose(scores, [math.exp(0.2 * math.log(2.0))] * 2, rtol=1e-12)
         np.testing.assert_allclose(scores, [1.14870] * 2, rtol=1e-5)
 
@@ -97,7 +97,7 @@ class TestCacheScores:
         w = np.eye(2)
         sup = np.eye(2)
         scores = engine.cache_scores(
-            sup, w, 1, gamma=0.7, kl_sign=1, kl_temperature=1e-3
+            sup, w, gamma=0.7, kl_sign=1, kl_temperature=1e-3
         )
         np.testing.assert_array_equal(scores, np.ones(2))
 
@@ -110,7 +110,7 @@ class TestCacheScores:
         sup = unit_rows(rng, c * k, q)
         w = unit_rows(rng, c, q)
         gamma, sign, temp = 0.3, -1, 0.7
-        got = engine.cache_scores(sup, w, k, gamma, sign, temp)
+        got = engine.cache_scores(sup, w, gamma, sign, temp)
         probs = numkit._softmax(sup @ w.T, temp)
         expected = [
             math.exp(sign * gamma * kl_one_hot(probs[i], i // k))
@@ -122,7 +122,7 @@ class TestCacheScores:
         # Three support rows cannot be two classes of one shot each.
         rng = np.random.default_rng(18)
         with pytest.raises(ValueError):
-            engine.cache_scores(unit_rows(rng, 3, 4), unit_rows(rng, 2, 4), 1, 0.2)
+            engine.cache_scores(unit_rows(rng, 3, 4), unit_rows(rng, 2, 4), 0.2)
 
 
 class TestApeLogits:
@@ -170,7 +170,7 @@ class TestApeLogits:
         w_ref = refine.apply_mask(task.text_features, mask)
         s_ref = refine.apply_mask(task.support_features, mask)
         f_ref = refine.apply_mask(task.test_features, mask)
-        scores = engine.cache_scores(s_ref, w_ref, task.k, cfg.gamma)
+        scores = engine.cache_scores(s_ref, w_ref, cfg.gamma)
         n_test = task.test_features.shape[0]
         expected = np.zeros((n_test, task.c))
         for n in range(n_test):
@@ -194,9 +194,6 @@ class TestApeLogits:
             support_features=support,
             test_features=support[[target_class]],
             test_labels=None,
-            c=c,
-            k=1,
-            d=d,
         )
         cfg = EngineConfig(alpha=0.7, beta=6.0, gamma=0.0, renormalize=True)
         got = engine.ape_logits(task, refine.full_mask(d), cfg)
@@ -222,9 +219,6 @@ class TestApeLogits:
             support_features=perturbed,
             test_features=task.test_features,
             test_labels=task.test_labels,
-            c=task.c,
-            k=task.k,
-            d=task.d,
         )
         other = engine.ape_logits(bumped, mask, cfg)
         changed = np.flatnonzero(np.any(base != other, axis=0))
@@ -263,7 +257,7 @@ class TestClassPermutation:
         d, q = 8, 5
         task = random_task(rng, c=c, k=k, d=d, n_test=6, with_labels=False)
         mask = refine.ChannelMask(
-            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+            selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d)
         )
         cfg = EngineConfig(alpha=0.9, beta=3.0, gamma=0.4, kl_sign=kl_sign, kl_temperature=0.7)
         perm = rng.permutation(c)
@@ -276,9 +270,6 @@ class TestClassPermutation:
             support_features=blocks(task.support_features),
             test_features=task.test_features,
             test_labels=None,
-            c=c,
-            k=k,
-            d=d,
         )
         for logits in (
             lambda t: engine.ape_logits(t, mask, cfg),
@@ -289,7 +280,7 @@ class TestClassPermutation:
         def scores(t):
             s_ref = refine.apply_mask(t.support_features, mask)
             w_ref = refine.apply_mask(t.text_features, mask)
-            return engine.cache_scores(s_ref, w_ref, k, cfg.gamma, kl_sign, cfg.kl_temperature)
+            return engine.cache_scores(s_ref, w_ref, cfg.gamma, kl_sign, cfg.kl_temperature)
 
         np.testing.assert_allclose(scores(moved), blocks(scores(task)), rtol=0, atol=1e-12)
 
@@ -337,7 +328,7 @@ class TestRoutingOracle:
         d = 8
         task = random_task(rng, c=c, k=k, d=d, n_test=n)
         mask = refine.ChannelMask(
-            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+            selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d)
         )
         cfg = EngineConfig(alpha=float(rng.uniform(0.1, 2.0)), beta=float(rng.uniform(0.5, 8.0)))
         labels = one_hot_labels(c, k)
@@ -348,7 +339,7 @@ class TestRoutingOracle:
         s_ref = refine.apply_mask(task.support_features, mask)
         f_ref = refine.apply_mask(f, mask)
         aff = engine.cache_affinity(f_ref, s_ref, cfg.beta)
-        scores = engine.cache_scores(s_ref, w_ref, k, cfg.gamma)
+        scores = engine.cache_scores(s_ref, w_ref, cfg.gamma)
         want = zs + cfg.alpha * (aff * scores) @ labels
         got = engine.ape_logits(task, mask, cfg)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -389,7 +380,7 @@ class TestRowBlocks:
         d = 8
         task = random_task(rng, c=c, k=k, d=d, n_test=n)
         mask = refine.ChannelMask(
-            selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+            selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d)
         )
         cfg = EngineConfig(
             alpha=float(rng.uniform(0.1, 2.0)),
@@ -400,7 +391,7 @@ class TestRowBlocks:
         )
         f, w = task.test_features, task.text_features
         w_ref, s_ref, f_ref = (refine.apply_mask(m, mask) for m in (w, task.support_features, f))
-        score_args = (s_ref, w_ref, k, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
+        score_args = (s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.1 * rng.standard_normal(state.res.shape)
         padded = np.zeros((c, d))
@@ -458,11 +449,11 @@ class TestRowBlocks:
         rng = np.random.default_rng(5)
         c, k, n, d = 4, 8, 40, 16
         task = random_task(rng, c=c, k=k, d=d, n_test=n)
-        mask = refine.ChannelMask(selected=np.arange(10), d_total=d, scores=np.zeros(d))
+        mask = refine.ChannelMask(selected=np.arange(10), scores=np.zeros(d))
         s_ref, w_ref = (refine.apply_mask(m, mask) for m in (task.support_features, task.text_features))
         calls = {
             "ape_logits": lambda: engine.ape_logits(task, mask, EngineConfig()),
-            "cache_scores": lambda: engine.cache_scores(s_ref, w_ref, k, 0.2),
+            "cache_scores": lambda: engine.cache_scores(s_ref, w_ref, 0.2),
         }
         for name, call in calls.items():
             counts = []
@@ -477,7 +468,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(0)
         c, k, n, d = 32, 16, 1024, 64
         task = random_task(rng, c=c, k=k, d=d, n_test=n)
-        mask = refine.ChannelMask(selected=np.arange(32), d_total=d, scores=np.zeros(d))
+        mask = refine.ChannelMask(selected=np.arange(32), scores=np.zeros(d))
         whole = n * c * k * 8
         with block_budget(c * k, n // 16):
             tracemalloc.start()
@@ -525,9 +516,6 @@ class TestConfigAndTaskValidation:
                 support_features=unit_rows(rng, 6, 5),
                 test_features=unit_rows(rng, 2, 5),
                 test_labels=None,
-                c=3,
-                k=2,
-                d=5,
             )
 
     def test_task_rejects_empty_test_split(self):
@@ -539,9 +527,6 @@ class TestConfigAndTaskValidation:
                 support_features=unit_rows(rng, 6, 5),
                 test_features=np.zeros((0, 5)),
                 test_labels=None,
-                c=3,
-                k=2,
-                d=5,
             )
 
     def test_task_rejects_empty_support(self):
@@ -553,9 +538,6 @@ class TestConfigAndTaskValidation:
                 support_features=np.zeros((0, 5)),
                 test_features=w,
                 test_labels=None,
-                c=3,
-                k=0,
-                d=5,
             )
 
     def test_task_rejects_bad_test_labels(self):
@@ -568,7 +550,4 @@ class TestConfigAndTaskValidation:
                     support_features=unit_rows(rng, 6, 5),
                     test_features=unit_rows(rng, 2, 5),
                     test_labels=labels,
-                    c=3,
-                    k=2,
-                    d=5,
                 )

@@ -182,7 +182,6 @@ class TestSelectChannels:
             mask = refine.select_channels(s, v, 0.7, q)
             rnd = refine.ChannelMask(
                 selected=np.sort(rng.choice(d, q, replace=False)),
-                d_total=d,
                 scores=np.zeros(d),
             )
             refined_mean.append(mean_pairwise_cosine(refine.apply_mask(w, mask)))
@@ -192,7 +191,7 @@ class TestSelectChannels:
 
 class TestApplyMask:
     def test_single_channel_renormalizes_to_unit(self):
-        mask = refine.ChannelMask(selected=[1], d_total=2, scores=[1.0, 0.0])
+        mask = refine.ChannelMask(selected=[1], scores=[1.0, 0.0])
         out = refine.apply_mask(np.array([[0.6, 0.8]]), mask, renormalize=True)
         np.testing.assert_allclose(out, [[1.0]], rtol=1e-15)
 
@@ -203,7 +202,7 @@ class TestApplyMask:
         assert out.tobytes() == m.tobytes()
 
     def test_zero_row_warns(self):
-        mask = refine.ChannelMask(selected=[1], d_total=2, scores=[1.0, 0.0])
+        mask = refine.ChannelMask(selected=[1], scores=[1.0, 0.0])
         with pytest.warns(numkit.ZeroRowWarning):
             out = refine.apply_mask(np.array([[1.0, 0.0]]), mask, renormalize=True)
         np.testing.assert_array_equal(out, [[0.0]])
@@ -234,15 +233,15 @@ class TestApplyMask:
 class TestMaskInvariants:
     def test_selected_scores_dominate(self):
         with pytest.raises(ValueError):
-            refine.ChannelMask(selected=[0], d_total=2, scores=[1.0, 0.0])
+            refine.ChannelMask(selected=[0], scores=[1.0, 0.0])
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            refine.ChannelMask(selected=[1, 1], d_total=3, scores=np.zeros(3))
+            refine.ChannelMask(selected=[1, 1], scores=np.zeros(3))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            refine.ChannelMask(selected=[3], d_total=3, scores=np.zeros(3))
+            refine.ChannelMask(selected=[3], scores=np.zeros(3))
 
 
 class TestMaskFile:

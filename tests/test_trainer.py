@@ -19,7 +19,7 @@ from helpers import grads, random_task, train_reference, unit_rows
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
     task = random_task(rng, c=c, k=k, d=d, n_test=4)
     mask = refine.ChannelMask(
-        selected=np.sort(rng.choice(d, q, replace=False)), d_total=d, scores=np.zeros(d)
+        selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d)
     )
     cfg = EngineConfig(alpha=alpha, beta=beta, gamma=gamma)
     return task, mask, cfg
@@ -98,7 +98,6 @@ class TestInitState:
         want = engine.cache_scores(
             refine.apply_mask(task.support_features, mask, cfg.renormalize),
             refine.apply_mask(task.text_features, mask, cfg.renormalize),
-            task.k,
             cfg.gamma,
             cfg.kl_sign,
             cfg.kl_temperature,
@@ -166,9 +165,6 @@ class TestForward:
             support_features=blocks(task.support_features),
             test_features=task.test_features,
             test_labels=None,
-            c=c,
-            k=k,
-            d=task.d,
         )
         moved = trainer.init_state(permuted, mask, cfg)
         moved.res[:] = state.res[perm]
@@ -190,9 +186,6 @@ class TestBackward:
             support_features=support,
             test_features=support,
             test_labels=np.arange(c),
-            c=c,
-            k=1,
-            d=d,
         )
         cfg = EngineConfig(alpha=200.0, beta=30.0, gamma=0.0)
         state = trainer.init_state(task, refine.full_mask(d), cfg)
