@@ -92,13 +92,12 @@ def _default_seed() -> int:
         raise UsageError(f"APE_SEED must be an integer, got {raw!r}") from None
 
 
-def _validated(cfg):
-    """``cfg`` after its ``validate()``, whose ValueError becomes a UsageError."""
+def _validated(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` with a ValueError turned into a UsageError."""
     try:
-        cfg.validate()
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def _task_and_mask(args) -> tuple[FewShotTask, refine.ChannelMask, float]:
@@ -111,14 +110,15 @@ def _task_and_mask(args) -> tuple[FewShotTask, refine.ChannelMask, float]:
 
 
 def _engine_config(args) -> EngineConfig:
-    return _validated(EngineConfig(
+    return _validated(
+        EngineConfig,
         alpha=args.alpha,
         beta=args.beta,
         gamma=args.gamma,
         kl_sign=args.kl_sign,
         kl_temperature=args.kl_temperature,
         renormalize=not args.no_renormalize,
-    ))
+    )
 
 
 def _config_echo(cfg: EngineConfig, seed: int, lam: float | None, q: int, **extra) -> dict:
@@ -195,7 +195,7 @@ def grid_search(
         raise UsageError("grid must contain at least one point")
     for name, grid in (("alpha", alphas), ("beta", betas), ("gamma", gammas)):
         for value in grid:
-            _validated(replace(base_cfg, **{name: float(value)}))
+            _validated(replace, base_cfg, **{name: float(value)})
     if val_task is not None:
         if val_task.test_labels is None:
             raise UsageError("--val-task manifest must provide test_labels")
@@ -271,13 +271,14 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     task, mask, mask_lam = _task_and_mask(args)
     cfg = _engine_config(args)
-    optim = _validated(trainer.OptimConfig(
+    optim = _validated(
+        trainer.OptimConfig,
         lr=args.lr,
         weight_decay=args.weight_decay,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
-    ))
+    )
     state, history = trainer.train(task, mask, cfg, optim)
     trainer.save_checkpoint(args.out, state)
 
@@ -346,13 +347,13 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     task = dataio.load_task(args.task)
     cfg = _engine_config(args)
+    if task.test_labels is None:
+        raise UsageError("eval task must provide test_labels")
     try:
         state = trainer.load_checkpoint(args.ckpt, task, cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if task.test_labels is None:
-        raise UsageError("eval task must provide test_labels")
-    logits = trainer.forward(state, task.test_features, cfg)
+    logits = trainer.forward(state, task.test_features)
     report = EvalReport(
         methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
         config=_config_echo(cfg, args.seed, None, state.q, task=args.task, ckpt=args.ckpt),

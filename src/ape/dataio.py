@@ -200,7 +200,7 @@ def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
     drift = np.abs(norms - 1.0).max() if m.size else 0.0
     if drift > 1e-4:
         warnings.warn(f"{role}: rows off unit norm by up to {drift:.2e}; renormalizing")
-    return numkit._normalize_rows_inplace(m)
+    return numkit._normalize_rows_inplace(m, norms)
 
 
 def load_task(manifest_path) -> FewShotTask:

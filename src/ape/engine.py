@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
-    """Scalar knobs of the classifier.
+    """Scalar knobs of the classifier, checked at construction and by ``replace``.
 
     The channel set and its lambda belong to the mask, not here.
     ``kl_sign`` selects whether high-divergence cache entries are
@@ -51,7 +51,7 @@ class EngineConfig:
     kl_temperature: float = 1.0
     renormalize: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
@@ -98,8 +98,7 @@ class FewShotTask:
             labels = np.asarray(self.test_labels)
             if labels.shape != (self.test_features.shape[0],):
                 raise ValueError("test_labels length must match test_features rows")
-            # NaN fails every comparison, so only finite integral ids pass to the cast.
-            if not ((labels >= 0) & (labels < c) & (labels == np.round(labels))).all():
+            if not _are_class_ids(labels, c):
                 raise ValueError(f"test_labels must be integral class ids in [0, {c})")
             self.test_labels = labels.astype(np.int64, copy=False)
 
@@ -118,6 +117,11 @@ class FewShotTask:
     def support_class_ids(self) -> np.ndarray:
         """Class id of each support row, in class-major order."""
         return np.repeat(np.arange(self.c), self.k)
+
+
+def _are_class_ids(labels: np.ndarray, c: int) -> bool:
+    """Whether all entries are integral ids in [0, c); NaN fails every comparison."""
+    return bool(((labels >= 0) & (labels < c) & (labels == np.round(labels))).all())
 
 
 def zero_shot_logits(f_batch, w) -> np.ndarray:
@@ -150,7 +154,7 @@ def cache_affinity(f_refined, f_support_refined, beta: float) -> np.ndarray:
         raise ValueError(
             f"refined dims differ: {f_refined.shape[1]} vs {f_support_refined.shape[1]}"
         )
-    EngineConfig(beta=beta).validate()
+    EngineConfig(beta=beta)  # raises on a bad beta
     cos = f_refined @ f_support_refined.T
     return _sharpen(cos, beta, out=cos)
 
@@ -187,7 +191,7 @@ def cache_scores(
     """
     f_support_refined = numkit.as_matrix(f_support_refined, "f_support_refined")
     w_refined = numkit.as_matrix(w_refined, "w_refined")
-    EngineConfig(gamma=gamma, kl_sign=kl_sign, kl_temperature=kl_temperature).validate()
+    EngineConfig(gamma=gamma, kl_sign=kl_sign, kl_temperature=kl_temperature)  # raises on bad scalars
     n, c = f_support_refined.shape[0], w_refined.shape[0]
     k, rest = divmod(n, c)
     if k < 1 or rest:
@@ -282,7 +286,6 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     each support entry's affinity, scaled by its reliability score, into
     its own class column.
     """
-    cfg.validate()
     return _ape_core(zero_shot_logits(task.test_features, task.text_features), task, mask, cfg)
 
 

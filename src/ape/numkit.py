@@ -99,12 +99,12 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _normalize_rows_inplace(m: np.ndarray) -> np.ndarray:
-    """:func:`l2_normalize_rows` that overwrites and returns ``m``, a
-    2-D float64 matrix the caller owns."""
+def _normalize_rows_inplace(m: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """:func:`l2_normalize_rows` that overwrites and returns ``m``, a 2-D
+    float64 matrix the caller owns (``norms``: its ``_row_norms``, if known)."""
     if m.size == 0:
         raise ValueError("m must be nonempty")
-    norms = _row_norms(m)
+    norms = _row_norms(m) if norms is None else norms
     zero = norms == 0.0
     if zero.any():
         warnings.warn(

@@ -24,6 +24,7 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _add_cache_term,
+    _are_class_ids,
     _class_sums,
     accuracy,
     cache_affinity,
@@ -46,13 +47,15 @@ __all__ = [
 ]
 
 CKPT_MAGIC = b"APE-CKPT v1\n"
+# The learnables and their moments in checkpoint order: each *res is C x Q, each *scores C*K.
+_LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimConfig:
-    """AdamW and schedule settings.  The cosine schedule spans
-    epochs * ceil(support / batch_size) steps; the moment decays and eps
-    are AdamW's fixed defaults."""
+    """AdamW and schedule settings, checked at construction.  The cosine
+    schedule spans epochs * ceil(support / batch_size) steps; the moment
+    decays and eps are AdamW's fixed defaults."""
 
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
@@ -64,7 +67,7 @@ class OptimConfig:
     batch_size: int = 256
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.weight_decay < math.inf:
@@ -76,7 +79,7 @@ class OptimConfig:
 @dataclass(eq=False)
 class TrainState:
     """Learnable tensors, their optimizer moments, and the read-only frozen
-    context; the sizes C, K, Q and D are read off the arrays."""
+    context with its engine config; sizes C, K, Q and D come from the arrays."""
 
     # learnable
     res: np.ndarray        # C x Q class residuals
@@ -91,6 +94,7 @@ class TrainState:
     mask_idx: np.ndarray           # Q selected channel indices
     w: np.ndarray                  # C x D text prototypes
     f_support_refined: np.ndarray  # C*K x Q, class-major
+    cfg: EngineConfig              # alpha, beta and refinement of every pass
 
     def __post_init__(self):
         for arr in (self.mask_idx, self.w, self.f_support_refined):
@@ -129,7 +133,6 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     A forward pass of the fresh state reproduces the training-free logits
     bitwise.
     """
-    cfg.validate()
     w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
     s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
     scores = cache_scores(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
@@ -144,6 +147,7 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
         mask_idx=np.asarray(mask.selected, dtype=np.int64).copy(),
         w=task.text_features.copy(),
         f_support_refined=s_ref,
+        cfg=cfg,
     )
 
 
@@ -155,14 +159,15 @@ def _shifted(state: TrainState):
     return state.w + padded, keys.reshape(-1, state.q)
 
 
-def _logits(state: TrainState, f_batch, f_ref, w_shift, keys, cfg: EngineConfig) -> np.ndarray:
+def _logits(state: TrainState, f_batch, f_ref, w_shift, keys) -> np.ndarray:
     """Logits of full-width rows and their refined channels, from :func:`_shifted`'s parts."""
     zs = f_batch @ w_shift.T
-    return _add_cache_term(zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta)
+    return _add_cache_term(zs, f_ref, keys, state.scores, state.cfg.alpha, state.cfg.beta)
 
 
-def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
-    """Logits of the residual-augmented classifier for a batch of full-width rows.
+def forward(state: TrainState, f_batch) -> np.ndarray:
+    """Logits of the residual-augmented classifier for a batch of full-width
+    rows, under the state's own engine config.
 
     The residual shifts the text prototypes (padded to full width) and the
     cached support features (expanded across shots); the cache scores
@@ -171,26 +176,26 @@ def forward(state: TrainState, f_batch, cfg: EngineConfig) -> np.ndarray:
     f_batch = numkit.as_matrix(f_batch, "f_batch")
     if f_batch.shape[1] != state.d_total:
         raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
-    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
-    return _logits(state, f_batch, f_ref, *_shifted(state), cfg)
+    f_ref = refine._take_channels(f_batch, state.mask_idx, state.cfg.renormalize)
+    return _logits(state, f_batch, f_ref, *_shifted(state))
 
 
 def cross_entropy(logits, label_ids) -> float:
     """Mean softmax cross-entropy of logits against integer class ids.
 
     Raises:
-        ValueError: unless ``label_ids`` holds one id in [0, C) per logits row.
+        ValueError: unless ``label_ids`` holds one integral id in [0, C) per logits row.
     """
     z = numkit.as_matrix(logits, "logits")
-    y = np.asarray(label_ids, dtype=np.int64)
-    if y.shape != (z.shape[0],) or not ((y >= 0) & (y < z.shape[1])).all():
-        raise ValueError(f"label_ids must be {z.shape[0]} class ids in [0, {z.shape[1]})")
+    y = np.asarray(label_ids)
+    if y.shape != (z.shape[0],) or not _are_class_ids(y, z.shape[1]):
+        raise ValueError(f"label_ids must be {z.shape[0]} integral class ids in [0, {z.shape[1]})")
     z = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
-    return float((log_norm - z[np.arange(len(y)), y]).mean())
+    return float((log_norm - z[np.arange(len(y)), y.astype(np.int64)]).mean())
 
 
-def _grad_parts(state: TrainState, f_batch, f_ref, label_ids, cfg: EngineConfig):
+def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
     """The batch logits and the analytic gradients of the mean cross-entropy
     w.r.t. the learnables, for full-width rows and their refined channels.
 
@@ -199,7 +204,7 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids, cfg: EngineConfig)
     and the cache-key path, which share the upstream softmax gradient.
     """
     y = np.asarray(label_ids, dtype=np.int64)
-    b, c, k = f_batch.shape[0], state.c, state.k
+    b, c, k, cfg = f_batch.shape[0], state.c, state.k, state.cfg
     # The backward pass needs the whole B x C*K affinity matrix, so this
     # forward materializes it rather than running by row blocks.
     w_shift, keys = _shifted(state)
@@ -281,7 +286,6 @@ def train(
     plus the pre-training row 0, each with the mean batch loss and
     support/test accuracy.  Support and test rows are refined once per call.
     """
-    optim.validate()
     state = init_state(task, mask, cfg)
 
     n = task.c * task.k
@@ -295,11 +299,11 @@ def train(
     def eval_row(epoch: int, loss: float | None = None) -> dict:
         """History row; ``loss`` None takes it from the support logits."""
         shifted = _shifted(state)
-        support_logits = _logits(state, task.support_features, state.f_support_refined, *shifted, cfg)
+        support_logits = _logits(state, task.support_features, state.f_support_refined, *shifted)
         loss = cross_entropy(support_logits, y_support) if loss is None else loss
         support_acc = accuracy(support_logits, y_support)
         test_acc = None if task.test_labels is None else accuracy(
-            _logits(state, task.test_features, test_ref, *shifted, cfg), task.test_labels
+            _logits(state, task.test_features, test_ref, *shifted), task.test_labels
         )
         return {"epoch": epoch, "loss": loss, "support_acc": support_acc, "test_acc": test_acc}
 
@@ -311,7 +315,7 @@ def train(
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], y_support[idx]
-            logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, yb, cfg)
+            logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, yb)
             losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res, d_scores), lr_t, optim)
@@ -329,18 +333,18 @@ def save_checkpoint(path, state: TrainState) -> None:
     """
     parts = [CKPT_MAGIC, struct.pack("<QQQ", state.c, state.k, state.q)]
     parts.append(state.mask_idx.astype("<u8").tobytes())
-    for arr in (state.res, state.scores, state.m_res, state.v_res, state.m_scores, state.v_scores):
-        parts.append(np.ascontiguousarray(arr).astype("<f8").tobytes())
+    for name in _LEARNED:
+        parts.append(np.ascontiguousarray(getattr(state, name)).astype("<f8").tobytes())
     parts.append(struct.pack("<Q", state.step))
     dataio._atomic_write(path, b"".join(parts))
 
 
 def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
-    """Bind a checkpoint to a task sharing its class layout.
+    """Bind a checkpoint to a task sharing its class layout, under ``cfg``.
 
-    The frozen context is rebuilt from ``task`` (the checkpoint stores
-    only the learnables), so the task must match the checkpoint's class
-    count and shot count, and every mask index must fit its width.
+    The frozen context is rebuilt from ``task`` and ``cfg`` (the checkpoint
+    stores only the learnables), so the task must match the checkpoint's
+    class count and shot count, and every mask index must fit its width.
 
     Raises:
         ValueError: on class/shot/width mismatch or a malformed file.
@@ -376,29 +380,20 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
         count = int(np.prod(shape))
         return np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64).reshape(shape)
 
-    res = take_f64((c, q))
-    scores = take_f64(c * k)
-    m_res = take_f64((c, q))
-    v_res = take_f64((c, q))
-    m_scores = take_f64(c * k)
-    v_scores = take_f64(c * k)
+    learned = {name: take_f64(c * k if name.endswith("scores") else (c, q)) for name in _LEARNED}
     (step,) = struct.unpack("<Q", take(8))
     if off != len(blob):
         raise ValueError(f"checkpoint has trailing bytes: {path}")
-    if not all(np.isfinite(a).all() for a in (res, scores, m_res, v_res, m_scores, v_scores)):
+    if not all(np.isfinite(a).all() for a in learned.values()):
         raise ValueError(f"checkpoint holds non-finite values: {path}")
-    if (v_res < 0).any() or (v_scores < 0).any():
+    if (learned["v_res"] < 0).any() or (learned["v_scores"] < 0).any():
         raise ValueError(f"checkpoint holds negative second moments: {path}")
 
     return TrainState(
-        res=res,
-        scores=scores,
-        m_res=m_res,
-        v_res=v_res,
-        m_scores=m_scores,
-        v_scores=v_scores,
+        **learned,
         step=int(step),
         mask_idx=mask_idx,
         w=task.text_features.copy(),
         f_support_refined=refine._take_channels(task.support_features, mask_idx, cfg.renormalize),
+        cfg=cfg,
     )

@@ -41,11 +41,11 @@ def tip_logits(task, alpha, beta):
     return engine._tip_core(zs, task, alpha, beta)
 
 
-def grads(state, f_batch, label_ids, cfg):
+def grads(state, f_batch, label_ids):
     """(d_res, d_scores) of ``trainer._grad_parts`` on a float64 batch of
     full-width rows, refined here as ``trainer.forward`` refines it."""
-    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
-    _, d_res, d_scores = trainer._grad_parts(state, f_batch, f_ref, label_ids, cfg)
+    f_ref = refine._take_channels(f_batch, state.mask_idx, state.cfg.renormalize)
+    _, d_res, d_scores = trainer._grad_parts(state, f_batch, f_ref, label_ids)
     return d_res, d_scores
 
 
@@ -156,12 +156,12 @@ def train_reference(task, mask, cfg, optim):
     rng = np.random.default_rng(optim.seed)
 
     def eval_row(epoch, loss=None):
-        support_logits = trainer.forward(state, task.support_features, cfg)
+        support_logits = trainer.forward(state, task.support_features)
         if loss is None:
             loss = trainer.cross_entropy(support_logits, y_support)
         test_acc = None
         if task.test_labels is not None:
-            test_acc = accuracy(trainer.forward(state, task.test_features, cfg), task.test_labels)
+            test_acc = accuracy(trainer.forward(state, task.test_features), task.test_labels)
         return {"epoch": epoch, "loss": loss,
                 "support_acc": accuracy(support_logits, y_support), "test_acc": test_acc}
 
@@ -172,8 +172,8 @@ def train_reference(task, mask, cfg, optim):
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb, yb = task.support_features[idx], y_support[idx]
-            losses.append(trainer.cross_entropy(trainer.forward(state, fb, cfg), yb))
-            step_grads = grads(state, fb, yb, cfg)
+            losses.append(trainer.cross_entropy(trainer.forward(state, fb), yb))
+            step_grads = grads(state, fb, yb)
             trainer.adamw_step(state, step_grads, trainer.cosine_lr(state.step, total_steps, optim.lr), optim)
         history.append(eval_row(epoch + 1, float(np.mean(losses))))
     return state, history

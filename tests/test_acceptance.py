@@ -111,10 +111,10 @@ def test_criterion_3_gradient_check():
         state.scores += 0.1 * rng.standard_normal(state.scores.shape)
         f_batch = unit_rows(rng, b, d)
         y = rng.integers(0, c, b)
-        d_res, d_scores = grads(state, f_batch, y, cfg)
+        d_res, d_scores = grads(state, f_batch, y)
 
         def loss():
-            return trainer.cross_entropy(trainer.forward(state, f_batch, cfg), y)
+            return trainer.cross_entropy(trainer.forward(state, f_batch), y)
 
         for arr, grad in ((state.res, d_res), (state.scores, d_scores)):
             flat = arr.reshape(-1)
@@ -178,7 +178,7 @@ def test_criterion_5_desk_scale_ordering():
             task, mask, best, OptimConfig(lr=1e-3, epochs=20, batch_size=256, seed=seed)
         )
         apet_acc = engine.accuracy(
-            trainer.forward(state, task.test_features, best), task.test_labels
+            trainer.forward(state, task.test_features), task.test_labels
         )
         ape_wins += ape_acc >= zs_acc
         train_wins += apet_acc >= ape_acc
@@ -249,6 +249,7 @@ def test_criterion_7_scheduler_and_optimizer_contracts():
         mask_idx=np.arange(1),
         w=np.zeros((1, 1)),
         f_support_refined=np.zeros((1, 1)),
+        cfg=EngineConfig(),
     )
     optim = OptimConfig(lr=1e-3, weight_decay=0.01)
     trainer.adamw_step(state, (np.ones((1, 1)), np.zeros(1)), 1e-3, optim)
@@ -316,11 +317,11 @@ def test_criterion_9_init_identity(tmp_path):
         want = engine.ape_logits(task, mask, cfg)
 
         state = trainer.init_state(task, mask, cfg)
-        got = trainer.forward(state, task.test_features, cfg)
+        got = trainer.forward(state, task.test_features)
         assert got.tobytes() == want.tobytes()
 
         trained, history = trainer.train(task, mask, cfg, OptimConfig(epochs=0))
-        got = trainer.forward(trained, task.test_features, cfg)
+        got = trainer.forward(trained, task.test_features)
         assert got.tobytes() == want.tobytes()
         assert history[0]["test_acc"] == engine.accuracy(want, task.test_labels)
 

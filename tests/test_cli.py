@@ -480,11 +480,11 @@ class TestEvalCommand:
                 train_task, mask, cfg,
                 trainer.OptimConfig(lr=1e-3, epochs=5, batch_size=16, seed=seed),
             )
-            in_acc = accuracy(forward(state, train_task.test_features, cfg), train_task.test_labels)
+            in_acc = accuracy(forward(state, train_task.test_features), train_task.test_labels)
             ckpt = tmp_path / f"shift{seed}.ckpt"
             save_checkpoint(ckpt, state)
             rebound = load_checkpoint(ckpt, shifted, cfg)
-            out_acc = accuracy(forward(rebound, shifted.test_features, cfg), shifted.test_labels)
+            out_acc = accuracy(forward(rebound, shifted.test_features), shifted.test_labels)
             held += out_acc <= in_acc
         assert held >= 8
 
@@ -524,6 +524,27 @@ class TestEvalCommand:
             "--report", str(tmp_path / "e.report"),
         ])
         assert rc == 2
+
+    def test_unlabelled_task_rejected_before_the_checkpoint_is_bound(self, workspace, capsys):
+        ws_path, manifest, mask_path = workspace
+        ckpt = ws_path / "model.ckpt"
+        assert main([
+            "train", "--task", str(manifest), "--mask", str(mask_path),
+            "--epochs", "1", "--out", str(ckpt), "--report", str(ws_path / "t.report"),
+        ]) == 0
+        task = dataio.load_task(manifest)
+        task.test_labels = None
+        unlabelled = dataio.save_task(task, ws_path / "unlabelled")
+        capsys.readouterr()
+        with mock.patch.object(trainer, "load_checkpoint", wraps=trainer.load_checkpoint) as spy:
+            rc = main([
+                "eval", "--ckpt", str(ckpt), "--task", str(unlabelled),
+                "--report", str(ws_path / "e.report"),
+            ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: eval task must provide test_labels\n"
+        spy.assert_not_called()
+        assert not (ws_path / "e.report").exists()
 
 
 class TestSeedFallback:

@@ -175,6 +175,15 @@ class TestTaskManifest:
             loaded = dataio.load_task(manifest)
         np.testing.assert_allclose(np.linalg.norm(loaded.text_features, axis=1), 1.0, atol=1e-9)
 
+    def test_unit_rows_takes_one_norm_pass(self):
+        m = np.random.default_rng(60).standard_normal((7, 5))
+        want = numkit._normalize_rows_inplace(m.copy())
+        with mock.patch.object(numkit, "_row_norms", wraps=numkit._row_norms) as spy:
+            with pytest.warns(UserWarning, match="renormalizing"):
+                got = dataio._unit_rows("text_features", m)
+        assert spy.call_count == 1
+        assert got is m and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("key", ["C", "K", "D"])
     @pytest.mark.parametrize("value", ["three", "0", "-2", "2.5"])
     def test_bad_count_rejected_naming_manifest_and_key(self, tmp_path, key, value):

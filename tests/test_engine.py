@@ -1,7 +1,9 @@
 """Unit and property tests for the training-free classifier."""
 
 import contextlib
+import dataclasses
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -356,7 +358,7 @@ class TestRoutingOracle:
         keys = s_ref + np.repeat(state.res, k, axis=0)
         aff = engine.cache_affinity(f_ref, keys, cfg.beta)
         want = f @ (task.text_features + padded).T + cfg.alpha * (aff * state.scores) @ labels
-        got = trainer.forward(state, f, cfg)
+        got = trainer.forward(state, f)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -413,7 +415,7 @@ class TestRowBlocks:
             return {
                 "ape": engine.ape_logits(task, mask, cfg),
                 "tip": tip_logits(task, cfg.alpha, cfg.beta),
-                "forward": trainer.forward(state, f, cfg),
+                "forward": trainer.forward(state, f),
             }
 
         default = logits()
@@ -497,16 +499,43 @@ class TestPredictAccuracy:
 class TestConfigAndTaskValidation:
     def test_bad_scalars_rejected(self):
         for bad in (
-            EngineConfig(alpha=-0.1),
-            EngineConfig(beta=float("nan")),
-            EngineConfig(gamma=-1.0),
-            EngineConfig(kl_sign=0),
-            EngineConfig(kl_temperature=0.0),
-            EngineConfig(kl_temperature=-1.0),
-            EngineConfig(kl_temperature=float("nan")),
+            dict(alpha=-0.1),
+            dict(beta=float("nan")),
+            dict(gamma=-1.0),
+            dict(kl_sign=0),
+            dict(kl_temperature=0.0),
+            dict(kl_temperature=-1.0),
+            dict(kl_temperature=float("nan")),
         ):
             with pytest.raises(ValueError):
-                bad.validate()
+                EngineConfig(**bad)
+
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha", -0.1, "alpha must be finite and >= 0, got -0.1"),
+        ("alpha", math.inf, "alpha must be finite and >= 0, got inf"),
+        ("beta", math.nan, "beta must be finite and >= 0, got nan"),
+        ("beta", -1.0, "beta must be finite and >= 0, got -1.0"),
+        ("gamma", -1.0, "gamma must be finite and >= 0, got -1.0"),
+        ("gamma", math.nan, "gamma must be finite and >= 0, got nan"),
+        ("kl_sign", 0, "kl_sign must be +1 or -1, got 0"),
+        ("kl_sign", 2, "kl_sign must be +1 or -1, got 2"),
+        ("kl_temperature", 0.0, "kl_temperature must be > 0, got 0.0"),
+        ("kl_temperature", -1.0, "kl_temperature must be > 0, got -1.0"),
+        ("kl_temperature", math.nan, "kl_temperature must be > 0, got nan"),
+    ])
+    def test_bad_scalar_rejected_at_construction(self, build, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if build == "direct":
+                EngineConfig(**{name: value})
+            else:
+                dataclasses.replace(EngineConfig(), **{name: value})
+
+    def test_frozen_without_validate(self):
+        cfg = EngineConfig()
+        assert not hasattr(cfg, "validate")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.beta = float("nan")
 
     def test_task_rejects_non_unit_rows(self):
         rng = np.random.default_rng(28)

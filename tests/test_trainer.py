@@ -1,13 +1,15 @@
 """Unit and property tests for residual training."""
 
 import dataclasses
+import inspect
 import math
+import re
 import struct
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ape import engine, refine, trainer
@@ -25,11 +27,11 @@ def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
     return task, mask, cfg
 
 
-def numeric_grads(state, f_batch, y, cfg, h=1e-5):
+def numeric_grads(state, f_batch, y, h=1e-5):
     """Central finite differences of the batch loss w.r.t. res and scores."""
 
     def loss():
-        return trainer.cross_entropy(trainer.forward(state, f_batch, cfg), y)
+        return trainer.cross_entropy(trainer.forward(state, f_batch), y)
 
     num_res = np.zeros_like(state.res)
     for i in range(state.res.shape[0]):
@@ -79,7 +81,7 @@ class TestInitState:
         rng = np.random.default_rng(30)
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
-        got = trainer.forward(state, task.test_features, cfg)
+        got = trainer.forward(state, task.test_features)
         want = engine.ape_logits(task, mask, cfg)
         assert got.tobytes() == want.tobytes()
 
@@ -110,9 +112,53 @@ class TestInitState:
         state = trainer.init_state(task, mask, cfg)
         assert (state.c, state.k, state.q, state.d_total) == (4, 3, 5, 9)
         values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
-        assert len(values) == 10  # learnables, moments, step and three frozen arrays
+        assert len(values) == 11  # learnables, moments, step, three frozen arrays and cfg
         with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
             trainer.TrainState(**values, c=4)
+
+
+class TestStateOwnsItsConfig:
+    def test_state_keeps_the_config_it_was_built_under(self, tmp_path):
+        rng = np.random.default_rng(36)
+        task, mask, cfg = make_instance(rng)
+        state = trainer.init_state(task, mask, cfg)
+        trainer.save_checkpoint(tmp_path / "model.ckpt", state)
+        other = dataclasses.replace(cfg, alpha=0.1)
+        assert state.cfg is cfg
+        assert trainer.load_checkpoint(tmp_path / "model.ckpt", task, other).cfg is other
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.cfg.alpha = 2.0
+        assert list(inspect.signature(trainer.forward).parameters) == ["state", "f_batch"]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        alpha=st.floats(0.0, 3.0),
+        beta=st.floats(0.0, 8.0),
+        gamma=st.floats(0.0, 1.0),
+        kl_sign=st.sampled_from([1, -1]),
+        kl_temperature=st.floats(0.05, 4.0),
+        renormalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_runs_under_the_state_config(
+        self, tmp_path, alpha, beta, gamma, kl_sign, kl_temperature, renormalize, seed
+    ):
+        """Criterion 9 at any config: a fresh state's forward is bitwise the
+        training-free logits, and a checkpoint round trip keeps forward bitwise."""
+        rng = np.random.default_rng(seed)
+        task, mask, _ = make_instance(rng, c=4, k=3, d=9, q=5)
+        cfg = EngineConfig(alpha, beta, gamma, kl_sign, kl_temperature, renormalize)
+        state = trainer.init_state(task, mask, cfg)
+        got = trainer.forward(state, task.test_features)
+        assert got.tobytes() == engine.ape_logits(task, mask, cfg).tobytes()
+
+        state.res += 0.1 * rng.standard_normal(state.res.shape)
+        state.scores *= rng.uniform(0.5, 1.5, state.scores.shape)
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(path, state)
+        loaded = trainer.load_checkpoint(path, task, cfg)
+        want = trainer.forward(state, task.test_features)
+        assert trainer.forward(loaded, task.test_features).tobytes() == want.tobytes()
 
 
 class TestForward:
@@ -132,9 +178,9 @@ class TestForward:
         rng = np.random.default_rng(34)
         task, mask, cfg = make_instance(rng, c=4, k=2)
         state = trainer.init_state(task, mask, cfg)
-        base = trainer.forward(state, task.test_features, cfg)
+        base = trainer.forward(state, task.test_features)
         state.res[2] += 0.37
-        bumped = trainer.forward(state, task.test_features, cfg)
+        bumped = trainer.forward(state, task.test_features)
         changed = np.flatnonzero(np.any(base != bumped, axis=0))
         np.testing.assert_array_equal(changed, [2])
 
@@ -143,7 +189,7 @@ class TestForward:
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
         with pytest.raises(ValueError):
-            trainer.forward(state, np.zeros((2, task.d + 1)), cfg)
+            trainer.forward(state, np.zeros((2, task.d + 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(c=st.integers(2, 5), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -169,8 +215,8 @@ class TestForward:
         moved = trainer.init_state(permuted, mask, cfg)
         moved.res[:] = state.res[perm]
         moved.scores[:] = blocks(state.scores)
-        want = trainer.forward(state, task.test_features, cfg)[:, perm]
-        got = trainer.forward(moved, task.test_features, cfg)
+        want = trainer.forward(state, task.test_features)[:, perm]
+        got = trainer.forward(moved, task.test_features)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -189,7 +235,7 @@ class TestBackward:
         )
         cfg = EngineConfig(alpha=200.0, beta=30.0, gamma=0.0)
         state = trainer.init_state(task, refine.full_mask(d), cfg)
-        d_res, d_scores = grads(state, support, np.arange(c), cfg)
+        d_res, d_scores = grads(state, support, np.arange(c))
         assert np.abs(d_res).max() <= 1e-8
         assert np.abs(d_scores).max() <= 1e-8
 
@@ -201,8 +247,8 @@ class TestBackward:
         state.scores += 0.05 * rng.standard_normal(state.scores.shape)
         f_batch = unit_rows(rng, 5, task.d)
         y = rng.integers(0, task.c, 5)
-        d_res, d_scores = grads(state, f_batch, y, cfg)
-        num_res, num_scores = numeric_grads(state, f_batch, y, cfg)
+        d_res, d_scores = grads(state, f_batch, y)
+        num_res, num_scores = numeric_grads(state, f_batch, y)
         assert max_rel_err(d_res, num_res) < 1e-4
         assert max_rel_err(d_scores, num_scores) < 1e-4
 
@@ -214,16 +260,16 @@ class TestBackward:
         state.res += 0.1 * rng.standard_normal(state.res.shape)
         f_batch = unit_rows(rng, 4, task.d)
         y = rng.integers(0, task.c, 4)
-        d_res, d_scores = grads(state, f_batch, y, cfg)
+        d_res, d_scores = grads(state, f_batch, y)
         assert not d_scores.any()
-        num_res, _ = numeric_grads(state, f_batch, y, cfg)
+        num_res, _ = numeric_grads(state, f_batch, y)
         assert max_rel_err(d_res, num_res) < 1e-4
 
 
 class TestCrossEntropy:
     def test_rejects_ids_that_do_not_match_the_rows(self):
         logits = np.random.default_rng(39).standard_normal((3, 4))
-        for bad in ([1], [[0], [1], [2]], [0, -1, 2], [0, 1, 4]):
+        for bad in ([1], [[0], [1], [2]], [0, -1, 2], [0, 1, 4], [0.5, 1, 2]):
             with pytest.raises(ValueError, match="label_ids"):
                 trainer.cross_entropy(logits, bad)
         assert math.isfinite(trainer.cross_entropy(logits, [0, 1, 3]))
@@ -244,6 +290,7 @@ class TestAdamWStep:
             mask_idx=np.arange(q),
             w=np.zeros((c, q)),
             f_support_refined=np.zeros((c * k, q)),
+            cfg=EngineConfig(),
         )
 
     def test_single_step_closed_form(self):
@@ -278,6 +325,33 @@ class TestAdamWStep:
                 OptimConfig(**{name: 0.5})
 
 
+class TestOptimConfig:
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    @pytest.mark.parametrize("name, value, message", [
+        ("lr", 0.0, "lr must be finite and > 0, got 0.0"),
+        ("lr", -1e-3, "lr must be finite and > 0, got -0.001"),
+        ("lr", math.nan, "lr must be finite and > 0, got nan"),
+        ("lr", math.inf, "lr must be finite and > 0, got inf"),
+        ("weight_decay", -0.01, "weight_decay must be finite and >= 0, got -0.01"),
+        ("weight_decay", math.nan, "weight_decay must be finite and >= 0, got nan"),
+        ("weight_decay", math.inf, "weight_decay must be finite and >= 0, got inf"),
+        ("epochs", -1, "epochs must be >= 0 and batch_size >= 1"),
+        ("batch_size", 0, "epochs must be >= 0 and batch_size >= 1"),
+    ])
+    def test_bad_scalar_rejected_at_construction(self, build, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if build == "direct":
+                OptimConfig(**{name: value})
+            else:
+                dataclasses.replace(OptimConfig(), **{name: value})
+
+    def test_frozen_without_validate(self):
+        optim = OptimConfig()
+        assert not hasattr(optim, "validate")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            optim.lr = 1.0
+
+
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
         assert trainer.cosine_lr(0, 100, 0.5) == 0.5
@@ -300,7 +374,7 @@ class TestTrain:
         rng = np.random.default_rng(39)
         task, mask, cfg = make_instance(rng)
         state, history = trainer.train(task, mask, cfg, OptimConfig(epochs=0))
-        got = trainer.forward(state, task.test_features, cfg)
+        got = trainer.forward(state, task.test_features)
         want = engine.ape_logits(task, mask, cfg)
         assert got.tobytes() == want.tobytes()
         assert len(history) == 1 and history[0]["epoch"] == 0
@@ -345,7 +419,7 @@ class TestTrain:
             _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=2, batch_size=3))
         assert spy.call_count == 2 * len(history)  # support + test per row
         fresh = trainer.init_state(task, mask, cfg)
-        logits = trainer.forward(fresh, task.support_features, cfg)
+        logits = trainer.forward(fresh, task.support_features)
         y = task.support_class_ids()
         assert history[0]["loss"] == trainer.cross_entropy(logits, y)
         assert history[0]["support_acc"] == engine.accuracy(logits, y)
@@ -414,8 +488,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(getattr(loaded, field), getattr(state, field))
         assert loaded.step == state.step
         np.testing.assert_array_equal(loaded.mask_idx, state.mask_idx)
-        got = trainer.forward(loaded, task.test_features, cfg)
-        want = trainer.forward(state, task.test_features, cfg)
+        got = trainer.forward(loaded, task.test_features)
+        want = trainer.forward(state, task.test_features)
         assert got.tobytes() == want.tobytes()
 
     def test_load_refines_only_the_support_rows(self, tmp_path):
