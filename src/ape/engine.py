@@ -224,17 +224,22 @@ def _cosine_blocks(f_ref, keys):
         yield rows, np.matmul(f_ref[rows], keys.T, out=buf[: rows.stop - rows.start])
 
 
-def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float):
+def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None):
     """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T))
     into the N x C ``zs`` in place, one row block at a time; returns ``zs``.
 
-    Only one block of affinities is alive at once.  Rows are independent,
-    so the result is bitwise that of the whole matrix.
+    A C x Q residual ``res`` shifting each class's keys scales its class sum
+    by the gain exp(beta * f_ref @ res.T), formed per block like the rest:
+    only one block is alive at once.  Rows are independent, so the result
+    is bitwise that of the whole matrix.
     """
     for rows, blk in _cosine_blocks(f_ref, keys):
         _sharpen(blk, beta, out=blk)
         blk *= scores
-        zs[rows] += alpha * _class_sums(blk, zs.shape[1])
+        sums = _class_sums(blk, zs.shape[1])
+        if res is not None:
+            sums *= np.exp(beta * (f_ref[rows] @ res.T))
+        zs[rows] += alpha * sums
     return zs
 
 

@@ -1,8 +1,9 @@
 """Lightweight residual training on top of the training-free classifier.
 
 Only two tensors learn: a per-class residual over the refined channels
-(added both to the text prototypes, zero-padded back to full width, and to
-the cached support features, repeated across each class's shots) and the
+(added to the text prototypes, zero-padded to full width, and acting as a
+per-class gain exp(beta * f @ res.T) on the frozen cache's affinities,
+which equals shifting the class's keys but forms no C*K x Q key matrix) and the
 per-entry cache scores.  Everything else -- prototypes, cache features,
 channel mask -- stays frozen and read-only.  Gradients are derived
 analytically and the update rule is AdamW with decoupled weight decay
@@ -26,8 +27,9 @@ from .engine import (
     _add_cache_term,
     _are_class_ids,
     _class_sums,
+    _sharpen,
     accuracy,
-    cache_affinity,
+    cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
     cache_scores,
 )
 
@@ -49,6 +51,8 @@ __all__ = [
 CKPT_MAGIC = b"APE-CKPT v1\n"
 # The learnables and their moments in checkpoint order: each *res is C x Q, each *scores C*K.
 _LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
+# The frozen context: set once, at construction; its arrays are read-only.
+_FROZEN = ("mask_idx", "w", "f_support_refined", "cfg")
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,12 @@ class TrainState:
     f_support_refined: np.ndarray  # C*K x Q, class-major
     cfg: EngineConfig              # alpha, beta and refinement of every pass
 
-    def __post_init__(self):
-        for arr in (self.mask_idx, self.w, self.f_support_refined):
-            arr.flags.writeable = False
+    def __setattr__(self, name, value):
+        if name in _FROZEN and hasattr(self, name):
+            raise AttributeError(f"{name} is set at construction: the frozen context stays as built")
+        if name in _FROZEN and isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        super().__setattr__(name, value)
 
     @property
     def c(self) -> int:
@@ -151,33 +158,34 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     )
 
 
-def _shifted(state: TrainState):
-    """(w_shift, keys): prototypes and C*K cache keys shifted by their class's residual."""
+def _shifted(state: TrainState) -> np.ndarray:
+    """w_shift: the C x D prototypes plus their residual, zero-padded to full width."""
     padded = np.zeros((state.c, state.d_total))
     padded[:, state.mask_idx] = state.res
-    keys = state.f_support_refined.reshape(state.c, state.k, state.q) + state.res[:, None, :]
-    return state.w + padded, keys.reshape(-1, state.q)
+    return state.w + padded
 
 
-def _logits(state: TrainState, f_batch, f_ref, w_shift, keys) -> np.ndarray:
-    """Logits of full-width rows and their refined channels, from :func:`_shifted`'s parts."""
-    zs = f_batch @ w_shift.T
-    return _add_cache_term(zs, f_ref, keys, state.scores, state.cfg.alpha, state.cfg.beta)
+def _logits(state: TrainState, f_batch, f_ref) -> np.ndarray:
+    """Logits of full-width rows and their refined channels."""
+    cfg = state.cfg
+    zs = f_batch @ _shifted(state).T
+    return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res)
 
 
 def forward(state: TrainState, f_batch) -> np.ndarray:
     """Logits of the residual-augmented classifier for a batch of full-width
     rows, under the state's own engine config.
 
-    The residual shifts the text prototypes (padded to full width) and the
-    cached support features (expanded across shots); the cache scores
-    multiply each entry's affinity before it is routed to its class.
+    The residual shifts the text prototypes (padded to full width) and
+    scales its class's sum of frozen cache affinities by the gain
+    exp(beta * f_ref @ res.T), which equals shifting that class's cache
+    keys by it without forming a C*K x Q key matrix.
     """
     f_batch = numkit.as_matrix(f_batch, "f_batch")
     if f_batch.shape[1] != state.d_total:
         raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
     f_ref = refine._take_channels(f_batch, state.mask_idx, state.cfg.renormalize)
-    return _logits(state, f_batch, f_ref, *_shifted(state))
+    return _logits(state, f_batch, f_ref)
 
 
 def cross_entropy(logits, label_ids) -> float:
@@ -201,16 +209,17 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
 
     Returns (logits, d_res, d_scores), the gradients shaped (C, Q) and
     (C*K,).  The residual gradient is the sum of the text-prototype path
-    and the cache-key path, which share the upstream softmax gradient.
+    and the cache-gain path, which share the upstream softmax gradient.
     """
     y = np.asarray(label_ids, dtype=np.int64)
     b, c, k, cfg = f_batch.shape[0], state.c, state.k, state.cfg
-    # The backward pass needs the whole B x C*K affinity matrix, so this
-    # forward materializes it rather than running by row blocks.
-    w_shift, keys = _shifted(state)
-    aff = cache_affinity(f_ref, keys, cfg.beta)
-    logits = f_batch @ w_shift.T + cfg.alpha * _class_sums(aff * state.scores, c)
-    del w_shift, keys  # unused below; freed before the C*K x Q key gradient
+    # The backward pass needs the whole B x C*K frozen-key affinity, so this
+    # forward materializes it; its operations are forward's, bit for bit.
+    aff = f_ref @ state.f_support_refined.T
+    _sharpen(aff, cfg.beta, out=aff)
+    gain = np.exp(cfg.beta * (f_ref @ state.res.T))
+    cache = _class_sums(aff * state.scores, c) * gain
+    logits = f_batch @ _shifted(state).T + cfg.alpha * cache
 
     g = numkit._softmax(logits)
     g[np.arange(b), y] -= 1.0
@@ -219,11 +228,9 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
     # Text path: residual columns live at the mask indices of W.
     d_res_text = g.T @ np.take(f_batch, state.mask_idx, axis=1)
 
-    # Cache path: each class gradient reaches its K entries through B x C x K views.
-    aff = aff.reshape(b, c, k)
-    d_scores = cfg.alpha * (g[:, :, None] * aff).sum(axis=0).reshape(c * k)
-    d_aff = (cfg.alpha * cfg.beta * g)[:, :, None] * state.scores.reshape(c, k) * aff
-    d_res_cache = (d_aff.reshape(b, c * k).T @ f_ref).reshape(c, k, state.q).sum(axis=1)
+    # Cache path: d cache[:, c] / d res_c = beta * cache[:, c] * f_ref; scores pass the gain.
+    d_res_cache = (cfg.alpha * cfg.beta * g * cache).T @ f_ref
+    d_scores = cfg.alpha * np.einsum("bc,bck->ck", g * gain, aff.reshape(b, c, k)).reshape(c * k)
 
     return logits, d_res_text + d_res_cache, d_scores
 
@@ -298,12 +305,11 @@ def train(
 
     def eval_row(epoch: int, loss: float | None = None) -> dict:
         """History row; ``loss`` None takes it from the support logits."""
-        shifted = _shifted(state)
-        support_logits = _logits(state, task.support_features, state.f_support_refined, *shifted)
+        support_logits = _logits(state, task.support_features, state.f_support_refined)
         loss = cross_entropy(support_logits, y_support) if loss is None else loss
         support_acc = accuracy(support_logits, y_support)
         test_acc = None if task.test_labels is None else accuracy(
-            _logits(state, task.test_features, test_ref, *shifted), task.test_labels
+            _logits(state, task.test_features, test_ref), task.test_labels
         )
         return {"epoch": epoch, "loss": loss, "support_acc": support_acc, "test_acc": test_acc}
 

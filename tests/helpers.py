@@ -128,11 +128,29 @@ def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=
     return best_cfg, best_acc
 
 
-def cache_term_unblocked(zs, f_ref, keys, scores, alpha, beta, c, k):
+def cache_term_unblocked(zs, f_ref, keys, scores, alpha, beta, c, k, res=None):
     """Reference logits: zs plus the cache term over the whole N x C*K
-    affinity matrix at once."""
+    affinity matrix at once.  A C x Q class residual ``res`` multiplies
+    each class sum by the gain exp(beta * f_ref @ res.T), as a whole
+    N x C matrix."""
     weighted = np.exp(-beta * (1.0 - f_ref @ keys.T)) * scores
-    return zs + alpha * weighted.reshape(len(f_ref), c, k).sum(axis=-1)
+    sums = weighted.reshape(len(f_ref), c, k).sum(axis=-1)
+    if res is not None:
+        sums = sums * np.exp(beta * (f_ref @ res.T))
+    return zs + alpha * sums
+
+
+def shifted_keys_logits(state, f_batch):
+    """Reference logits of a trained state by the shifted-keys formula:
+    the padded residual added to the prototypes, and every cached support
+    row of class c moved by res_c (``s_ref + repeat_K(res)``)."""
+    cfg = state.cfg
+    padded = np.zeros_like(state.w)
+    padded[:, state.mask_idx] = state.res
+    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+    keys = state.f_support_refined + np.repeat(state.res, state.k, axis=0)
+    zs = f_batch @ (state.w + padded).T
+    return cache_term_unblocked(zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta, state.c, state.k)
 
 
 def cache_scores_unblocked(s_ref, w_ref, gamma, kl_sign=1, kl_temperature=1.0):

@@ -398,7 +398,6 @@ class TestRowBlocks:
         state.res += 0.1 * rng.standard_normal(state.res.shape)
         padded = np.zeros((c, d))
         padded[:, mask.selected] = state.res
-        keys = s_ref + np.repeat(state.res, k, axis=0)
 
         scores = cache_scores_unblocked(*score_args)
         want = {
@@ -407,7 +406,7 @@ class TestRowBlocks:
                 f @ w.T, f, task.support_features, 1.0, cfg.alpha, cfg.beta, c, k
             ),
             "forward": cache_term_unblocked(
-                f @ (w + padded).T, f_ref, keys, state.scores, cfg.alpha, cfg.beta, c, k
+                f @ (w + padded).T, f_ref, s_ref, state.scores, cfg.alpha, cfg.beta, c, k, state.res
             ),
         }
 

@@ -5,6 +5,7 @@ import inspect
 import math
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from ape import engine, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
-from helpers import grads, random_task, train_reference, unit_rows
+from helpers import grads, random_task, shifted_keys_logits, train_reference, unit_rows
 
 
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
@@ -130,6 +131,22 @@ class TestStateOwnsItsConfig:
             state.cfg.alpha = 2.0
         assert list(inspect.signature(trainer.forward).parameters) == ["state", "f_batch"]
 
+    def test_config_cannot_be_reassigned(self):
+        """The frozen support rows were refined under ``cfg``; swapping it
+        would score queries refined one way against keys refined another."""
+        rng = np.random.default_rng(37)
+        task, mask, cfg = make_instance(rng)
+        state = trainer.init_state(task, mask, cfg)
+        before = trainer.forward(state, task.test_features)
+        with pytest.raises(AttributeError, match="cfg is set at construction"):
+            state.cfg = EngineConfig(renormalize=False, alpha=3.0)
+        with pytest.raises(AttributeError, match="f_support_refined is set at construction"):
+            state.f_support_refined = np.zeros_like(state.f_support_refined)
+        assert state.cfg is cfg
+        assert trainer.forward(state, task.test_features).tobytes() == before.tobytes()
+        state.step = 5  # the learnables and the step stay settable
+        assert state.step == 5
+
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         alpha=st.floats(0.0, 3.0),
@@ -167,7 +184,7 @@ class TestForward:
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
         state.res[:] = rng.standard_normal(state.res.shape)
-        w_shift, _ = trainer._shifted(state)
+        w_shift = trainer._shifted(state)
         unselected = np.setdiff1d(np.arange(task.d), state.mask_idx)
         np.testing.assert_array_equal(w_shift[:, unselected], state.w[:, unselected])
         np.testing.assert_array_equal(
@@ -239,18 +256,70 @@ class TestBackward:
         assert np.abs(d_res).max() <= 1e-8
         assert np.abs(d_scores).max() <= 1e-8
 
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("k, b", [(2, 5), (1, 5), (2, 1)])
+    def test_matches_finite_differences(self, k, b, renormalize):
         rng = np.random.default_rng(36)
-        task, mask, cfg = make_instance(rng, c=3, k=2, d=8, q=4)
+        task, mask, cfg = make_instance(rng, c=3, k=k, d=8, q=4)
+        cfg = dataclasses.replace(cfg, renormalize=renormalize)
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.05 * rng.standard_normal(state.res.shape)
         state.scores += 0.05 * rng.standard_normal(state.scores.shape)
-        f_batch = unit_rows(rng, 5, task.d)
-        y = rng.integers(0, task.c, 5)
+        f_batch = unit_rows(rng, b, task.d)
+        y = rng.integers(0, task.c, b)
         d_res, d_scores = grads(state, f_batch, y)
         num_res, num_scores = numeric_grads(state, f_batch, y)
         assert max_rel_err(d_res, num_res) < 1e-4
         assert max_rel_err(d_scores, num_scores) < 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 5),
+        k=st.integers(1, 4),
+        q=st.integers(1, 8),
+        b=st.integers(1, 6),
+        beta=st.floats(0.0, 10.0),
+        renormalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gain_matches_shifted_keys(self, c, k, q, b, beta, renormalize, seed):
+        """The residual as a per-class gain on the frozen keys' affinities
+        gives the logits of the keys shifted by it, in ``forward`` and in a
+        step; the two stay bitwise equal to each other.  The tolerance is
+        relative to the largest logit, since a logit near zero is a
+        cancellation of terms that carry rounding of their own size."""
+        rng = np.random.default_rng(seed)
+        task, mask, _ = make_instance(rng, c=c, k=k, d=q + 3, q=q)
+        cfg = EngineConfig(alpha=0.9, beta=beta, gamma=0.3, renormalize=renormalize)
+        state = trainer.init_state(task, mask, cfg)
+        state.res += 0.3 * rng.standard_normal(state.res.shape)
+        state.scores *= rng.uniform(0.2, 2.0, state.scores.shape)
+        f_batch = unit_rows(rng, b, task.d)
+        want = shifted_keys_logits(state, f_batch)
+        got = trainer.forward(state, f_batch)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        f_ref = refine._take_channels(f_batch, state.mask_idx, renormalize)
+        step_logits, _, _ = trainer._grad_parts(state, f_batch, f_ref, rng.integers(0, c, b))
+        assert step_logits.tobytes() == got.tobytes()
+
+    def test_step_never_forms_the_shifted_keys(self):
+        """A step's tracemalloc peak stays below half the C*K x Q key matrix."""
+        rng = np.random.default_rng(38)
+        c, k, q, b = 50, 16, 256, 8
+        task, mask, cfg = make_instance(rng, c=c, k=k, d=q + 64, q=q)
+        state = trainer.init_state(task, mask, cfg)
+        state.res += 0.05 * rng.standard_normal(state.res.shape)
+        idx = rng.permutation(c * k)[:b]
+        fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], idx // k
+        optim = OptimConfig()
+        tracemalloc.start()
+        try:
+            _, d_res, d_scores = trainer._grad_parts(state, fb, fb_ref, yb)
+            trainer.adamw_step(state, (d_res, d_scores), optim.lr, optim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * c * k * q / 2
 
     def test_alpha_zero_isolates_text_path(self):
         rng = np.random.default_rng(37)
