@@ -110,15 +110,9 @@ def _task_and_mask(args) -> tuple[FewShotTask, refine.ChannelMask, float]:
 
 
 def _engine_config(args) -> EngineConfig:
-    return _validated(
-        EngineConfig,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        kl_sign=args.kl_sign,
-        kl_temperature=args.kl_temperature,
-        renormalize=not args.no_renormalize,
-    )
+    """The config of the fields the subcommand takes as flags; the rest keep their defaults."""
+    fields = (f.name for f in dataclasses.fields(EngineConfig))
+    return _validated(EngineConfig, **{name: getattr(args, name) for name in fields if hasattr(args, name)})
 
 
 def _config_echo(cfg: EngineConfig, seed: int, lam: float | None, q: int, **extra) -> dict:
@@ -319,15 +313,14 @@ def cmd_search(args) -> int:
     alphas, betas = parse_grid(args.alpha_grid), parse_grid(args.beta_grid)
     gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
     task, mask, mask_lam = _task_and_mask(args)
-    cfg = _engine_config(args)
     val_task = dataio.load_task(args.val_task) if args.val_task else None
-    best, best_acc = grid_search(task, mask, cfg, alphas, betas, gammas, val_task)
+    best, best_acc = grid_search(task, mask, _engine_config(args), alphas, betas, gammas, val_task)
     found = {"alpha": best.alpha, "beta": best.beta, "gamma": best.gamma,
              "val_accuracy": 100.0 * best_acc}
     lines = [f"best.{key} = {value!r}" for key, value in found.items()]
     print("\n".join(lines))
     if args.report:
-        echo = _config_echo(cfg, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask)
+        echo = _config_echo(best, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask)
         lines += [f"config.{key} = {value}" for key, value in sorted(echo.items())]
         Path(args.report).write_text("\n".join([REPORT_HEADER, "", *lines]) + "\n", encoding="utf-8")
     return 0
@@ -346,17 +339,13 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     task = dataio.load_task(args.task)
-    cfg = _engine_config(args)
     if task.test_labels is None:
         raise UsageError("eval task must provide test_labels")
-    try:
-        state = trainer.load_checkpoint(args.ckpt, task, cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    state = _validated(trainer.load_checkpoint, args.ckpt, task)
     logits = trainer.forward(state, task.test_features)
     report = EvalReport(
         methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
-        config=_config_echo(cfg, args.seed, None, state.q, task=args.task, ckpt=args.ckpt),
+        config=_config_echo(state.cfg, args.seed, None, state.q, task=args.task, ckpt=args.ckpt),
         wall_time_s=time.perf_counter() - started,
     )
     report.write(args.report)
@@ -364,13 +353,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=1.0, help="cache term weight")
-    p.add_argument("--beta", type=float, default=5.5, help="affinity sharpness")
-    p.add_argument("--gamma", type=float, default=0.2, help="cache score smoothness")
+def _add_engine_flags(p: argparse.ArgumentParser, grid_searched: bool = False) -> None:
+    if not grid_searched:  # search takes alpha, beta and gamma as grids
+        p.add_argument("--alpha", type=float, default=1.0, help="cache term weight")
+        p.add_argument("--beta", type=float, default=5.5, help="affinity sharpness")
+        p.add_argument("--gamma", type=float, default=0.2, help="cache score smoothness")
     p.add_argument("--kl-sign", type=int, choices=(1, -1), default=1, dest="kl_sign")
     p.add_argument("--kl-temperature", type=float, default=1.0, dest="kl_temperature")
-    p.add_argument("--no-renormalize", action="store_true",
+    p.add_argument("--no-renormalize", action="store_false", dest="renormalize",
                    help="skip re-normalizing rows after channel masking")
 
 
@@ -413,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="grid-search alpha/beta (and gamma)")
     p.add_argument("--task", required=True)
     p.add_argument("--mask", required=True)
-    _add_engine_flags(p)
+    _add_engine_flags(p, grid_searched=True)
     p.add_argument("--alpha-grid", required=True, dest="alpha_grid", help="a0:a1:steps")
     p.add_argument("--beta-grid", required=True, dest="beta_grid", help="b0:b1:steps")
-    p.add_argument("--gamma-grid", dest="gamma_grid", help="g0:g1:steps")
+    p.add_argument("--gamma-grid", dest="gamma_grid", help="g0:g1:steps (default: 0.2)")
     p.add_argument("--val-task", dest="val_task",
                    help="manifest whose test split scores the grid "
                         "(default: hold out one shot per class)")
@@ -436,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--task", required=True)
-    _add_engine_flags(p)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)
 
     for sp in sub.choices.values():
+        sp.allow_abbrev = False  # so a removed flag cannot resolve to a longer one: --beta to --beta-grid
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: APE_SEED env var, then 0)")
     return parser

@@ -134,11 +134,12 @@ def _read_payload(path) -> np.ndarray:
 
 
 _ROLE_KEYS = ("text_features", "support_features", "support_labels", "test_features")
+_MANIFEST_KEYS = ("C", "K", "D", "class_names", *_ROLE_KEYS, "test_labels")
 
 
 def read_manifest(path) -> dict:
     """Parse a manifest into a dict; role paths are resolved against the
-    manifest's directory."""
+    manifest's directory.  An unknown or repeated key is a ManifestError."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     lines = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
@@ -149,6 +150,8 @@ def read_manifest(path) -> dict:
         if "=" not in ln:
             raise ManifestError(f"{path}: malformed line {ln!r}")
         key, value = (part.strip() for part in ln.split("=", 1))
+        if key not in _MANIFEST_KEYS or key in entries:
+            raise ManifestError(f"{path}: {'repeated' if key in entries else 'unknown'} key {key!r}")
         entries[key] = value
     for key in (*_ROLE_KEYS, "C", "K", "D"):
         if key not in entries:

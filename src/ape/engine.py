@@ -56,7 +56,7 @@ class EngineConfig:
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
-        if self.kl_sign not in (1, -1):
+        if not isinstance(self.kl_sign, (int, np.integer)) or self.kl_sign not in (1, -1):
             raise ValueError(f"kl_sign must be +1 or -1, got {self.kl_sign}")
         if not self.kl_temperature > 0:
             raise ValueError(f"kl_temperature must be > 0, got {self.kl_temperature}")

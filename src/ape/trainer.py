@@ -12,10 +12,10 @@ under a cosine learning-rate schedule.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
-from dataclasses import dataclass
+import warnings
+from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -43,12 +43,13 @@ __all__ = [
     "adamw_step",
     "cosine_lr",
     "train",
-    "frozen_checksum",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
-CKPT_MAGIC = b"APE-CKPT v1\n"
+CKPT_MAGIC = b"APE-CKPT v2\n"
+_CKPT_MAGIC_V1 = b"APE-CKPT v1\n"  # v2 without the config block
+_CFG_BLOCK = struct.Struct("<dddqd?")
 # The learnables and their moments in checkpoint order: each *res is C x Q, each *scores C*K.
 _LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
 # The frozen context: set once, at construction; its arrays are read-only.
@@ -271,15 +272,6 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
     return state
 
 
-def frozen_checksum(state: TrainState) -> str:
-    """Digest over every frozen tensor; must not change across training."""
-    h = hashlib.sha256()
-    for arr in (state.mask_idx, state.w, state.f_support_refined):
-        h.update(arr.tobytes())
-    h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
-    return h.hexdigest()
-
-
 def train(
     task: FewShotTask,
     mask: refine.ChannelMask,
@@ -331,33 +323,37 @@ def train(
 
 
 def save_checkpoint(path, state: TrainState) -> None:
-    """Serialize the learnable tensors and optimizer state.
+    """Serialize the learnable tensors, optimizer state and engine config.
 
-    Layout after the magic line: u64 C, K, Q; Q u64 mask indices; then
-    float64 little-endian row-major res, scores, m_res, v_res, m_scores,
-    v_scores; then u64 step.
+    Layout after the magic line: u64 C, K, Q; Q u64 mask indices; the
+    engine config as f64 alpha, beta, gamma, i64 kl_sign, f64
+    kl_temperature, u8 renormalize; then float64 little-endian row-major
+    res, scores, m_res, v_res, m_scores, v_scores; then u64 step.
     """
     parts = [CKPT_MAGIC, struct.pack("<QQQ", state.c, state.k, state.q)]
     parts.append(state.mask_idx.astype("<u8").tobytes())
+    parts.append(_CFG_BLOCK.pack(*astuple(state.cfg)))
     for name in _LEARNED:
         parts.append(np.ascontiguousarray(getattr(state, name)).astype("<f8").tobytes())
     parts.append(struct.pack("<Q", state.step))
     dataio._atomic_write(path, b"".join(parts))
 
 
-def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
-    """Bind a checkpoint to a task sharing its class layout, under ``cfg``.
+def load_checkpoint(path, task: FewShotTask) -> TrainState:
+    """Bind a checkpoint to a task sharing its class layout, under the engine
+    config it stores (a v1 file stores none: it loads under ``EngineConfig()``
+    with a ``UserWarning``).
 
-    The frozen context is rebuilt from ``task`` and ``cfg`` (the checkpoint
-    stores only the learnables), so the task must match the checkpoint's
-    class count and shot count, and every mask index must fit its width.
+    The frozen context is rebuilt from ``task`` and that config, so the task
+    must match the checkpoint's class count and shot count, and every mask
+    index must fit its width.
 
     Raises:
-        ValueError: on class/shot/width mismatch or a malformed file.
+        ValueError: on class/shot/width mismatch, a bad config or a malformed file.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if not blob.startswith(CKPT_MAGIC):
+    if not blob.startswith((CKPT_MAGIC, _CKPT_MAGIC_V1)):
         raise ValueError(f"not a checkpoint file: {path}")
     off = len(CKPT_MAGIC)
 
@@ -381,6 +377,17 @@ def load_checkpoint(path, task: FewShotTask, cfg: EngineConfig) -> TrainState:
     if len(np.unique(raw_idx)) != q:
         raise ValueError("checkpoint mask indices are not distinct")
     mask_idx = raw_idx.astype(np.int64)
+    if blob.startswith(CKPT_MAGIC):
+        block = take(_CFG_BLOCK.size)
+        try:
+            if block[-1] > 1:  # unpacking "?" reads any nonzero byte as True
+                raise ValueError(f"renormalize must be 0 or 1, got {block[-1]}")
+            cfg = EngineConfig(*_CFG_BLOCK.unpack(block))
+        except ValueError as exc:
+            raise ValueError(f"checkpoint holds a bad engine config: {path}: {exc}") from None
+    else:
+        warnings.warn(f"{path} is a v1 checkpoint with no engine config; loading it under the defaults")
+        cfg = EngineConfig()
 
     def take_f64(shape) -> np.ndarray:
         count = int(np.prod(shape))

@@ -1,7 +1,9 @@
 """Shared constructors and oracles for randomized test instances."""
 
+import hashlib
 import math
-from dataclasses import replace
+import struct
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -160,6 +162,17 @@ def cache_scores_unblocked(s_ref, w_ref, gamma, kl_sign=1, kl_temperature=1.0):
     probs = numkit._softmax(s_ref @ w_ref.T, kl_temperature)
     p_true = np.clip(probs[np.arange(n), np.arange(n) // k], PROB_FLOOR, 1.0)
     return np.exp(kl_sign * gamma * -np.log(p_true))
+
+
+def frozen_checksum(state):
+    """Digest over the frozen context, the engine config included; it must
+    not change across training."""
+    h = hashlib.sha256()
+    for arr in (state.mask_idx, state.w, state.f_support_refined):
+        h.update(arr.tobytes())
+    h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
+    h.update(repr(astuple(state.cfg)).encode())
+    return h.hexdigest()
 
 
 def train_reference(task, mask, cfg, optim):

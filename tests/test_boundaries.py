@@ -3,6 +3,8 @@ value that meets its type's invariants or raises ``DataIOError`` or
 ``ValueError`` -- never a stray ``IndexError``, ``KeyError``,
 ``struct.error`` or ``TypeError`` from inside the parser."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,8 @@ def check_state(state):
     for arr in (state.res, state.scores, state.m_res, state.v_res, state.m_scores, state.v_scores):
         assert np.isfinite(arr).all()
     assert (state.v_res >= 0).all() and (state.v_scores >= 0).all()
+    assert isinstance(state.cfg.renormalize, bool)
+    assert dataclasses.replace(state.cfg) == state.cfg  # EngineConfig checks itself on construction
 
 
 def check_mask(loaded):
@@ -41,7 +45,7 @@ def files(tmp_path_factory):
     rng = np.random.default_rng(0)
     task = random_task(rng, c=3, k=2, d=6, n_test=4)
     mask = refine.ChannelMask(selected=[0, 2, 5], scores=[0, 1, 0, 1, 1, 0])
-    cfg = EngineConfig()
+    cfg = EngineConfig(alpha=1.5, beta=3.0, gamma=0.4, kl_sign=-1, kl_temperature=0.5, renormalize=False)
     state, _ = trainer.train(task, mask, cfg, trainer.OptimConfig(epochs=2, batch_size=4))
     dataio.write_matrix(root / "m.apef", task.test_features)
     trainer.save_checkpoint(root / "model.ckpt", state)
@@ -50,7 +54,7 @@ def files(tmp_path_factory):
         "apef": ((root / "m.apef").read_bytes(), dataio.read_matrix, check_matrix),
         "checkpoint": (
             (root / "model.ckpt").read_bytes(),
-            lambda path: trainer.load_checkpoint(path, task, cfg),
+            lambda path: trainer.load_checkpoint(path, task),
             check_state,
         ),
         "mask": ((root / "mask.txt").read_bytes(), refine.load_mask, check_mask),

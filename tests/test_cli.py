@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import dataclasses
 import re
+import shlex
 import struct
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -336,6 +339,18 @@ class TestSearchCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(message)
 
+    def test_report_echoes_the_chosen_config(self, workspace):
+        tmp_path, manifest, mask_path = workspace
+        report = tmp_path / "search.report"
+        assert main([
+            "search", "--task", str(manifest), "--mask", str(mask_path), "--alpha-grid", "0:2:5",
+            "--beta-grid", "1:10:4", "--gamma-grid", "0.4", "--kl-sign", "-1", "--report", str(report),
+        ]) == 0
+        kv = read_kv(report)
+        for key in ("alpha", "beta", "gamma"):
+            assert float(kv[f"config.{key}"]) == float(kv[f"best.{key}"])
+        assert (kv["config.gamma"], kv["config.kl_sign"]) == ("0.4", "-1")
+
     def test_val_task_manifest(self, workspace):
         tmp_path, manifest, mask_path = workspace
         val_dir = tmp_path / "val"
@@ -450,7 +465,7 @@ class TestEvalCommand:
         assert read_kv(eval_report)["accuracy.ape_t"] == read_kv(train_report)["accuracy.ape_t"]
 
     def test_report_echoes_checkpoint_q_without_lambda(self, workspace):
-        """A v1 checkpoint stores Q but not lambda, so eval echoes only Q."""
+        """A checkpoint stores Q but not lambda, so eval echoes only Q."""
         tmp_path, manifest, _ = workspace
         mask_path, ckpt, report = tmp_path / "mask20.txt", tmp_path / "q20.ckpt", tmp_path / "e.report"
         assert main(["refine", "--task", str(manifest), "--q", "20", "--out", str(mask_path)]) == 0
@@ -461,6 +476,47 @@ class TestEvalCommand:
         assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest), "--report", str(report)]) == 0
         kv = read_kv(report)
         assert kv["config.q"] == "20" and "config.lambda" not in kv
+
+    def test_eval_runs_under_the_config_the_checkpoint_was_trained_with(self, tmp_path):
+        """``ape eval`` takes no engine flags: it reports train's accuracy and
+        echoes train's config (with the defaults it read 44.17 against 30.0)."""
+        assert main([
+            "synth", "--c", "20", "--k", "8", "--d", "64", "--n-test", "6",
+            "--sigma", "0.6", "--seed", "3", "--out", str(tmp_path),
+        ]) == 0
+        manifest, mask_path, ckpt = tmp_path / "task.manifest", tmp_path / "mask.txt", tmp_path / "m.ckpt"
+        assert main(["refine", "--task", str(manifest), "--q", "48", "--out", str(mask_path)]) == 0
+        train_report, eval_report = tmp_path / "train.report", tmp_path / "eval.report"
+        assert main([
+            "train", "--task", str(manifest), "--mask", str(mask_path), "--alpha", "2",
+            "--beta", "3", "--no-renormalize", "--epochs", "5", "--out", str(ckpt),
+            "--report", str(train_report),
+        ]) == 0
+        assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest), "--report", str(eval_report)]) == 0
+        trained, evaluated = read_kv(train_report), read_kv(eval_report)
+        assert evaluated["accuracy.ape_t"] == trained["accuracy.ape_t"]
+        engine_keys = [f"config.{f.name}" for f in dataclasses.fields(EngineConfig)]
+        assert [evaluated[key] for key in engine_keys] == [trained[key] for key in engine_keys]
+        assert [evaluated[key] for key in engine_keys] == ["2.0", "3.0", "0.2", "1", "1.0", "False"]
+
+    def test_bad_config_block_is_usage_error(self, workspace, capsys):
+        ws_path, manifest, mask_path = workspace
+        ckpt = ws_path / "model.ckpt"
+        assert main([
+            "train", "--task", str(manifest), "--mask", str(mask_path), "--epochs", "1",
+            "--out", str(ckpt), "--report", str(ws_path / "t.report"),
+        ]) == 0
+        blob = bytearray(ckpt.read_bytes())
+        renormalize_byte = len(trainer.CKPT_MAGIC) + 8 * (3 + 24) + trainer._CFG_BLOCK.size - 1
+        assert blob[renormalize_byte] == 1
+        blob[renormalize_byte] = 2
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["eval", "--ckpt", str(ckpt), "--task", str(manifest), "--report", str(ws_path / "e.report")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint holds a bad engine config: {ckpt}: renormalize must be 0 or 1, got 2\n"
+        )
 
     def test_distribution_shift_lowers_accuracy(self, tmp_path):
         """Evaluating a checkpoint on a noisier task from the same prototypes
@@ -483,7 +539,7 @@ class TestEvalCommand:
             in_acc = accuracy(forward(state, train_task.test_features), train_task.test_labels)
             ckpt = tmp_path / f"shift{seed}.ckpt"
             save_checkpoint(ckpt, state)
-            rebound = load_checkpoint(ckpt, shifted, cfg)
+            rebound = load_checkpoint(ckpt, shifted)
             out_acc = accuracy(forward(rebound, shifted.test_features), shifted.test_labels)
             held += out_acc <= in_acc
         assert held >= 8
@@ -712,3 +768,55 @@ class TestMaskEcho:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {mask_path}") and "lambda" in err
+
+
+def subcommand_options():
+    """The option strings of every subcommand of ``cli.build_parser()``."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+
+
+class TestSurface:
+    """The command line is pinned, so a flag cannot come or go unnoticed."""
+
+    ENGINE = {"--alpha", "--beta", "--gamma", "--kl-sign", "--kl-temperature", "--no-renormalize"}
+    OPTIONS = {
+        "refine": {"--task", "--lambda", "--q", "--out", "--seed"},
+        "infer": {"--task", "--mask", *ENGINE, "--report", "--seed"},
+        "train": {"--task", "--mask", *ENGINE, "--lr", "--weight-decay", "--epochs", "--batch-size",
+                  "--out", "--report", "--seed"},
+        "search": {"--task", "--mask", "--kl-sign", "--kl-temperature", "--no-renormalize",
+                   "--alpha-grid", "--beta-grid", "--gamma-grid", "--val-task", "--report", "--seed"},
+        "synth": {"--c", "--k", "--d", "--n-test", "--sigma", "--out", "--seed"},
+        "eval": {"--ckpt", "--task", "--report", "--seed"},
+    }
+
+    def test_every_subcommand_has_exactly_its_options(self):
+        assert subcommand_options() == self.OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--ckpt", "m.ckpt", "--task", "t.manifest", "--report", "r", "--alpha", "1"],
+        ["search", "--task", "t.manifest", "--mask", "m.txt", "--alpha-grid", "0", "--beta-grid", "1",
+         "--beta", "2"],
+        ["search", "--task", "t.manifest", "--mask", "m.txt", "--alpha-grid", "0", "--beta-grid", "1",
+         "--alpha", "1.7"],
+    ], ids=["eval-alpha", "search-beta", "search-alpha"])
+    def test_removed_engine_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
+
+    def test_readme_usage_commands_parse(self):
+        """Every ``ape ...`` command in the README's usage block names only
+        flags that exist."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command-line usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("ape ")]
+        assert [shlex.split(c)[1] for c in commands] == ["synth", "refine", "search", "infer", "train", "eval"]
+        for command in commands:
+            cli.build_parser().parse_args(shlex.split(command)[1:])

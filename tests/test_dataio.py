@@ -199,6 +199,19 @@ class TestTaskManifest:
             dataio.load_task(manifest)
 
 
+    @pytest.mark.parametrize("line, message", [
+        ("test_lables = task_test_labels.apef", "unknown key 'test_lables'"),
+        ("K = 2", "repeated key 'K'"),
+        ("class_names = a,b,c", "repeated key 'class_names'"),
+    ], ids=["misspelled", "repeated-count", "repeated-class-names"])
+    def test_unknown_or_repeated_key_rejected_naming_it(self, tmp_path, line, message):
+        """A misspelled ``test_labels`` would otherwise load the task as unlabelled."""
+        manifest = dataio.save_task(random_task(np.random.default_rng(61), c=3, k=2), tmp_path)
+        manifest.write_text(manifest.read_text() + line + "\n")
+        with pytest.raises(dataio.ManifestError, match=f"^{re.escape(str(manifest))}: {message}$"):
+            dataio.load_task(manifest)
+
+
 def write_raw_apef(path, m):
     """Write ``m`` as float32 APEF bytes with no value checks, so NaN and
     Inf reach the file."""

@@ -519,6 +519,7 @@ class TestConfigAndTaskValidation:
         ("gamma", math.nan, "gamma must be finite and >= 0, got nan"),
         ("kl_sign", 0, "kl_sign must be +1 or -1, got 0"),
         ("kl_sign", 2, "kl_sign must be +1 or -1, got 2"),
+        ("kl_sign", 1.0, "kl_sign must be +1 or -1, got 1.0"),  # a checkpoint stores it as an integer
         ("kl_temperature", 0.0, "kl_temperature must be > 0, got 0.0"),
         ("kl_temperature", -1.0, "kl_temperature must be > 0, got -1.0"),
         ("kl_temperature", math.nan, "kl_temperature must be > 0, got nan"),

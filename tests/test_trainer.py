@@ -10,13 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ape import engine, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
-from helpers import grads, random_task, shifted_keys_logits, train_reference, unit_rows
+from helpers import frozen_checksum, grads, random_task, shifted_keys_logits, train_reference, unit_rows
 
 
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
@@ -124,9 +124,8 @@ class TestStateOwnsItsConfig:
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
         trainer.save_checkpoint(tmp_path / "model.ckpt", state)
-        other = dataclasses.replace(cfg, alpha=0.1)
         assert state.cfg is cfg
-        assert trainer.load_checkpoint(tmp_path / "model.ckpt", task, other).cfg is other
+        assert trainer.load_checkpoint(tmp_path / "model.ckpt", task).cfg == cfg
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.cfg.alpha = 2.0
         assert list(inspect.signature(trainer.forward).parameters) == ["state", "f_batch"]
@@ -157,11 +156,15 @@ class TestStateOwnsItsConfig:
         renormalize=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(alpha=1.0, beta=5.5, gamma=0.2, kl_sign=1, kl_temperature=1.0, renormalize=True, seed=0)
+    @example(alpha=0.3, beta=2.0, gamma=0.7, kl_sign=-1, kl_temperature=0.5, renormalize=False, seed=1)
+    @example(alpha=2, beta=3, gamma=0, kl_sign=np.int64(-1), kl_temperature=1, renormalize=np.True_, seed=2)
     def test_forward_runs_under_the_state_config(
         self, tmp_path, alpha, beta, gamma, kl_sign, kl_temperature, renormalize, seed
     ):
         """Criterion 9 at any config: a fresh state's forward is bitwise the
-        training-free logits, and a checkpoint round trip keeps forward bitwise."""
+        training-free logits, and a checkpoint round trip gives back the
+        config and keeps forward bitwise."""
         rng = np.random.default_rng(seed)
         task, mask, _ = make_instance(rng, c=4, k=3, d=9, q=5)
         cfg = EngineConfig(alpha, beta, gamma, kl_sign, kl_temperature, renormalize)
@@ -173,7 +176,8 @@ class TestStateOwnsItsConfig:
         state.scores *= rng.uniform(0.5, 1.5, state.scores.shape)
         path = tmp_path / "model.ckpt"
         trainer.save_checkpoint(path, state)
-        loaded = trainer.load_checkpoint(path, task, cfg)
+        loaded = trainer.load_checkpoint(path, task)
+        assert loaded.cfg == cfg and type(loaded.cfg.renormalize) is bool and type(loaded.cfg.kl_sign) is int
         want = trainer.forward(state, task.test_features)
         assert trainer.forward(loaded, task.test_features).tobytes() == want.tobytes()
 
@@ -462,9 +466,9 @@ class TestTrain:
         rng = np.random.default_rng(41)
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
-        before = trainer.frozen_checksum(state)
+        before = frozen_checksum(state)
         trained, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=3, batch_size=3))
-        assert trainer.frozen_checksum(trained) == before
+        assert frozen_checksum(trained) == before
 
     def test_synthetic_support_accuracy_improves(self):
         from ape import dataio
@@ -552,7 +556,7 @@ class TestCheckpoint:
         state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=4, batch_size=3, seed=7))
         path = tmp_path / "model.ckpt"
         trainer.save_checkpoint(path, state)
-        loaded = trainer.load_checkpoint(path, task, cfg)
+        loaded = trainer.load_checkpoint(path, task)
         for field in ("res", "scores", "m_res", "v_res", "m_scores", "v_scores"):
             np.testing.assert_array_equal(getattr(loaded, field), getattr(state, field))
         assert loaded.step == state.step
@@ -567,7 +571,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         trainer.save_checkpoint(path, trainer.init_state(task, mask, cfg))
         with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
-            trainer.load_checkpoint(path, task, cfg)
+            trainer.load_checkpoint(path, task)
         assert spy.call_count == 1
         assert spy.call_args.args[0] is task.support_features
 
@@ -577,7 +581,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(44)
         task, _, cfg = make_instance(rng)
         with pytest.raises(ValueError):
-            trainer.load_checkpoint(path, task, cfg)
+            trainer.load_checkpoint(path, task)
 
     def test_class_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(45)
@@ -587,7 +591,7 @@ class TestCheckpoint:
         trainer.save_checkpoint(path, state)
         other = random_task(np.random.default_rng(46), c=4, k=2, d=8)
         with pytest.raises(ValueError, match="classes"):
-            trainer.load_checkpoint(path, other, cfg)
+            trainer.load_checkpoint(path, other)
 
     def test_truncated_rejected(self, tmp_path):
         rng = np.random.default_rng(47)
@@ -598,7 +602,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(ValueError, match="truncated"):
-            trainer.load_checkpoint(path, task, cfg)
+            trainer.load_checkpoint(path, task)
 
     def test_non_finite_payload_rejected(self, tmp_path):
         rng = np.random.default_rng(48)
@@ -607,11 +611,11 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         trainer.save_checkpoint(path, state)
         blob = bytearray(path.read_bytes())
-        first_score = len(trainer.CKPT_MAGIC) + 8 * (3 + state.q + state.res.size)
+        first_score = len(trainer.CKPT_MAGIC) + 8 * (3 + state.q) + trainer._CFG_BLOCK.size + 8 * state.res.size
         blob[first_score : first_score + 8] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="non-finite"):
-            trainer.load_checkpoint(path, task, cfg)
+            trainer.load_checkpoint(path, task)
 
     def test_negative_second_moment_rejected(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -626,7 +630,7 @@ class TestCheckpoint:
         blob[sign_byte] ^= 0x80
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="negative second moments"):
-            trainer.load_checkpoint(path, task, cfg)
+            trainer.load_checkpoint(path, task)
 
     def test_empty_mask_rejected(self, tmp_path):
         rng = np.random.default_rng(49)
@@ -636,10 +640,55 @@ class TestCheckpoint:
         path.write_bytes(
             trainer.CKPT_MAGIC
             + struct.pack("<QQQ", task.c, task.k, 0)
+            + trainer._CFG_BLOCK.pack(1.0, 5.5, 0.2, 1, 1.0, 0)
             + np.ones(n).astype("<f8").tobytes()
             + np.zeros(2 * n).astype("<f8").tobytes()
             + struct.pack("<Q", 0)
         )
         # Without renormalization nothing downstream trips over Q = 0.
         with pytest.raises(ValueError, match="mask"):
-            trainer.load_checkpoint(path, task, EngineConfig(renormalize=False))
+            trainer.load_checkpoint(path, task)
+
+    def test_v1_file_loads_under_the_defaults_with_a_warning(self, tmp_path):
+        """A v1 file is v2's layout without the config block."""
+        rng = np.random.default_rng(52)
+        task, mask, cfg = make_instance(rng, c=3, k=2, d=8, q=5)
+        state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=2, batch_size=3))
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(
+            b"APE-CKPT v1\n"
+            + struct.pack("<QQQ", state.c, state.k, state.q)
+            + state.mask_idx.astype("<u8").tobytes()
+            + b"".join(getattr(state, name).astype("<f8").tobytes() for name in trainer._LEARNED)
+            + struct.pack("<Q", state.step)
+        )
+        with pytest.warns(UserWarning, match="v1 checkpoint with no engine config"):
+            loaded = trainer.load_checkpoint(path, task)
+        assert loaded.cfg == EngineConfig() and loaded.step == state.step
+        for name in trainer._LEARNED:
+            assert getattr(loaded, name).tobytes() == getattr(state, name).tobytes(), name
+        want = trainer.init_state(task, mask, EngineConfig())
+        assert loaded.f_support_refined.tobytes() == want.f_support_refined.tobytes()
+
+    @pytest.mark.parametrize("fields, message", [
+        ((-1.0, 5.5, 0.2, 1, 1.0, 1), "alpha must be finite and >= 0, got -1.0"),
+        ((1.0, float("nan"), 0.2, 1, 1.0, 1), "beta must be finite and >= 0, got nan"),
+        ((1.0, 5.5, 0.2, 0, 1.0, 1), "kl_sign must be +1 or -1, got 0"),
+        ((1.0, 5.5, 0.2, 1, 0.0, 1), "kl_temperature must be > 0, got 0.0"),
+        ((1.0, 5.5, 0.2, 1, 1.0, 2), "renormalize must be 0 or 1, got 2"),
+    ], ids=["alpha", "beta", "kl-sign", "kl-temperature", "renormalize"])
+    def test_bad_config_block_rejected_naming_the_file(self, tmp_path, fields, message):
+        rng = np.random.default_rng(53)
+        task, mask, cfg = make_instance(rng)
+        path = tmp_path / "model.ckpt"
+        state = trainer.init_state(task, mask, cfg)
+        trainer.save_checkpoint(path, state)
+        blob = bytearray(path.read_bytes())
+        start = len(trainer.CKPT_MAGIC) + 8 * (3 + state.q)
+        *scalars, renormalize_byte = fields
+        blob[start : start + trainer._CFG_BLOCK.size] = trainer._CFG_BLOCK.pack(*scalars, True)
+        blob[start + trainer._CFG_BLOCK.size - 1] = renormalize_byte
+        path.write_bytes(bytes(blob))
+        pattern = f"^checkpoint holds a bad engine config: {re.escape(str(path))}: {re.escape(message)}$"
+        with pytest.raises(ValueError, match=pattern):
+            trainer.load_checkpoint(path, task)
