@@ -27,8 +27,8 @@ from .engine import (
     _add_cache_term,
     _are_class_ids,
     _class_sums,
+    _cosine_blocks,
     _sharpen,
-    accuracy,
     cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
     cache_scores,
 )
@@ -159,18 +159,12 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     )
 
 
-def _shifted(state: TrainState) -> np.ndarray:
-    """w_shift: the C x D prototypes plus their residual, zero-padded to full width."""
-    padded = np.zeros((state.c, state.d_total))
-    padded[:, state.mask_idx] = state.res
-    return state.w + padded
-
-
-def _logits(state: TrainState, f_batch, f_ref) -> np.ndarray:
-    """Logits of full-width rows and their refined channels."""
-    cfg = state.cfg
-    zs = f_batch @ _shifted(state).T
-    return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res)
+def _shifted(state: TrainState, res: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w_shift into the C x D ``out``: the prototypes plus ``res``, zero-padded to full width."""
+    out.fill(0.0)
+    out[:, state.mask_idx] = res
+    out += state.w
+    return out
 
 
 def forward(state: TrainState, f_batch) -> np.ndarray:
@@ -185,8 +179,10 @@ def forward(state: TrainState, f_batch) -> np.ndarray:
     f_batch = numkit.as_matrix(f_batch, "f_batch")
     if f_batch.shape[1] != state.d_total:
         raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
-    f_ref = refine._take_channels(f_batch, state.mask_idx, state.cfg.renormalize)
-    return _logits(state, f_batch, f_ref)
+    cfg = state.cfg
+    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+    zs = f_batch @ _shifted(state, state.res, np.empty_like(state.w)).T
+    return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res)
 
 
 def cross_entropy(logits, label_ids) -> float:
@@ -199,9 +195,13 @@ def cross_entropy(logits, label_ids) -> float:
     y = np.asarray(label_ids)
     if y.shape != (z.shape[0],) or not _are_class_ids(y, z.shape[1]):
         raise ValueError(f"label_ids must be {z.shape[0]} integral class ids in [0, {z.shape[1]})")
+    return float(_ce_terms(z, y.astype(np.int64)).mean())
+
+
+def _ce_terms(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row softmax cross-entropy of the logits ``z`` against int64 class ids ``y``."""
     z = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    return float((log_norm - z[np.arange(len(y)), y.astype(np.int64)]).mean())
+    return np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(y)), y]
 
 
 def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
@@ -220,7 +220,7 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
     _sharpen(aff, cfg.beta, out=aff)
     gain = np.exp(cfg.beta * (f_ref @ state.res.T))
     cache = _class_sums(aff * state.scores, c) * gain
-    logits = f_batch @ _shifted(state).T + cfg.alpha * cache
+    logits = f_batch @ _shifted(state, state.res, np.empty_like(state.w)).T + cfg.alpha * cache
 
     g = numkit._softmax(logits)
     g[np.arange(b), y] -= 1.0
@@ -272,6 +272,33 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
     return state
 
 
+def _snapshot_accuracies(state: TrainState, snaps, f_batch, f_ref, labels, terms=None) -> list[float]:
+    """Accuracy of ``forward`` under each ``(res, scores)`` snapshot on full-width
+    rows, their refined channels and ``labels``; ``terms``, if given, receives
+    snapshot 0's per-row cross-entropy terms.  Each row block's cosines are
+    computed and sharpened once for all snapshots; the scores product runs in
+    class chunks of about 1/8 of a block, so no second block and no logits
+    matrix exist whole.
+    """
+    cfg, c, k = state.cfg, state.c, state.k
+    width = -(-c // 8) * k  # cache columns per class chunk
+    shifted, hits = np.empty_like(state.w), np.zeros(len(snaps), dtype=np.int64)
+    for rows, blk in _cosine_blocks(f_ref, state.f_support_refined):
+        _sharpen(blk, cfg.beta, out=blk)
+        sums = np.empty((blk.shape[0], c))
+        for e, (res, scores) in enumerate(snaps):
+            for lo in range(0, c * k, width):
+                part = blk[:, lo : lo + width] * scores[lo : lo + width]
+                sums[:, lo // k : lo // k + part.shape[1] // k] = _class_sums(part, part.shape[1] // k)
+            sums *= np.exp(cfg.beta * (f_ref[rows] @ res.T))
+            zs = f_batch[rows] @ _shifted(state, res, shifted).T
+            zs += cfg.alpha * sums
+            hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
+            if e == 0 and terms is not None:
+                terms[rows] = _ce_terms(zs, labels[rows])
+    return [float(h / len(labels)) for h in hits]
+
+
 def train(
     task: FewShotTask,
     mask: refine.ChannelMask,
@@ -283,7 +310,12 @@ def train(
     Batches are sampled without replacement from a seeded shuffle each
     epoch (last short batch kept).  The history holds one row per epoch
     plus the pre-training row 0, each with the mean batch loss and
-    support/test accuracy.  Support and test rows are refined once per call.
+    support/test accuracy.  It is scored once, after the last step, from
+    the residual and cache scores kept at each epoch: one pass over the row
+    blocks of the support rows, then the test rows, computes each block's
+    frozen affinities once for all epochs.  Row 0's loss averages per-row
+    terms taken block by block, so the C*K x C support logits never exist
+    whole.  Every history value is bitwise that of ``forward``.
     """
     state = init_state(task, mask, cfg)
 
@@ -292,34 +324,29 @@ def train(
     steps_per_epoch = math.ceil(n / optim.batch_size)
     total_steps = optim.epochs * steps_per_epoch
     rng = np.random.default_rng(optim.seed)
-    if task.test_labels is not None:
-        test_ref = refine._take_channels(task.test_features, state.mask_idx, cfg.renormalize)
+    snaps, losses = [(state.res.copy(), state.scores.copy())], []
 
-    def eval_row(epoch: int, loss: float | None = None) -> dict:
-        """History row; ``loss`` None takes it from the support logits."""
-        support_logits = _logits(state, task.support_features, state.f_support_refined)
-        loss = cross_entropy(support_logits, y_support) if loss is None else loss
-        support_acc = accuracy(support_logits, y_support)
-        test_acc = None if task.test_labels is None else accuracy(
-            _logits(state, task.test_features, test_ref), task.test_labels
-        )
-        return {"epoch": epoch, "loss": loss, "support_acc": support_acc, "test_acc": test_acc}
-
-    history = [eval_row(0)]
-
-    for epoch in range(optim.epochs):
+    for _ in range(optim.epochs):
         perm = rng.permutation(n)
-        losses = []
+        batch_losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], y_support[idx]
             logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, yb)
-            losses.append(cross_entropy(logits, yb))
+            batch_losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res, d_scores), lr_t, optim)
-        history.append(eval_row(epoch + 1, float(np.mean(losses))))
+        losses.append(float(np.mean(batch_losses)))
+        snaps.append((state.res.copy(), state.scores.copy()))
 
-    return state, history
+    terms = np.empty(n)
+    support_acc = _snapshot_accuracies(state, snaps, task.support_features, state.f_support_refined, y_support, terms)
+    test_acc = [None] * len(snaps)
+    if task.test_labels is not None:
+        test_ref = refine._take_channels(task.test_features, state.mask_idx, cfg.renormalize)
+        test_acc = _snapshot_accuracies(state, snaps, task.test_features, test_ref, task.test_labels)
+    rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
+    return state, [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
 
 
 def save_checkpoint(path, state: TrainState) -> None:

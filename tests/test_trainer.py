@@ -13,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ape import engine, refine, trainer
+from ape import engine, numkit, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
-from helpers import frozen_checksum, grads, random_task, shifted_keys_logits, train_reference, unit_rows
+from helpers import block_budget, frozen_checksum, grads, random_task, shifted_keys_logits, train_reference, unit_rows
 
 
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
@@ -188,7 +188,7 @@ class TestForward:
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
         state.res[:] = rng.standard_normal(state.res.shape)
-        w_shift = trainer._shifted(state)
+        w_shift = trainer._shifted(state, state.res, np.empty_like(state.w))
         unselected = np.setdiff1d(np.arange(task.d), state.mask_idx)
         np.testing.assert_array_equal(w_shift[:, unselected], state.w[:, unselected])
         np.testing.assert_array_equal(
@@ -484,39 +484,80 @@ class TestTrain:
         assert history[-1]["support_acc"] >= history[0]["support_acc"]
         assert all(math.isfinite(row["loss"]) for row in history)
 
-    def test_one_support_forward_per_history_row(self):
-        """Row 0 takes its loss and support accuracy from one logits pass."""
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_one_cosine_gemm_per_row_block_whatever_the_epochs(self, epochs):
+        """The history shares each row block's frozen affinities between all
+        epochs; row 0's loss and support accuracy are those of ``forward``."""
         rng = np.random.default_rng(43)
-        task, mask, cfg = make_instance(rng)
-        with mock.patch.object(trainer, "_logits", wraps=trainer._logits) as spy:
-            _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=2, batch_size=3))
-        assert spy.call_count == 2 * len(history)  # support + test per row
+        task, mask, cfg = make_instance(rng, c=3, k=4)
+        seen = []
+
+        def spy(f_ref, keys):
+            for rows, blk in engine._cosine_blocks(f_ref, keys):
+                seen.append((f_ref.shape[0], rows))
+                yield rows, blk
+
+        with mock.patch.object(trainer, "_cosine_blocks", spy), block_budget(12, 3):
+            _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=3))
+            want = [(m, rows) for m in (12, 4) for rows in numkit._row_blocks(m, 12)]
+        assert len(want) == 6 and seen == want  # 4 support and 2 test blocks
+        assert len(history) == epochs + 1
         fresh = trainer.init_state(task, mask, cfg)
         logits = trainer.forward(fresh, task.support_features)
         y = task.support_class_ids()
         assert history[0]["loss"] == trainer.cross_entropy(logits, y)
         assert history[0]["support_acc"] == engine.accuracy(logits, y)
 
-    @pytest.mark.parametrize(
-        "c, k, batch_size, with_labels",
-        [
-            (3, 3, 4, True),  # 9 support rows: a short last batch
-            (3, 2, 1, True),
-            (4, 2, 3, False),
-        ],
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 11),
+        k=st.integers(1, 3),
+        epochs=st.integers(0, 3),
+        batch_size=st.integers(1, 40),
+        with_labels=st.booleans(),
+        renormalize=st.booleans(),
+        block_rows=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_bitwise_equal_to_reference_loop(self, c, k, batch_size, with_labels):
-        rng = np.random.default_rng(50 + batch_size)
+    @example(c=3, k=3, epochs=3, batch_size=4, with_labels=True, renormalize=True, block_rows=9, seed=54)
+    @example(c=3, k=2, epochs=3, batch_size=1, with_labels=True, renormalize=True, block_rows=6, seed=51)
+    @example(c=4, k=2, epochs=3, batch_size=3, with_labels=False, renormalize=True, block_rows=8, seed=53)
+    @example(c=9, k=1, epochs=2, batch_size=1, with_labels=True, renormalize=True, block_rows=4, seed=1)
+    @example(c=1, k=1, epochs=3, batch_size=1, with_labels=True, renormalize=False, block_rows=2, seed=2)
+    @example(c=11, k=3, epochs=1, batch_size=40, with_labels=False, renormalize=True, block_rows=9, seed=3)
+    def test_bitwise_equal_to_reference_loop(
+        self, c, k, epochs, batch_size, with_labels, renormalize, block_rows, seed
+    ):
+        """History and learnables are those of the per-epoch ``forward`` loop,
+        byte for byte.  The first example keeps a short last batch; C = 9 and
+        11 leave a short last class chunk (chunks hold ceil(C/8) classes)."""
+        rng = np.random.default_rng(seed)
         task, mask, cfg = make_instance(rng, c=c, k=k)
+        cfg = dataclasses.replace(cfg, renormalize=renormalize)
         if not with_labels:
             task.test_labels = None
-        optim = OptimConfig(lr=5e-3, epochs=3, batch_size=batch_size, seed=11)
-        state, history = trainer.train(task, mask, cfg, optim)
-        ref_state, ref_history = train_reference(task, mask, cfg, optim)
-        assert history == ref_history
+        optim = OptimConfig(lr=5e-3, epochs=epochs, batch_size=batch_size, seed=seed % 97)
+        with block_budget(c * k, block_rows):
+            state, history = trainer.train(task, mask, cfg, optim)
+            ref_state, ref_history = train_reference(task, mask, cfg, optim)
+        assert repr(history) == repr(ref_history)
         for field in ("res", "scores", "m_res", "v_res", "m_scores", "v_scores"):
             assert getattr(state, field).tobytes() == getattr(ref_state, field).tobytes(), field
-        assert state.step == ref_state.step == 3 * math.ceil(c * k / batch_size)
+        assert state.step == ref_state.step == epochs * math.ceil(c * k / batch_size)
+
+    def test_history_never_holds_the_support_logits(self):
+        """A many-class train's tracemalloc peak stays below the C*K x C support logits."""
+        rng = np.random.default_rng(46)
+        c, k = 400, 2
+        task, mask, cfg = make_instance(rng, c=c, k=k, d=8, q=4)
+        with block_budget(c * k, 16):
+            tracemalloc.start()
+            try:
+                trainer.train(task, mask, cfg, OptimConfig(epochs=2, batch_size=32))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * (c * k) * c
 
     def test_frozen_arrays_read_only_after_train(self):
         rng = np.random.default_rng(44)
