@@ -23,11 +23,11 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _ape_core,
+    _divergences,
     _grid_hits,
     _tip_core,
     accuracy,
     ape_logits,  # noqa: F401 - perfbench's tracer test rebinds ape.cli.ape_logits
-    cache_scores,
     zero_shot_logits,
 )
 
@@ -172,15 +172,16 @@ def grid_search(
     the smaller alpha, then beta, then gamma.
 
     The cache is frozen across candidates, so the search computes the
-    refined rows and the zero-shot logits once and the cache scores once
-    per gamma; ``engine._grid_hits`` counts every candidate's correct rows
-    over row blocks of the split.  Every candidate's predictions equal
-    ``ape_logits``'s bitwise, and its accuracy is the float ``accuracy``
-    returns.
+    refined rows, the zero-shot logits and the support rows' softmax once,
+    and the cache scores once per gamma; ``engine._grid_hits`` counts every
+    candidate's correct rows over cosine tiles of the split.  Every
+    candidate's predictions equal ``ape_logits``'s bitwise, and its accuracy
+    is the float ``accuracy`` returns.
 
     Raises:
         UsageError: if any grid is empty or holds a value the engine
             config rejects.
+        ValueError: if the mask does not cover the task's D channels.
     """
     alphas = np.sort(np.asarray(alphas, dtype=np.float64))
     betas = np.sort(np.asarray(betas, dtype=np.float64))
@@ -199,14 +200,14 @@ def grid_search(
     else:
         support, test, labels = _holdout_split(task)
 
+    refine._check_width(mask, task.d)
     zs = zero_shot_logits(test, task.text_features)
     w_ref, s_ref, f_ref = (
-        refine.apply_mask(m, mask, base_cfg.renormalize) for m in (task.text_features, support, test)
+        refine._take_channels(m, mask.selected, base_cfg.renormalize)
+        for m in (task.text_features, support, test)
     )
-    score_sets = [
-        cache_scores(s_ref, w_ref, float(gamma), base_cfg.kl_sign, base_cfg.kl_temperature)
-        for gamma in gammas
-    ]
+    divergences = _divergences(s_ref, w_ref, base_cfg.kl_temperature)
+    score_sets = [np.exp(base_cfg.kl_sign * float(gamma) * divergences) for gamma in gammas]
     hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets)
     # The first maximum in C order is the smallest alpha, then beta, then gamma.
     a, b, g = np.unravel_index(np.argmax(hits), hits.shape)

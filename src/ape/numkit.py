@@ -79,7 +79,12 @@ def _row_blocks(n: int, cols: int) -> list[slice]:
     GEMM that a whole matrix goes through.
     """
     rows = max(2, _BLOCK_BYTES // (8 * max(cols, 1)))
-    count = max(1, min(-(-n // rows), n // 2))
+    return _even_slices(n, max(1, min(-(-n // rows), n // 2)))
+
+
+def _even_slices(n: int, count: int) -> list[slice]:
+    """``count`` consecutive slices covering ``range(n)`` whose sizes differ
+    by at most one, the first the largest."""
     bounds = [-(-n * i // count) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 

@@ -174,9 +174,14 @@ def apply_mask(m, mask: ChannelMask, renormalize: bool = True) -> np.ndarray:
         ValueError: if ``m`` does not have ``mask.d_total`` columns.
     """
     m = numkit.as_matrix(m, "m")
-    if m.shape[1] != mask.d_total:
-        raise ValueError(f"mask covers {mask.d_total} channels, matrix has {m.shape[1]}")
+    _check_width(mask, m.shape[1])
     return _take_channels(m, mask.selected, renormalize)
+
+
+def _check_width(mask: ChannelMask, d: int) -> None:
+    """Raise ValueError unless the mask covers ``d`` channels."""
+    if d != mask.d_total:
+        raise ValueError(f"mask covers {mask.d_total} channels, matrix has {d}")
 
 
 def full_mask(d: int) -> ChannelMask:

@@ -27,7 +27,7 @@ from .engine import (
     _add_cache_term,
     _are_class_ids,
     _class_sums,
-    _cosine_blocks,
+    _cosine_tiles,
     _sharpen,
     cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
     cache_scores,
@@ -275,27 +275,32 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
 def _snapshot_accuracies(state: TrainState, snaps, f_batch, f_ref, labels, terms=None) -> list[float]:
     """Accuracy of ``forward`` under each ``(res, scores)`` snapshot on full-width
     rows, their refined channels and ``labels``; ``terms``, if given, receives
-    snapshot 0's per-row cross-entropy terms.  Each row block's cosines are
-    computed and sharpened once for all snapshots; the scores product runs in
-    class chunks of about 1/8 of a block, so no second block and no logits
-    matrix exist whole.
+    snapshot 0's per-row cross-entropy terms.  Each cosine tile is computed
+    and sharpened once for all snapshots; the scores product runs in class
+    chunks of about 1/8 of a tile, so no second tile and no logits matrix
+    exist whole.  A row block split into several tiles keeps one row block
+    of class sums per snapshot until its last tile.
     """
     cfg, c, k = state.cfg, state.c, state.k
-    width = -(-c // 8) * k  # cache columns per class chunk
     shifted, hits = np.empty_like(state.w), np.zeros(len(snaps), dtype=np.int64)
-    for rows, blk in _cosine_blocks(f_ref, state.f_support_refined):
+    for rows, cls, blk in _cosine_tiles(f_ref, state.f_support_refined, c):
         _sharpen(blk, cfg.beta, out=blk)
-        sums = np.empty((blk.shape[0], c))
+        if cls.start == 0:
+            sums = np.empty((1 if cls.stop == c else len(snaps), len(blk), c))
+        width = -(-(cls.stop - cls.start) // 8) * k  # cache columns per class chunk
         for e, (res, scores) in enumerate(snaps):
-            for lo in range(0, c * k, width):
-                part = blk[:, lo : lo + width] * scores[lo : lo + width]
-                sums[:, lo // k : lo // k + part.shape[1] // k] = _class_sums(part, part.shape[1] // k)
-            sums *= np.exp(cfg.beta * (f_ref[rows] @ res.T))
-            zs = f_batch[rows] @ _shifted(state, res, shifted).T
-            zs += cfg.alpha * sums
-            hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
-            if e == 0 and terms is not None:
-                terms[rows] = _ce_terms(zs, labels[rows])
+            acc = sums[min(e, len(sums) - 1)]
+            for lo in range(0, blk.shape[1], width):
+                hi = min(lo + width, blk.shape[1])
+                part = blk[:, lo:hi] * scores[k * cls.start + lo : k * cls.start + hi]
+                acc[:, cls.start + lo // k : cls.start + hi // k] = _class_sums(part, (hi - lo) // k)
+            if cls.stop == c:
+                acc *= np.exp(cfg.beta * (f_ref[rows] @ res.T))
+                zs = f_batch[rows] @ _shifted(state, res, shifted).T
+                zs += cfg.alpha * acc
+                hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
+                if e == 0 and terms is not None:
+                    terms[rows] = _ce_terms(zs, labels[rows])
     return [float(h / len(labels)) for h in hits]
 
 
@@ -311,11 +316,11 @@ def train(
     epoch (last short batch kept).  The history holds one row per epoch
     plus the pre-training row 0, each with the mean batch loss and
     support/test accuracy.  It is scored once, after the last step, from
-    the residual and cache scores kept at each epoch: one pass over the row
-    blocks of the support rows, then the test rows, computes each block's
-    frozen affinities once for all epochs.  Row 0's loss averages per-row
-    terms taken block by block, so the C*K x C support logits never exist
-    whole.  Every history value is bitwise that of ``forward``.
+    the residual and cache scores kept at each epoch: one pass over the
+    cosine tiles of the support rows, then the test rows, computes each
+    tile's frozen affinities once for all epochs.  Row 0's loss averages
+    per-row terms taken block by block, so the C*K x C support logits never
+    exist whole.  Every history value is bitwise that of ``forward``.
     """
     state = init_state(task, mask, cfg)
 

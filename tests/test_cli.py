@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from ape import cli, dataio, engine, refine, trainer
 from ape.cli import _holdout_split, grid_search, main, parse_grid
-from ape.engine import EngineConfig
-from helpers import block_budget, brute_force_grid, holdout_split_loop, random_task, tip_logits
+from ape.engine import EngineConfig, FewShotTask
+from helpers import block_budget, brute_force_grid, holdout_split_loop, random_task, tip_logits, unit_rows
 
 
 @pytest.fixture()
@@ -425,6 +425,54 @@ class TestGridOracle:
         split of four or more rows spans several blocks."""
         with block_budget(1, 2):
             check_grid_oracle()
+
+    def test_matches_brute_force_across_class_runs(self):
+        """The same oracle under a 16-float budget, which splits the keys of
+        most splits into runs of whole classes: a row's argmax then runs
+        across its class runs."""
+        runs, plan = [], engine._tile_plan
+
+        def spy(n, c, k):
+            blocks, classes = plan(n, c, k)
+            runs.append(len(classes))
+            return blocks, classes
+
+        with block_budget(4, 4), mock.patch.object(engine, "_tile_plan", spy):
+            check_grid_oracle()
+        assert max(runs) > 1
+
+    def test_ties_across_class_runs_go_to_the_lower_id(self):
+        """Identical prototypes with beta = gamma = 0 tie every class; split
+        into two runs, the lower id must still win, as in ``predict``."""
+        rng = np.random.default_rng(10)
+        c, k, d = 4, 2, 8
+        w = np.repeat(unit_rows(rng, 1, d), c, axis=0)
+        task = FewShotTask(w, unit_rows(rng, c * k, d), unit_rows(rng, 2, d), None)
+        val_task = FewShotTask(w, unit_rows(rng, c * k, d), unit_rows(rng, 8, d), np.zeros(8, dtype=np.int64))
+        mask = refine.full_mask(d)
+        with block_budget(c * k, 2):
+            assert len(engine._tile_plan(8, c, k)[1]) == 2
+            _, acc = grid_search(task, mask, EngineConfig(gamma=0.0), [1.0], [0.0], val_task=val_task)
+        assert acc == 1.0
+
+    def test_support_softmax_once_for_all_gammas(self):
+        """The cache scores of every gamma come from one softmax of the
+        support rows against the prototypes."""
+        rng = np.random.default_rng(8)
+        task = random_task(rng, c=4, k=3, d=8, n_test=6)
+        mask = refine.ChannelMask(selected=np.arange(5), scores=np.zeros(8))
+        args = (task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], [0.0, 0.2, 0.7])
+        with mock.patch.object(cli, "_divergences", wraps=engine._divergences) as spy:
+            got = grid_search(*args)
+        assert spy.call_count == 1
+        assert got == brute_force_grid(*args)
+
+    def test_wrong_width_mask_rejected(self):
+        rng = np.random.default_rng(9)
+        task = random_task(rng, c=3, k=2, d=8)
+        mask = refine.full_mask(6)
+        with pytest.raises(ValueError, match="^mask covers 6 channels, matrix has 8$"):
+            grid_search(task, mask, EngineConfig(), [1.0], [1.0])
 
     def test_peak_memory_does_not_grow_with_n_x_ck(self):
         """Past one row block, more validation rows cost only their N x C

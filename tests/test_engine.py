@@ -227,6 +227,18 @@ class TestApeLogits:
         np.testing.assert_array_equal(changed, [row // task.k])
 
 
+    def test_wrong_width_mask_rejected_once_at_entry(self):
+        """The mask width is checked before any compute, and the refined
+        rows are taken without re-validating the task's matrices."""
+        rng = np.random.default_rng(2)
+        task = random_task(rng, c=3, k=2, d=8)
+        with pytest.raises(ValueError, match="^mask covers 6 channels, matrix has 8$"):
+            engine.ape_logits(task, refine.full_mask(6), EngineConfig())
+        with mock.patch.object(refine, "apply_mask") as apply_mask:
+            engine.ape_logits(task, refine.full_mask(8), EngineConfig())
+        apply_mask.assert_not_called()
+
+
 class TestTipAdapterLogits:
     def test_alpha_zero(self):
         rng = np.random.default_rng(24)
@@ -377,6 +389,8 @@ class TestRowBlocks:
     )
     @example(c=2, k=2, n=3, q=5, rows=2, seed=0)
     @example(c=3, k=1, n=1, q=8, rows=2, seed=1)
+    @example(c=3, k=1, n=4, q=8, rows=3, seed=2)  # keys split: a run of one column would go to GEMV
+    @example(c=6, k=4, n=40, q=8, rows=2, seed=3)  # keys split: 5 row blocks x 6 one-class runs
     def test_blocked_paths_equal_whole_matrix(self, c, k, n, q, rows, seed):
         rng = np.random.default_rng(seed)
         d = 8
@@ -444,6 +458,48 @@ class TestRowBlocks:
         assert max(sizes) <= max(rows, 3)
         assert n == 1 or min(sizes) >= 2
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 700),
+        c=st.integers(1, 60),
+        k=st.integers(1, 5),
+        rows=st.integers(1, 300),
+    )
+    @example(n=40, c=6, k=4, rows=2)
+    @example(n=4, c=3, k=1, rows=3)
+    @example(n=2000, c=1000, k=16, rows=65)
+    def test_tiles_cover_every_row_and_class_once(self, n, c, k, rows):
+        """Tiles partition rows x classes.  No tile has one row or one key
+        column unless the whole product has (numpy sends those to GEMV),
+        and split keys give every tile at least min(N, 256) rows, or as
+        many as the budget holds at C columns."""
+        with block_budget(c * k, rows):
+            blocks, runs = engine._tile_plan(n, c, k)
+            unsplit = numkit._row_blocks(n, c * k)
+            target = min(n, 256, numkit._BLOCK_BYTES // (8 * c))
+        seen = np.zeros((n, c), dtype=np.int64)
+        for r in blocks:
+            for cls in runs:
+                seen[r, cls] += 1
+        assert (seen == 1).all()
+        heights = [b.stop - b.start for b in blocks]
+        widths = [(r.stop - r.start) * k for r in runs]
+        assert n == 1 or min(heights) >= 2
+        assert c * k == 1 or min(widths) >= 2
+        if (blocks, runs) != (unsplit, [slice(0, c)]):
+            assert min(heights) >= target > unsplit[0].stop
+
+    def test_paper_shape_tiles_and_desk_shape_row_blocks(self):
+        """At C=1000, K=16 and N=2000 the 8 MiB budget gives 7 blocks of 286
+        or 285 rows x 5 runs of 200 classes, where full-width blocks would
+        have 65 rows; at the desk's C=100 the tiles are the row blocks."""
+        blocks, runs = engine._tile_plan(2000, 1000, 16)
+        assert len(blocks) == 7 and {b.stop - b.start for b in blocks} == {285, 286}
+        assert runs == [slice(200 * i, 200 * (i + 1)) for i in range(5)]
+        assert 8 * 286 * 200 * 16 <= numkit._BLOCK_BYTES
+        assert numkit._row_blocks(2000, 16000)[0].stop == 65
+        assert engine._tile_plan(5000, 100, 16) == (numkit._row_blocks(5000, 1600), [slice(0, 100)])
+
     def test_inputs_checked_once_per_call_not_per_block(self):
         """Two-row blocks make as many ``as_matrix`` calls as the default
         budget: the blocks trust what the public entry checked."""
@@ -479,6 +535,24 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
         assert peak - out.nbytes < 0.5 * whole
+
+    def test_split_keys_hold_one_tile_not_a_full_width_block(self):
+        """With a 32-row budget at C*K = 4096 the keys split into runs of 32
+        classes, so the 256-row blocks hold 1 MiB tiles, never 256 x C*K."""
+        rng = np.random.default_rng(1)
+        c, k, n, d = 256, 16, 512, 32
+        task = random_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(selected=np.arange(16), scores=np.zeros(d))
+        with block_budget(c * k, 32):
+            blocks, runs = engine._tile_plan(n, c, k)
+            tracemalloc.start()
+            try:
+                out = engine.ape_logits(task, mask, EngineConfig())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (len(blocks), len(runs)) == (2, 8)
+        assert peak - out.nbytes < 0.5 * 256 * c * k * 8
 
 
 class TestPredictAccuracy:

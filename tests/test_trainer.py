@@ -486,21 +486,29 @@ class TestTrain:
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     def test_one_cosine_gemm_per_row_block_whatever_the_epochs(self, epochs):
-        """The history shares each row block's frozen affinities between all
+        """The history shares each cosine tile's frozen affinities between all
         epochs; row 0's loss and support accuracy are those of ``forward``."""
         rng = np.random.default_rng(43)
         task, mask, cfg = make_instance(rng, c=3, k=4)
         seen = []
 
-        def spy(f_ref, keys):
-            for rows, blk in engine._cosine_blocks(f_ref, keys):
-                seen.append((f_ref.shape[0], rows))
-                yield rows, blk
+        def spy(f_ref, keys, c):
+            for rows, cls, blk in engine._cosine_tiles(f_ref, keys, c):
+                seen.append((f_ref.shape[0], rows, cls))
+                yield rows, cls, blk
 
-        with mock.patch.object(trainer, "_cosine_blocks", spy), block_budget(12, 3):
+        with mock.patch.object(trainer, "_cosine_tiles", spy), block_budget(12, 3):
             _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=3))
-            want = [(m, rows) for m in (12, 4) for rows in numkit._row_blocks(m, 12)]
-        assert len(want) == 6 and seen == want  # 4 support and 2 test blocks
+        # A 3-row budget splits the keys: the 12 support rows take one block
+        # in 3 one-class tiles, the 4 test rows one block in runs of 2 and 1.
+        support, test = slice(0, 12), slice(0, 4)
+        assert seen == [
+            (12, support, slice(0, 1)),
+            (12, support, slice(1, 2)),
+            (12, support, slice(2, 3)),
+            (4, test, slice(0, 2)),
+            (4, test, slice(2, 3)),
+        ]
         assert len(history) == epochs + 1
         fresh = trainer.init_state(task, mask, cfg)
         logits = trainer.forward(fresh, task.support_features)
@@ -525,12 +533,15 @@ class TestTrain:
     @example(c=9, k=1, epochs=2, batch_size=1, with_labels=True, renormalize=True, block_rows=4, seed=1)
     @example(c=1, k=1, epochs=3, batch_size=1, with_labels=True, renormalize=False, block_rows=2, seed=2)
     @example(c=11, k=3, epochs=1, batch_size=40, with_labels=False, renormalize=True, block_rows=9, seed=3)
+    @example(c=11, k=3, epochs=2, batch_size=5, with_labels=True, renormalize=True, block_rows=2, seed=4)
     def test_bitwise_equal_to_reference_loop(
         self, c, k, epochs, batch_size, with_labels, renormalize, block_rows, seed
     ):
         """History and learnables are those of the per-epoch ``forward`` loop,
         byte for byte.  The first example keeps a short last batch; C = 9 and
-        11 leave a short last class chunk (chunks hold ceil(C/8) classes)."""
+        11 leave a short last class chunk (chunks hold 1/8 of a tile's
+        classes, rounded up).  The last example splits the keys: the 33
+        support rows take 5 blocks x 4 class runs, the 4 test rows 1 x 3."""
         rng = np.random.default_rng(seed)
         task, mask, cfg = make_instance(rng, c=c, k=k)
         cfg = dataclasses.replace(cfg, renormalize=renormalize)
