@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, refine, trainer
+from . import dataio, numkit, refine, trainer
 from .engine import (
     EngineConfig,
     FewShotTask,
@@ -147,13 +147,13 @@ def parse_grid(spec: str) -> np.ndarray:
 
 def _holdout_split(task: FewShotTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The default validation fold for the grid search: the last shot of
-    every class held out.  Returns the kept support rows (K - 1 per class,
-    class-major), the held-out rows and their class ids."""
+    every class held out.  Returns the indices of the kept support rows
+    (K - 1 per class, class-major) and of the held-out rows, and the
+    held-out rows' class ids."""
     if task.k < 2:
         raise UsageError("validation holdout needs K >= 2 (or pass --val-task)")
     rows = np.arange(task.c * task.k).reshape(task.c, task.k)
-    support, test = task.support_features[rows[:, :-1].ravel()], task.support_features[rows[:, -1]]
-    return support, test, np.arange(task.c)
+    return rows[:, :-1].ravel(), rows[:, -1], np.arange(task.c)
 
 
 def grid_search(
@@ -196,16 +196,18 @@ def grid_search(
             raise UsageError("--val-task manifest must provide test_labels")
         if val_task.c != task.c or val_task.d != task.d:
             raise UsageError("--val-task must share the task's class count and feature width")
-        support, test, labels = task.support_features, val_task.test_features, val_task.test_labels
+        support, s_norms = task.support_features, task.support_norms
+        test, labels = numkit._unit64(val_task.test_features, val_task.test_norms), val_task.test_labels
     else:
-        support, test, labels = _holdout_split(task)
+        kept, held, labels = _holdout_split(task)
+        support, s_norms = task.support_features[kept], task.support_norms[kept]
+        test = numkit._unit64(task.support_features, task.support_norms, held)
 
     refine._check_width(mask, task.d)
     zs = zero_shot_logits(test, task.text_features)
-    w_ref, s_ref, f_ref = (
-        refine._take_channels(m, mask.selected, base_cfg.renormalize)
-        for m in (task.text_features, support, test)
-    )
+    w_ref = refine._take_channels(task.text_features, mask.selected, base_cfg.renormalize)
+    s_ref = refine._take_channels(support, mask.selected, base_cfg.renormalize, s_norms)
+    f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize)
     divergences = _divergences(s_ref, w_ref, base_cfg.kl_temperature)
     score_sets = [np.exp(base_cfg.kl_sign * float(gamma) * divergences) for gamma in gammas]
     hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets)

@@ -2,10 +2,15 @@
 
 Matrices travel as APEF files: a 4-byte magic, a u32 version, u64
 little-endian row/column counts, then float32 little-endian row-major
-payload.  Values are float64 in memory and float32 on disk; narrowing
+payload.  :func:`read_matrix` widens a payload to float64; narrowing
 happens once at write time, so write -> read round trips are bitwise
 stable.  A task manifest is a small ``key = value`` text file mapping
 dataset roles to APEF paths.
+
+A loaded task keeps its support and test rows as the float32 payload
+read from disk: 4 bytes per value plus one float64 norm per row.  Each
+consumer widens and normalizes the rows it uses (``numkit._unit64``), so
+they are bitwise the rows a float64 load would re-normalize.
 
 The manifest's ``support_labels`` file (a C*K x C one-hot matrix) is part
 of the on-disk format only: it is validated on load and written on save,
@@ -209,8 +214,10 @@ def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
 def load_task(manifest_path) -> FewShotTask:
     """Assemble and validate a few-shot task from a manifest.
 
-    Feature rows are re-normalized on load (float32 storage wiggles the
-    norms); a warning is emitted when any row is off by more than 1e-4.
+    Feature rows are re-normalized (float32 storage wiggles the norms); a
+    warning is emitted when any row is off by more than 1e-4.  Text rows
+    are widened and re-normalized here; support and test rows stay the
+    read-only float32 payloads, which the task reads normalized.
     The support label file is validated on its float32 payload and then
     dropped: the task's class-major row order carries the same information.
 
@@ -222,9 +229,9 @@ def load_task(manifest_path) -> FewShotTask:
     man = read_manifest(manifest_path)
     c, k, d = man["c"], man["k"], man["d"]
     text = read_matrix(man["text_features"])
-    support = read_matrix(man["support_features"])
+    support = _read_payload(man["support_features"])
     _check_labels(_read_payload(man["support_labels"]), c, k)
-    test = read_matrix(man["test_features"])
+    test = _read_payload(man["test_features"])
     _check_shape("text_features", text, c, d)
     _check_shape("support_features", support, c * k, d)
     _check_shape("test_features", test, None, d)
@@ -237,8 +244,8 @@ def load_task(manifest_path) -> FewShotTask:
 
     return FewShotTask(
         text_features=_unit_rows("text_features", text),
-        support_features=_unit_rows("support_features", support),
-        test_features=_unit_rows("test_features", test),
+        support_features=support,
+        test_features=test,
         test_labels=test_labels,
     )
 
@@ -246,15 +253,17 @@ def load_task(manifest_path) -> FewShotTask:
 def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
     """Write a task's matrices plus its manifest; returns the manifest path.
 
+    Feature files hold the float64 rows the task stands for, narrowed (so a
+    loaded task is written as a float64 load of the same files would be).
     The support label file is the class-major one-hot matrix of (C, K).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     roles = {
         "text_features": task.text_features,
-        "support_features": task.support_features,
+        "support_features": numkit._unit64(task.support_features, task.support_norms),
         "support_labels": np.repeat(np.eye(task.c), task.k, axis=0),
-        "test_features": task.test_features,
+        "test_features": numkit._unit64(task.test_features, task.test_norms),
     }
     if task.test_labels is not None:
         roles["test_labels"] = task.test_labels[:, None].astype(np.float64)

@@ -17,7 +17,8 @@ search and the training history hold one tile of affinities (about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,19 +68,26 @@ class FewShotTask:
     """A bundled C-way-K-shot dataset of precomputed embeddings.
 
     Support rows are grouped class-major: row c*K + j is the j-th shot of
-    class c, which is all the support labels say.  All feature rows are
-    unit-norm.  C and D are the text shape; K is support rows // C.
+    class c, which is all the support labels say.  C and D are the text
+    shape; K is support rows // C.  Float64 feature rows must be unit-norm.
+    Support and test rows may instead be float32, as stored on disk (zero
+    rows rejected): they stay float32 and stand for their normalized float64
+    widening, ``numkit._unit64`` with the norms derived here (a warning
+    names a role whose rows are off unit norm by more than 1e-4).
     """
 
     text_features: np.ndarray      # C x D
     support_features: np.ndarray   # C*K x D
     test_features: np.ndarray      # N x D
     test_labels: np.ndarray | None  # N class ids, optional
+    # float64 norm of each support and test row, derived, never passed in
+    support_norms: np.ndarray = field(init=False, repr=False)
+    test_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.text_features = numkit.as_matrix(self.text_features, "text_features")
-        self.support_features = numkit.as_matrix(self.support_features, "support_features")
-        self.test_features = numkit.as_matrix(self.test_features, "test_features")
+        self.support_features = numkit._as_features(self.support_features, "support_features")
+        self.test_features = numkit._as_features(self.test_features, "test_features")
         (c, d), (n_support, d_support) = self.text_features.shape, self.support_features.shape
         if c < 1 or n_support < c or n_support % c or d_support != d:
             raise ValueError(
@@ -90,10 +98,9 @@ class FewShotTask:
             raise ValueError(
                 f"test_features must be N x {d} with N >= 1, got {self.test_features.shape}"
             )
-        for name in ("text_features", "support_features", "test_features"):
-            norms = numkit._row_norms(getattr(self, name))
-            if np.abs(norms - 1.0).max() > 1e-6:
-                raise ValueError(f"{name} rows must be unit-norm within 1e-6")
+        _checked_norms("text_features", self.text_features)
+        self.support_norms = _checked_norms("support_features", self.support_features)
+        self.test_norms = _checked_norms("test_features", self.test_features)
         if self.test_labels is not None:
             labels = np.asarray(self.test_labels)
             if labels.shape != (self.test_features.shape[0],):
@@ -119,6 +126,26 @@ class FewShotTask:
         return np.repeat(np.arange(self.c), self.k)
 
 
+def _checked_norms(name: str, m: np.ndarray) -> np.ndarray:
+    """The float64 row norms of a task's feature rows ``m``.
+
+    Raises:
+        ValueError: naming ``name`` if float64 rows are off unit norm by
+            more than 1e-6 or a float32 row is zero.
+    """
+    norms = numkit._row_norms(m)
+    off = np.abs(norms - 1.0).max()
+    if m.dtype == np.float32:
+        if off > 1e-4:
+            warnings.warn(f"{name}: rows off unit norm by up to {off:.2e}; renormalizing")
+        bad = (norms == 0.0).any()
+    else:
+        bad = off > 1e-6
+    if bad:
+        raise ValueError(f"{name} rows must be unit-norm within 1e-6")
+    return norms
+
+
 def _are_class_ids(labels: np.ndarray, c: int) -> bool:
     """Whether all entries are integral ids in [0, c); NaN fails every comparison."""
     return bool(((labels >= 0) & (labels < c) & (labels == np.round(labels))).all())
@@ -127,12 +154,14 @@ def _are_class_ids(labels: np.ndarray, c: int) -> bool:
 def zero_shot_logits(f_batch, w) -> np.ndarray:
     """Cosine logits between test rows and class prototypes: f @ w.T.
 
-    For unit rows every entry lies in [-1, 1].
+    For unit rows every entry lies in [-1, 1].  Float32 rows are stored
+    features: they are widened and normalized first, as ``FewShotTask``
+    reads them.
 
     Raises:
         ValueError: on feature-dimension mismatch.
     """
-    f_batch = numkit.as_matrix(f_batch, "f_batch")
+    f_batch = numkit._unit64(numkit._as_features(f_batch, "f_batch"))
     w = numkit.as_matrix(w, "w")
     if f_batch.shape[1] != w.shape[1]:
         raise ValueError(
@@ -228,6 +257,21 @@ def _class_sums(weighted, c: int) -> np.ndarray:
     routes every entry into its own class column.
     """
     return weighted.reshape(weighted.shape[0], c, -1).sum(axis=-1)
+
+
+def _scored_class_sums(aff, scores, out) -> np.ndarray:
+    """``out[:] = _class_sums(aff * scores, C)`` for the N x C ``out``, bitwise,
+    with the product taken in class chunks of about 1/8 of ``aff``'s columns
+    in one reused scratch, so no second matrix of ``aff``'s size exists."""
+    n, c = out.shape
+    k = aff.shape[1] // c
+    width = -(-c // 8) * k  # cache columns per class chunk
+    scratch = np.empty(n * min(width, aff.shape[1]))
+    for lo in range(0, aff.shape[1], width):
+        hi = min(lo + width, aff.shape[1])
+        part = np.multiply(aff[:, lo:hi], scores[lo:hi], out=scratch[: n * (hi - lo)].reshape(n, -1))
+        out[:, lo // k : hi // k] = _class_sums(part, (hi - lo) // k)
+    return out
 
 
 # Query rows per tile once the keys are split: every call re-packs its
@@ -336,14 +380,19 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray
     return hits
 
 
+def _refined_cache(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig):
+    """The task's refined support rows (C*K x Q float64) and their cache
+    scores under ``cfg``, for a mask whose width the caller has checked."""
+    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
+    s_ref = refine._take_channels(task.support_features, mask.selected, cfg.renormalize, task.support_norms)
+    return s_ref, np.exp(cfg.kl_sign * cfg.gamma * _divergences(s_ref, w_ref, cfg.kl_temperature))
+
+
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
     """:func:`ape_logits` from the task's zero-shot logits ``zs`` (not modified),
     for a mask whose width the caller has checked against the task."""
-    w_ref, s_ref, f_ref = (
-        refine._take_channels(m, mask.selected, cfg.renormalize)
-        for m in (task.text_features, task.support_features, task.test_features)
-    )
-    scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(s_ref, w_ref, cfg.kl_temperature))
+    s_ref, scores = _refined_cache(task, mask, cfg)
+    f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
     return _add_cache_term(zs.copy(), f_ref, s_ref, scores, cfg.alpha, cfg.beta)
 
 
@@ -351,7 +400,9 @@ def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
     """Tip-Adapter cache baseline from the zero-shot logits ``zs`` (not modified):
     :func:`ape_logits` with every channel kept, gamma = 0 and no renormalization."""
     ones = np.ones(task.c * task.k)
-    return _add_cache_term(zs.copy(), task.test_features, task.support_features, ones, alpha, beta)
+    test = numkit._unit64(task.test_features, task.test_norms)
+    support = numkit._unit64(task.support_features, task.support_norms)
+    return _add_cache_term(zs.copy(), test, support, ones, alpha, beta)
 
 
 def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:

@@ -154,14 +154,18 @@ def select_channels(s: CriterionVector, v: CriterionVector, lam: float, q: int) 
     return ChannelMask(selected=np.sort(order[:q]), scores=j.values)
 
 
-def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool) -> np.ndarray:
-    """Keep the given columns of a finite 2-D float64 ``m``, optionally
-    re-normalizing each row; the indices must be in range.
+def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=None) -> np.ndarray:
+    """Keep the given columns of the float64 rows a checked 2-D ``m`` stands
+    for (``numkit._unit64`` with ``norms``), optionally re-normalizing each
+    row; the indices must be in range.
 
-    Zero rows survive renormalization unchanged (with a warning), matching
-    :func:`ape.numkit.l2_normalize_rows`.
+    Float32 rows are widened one row block at a time, so no full-width
+    float64 copy of ``m`` exists.  Zero rows survive renormalization
+    unchanged (with a warning), matching :func:`ape.numkit.l2_normalize_rows`.
     """
-    out = np.take(m, indices, axis=1)
+    out = np.empty((m.shape[0], len(indices)))
+    for rows in numkit._row_blocks(*m.shape):
+        np.take(numkit._unit64(m, norms, rows), indices, axis=1, out=out[rows])
     if renormalize:
         numkit._normalize_rows_inplace(out)
     return out

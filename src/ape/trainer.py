@@ -26,11 +26,11 @@ from .engine import (
     FewShotTask,
     _add_cache_term,
     _are_class_ids,
-    _class_sums,
     _cosine_tiles,
+    _refined_cache,
+    _scored_class_sums,
     _sharpen,
     cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
-    cache_scores,
 )
 
 __all__ = [
@@ -141,9 +141,8 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     A forward pass of the fresh state reproduces the training-free logits
     bitwise.
     """
-    w_ref = refine.apply_mask(task.text_features, mask, cfg.renormalize)
-    s_ref = refine.apply_mask(task.support_features, mask, cfg.renormalize)
-    scores = cache_scores(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
+    refine._check_width(mask, task.d)
+    s_ref, scores = _refined_cache(task, mask, cfg)
     return TrainState(
         res=np.zeros((task.c, mask.q)),
         scores=scores,
@@ -174,9 +173,11 @@ def forward(state: TrainState, f_batch) -> np.ndarray:
     The residual shifts the text prototypes (padded to full width) and
     scales its class's sum of frozen cache affinities by the gain
     exp(beta * f_ref @ res.T), which equals shifting that class's cache
-    keys by it without forming a C*K x Q key matrix.
+    keys by it without forming a C*K x Q key matrix.  Float32 rows are
+    stored features: they are widened and normalized first, as
+    ``FewShotTask`` reads them.
     """
-    f_batch = numkit.as_matrix(f_batch, "f_batch")
+    f_batch = numkit._unit64(numkit._as_features(f_batch, "f_batch"))
     if f_batch.shape[1] != state.d_total:
         raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
     cfg = state.cfg
@@ -215,11 +216,12 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
     y = np.asarray(label_ids, dtype=np.int64)
     b, c, k, cfg = f_batch.shape[0], state.c, state.k, state.cfg
     # The backward pass needs the whole B x C*K frozen-key affinity, so this
-    # forward materializes it; its operations are forward's, bit for bit.
+    # forward materializes it (and no second one); its operations are
+    # forward's, bit for bit.
     aff = f_ref @ state.f_support_refined.T
     _sharpen(aff, cfg.beta, out=aff)
     gain = np.exp(cfg.beta * (f_ref @ state.res.T))
-    cache = _class_sums(aff * state.scores, c) * gain
+    cache = _scored_class_sums(aff, state.scores, np.empty((b, c))) * gain
     logits = f_batch @ _shifted(state, state.res, np.empty_like(state.w)).T + cfg.alpha * cache
 
     g = numkit._softmax(logits)
@@ -272,14 +274,15 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
     return state
 
 
-def _snapshot_accuracies(state: TrainState, snaps, f_batch, f_ref, labels, terms=None) -> list[float]:
-    """Accuracy of ``forward`` under each ``(res, scores)`` snapshot on full-width
-    rows, their refined channels and ``labels``; ``terms``, if given, receives
-    snapshot 0's per-row cross-entropy terms.  Each cosine tile is computed
-    and sharpened once for all snapshots; the scores product runs in class
-    chunks of about 1/8 of a tile, so no second tile and no logits matrix
-    exist whole.  A row block split into several tiles keeps one row block
-    of class sums per snapshot until its last tile.
+def _snapshot_accuracies(state: TrainState, snaps, f_batch, norms, f_ref, labels, terms=None) -> list[float]:
+    """Accuracy of ``forward`` under each ``(res, scores)`` snapshot on the
+    full-width task rows ``f_batch`` (with their ``norms``, widened one row
+    block at a time), their refined channels and ``labels``; ``terms``, if
+    given, receives snapshot 0's per-row cross-entropy terms.  Each cosine
+    tile is computed and sharpened once for all snapshots; the scores
+    product runs in class chunks (:func:`_scored_class_sums`), so no second
+    tile and no logits matrix exist whole.  A row block split into several
+    tiles keeps one row block of class sums per snapshot until its last tile.
     """
     cfg, c, k = state.cfg, state.c, state.k
     shifted, hits = np.empty_like(state.w), np.zeros(len(snaps), dtype=np.int64)
@@ -287,16 +290,14 @@ def _snapshot_accuracies(state: TrainState, snaps, f_batch, f_ref, labels, terms
         _sharpen(blk, cfg.beta, out=blk)
         if cls.start == 0:
             sums = np.empty((1 if cls.stop == c else len(snaps), len(blk), c))
-        width = -(-(cls.stop - cls.start) // 8) * k  # cache columns per class chunk
+        if cls.stop == c:
+            f_rows = numkit._unit64(f_batch, norms, rows)
         for e, (res, scores) in enumerate(snaps):
             acc = sums[min(e, len(sums) - 1)]
-            for lo in range(0, blk.shape[1], width):
-                hi = min(lo + width, blk.shape[1])
-                part = blk[:, lo:hi] * scores[k * cls.start + lo : k * cls.start + hi]
-                acc[:, cls.start + lo // k : cls.start + hi // k] = _class_sums(part, (hi - lo) // k)
+            _scored_class_sums(blk, scores[k * cls.start : k * cls.stop], acc[:, cls])
             if cls.stop == c:
                 acc *= np.exp(cfg.beta * (f_ref[rows] @ res.T))
-                zs = f_batch[rows] @ _shifted(state, res, shifted).T
+                zs = f_rows @ _shifted(state, res, shifted).T
                 zs += cfg.alpha * acc
                 hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
                 if e == 0 and terms is not None:
@@ -336,7 +337,8 @@ def train(
         batch_losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
-            fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], y_support[idx]
+            fb = numkit._unit64(task.support_features, task.support_norms, idx)
+            fb_ref, yb = state.f_support_refined[idx], y_support[idx]
             logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, yb)
             batch_losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
@@ -345,11 +347,15 @@ def train(
         snaps.append((state.res.copy(), state.scores.copy()))
 
     terms = np.empty(n)
-    support_acc = _snapshot_accuracies(state, snaps, task.support_features, state.f_support_refined, y_support, terms)
+    support_acc = _snapshot_accuracies(
+        state, snaps, task.support_features, task.support_norms, state.f_support_refined, y_support, terms
+    )
     test_acc = [None] * len(snaps)
     if task.test_labels is not None:
-        test_ref = refine._take_channels(task.test_features, state.mask_idx, cfg.renormalize)
-        test_acc = _snapshot_accuracies(state, snaps, task.test_features, test_ref, task.test_labels)
+        test_ref = refine._take_channels(task.test_features, state.mask_idx, cfg.renormalize, task.test_norms)
+        test_acc = _snapshot_accuracies(
+            state, snaps, task.test_features, task.test_norms, test_ref, task.test_labels
+        )
     rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
     return state, [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
 
@@ -439,6 +445,8 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
         step=int(step),
         mask_idx=mask_idx,
         w=task.text_features.copy(),
-        f_support_refined=refine._take_channels(task.support_features, mask_idx, cfg.renormalize),
+        f_support_refined=refine._take_channels(
+            task.support_features, mask_idx, cfg.renormalize, task.support_norms
+        ),
         cfg=cfg,
     )

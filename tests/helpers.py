@@ -36,6 +36,18 @@ def random_task(rng, c=3, k=2, d=8, n_test=5, with_labels=True):
     )
 
 
+def load_task_float64(manifest_path):
+    """Reference loader: every feature file read through ``read_matrix``
+    (widened to float64) and re-normalized by ``numkit._normalize_rows_inplace``,
+    the rule by which ``load_task`` held tasks before it kept support and test
+    rows float32."""
+    man = dataio.read_manifest(manifest_path)
+    roles = ("text_features", "support_features", "test_features")
+    rows = {role: numkit._normalize_rows_inplace(dataio.read_matrix(man[role])) for role in roles}
+    labels = dataio.read_matrix(man["test_labels"])[:, 0] if "test_labels" in man else None
+    return FewShotTask(**rows, test_labels=labels)
+
+
 def tip_logits(task, alpha, beta):
     """The Tip-Adapter baseline as ``ape infer`` computes it: ``engine._tip_core``
     on the task's zero-shot logits."""

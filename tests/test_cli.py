@@ -319,7 +319,9 @@ class TestSearchCommand:
     def test_holdout_split_matches_loop(self, workspace):
         _, manifest, _ = workspace
         task = dataio.load_task(manifest)
-        got, want = _holdout_split(task), holdout_split_loop(task)
+        kept, held, labels = _holdout_split(task)
+        got = task.support_features[kept], task.support_features[held], labels
+        want = holdout_split_loop(task)
         assert len(got[0]) == len(want[0]) == task.c * (task.k - 1)
         for a, b in zip(got, want, strict=True):  # support rows, held-out rows, their labels
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,8 +1,10 @@
 """Tests for the binary matrix format, manifests, and the task generator."""
 
+import dataclasses
 import re
 import struct
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,8 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ape import dataio, engine, numkit
-from helpers import check_labels_reference, one_hot_labels, random_task, unit_rows
+from ape import dataio, engine, numkit, refine, trainer
+from ape.cli import grid_search
+from ape.engine import EngineConfig
+from helpers import (
+    block_budget,
+    check_labels_reference,
+    load_task_float64,
+    one_hot_labels,
+    random_task,
+    tip_logits,
+    unit_rows,
+)
 
 
 class TestMatrixRoundTrip:
@@ -304,8 +316,8 @@ class TestLabelCheck:
         with mock.patch.object(dataio, "read_matrix", spy):
             dataio.load_task(manifest)
         read = {call.args[0].name for call in spy.call_args_list}
-        assert read == {f"task_{role}.apef" for role in
-                        ("text_features", "support_features", "test_features", "test_labels")}
+        # support and test rows stay float32 payloads too; only these widen
+        assert read == {f"task_{role}.apef" for role in ("text_features", "test_labels")}
 
     def test_truncated_label_file_rejected(self, tmp_path):
         rng = np.random.default_rng(62)
@@ -363,3 +375,139 @@ class TestGenSynthetic:
                 dataio.gen_synthetic(bad[0], bad[1], bad[2], 2, 0.1, seed=0)
         with pytest.raises(ValueError):
             dataio.gen_synthetic(3, 2, 8, 2, -0.5, seed=0)
+
+
+@st.composite
+def stored_tasks(draw):
+    """A labelled float64 task to write with ``save_task``, one of whose
+    support rows and one test row are one-hot: such a row has norm exactly 1
+    in float32 too, so it passes through the 1e-12 band unnormalized."""
+    c, k, d, n = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(4, 9)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    task = random_task(rng, c=c, k=k, d=d, n_test=n)
+    for rows in (task.support_features, task.test_features):
+        rows[rng.integers(len(rows))] = np.eye(d)[rng.integers(d)]
+    q = draw(st.integers(1, d))
+    mask = refine.ChannelMask(selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d))
+    return task, mask
+
+
+class TestFloat32Task:
+    """A loaded task keeps its support and test rows as the float32 payload
+    and stands for the rows a float64 load re-normalizes, bit for bit."""
+
+    CONFIGS = (
+        EngineConfig(),
+        EngineConfig(alpha=2.0, beta=3.0, gamma=0.5, kl_sign=-1, kl_temperature=0.7, renormalize=False),
+    )
+
+    @pytest.mark.filterwarnings("ignore::ape.numkit.ZeroRowWarning")  # one-hot rows off the mask
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=stored_tasks())
+    def test_outputs_equal_a_float64_load(self, tmp_path, case):
+        task, mask = case
+        manifest = dataio.save_task(task, tmp_path)
+        got, want = dataio.load_task(manifest), load_task_float64(manifest)
+        assert got.support_features.dtype == got.test_features.dtype == np.float32
+        assert want.support_features.dtype == want.test_features.dtype == np.float64
+        for cfg in self.CONFIGS:
+            assert engine.ape_logits(got, mask, cfg).tobytes() == engine.ape_logits(want, mask, cfg).tobytes()
+        assert tip_logits(got, 1.0, 5.5).tobytes() == tip_logits(want, 1.0, 5.5).tobytes()
+        grids = ([0.0, 1.0, 2.0], [1.0, 5.5], [0.0, 0.3])
+        assert grid_search(got, mask, self.CONFIGS[1], *grids) == grid_search(want, mask, self.CONFIGS[1], *grids)
+        assert (grid_search(got, mask, self.CONFIGS[0], *grids, val_task=got)
+                == grid_search(want, mask, self.CONFIGS[0], *grids, val_task=want))
+        optim = trainer.OptimConfig(epochs=2, batch_size=3, seed=1)
+        checkpoints = []
+        for name, loaded in (("got", got), ("want", want)):
+            state, history = trainer.train(loaded, mask, self.CONFIGS[0], optim)
+            trainer.save_checkpoint(tmp_path / f"{name}.ckpt", state)
+            resumed = trainer.load_checkpoint(tmp_path / f"{name}.ckpt", loaded)
+            checkpoints.append((repr(history), (tmp_path / f"{name}.ckpt").read_bytes(),
+                                trainer.forward(resumed, loaded.test_features).tobytes()))
+        assert checkpoints[0] == checkpoints[1]
+
+    def test_replace_rederives_the_norms(self, tmp_path):
+        rng = np.random.default_rng(75)
+        loaded = dataio.load_task(dataio.save_task(random_task(rng, c=3, k=2, d=6, n_test=6), tmp_path))
+        swapped = dataclasses.replace(loaded, test_features=loaded.support_features, test_labels=None)
+        assert swapped.test_norms.tobytes() == loaded.support_norms.tobytes()
+        with pytest.raises(ValueError, match="init=False"):  # derived, never passed in
+            dataclasses.replace(loaded, support_norms=loaded.support_norms)
+
+    def test_save_writes_the_normalized_rows(self, tmp_path):
+        """Saving a loaded task narrows the rows it stands for, not its raw
+        payload: the files a float64 load would write."""
+        rng = np.random.default_rng(70)
+        task = random_task(rng, c=3, k=2, d=6, n_test=4)
+        manifest = dataio.save_task(task, tmp_path / "a")
+        # rows 1e-3 off unit norm: the stored payload is not what the task stands for
+        dataio.write_matrix(tmp_path / "a" / "task_support_features.apef", task.support_features * 1.001)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            loaded = dataio.load_task(manifest)
+        dataio.save_task(loaded, tmp_path / "got")
+        dataio.save_task(load_task_float64(manifest), tmp_path / "want")
+        for role in ("text_features", "support_features", "test_features", "test_labels"):
+            got = (tmp_path / "got" / f"task_{role}.apef").read_bytes()
+            assert got == (tmp_path / "want" / f"task_{role}.apef").read_bytes(), role
+        raw = (tmp_path / "a" / "task_support_features.apef").read_bytes()
+        assert raw != (tmp_path / "got" / "task_support_features.apef").read_bytes()
+
+    def test_drifting_rows_warn_with_the_role(self, tmp_path):
+        rng = np.random.default_rng(71)
+        task = random_task(rng, c=3, k=2, d=5)
+        manifest = dataio.save_task(task, tmp_path)
+        dataio.write_matrix(tmp_path / "task_test_features.apef", 2.0 * task.test_features)
+        message = "test_features: rows off unit norm by up to 1.00e+00; renormalizing"
+        with pytest.warns(UserWarning, match=re.escape(message)):
+            loaded = dataio.load_task(manifest)
+        assert engine.zero_shot_logits(loaded.test_features, loaded.text_features).tobytes() == (
+            engine.zero_shot_logits(load_task_float64(manifest).test_features, loaded.text_features).tobytes()
+        )
+
+    @pytest.mark.parametrize("role", ["support_features", "test_features"])
+    def test_zero_row_rejected(self, tmp_path, role):
+        rng = np.random.default_rng(72)
+        task = random_task(rng, c=3, k=2, d=5)
+        manifest = dataio.save_task(task, tmp_path)
+        rows = getattr(task, role).copy()
+        rows[1] = 0.0
+        dataio.write_matrix(tmp_path / f"task_{role}.apef", rows)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            with pytest.raises(ValueError, match=f"^{role} rows must be unit-norm within 1e-6$"):
+                dataio.load_task(manifest)
+
+    def test_loaded_task_holds_four_bytes_per_value(self, tmp_path):
+        """4 bytes per support and test value plus one float64 norm per row;
+        the rest is the C x D float64 text rows and the int64 test labels."""
+        rng = np.random.default_rng(73)
+        c, k, d, n = 8, 16, 256, 64
+        manifest = dataio.save_task(random_task(rng, c=c, k=k, d=d, n_test=n), tmp_path)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            loaded = dataio.load_task(manifest)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = c * k + n
+        expected = (4 * d + 8) * rows + 8 * c * d + 8 * n
+        assert expected <= held < expected + 16384
+        assert loaded.support_features.dtype == np.float32
+
+    def test_ape_logits_never_widens_the_whole_support(self, tmp_path):
+        """The refined support rows are taken by row blocks, so no
+        C*K x D float64 matrix is allocated."""
+        rng = np.random.default_rng(74)
+        c, k, d, n = 8, 16, 512, 8
+        manifest = dataio.save_task(random_task(rng, c=c, k=k, d=d, n_test=n), tmp_path)
+        task = dataio.load_task(manifest)
+        mask = refine.ChannelMask(selected=np.arange(16), scores=np.zeros(d))
+        with block_budget(d, 16):
+            tracemalloc.start()
+            try:
+                engine.ape_logits(task, mask, EngineConfig())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * 8 * c * k * d

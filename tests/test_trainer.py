@@ -107,6 +107,14 @@ class TestInitState:
         )
         np.testing.assert_array_equal(state.scores, want)
 
+    def test_trusts_the_checked_task(self):
+        """The task's rows were checked when it was built: no ``as_matrix`` pass."""
+        rng = np.random.default_rng(34)
+        task, mask, cfg = make_instance(rng)
+        with mock.patch.object(numkit, "as_matrix", wraps=numkit.as_matrix) as spy:
+            trainer.init_state(task, mask, cfg)
+        assert spy.call_count == 0
+
     def test_sizes_come_from_the_arrays(self):
         rng = np.random.default_rng(33)
         task, mask, cfg = make_instance(rng, c=4, k=3, d=9, q=5)
@@ -324,6 +332,23 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak < 8 * c * k * q / 2
+
+    def test_step_holds_one_affinity_matrix(self):
+        """The scores product runs in class chunks: a step's tracemalloc peak
+        stays below two B x C*K matrices (the frozen-key affinity is one)."""
+        rng = np.random.default_rng(39)
+        c, k, q, b = 64, 16, 16, 128
+        task, mask, cfg = make_instance(rng, c=c, k=k, d=32, q=q)
+        state = trainer.init_state(task, mask, cfg)
+        idx = rng.permutation(c * k)[:b]
+        fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], idx // k
+        tracemalloc.start()
+        try:
+            trainer._grad_parts(state, fb, fb_ref, yb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * b * c * k
 
     def test_alpha_zero_isolates_text_path(self):
         rng = np.random.default_rng(37)
