@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, numkit, refine, trainer
+from . import dataio, refine, trainer
 from .engine import (
     EngineConfig,
     FewShotTask,
@@ -100,9 +100,22 @@ def _validated(build, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
-def _task_and_mask(args) -> tuple[FewShotTask, refine.ChannelMask, float]:
-    """``--task``, ``--mask`` and its lambda; a mask of another width is a UsageError."""
-    task = dataio.load_task(args.task)
+def _task_and_mask(args, split=None) -> tuple[FewShotTask, refine.ChannelMask, float]:
+    """``--task``, ``--mask`` and its lambda; a mask of another width is a UsageError.
+
+    Given another manifest ``split``, the task is ``--task``'s cache (text
+    and support rows) with ``split``'s test rows and labels: neither the
+    cache's test files nor the split's text, support and label files are
+    read.  A split of another class count or width is a UsageError.
+    """
+    if split is None:
+        task = dataio.load_task(args.task)
+    else:
+        man, split_man = dataio.read_manifest(args.task), dataio.read_manifest(split)
+        cache, test = dataio._read_cache(man), dataio._read_split(split_man)
+        if (split_man["c"], split_man["d"]) != (man["c"], man["d"]):
+            raise UsageError("--val-task must share the task's class count and feature width")
+        task = FewShotTask(*cache, *test)
     mask, lam = refine.load_mask(args.mask)
     if mask.d_total != task.d:
         raise UsageError(f"mask covers {mask.d_total} channels, task has {task.d}")
@@ -197,17 +210,17 @@ def grid_search(
         if val_task.c != task.c or val_task.d != task.d:
             raise UsageError("--val-task must share the task's class count and feature width")
         support, s_norms = task.support_features, task.support_norms
-        test, labels = numkit._unit64(val_task.test_features, val_task.test_norms), val_task.test_labels
+        test, t_norms, labels = val_task.test_features, val_task.test_norms, val_task.test_labels
     else:
         kept, held, labels = _holdout_split(task)
         support, s_norms = task.support_features[kept], task.support_norms[kept]
-        test = numkit._unit64(task.support_features, task.support_norms, held)
+        test, t_norms = task.support_features[held], task.support_norms[held]
 
     refine._check_width(mask, task.d)
-    zs = zero_shot_logits(test, task.text_features)
+    zs = zero_shot_logits(test, task.text_features, t_norms)
     w_ref = refine._take_channels(task.text_features, mask.selected, base_cfg.renormalize)
     s_ref = refine._take_channels(support, mask.selected, base_cfg.renormalize, s_norms)
-    f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize)
+    f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)
     divergences = _divergences(s_ref, w_ref, base_cfg.kl_temperature)
     score_sets = [np.exp(base_cfg.kl_sign * float(gamma) * divergences) for gamma in gammas]
     hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets)
@@ -220,15 +233,16 @@ def grid_search(
 def cmd_refine(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {args.lam}")
-    task = dataio.load_task(args.task)
-    if not 1 <= args.q <= task.d:
-        raise UsageError(f"--q must lie in [1, {task.d}], got {args.q}")
-    sim = refine.inter_class_similarity(task.text_features)
-    var = refine.inter_class_variance(task.text_features)
+    text = dataio._read_text(dataio.read_manifest(args.task))  # the only rows refinement reads
+    d = text.shape[1]
+    if not 1 <= args.q <= d:
+        raise UsageError(f"--q must lie in [1, {d}], got {args.q}")
+    sim = refine.inter_class_similarity(text)
+    var = refine.inter_class_variance(text)
     mask = refine.select_channels(sim, var, args.lam, args.q)
     refine.save_mask(args.out, mask, args.lam)
     order = np.argsort(mask.scores, kind="stable")
-    print(f"selected {mask.q}/{task.d} channels (lambda={args.lam}) -> {args.out}")
+    print(f"selected {mask.q}/{d} channels (lambda={args.lam}) -> {args.out}")
     print("lowest-score channels (kept first):")
     for i in order[:10]:
         print(f"  {i:>5}  {mask.scores[i]: .6e}")
@@ -242,20 +256,23 @@ def cmd_infer(args) -> int:
     started = time.perf_counter()
     task, mask, mask_lam = _task_and_mask(args)
     cfg = _engine_config(args)
-    zs = zero_shot_logits(task.test_features, task.text_features)
-    ape = _ape_core(zs, task, mask, cfg)
+    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms)
     labels = task.test_labels
+    acc = dict.fromkeys(("zero_shot", "tip_adapter", "ape"))
+    if labels is not None:
+        # Both baselines are scored before the APE cache term goes into zs.
+        acc["zero_shot"] = accuracy(zs, labels)
+        acc["tip_adapter"] = accuracy(_tip_core(zs, task, cfg.alpha, cfg.beta), labels)
+    ape = _ape_core(zs, task, mask, cfg)
     if labels is None:
         # Only the APE logits are written, so the baseline is not computed.
         logits_path = f"{args.report}.logits.apef"
         dataio.write_matrix(logits_path, ape)
         print(f"task has no test labels; wrote logits to {logits_path}")
-    tip = None if labels is None else _tip_core(zs, task, cfg.alpha, cfg.beta)
+    else:
+        acc["ape"] = accuracy(ape, labels)
     report = EvalReport(
-        methods=[
-            MethodResult(name, 0, None if labels is None else accuracy(logits, labels))
-            for name, logits in (("zero_shot", zs), ("tip_adapter", tip), ("ape", ape))
-        ],
+        methods=[MethodResult(name, 0, value) for name, value in acc.items()],
         config=_config_echo(cfg, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask),
         wall_time_s=time.perf_counter() - started,
     )
@@ -283,7 +300,7 @@ def cmd_train(args) -> int:
     if task.test_labels is not None:
         # A fresh state reproduces the training-free logits bitwise, so the
         # history's first and last rows are the ape and ape_t accuracies.
-        zs = zero_shot_logits(task.test_features, task.text_features)
+        zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms)
         methods = [
             MethodResult("zero_shot", 0, accuracy(zs, task.test_labels)),
             MethodResult("ape", 0, history[0]["test_acc"]),
@@ -315,8 +332,8 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     alphas, betas = parse_grid(args.alpha_grid), parse_grid(args.beta_grid)
     gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
-    task, mask, mask_lam = _task_and_mask(args)
-    val_task = dataio.load_task(args.val_task) if args.val_task else None
+    task, mask, mask_lam = _task_and_mask(args, args.val_task)
+    val_task = task if args.val_task else None  # its test split is the --val-task's
     best, best_acc = grid_search(task, mask, _engine_config(args), alphas, betas, gammas, val_task)
     found = {"alpha": best.alpha, "beta": best.beta, "gamma": best.gamma,
              "val_accuracy": 100.0 * best_acc}

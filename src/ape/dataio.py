@@ -14,12 +14,20 @@ they are bitwise the rows a float64 load would re-normalize.
 
 The manifest's ``support_labels`` file (a C*K x C one-hot matrix) is part
 of the on-disk format only: it is validated on load and written on save,
-but in memory the labels are implied by the class-major row order.  The
-check runs on the file's float32 payload, which is never widened.
+but in memory the labels are implied by the class-major row order.  It is
+checked and written one row block at a time, so it never exists whole in
+memory; :func:`write_matrix` narrows its payload by row blocks too.
+
+A task's files have three readers: the text rows (:func:`_read_text`),
+the cache (text and support rows, label file checked, :func:`_read_cache`)
+and the split (test rows and labels, :func:`_read_split`).
+:func:`load_task` composes the last two; a command that uses fewer roles
+opens only their files, with the same checks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import warnings
@@ -27,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numkit
+from . import engine, numkit
 from .engine import FewShotTask
 
 __all__ = [
@@ -88,22 +96,49 @@ class NonOneHotError(DataIOError):
 
 
 def write_matrix(path, m) -> None:
-    """Write a matrix as an APEF file (float32 narrowing, atomic rename)."""
+    """Write a matrix as an APEF file (float32 narrowing, atomic rename).
+
+    Raises:
+        ValueError: if the input is not a finite 2-D matrix or a value
+            exceeds the float32 range; ``path`` is then left untouched.
+    """
     m = numkit.as_matrix(m, "matrix")
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(m).astype("<f4")
-    if m.size and not np.isfinite(payload).all():
-        raise ValueError("matrix values exceed the float32 range")
-    header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<QQ", *m.shape)
-    _atomic_write(path, header + payload.tobytes())
+    _write_rows(path, m.shape, lambda rows: m[rows])
 
 
-def _atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to a temporary sibling, then rename it over ``path``."""
+def _write_rows(path, shape, block_of) -> None:
+    """Write an APEF file of ``shape`` whose payload rows are the float64
+    ``block_of(rows)`` for the row blocks of ``numkit._row_blocks``, each
+    narrowed into one reused float32 buffer: bitwise ``astype("<f4")`` of
+    the whole matrix, which never exists."""
+    n, cols = shape
+    blocks = numkit._row_blocks(n, cols)
+    buf = np.empty(blocks[0].stop * cols, dtype="<f4")
+    with _atomic_file(path) as fh:
+        fh.write(MAGIC + struct.pack("<IQQ", VERSION, n, cols))
+        for rows in blocks:
+            out = buf[: (rows.stop - rows.start) * cols].reshape(rows.stop - rows.start, cols)
+            with np.errstate(over="ignore"):
+                np.copyto(out, block_of(rows), casting="same_kind")
+            if not np.isfinite(out).all():
+                raise ValueError("matrix values exceed the float32 range")
+            fh.write(out)
+
+
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary file open for writing at a temporary sibling of ``path``,
+    renamed over ``path`` when the block ends.  On an error the sibling is
+    removed and ``path`` is left as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_matrix(path) -> np.ndarray:
@@ -117,25 +152,42 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _read_payload(path) -> np.ndarray:
-    """The checked float32 payload of an APEF file, as a read-only view."""
+    """The checked float32 payload of an APEF file, read-only."""
+    with _open_apef(path) as (fh, shape):
+        payload = _read_rows(fh, np.empty(shape, dtype="<f4"), path)
+    payload.flags.writeable = False
+    return payload
+
+
+@contextlib.contextmanager
+def _open_apef(path):
+    """The open APEF file at ``path``, positioned at its payload, and the
+    payload's (rows, cols), once the header and the file size are checked."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
-        raise TruncatedError(f"{path}: shorter than the 4-byte magic")
-    if blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 24:
-        raise TruncatedError(f"{path}: header truncated ({len(blob)} bytes)")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported version {version}")
-    rows, cols = struct.unpack("<QQ", blob[8:24])
-    if rows * cols > _MAX_ELEMENTS:
-        raise ShapeOverflowError(f"{path}: shape {rows}x{cols} too large")
-    expected, size = rows * cols * 4, len(blob) - 24
-    if size != expected:
-        raise TruncatedError(f"{path}: payload is {size} bytes, header implies {expected}")
-    return np.frombuffer(blob, dtype="<f4", offset=24).reshape(rows, cols)
+        head = fh.read(24)
+        if len(head) < 4:
+            raise TruncatedError(f"{path}: shorter than the 4-byte magic")
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 24:
+            raise TruncatedError(f"{path}: header truncated ({len(head)} bytes)")
+        (version,) = struct.unpack("<I", head[4:8])
+        if version != VERSION:
+            raise UnsupportedVersionError(f"{path}: unsupported version {version}")
+        rows, cols = struct.unpack("<QQ", head[8:24])
+        if rows * cols > _MAX_ELEMENTS:
+            raise ShapeOverflowError(f"{path}: shape {rows}x{cols} too large")
+        expected, size = rows * cols * 4, os.fstat(fh.fileno()).st_size - 24
+        if size != expected:
+            raise TruncatedError(f"{path}: payload is {size} bytes, header implies {expected}")
+        yield fh, (rows, cols)
+
+
+def _read_rows(fh, out: np.ndarray, path) -> np.ndarray:
+    """Fill the float32 ``out`` with the next payload rows of ``fh``."""
+    if fh.readinto(out) != out.nbytes:
+        raise TruncatedError(f"{path}: payload ended early")
+    return out
 
 
 _ROLE_KEYS = ("text_features", "support_features", "support_labels", "test_features")
@@ -177,28 +229,37 @@ def read_manifest(path) -> dict:
     return out
 
 
-def _check_shape(role: str, m: np.ndarray, rows: int | None, cols: int) -> None:
-    if (m.shape[0] == 0 if rows is None else m.shape[0] != rows) or m.shape[1] != cols:
+def _check_shape(role: str, shape: tuple, rows: int | None, cols: int) -> None:
+    if (shape[0] == 0 if rows is None else shape[0] != rows) or shape[1] != cols:
         want = f"{rows}x{cols}" if rows is not None else f"Nx{cols} with N >= 1"
-        raise ShapeMismatchError(f"{role}: expected {want}, got {m.shape[0]}x{m.shape[1]}")
+        raise ShapeMismatchError(f"{role}: expected {want}, got {shape[0]}x{shape[1]}")
 
 
-def _check_labels(labels: np.ndarray, c: int, k: int) -> None:
-    """The label file must be the class-major one-hot matrix of (C, K).
+def _check_labels(path, c: int, k: int) -> None:
+    """The label file at ``path`` must be the class-major one-hot matrix of (C, K).
 
-    Works on the float32 payload: exactly C*K nonzeros (NaN counts, -0.0
-    does not), and row r holds 1.0 at column r // K.
+    Checked on the float32 payload, one row block at a time: exactly one
+    nonzero per row (NaN counts, -0.0 does not), a 1.0 at column r // K.
+    A rejected file names the first rule it breaks, as a check of the
+    whole matrix would: rows that are not one-hot, else misgrouped rows.
     """
-    _check_shape("support_labels", labels, c * k, c)
-    rows = np.arange(c * k)
-    if np.count_nonzero(labels) == rows.size and (labels[rows, rows // k] == 1.0).all():
-        return
-    # Rejected: name the first rule the file breaks.
-    if np.isin(labels, (0.0, 1.0)).all() and (np.count_nonzero(labels, axis=1) == 1).all():
+    with _open_apef(path) as (fh, shape):
+        _check_shape("support_labels", shape, c * k, c)
+        blocks = numkit._row_blocks(c * k, c)
+        buf = np.empty(blocks[0].stop * c, dtype="<f4")
+        misgrouped = False
+        for rows in blocks:
+            ids = np.arange(rows.start, rows.stop)
+            blk = _read_rows(fh, buf[: ids.size * c].reshape(ids.size, c), path)
+            if np.count_nonzero(blk) == ids.size and (blk[ids - rows.start, ids // k] == 1.0).all():
+                continue
+            if not (np.isin(blk, (0.0, 1.0)).all() and (np.count_nonzero(blk, axis=1) == 1).all()):
+                raise NonOneHotError("support_labels: rows must contain exactly one 1")
+            misgrouped = True
+    if misgrouped:
         raise NonOneHotError(
             "support_labels: rows must be grouped class-major (row c*K+j hot at column c)"
         )
-    raise NonOneHotError("support_labels: rows must contain exactly one 1")
 
 
 def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
@@ -212,7 +273,8 @@ def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
 
 
 def load_task(manifest_path) -> FewShotTask:
-    """Assemble and validate a few-shot task from a manifest.
+    """Assemble and validate a few-shot task from a manifest: its cache
+    (:func:`_read_cache`) and its split (:func:`_read_split`).
 
     Feature rows are re-normalized (float32 storage wiggles the norms); a
     warning is emitted when any row is off by more than 1e-4.  Text rows
@@ -227,27 +289,39 @@ def load_task(manifest_path) -> FewShotTask:
         ValueError: from :class:`FewShotTask`, naming ``test_labels`` for a bad class id.
     """
     man = read_manifest(manifest_path)
-    c, k, d = man["c"], man["k"], man["d"]
+    return FewShotTask(*_read_cache(man), *_read_split(man))
+
+
+def _read_text(man: dict) -> np.ndarray:
+    """The manifest's C x D text rows, widened, re-normalized and checked
+    as :class:`FewShotTask` checks them."""
     text = read_matrix(man["text_features"])
+    _check_shape("text_features", text.shape, man["c"], man["d"])
+    text = _unit_rows("text_features", text)
+    engine._checked_norms("text_features", text)
+    return text
+
+
+def _read_cache(man: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The manifest's text rows and its C*K x D float32 support payload,
+    once the support label file passes its check."""
+    text = _read_text(man)
     support = _read_payload(man["support_features"])
-    _check_labels(_read_payload(man["support_labels"]), c, k)
+    _check_shape("support_features", support.shape, man["c"] * man["k"], man["d"])
+    _check_labels(man["support_labels"], man["c"], man["k"])
+    return text, support
+
+
+def _read_split(man: dict) -> tuple[np.ndarray, np.ndarray | None]:
+    """The manifest's N x D float32 test payload and its N test labels
+    (None when the manifest has no ``test_labels``)."""
     test = _read_payload(man["test_features"])
-    _check_shape("text_features", text, c, d)
-    _check_shape("support_features", support, c * k, d)
-    _check_shape("test_features", test, None, d)
-
-    test_labels = None
-    if "test_labels" in man:
-        raw = read_matrix(man["test_labels"])
-        _check_shape("test_labels", raw, test.shape[0], 1)
-        test_labels = raw[:, 0]
-
-    return FewShotTask(
-        text_features=_unit_rows("text_features", text),
-        support_features=support,
-        test_features=test,
-        test_labels=test_labels,
-    )
+    _check_shape("test_features", test.shape, None, man["d"])
+    if "test_labels" not in man:
+        return test, None
+    labels = read_matrix(man["test_labels"])
+    _check_shape("test_labels", labels.shape, test.shape[0], 1)
+    return test, labels[:, 0]
 
 
 def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
@@ -262,7 +336,7 @@ def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
     roles = {
         "text_features": task.text_features,
         "support_features": numkit._unit64(task.support_features, task.support_norms),
-        "support_labels": np.repeat(np.eye(task.c), task.k, axis=0),
+        "support_labels": None,  # written by row blocks, see _write_labels
         "test_features": numkit._unit64(task.test_features, task.test_norms),
     }
     if task.test_labels is not None:
@@ -276,11 +350,26 @@ def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
     ]
     for role, matrix in roles.items():
         filename = f"{name}_{role}.apef"
-        write_matrix(out_dir / filename, matrix)
+        if matrix is None:
+            _write_labels(out_dir / filename, task.c, task.k)
+        else:
+            write_matrix(out_dir / filename, matrix)
         lines.append(f"{role} = {filename}")
     manifest = out_dir / f"{name}.manifest"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
+
+
+def _write_labels(path, c: int, k: int) -> None:
+    """Write the class-major one-hot C*K x C label file by row blocks, so
+    the whole one-hot matrix never exists."""
+    def one_hot(rows: slice) -> np.ndarray:
+        ids = np.arange(rows.start, rows.stop)
+        blk = np.zeros((ids.size, c))
+        blk[ids - rows.start, ids // k] = 1.0
+        return blk
+
+    _write_rows(path, (c * k, c), one_hot)
 
 
 def gen_synthetic(

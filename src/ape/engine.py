@@ -151,17 +151,18 @@ def _are_class_ids(labels: np.ndarray, c: int) -> bool:
     return bool(((labels >= 0) & (labels < c) & (labels == np.round(labels))).all())
 
 
-def zero_shot_logits(f_batch, w) -> np.ndarray:
+def zero_shot_logits(f_batch, w, norms=None) -> np.ndarray:
     """Cosine logits between test rows and class prototypes: f @ w.T.
 
     For unit rows every entry lies in [-1, 1].  Float32 rows are stored
     features: they are widened and normalized first, as ``FewShotTask``
-    reads them.
+    reads them, by ``norms`` (their float64 row norms, such as a task's
+    ``test_norms``) when given.
 
     Raises:
         ValueError: on feature-dimension mismatch.
     """
-    f_batch = numkit._unit64(numkit._as_features(f_batch, "f_batch"))
+    f_batch = numkit._unit64(numkit._as_features(f_batch, "f_batch"), norms)
     w = numkit.as_matrix(w, "w")
     if f_batch.shape[1] != w.shape[1]:
         raise ValueError(
@@ -389,11 +390,12 @@ def _refined_cache(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfi
 
 
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
-    """:func:`ape_logits` from the task's zero-shot logits ``zs`` (not modified),
-    for a mask whose width the caller has checked against the task."""
+    """:func:`ape_logits` built in the task's zero-shot logits ``zs``, which it
+    overwrites and returns, for a mask whose width the caller has checked
+    against the task."""
     s_ref, scores = _refined_cache(task, mask, cfg)
     f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
-    return _add_cache_term(zs.copy(), f_ref, s_ref, scores, cfg.alpha, cfg.beta)
+    return _add_cache_term(zs, f_ref, s_ref, scores, cfg.alpha, cfg.beta)
 
 
 def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
@@ -417,7 +419,8 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
         ValueError: if the mask does not cover the task's D channels.
     """
     refine._check_width(mask, task.d)
-    return _ape_core(zero_shot_logits(task.test_features, task.text_features), task, mask, cfg)
+    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+    return _ape_core(zs, task, mask, cfg)
 
 
 def predict(logits) -> np.ndarray:

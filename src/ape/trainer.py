@@ -374,7 +374,8 @@ def save_checkpoint(path, state: TrainState) -> None:
     for name in _LEARNED:
         parts.append(np.ascontiguousarray(getattr(state, name)).astype("<f8").tobytes())
     parts.append(struct.pack("<Q", state.step))
-    dataio._atomic_write(path, b"".join(parts))
+    with dataio._atomic_file(path) as fh:
+        fh.write(b"".join(parts))
 
 
 def load_checkpoint(path, task: FewShotTask) -> TrainState:

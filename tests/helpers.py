@@ -67,7 +67,7 @@ def check_labels_reference(labels, c, k):
     """Reference label check: the class-major one-hot test on the label
     file widened to float64, as ``load_task`` ran it before it checked the
     float32 payload."""
-    dataio._check_shape("support_labels", labels, c * k, c)
+    dataio._check_shape("support_labels", labels.shape, c * k, c)
     if not np.isin(labels, (0.0, 1.0)).all() or not (labels.sum(axis=1) == 1.0).all():
         raise dataio.NonOneHotError("support_labels: rows must contain exactly one 1")
     if not np.array_equal(labels.argmax(axis=1), np.repeat(np.arange(c), k)):

@@ -32,6 +32,10 @@ def check_state(state):
     assert dataclasses.replace(state.cfg) == state.cfg  # EngineConfig checks itself on construction
 
 
+def check_task(task):
+    assert (task.c, task.k, task.d) == (3, 2, 6) and task.support_features.dtype == np.float32
+
+
 def check_mask(loaded):
     mask, lam = loaded
     refine.ChannelMask(selected=mask.selected, scores=mask.scores)
@@ -50,8 +54,18 @@ def files(tmp_path_factory):
     dataio.write_matrix(root / "m.apef", task.test_features)
     trainer.save_checkpoint(root / "model.ckpt", state)
     refine.save_mask(root / "mask.txt", mask, 0.7)
+    manifest = dataio.save_task(task, root)
+
+    def load_with_labels(path):
+        """``load_task`` on the valid task with its label file replaced by ``path``."""
+        text = manifest.read_text().replace("= task_", f"= {root}/task_")
+        damaged = path.with_suffix(".manifest")
+        damaged.write_text(text.replace(f"{root}/task_support_labels.apef", str(path)))
+        return dataio.load_task(damaged)
+
     return {
         "apef": ((root / "m.apef").read_bytes(), dataio.read_matrix, check_matrix),
+        "labels": ((root / "task_support_labels.apef").read_bytes(), load_with_labels, check_task),
         "checkpoint": (
             (root / "model.ckpt").read_bytes(),
             lambda path: trainer.load_checkpoint(path, task),
@@ -70,7 +84,7 @@ def damage(draw, size):
     return ("flip", draw(st.lists(flips, min_size=1, max_size=4)))
 
 
-@pytest.mark.parametrize("kind", ["apef", "checkpoint", "mask"])
+@pytest.mark.parametrize("kind", ["apef", "labels", "checkpoint", "mask"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_damaged_file_loads_valid_or_fails_cleanly(files, tmp_path, kind, data):

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line surface."""
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import re
 import shlex
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -705,6 +708,81 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
         assert not (tmp_path / "bad.ckpt").exists()
+
+
+_OPEN_SINKS = []  # one list of paths per active ``files_opened`` block
+_HOOKED = []
+
+
+def _record_open(event, args):
+    if event == "open" and _OPEN_SINKS and not isinstance(args[0], int):
+        _OPEN_SINKS[-1].append(Path(os.fsdecode(args[0])))
+
+
+@contextlib.contextmanager
+def files_opened():
+    """The paths of every file opened inside the block, in any mode, as the
+    interpreter's ``open`` audit event reports them."""
+    if not _HOOKED:  # an audit hook cannot be removed, so it is added once
+        sys.addaudithook(_record_open)
+        _HOOKED.append(True)
+    _OPEN_SINKS.append([])
+    try:
+        yield _OPEN_SINKS[-1]
+    finally:
+        _OPEN_SINKS.pop()
+
+
+class TestFilesRead:
+    """A command opens the files of the roles it uses and no others, so a
+    damaged file in a role it never uses cannot fail it."""
+
+    @pytest.fixture()
+    def val_workspace(self, workspace):
+        tmp_path, manifest, mask_path = workspace
+        assert main(["synth", "--c", "6", "--k", "4", "--d", "32", "--n-test", "5",
+                     "--sigma", "0.5", "--seed", "3", "--out", str(tmp_path / "val")]) == 0
+        return tmp_path, manifest, mask_path, tmp_path / "val" / "task.manifest"
+
+    @staticmethod
+    def run(root, argv):
+        with files_opened() as paths:
+            assert main([str(a) for a in argv]) == 0
+        return {p.relative_to(root).as_posix() for p in paths if root in p.parents}
+
+    def search_argv(self, val_workspace, report):
+        tmp_path, manifest, mask_path, val = val_workspace
+        return ["search", "--task", manifest, "--mask", mask_path, "--alpha-grid", "0:1:3",
+                "--beta-grid", "2:8:3", "--val-task", val, "--report", tmp_path / report]
+
+    def test_refine_opens_only_the_text_rows(self, workspace):
+        tmp_path, manifest, _ = workspace
+        argv = ["refine", "--task", manifest, "--q", "8", "--out", tmp_path / "m8.txt"]
+        assert self.run(tmp_path, argv) == {"task.manifest", "task_text_features.apef", "m8.txt"}
+
+    def test_search_opens_the_task_cache_and_the_val_split(self, val_workspace):
+        tmp_path = val_workspace[0]
+        assert self.run(tmp_path, self.search_argv(val_workspace, "s.report")) == {
+            "task.manifest", "task_text_features.apef", "task_support_features.apef",
+            "task_support_labels.apef", "mask.txt", "val/task.manifest",
+            "val/task_test_features.apef", "val/task_test_labels.apef", "s.report",
+        }
+
+    def test_damaged_files_of_unused_roles_change_nothing(self, val_workspace):
+        tmp_path, manifest, mask_path, _ = val_workspace
+        search = self.search_argv(val_workspace, "intact.report")
+        assert main([str(a) for a in search]) == 0
+        for name in ("task_test_features", "task_test_labels", "val/task_text_features",
+                     "val/task_support_features", "val/task_support_labels"):
+            (tmp_path / f"{name}.apef").write_bytes(b"not an APEF file")
+        search = self.search_argv(val_workspace, "damaged.report")
+        assert main([str(a) for a in search]) == 0
+        assert (tmp_path / "damaged.report").read_bytes() == (tmp_path / "intact.report").read_bytes()
+        for name in ("task_support_features", "task_support_labels"):
+            (tmp_path / f"{name}.apef").write_bytes(b"not an APEF file")
+        refine_argv = ["refine", "--task", str(manifest), "--lambda", "0.7", "--q", "24"]
+        assert main([*refine_argv, "--out", str(tmp_path / "again.txt")]) == 0
+        assert (tmp_path / "again.txt").read_bytes() == mask_path.read_bytes()
 
 
 class TestEmptyTestSplit:

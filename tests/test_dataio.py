@@ -5,6 +5,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,46 @@ class TestMatrixRoundTrip:
     def test_float32_overflow_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             dataio.write_matrix(tmp_path / "m.apef", np.array([[1e300]]))
+
+    @pytest.mark.parametrize("row", [0, 9], ids=["first-block", "last-block"])
+    def test_overflow_leaves_the_target_and_no_temporary(self, tmp_path, row):
+        path = tmp_path / "m.apef"
+        dataio.write_matrix(path, np.ones((2, 2)))
+        before = path.read_bytes()
+        m = np.ones((10, 4))
+        m[row, 1] = -1e300
+        with block_budget(4, 2), pytest.raises(ValueError, match="^matrix values exceed the float32 range$"):
+            dataio.write_matrix(path, m)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.apef"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 40), st.integers(0, 7)),
+        block_rows=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_bytes_equal_the_whole_narrowing(self, shape, block_rows, seed):
+        m = np.random.default_rng(seed).standard_normal(shape) * 1e30
+        with tempfile.TemporaryDirectory() as tmp, block_budget(max(shape[1], 1), block_rows):
+            path = Path(tmp) / "m.apef"
+            dataio.write_matrix(path, m)
+            blob = path.read_bytes()
+        assert blob == b"APEF" + struct.pack("<IQQ", 1, *shape) + m.astype("<f4").tobytes()
+
+    def test_holds_one_block_not_the_payload(self, tmp_path):
+        """Beyond the input's finiteness mask (one byte per value), writing
+        holds one float32 row block, not a copy of the payload."""
+        rows, cols, block_rows = 4096, 256, 64
+        m = np.random.default_rng(57).standard_normal((rows, cols))
+        with block_budget(cols, block_rows):
+            tracemalloc.start()
+            try:
+                dataio.write_matrix(tmp_path / "m.apef", m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < rows * cols + 2 * 4 * block_rows * cols + 65536  # the payload is 4 MiB
 
 
 class TestMatrixErrors:
@@ -235,18 +276,20 @@ PERTURB_VALUES = [0.0, 1.0, 0.5, 2.0, -1.0, -0.0, np.nan, np.inf, -np.inf]
 
 
 @st.composite
-def perturbed_labels(draw):
-    """A class-major one-hot label matrix with one entry set or two rows swapped."""
+def perturbed_labels(draw, changes=1):
+    """A class-major one-hot label matrix with ``changes`` times one entry
+    set or two rows swapped."""
     c, k = draw(st.integers(1, 5), label="c"), draw(st.integers(1, 4), label="k")
     labels = one_hot_labels(c, k)
     rows = st.integers(0, c * k - 1)
-    if draw(st.booleans(), label="swap"):
-        i, j = draw(rows, label="i"), draw(rows, label="j")
-        labels[[i, j]] = labels[[j, i]]
-    else:
-        labels[draw(rows, label="row"), draw(st.integers(0, c - 1), label="col")] = draw(
-            st.sampled_from(PERTURB_VALUES), label="value"
-        )
+    for _ in range(changes):
+        if draw(st.booleans(), label="swap"):
+            i, j = draw(rows, label="i"), draw(rows, label="j")
+            labels[[i, j]] = labels[[j, i]]
+        else:
+            labels[draw(rows, label="row"), draw(st.integers(0, c - 1), label="col")] = draw(
+                st.sampled_from(PERTURB_VALUES), label="value"
+            )
     return c, k, labels
 
 
@@ -318,6 +361,45 @@ class TestLabelCheck:
         read = {call.args[0].name for call in spy.call_args_list}
         # support and test rows stay float32 payloads too; only these widen
         assert read == {f"task_{role}.apef" for role in ("text_features", "test_labels")}
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=perturbed_labels(changes=2))
+    def test_row_blocks_name_the_rule_a_whole_check_names(self, case):
+        """In blocks of 2 rows, a misgrouped block before a block that is not
+        one-hot still gives the whole file's verdict."""
+        c, k, labels = case
+        widened = labels.astype("<f4").astype(np.float64)
+        try:
+            check_labels_reference(widened, c, k)
+            ref_error = None
+        except dataio.DataIOError as exc:
+            ref_error = str(exc)
+        with tempfile.TemporaryDirectory() as tmp, block_budget(c, 2):
+            write_raw_apef(Path(tmp) / "labels.apef", labels)
+            try:
+                dataio._check_labels(Path(tmp) / "labels.apef", c, k)
+                error = None
+            except dataio.NonOneHotError as exc:
+                error = str(exc)
+        assert error == ref_error
+
+    def test_check_and_write_hold_one_block(self, tmp_path):
+        """The label file is checked and written one row block at a time:
+        neither its float32 payload nor a float64 one-hot matrix exists whole."""
+        c, k, block_rows = 256, 16, 64
+        path = tmp_path / "labels.apef"
+        peaks = []
+        with block_budget(c, block_rows):
+            for step in (lambda: dataio._write_labels(path, c, k), lambda: dataio._check_labels(path, c, k)):
+                tracemalloc.start()
+                try:
+                    step()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert path.read_bytes()[24:] == one_hot_labels(c, k).astype("<f4").tobytes()
+        block = 8 * block_rows * c  # float64 bytes; the float32 payload is 4 MiB
+        assert max(peaks) < 2 * block + 65536
 
     def test_truncated_label_file_rejected(self, tmp_path):
         rng = np.random.default_rng(62)

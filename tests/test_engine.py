@@ -50,6 +50,16 @@ class TestZeroShotLogits:
         with pytest.raises(ValueError):
             engine.zero_shot_logits(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    def test_stored_norms_give_the_same_bits_without_a_norm_pass(self):
+        rng = np.random.default_rng(13)
+        stored = (unit_rows(rng, 30, 16) * rng.uniform(0.9, 1.1, (30, 1))).astype(np.float32)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            task = FewShotTask(unit_rows(rng, 3, 16), unit_rows(rng, 6, 16), stored, None)
+        want = engine.zero_shot_logits(task.test_features, task.text_features)
+        with mock.patch.object(numkit, "_row_norms", side_effect=AssertionError("norms recomputed")):
+            got = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCacheAffinity:
     def test_identical_row_gives_one(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ape import numkit, refine
-from helpers import unit_rows
+from helpers import block_budget, unit_rows
 
 
 def two_prototypes():
@@ -223,6 +223,22 @@ class TestApplyMask:
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
         assert m.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_float32_rows_take_before_they_widen(self, renormalize):
+        """Taking the channels of float32 rows, then widening and dividing
+        them, gives the bits of taking them from the widened rows, also
+        for rows already within the unit band and across row blocks."""
+        rng = np.random.default_rng(12)
+        m = (rng.standard_normal((37, 20)) * rng.uniform(0.5, 2.0, (37, 1))).astype(np.float32)
+        m[3] = 0.0
+        m[3, 7] = 1.0  # a unit row: widened, never divided
+        norms = numkit._row_norms(m)
+        idx = np.sort(rng.choice(20, 9, replace=False))
+        want = refine._take_channels(numkit._unit64(m, norms), idx, renormalize)
+        with block_budget(9, 4):
+            got = refine._take_channels(m, idx, renormalize, norms)
+        assert got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
         mask = refine.full_mask(3)
