@@ -157,18 +157,25 @@ def zero_shot_logits(f_batch, w, norms=None) -> np.ndarray:
     For unit rows every entry lies in [-1, 1].  Float32 rows are stored
     features: they are widened and normalized first, as ``FewShotTask``
     reads them, by ``norms`` (their float64 row norms, such as a task's
-    ``test_norms``) when given.
+    ``test_norms``) when given, one ``numkit._row_blocks`` block at a time
+    into the N x C output, so no float64 copy of all N rows exists.
 
     Raises:
         ValueError: on feature-dimension mismatch.
     """
-    f_batch = numkit._unit64(numkit._as_features(f_batch, "f_batch"), norms)
+    f_batch = numkit._as_features(f_batch, "f_batch")
     w = numkit.as_matrix(w, "w")
     if f_batch.shape[1] != w.shape[1]:
         raise ValueError(
             f"feature dims differ: {f_batch.shape[1]} vs {w.shape[1]}"
         )
-    return f_batch @ w.T
+    if f_batch.dtype != np.float32:
+        return f_batch @ w.T
+    norms = numkit._row_norms(f_batch) if norms is None else norms
+    out = np.empty((f_batch.shape[0], w.shape[0]))
+    for rows in numkit._row_blocks(*f_batch.shape):
+        np.matmul(numkit._unit64(f_batch, norms, rows), w.T, out=out[rows])
+    return out
 
 
 def cache_affinity(f_refined, f_support_refined, beta: float) -> np.ndarray:
@@ -228,16 +235,18 @@ def cache_scores(
     return np.exp(kl_sign * gamma * _divergences(f_support_refined, w_refined, kl_temperature))
 
 
-def _divergences(s_ref, w_ref, temperature: float) -> np.ndarray:
+def _divergences(s_ref, w_ref, temperature: float, classes: slice | None = None) -> np.ndarray:
     """-log of each class-major support row's softmax probability of its own
     class (floored at ``numkit.PROB_FLOOR``), as :func:`cache_scores` uses it.
+    ``s_ref`` holds the rows of the run of whole ``classes`` (default: all).
 
     The softmax runs in place on one reused block of the GEMM: only the
     true-class entry of each row is divided by its row sum, with the bits
     of ``numkit._softmax``.
     """
     n, c = s_ref.shape[0], w_ref.shape[0]
-    k = n // c
+    classes = slice(0, c) if classes is None else classes
+    k = n // (classes.stop - classes.start)
     p_true = np.empty(n)
     blocks = numkit._row_blocks(n, c)
     buf = np.empty((blocks[0].stop, c))
@@ -247,7 +256,7 @@ def _divergences(s_ref, w_ref, temperature: float) -> np.ndarray:
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
         ids = np.arange(rows.start, rows.stop)
-        p_true[rows] = z[ids - rows.start, ids // k] / z.sum(axis=1)
+        p_true[rows] = z[ids - rows.start, classes.start + ids // k] / z.sum(axis=1)
     return -np.log(np.clip(p_true, numkit.PROB_FLOOR, 1.0))
 
 
@@ -303,24 +312,28 @@ def _tile_plan(n: int, c: int, k: int) -> tuple[list[slice], list[slice]]:
     return rows, numkit._even_slices(c, max(1, runs))
 
 
-def _cosine_tiles(f_ref, keys, c: int):
-    """Yield ``(rows, classes, f_ref[rows] @ keys[K * classes].T)`` over the
-    tiles of :func:`_tile_plan`, every class run of a row block in order
-    before the next block.  Each tile is written into one reused buffer, so
-    a caller is done with a tile when it asks for the next."""
+def _cosine_tiles(f_ref, keys, c: int, plan=None):
+    """Yield ``(rows, classes, q, q @ keys[K * classes].T)`` for ``q =
+    f_ref[rows]`` (or ``f_ref(rows)``, once per row block, given a function
+    and a ``plan``) over the tiles of ``plan`` (default :func:`_tile_plan`),
+    every class run of a row block before the next block.  Each tile is
+    written into one reused buffer, so a caller is done with a tile when it
+    asks for the next."""
     k = keys.shape[0] // c
-    blocks, runs = _tile_plan(f_ref.shape[0], c, k)
+    blocks, runs = _tile_plan(f_ref.shape[0], c, k) if plan is None else plan
     buf = np.empty(blocks[0].stop * (runs[0].stop * k))  # the first block and run are the largest
     for rows in blocks:
+        q = f_ref(rows) if callable(f_ref) else f_ref[rows]
         for cls in runs:
             out = buf[: (rows.stop - rows.start) * (cls.stop - cls.start) * k]
             out = out.reshape(rows.stop - rows.start, -1)
-            yield rows, cls, np.matmul(f_ref[rows], keys[k * cls.start : k * cls.stop].T, out=out)
+            yield rows, cls, q, np.matmul(q, keys[k * cls.start : k * cls.stop].T, out=out)
 
 
-def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None):
+def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None, plan=None):
     """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T))
-    into the N x C ``zs`` in place, one cosine tile at a time; returns ``zs``.
+    into the N x C ``zs`` in place, one cosine tile of ``plan`` (as in
+    :func:`_cosine_tiles`) at a time; returns ``zs``.
 
     A C x Q residual ``res`` shifting each class's keys scales its class sum
     by the gain exp(beta * f_ref @ res.T), formed once per row block.  Only
@@ -330,9 +343,9 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None
     """
     c = zs.shape[1]
     k = keys.shape[0] // c
-    for rows, cls, blk in _cosine_tiles(f_ref, keys, c):
+    for rows, cls, q, blk in _cosine_tiles(f_ref, keys, c, plan):
         if res is not None and cls.start == 0:
-            gain = np.exp(beta * (f_ref[rows] @ res.T))
+            gain = np.exp(beta * (q @ res.T))
         _sharpen(blk, beta, out=blk)
         blk *= scores[k * cls.start : k * cls.stop]
         sums = _class_sums(blk, cls.stop - cls.start)
@@ -347,9 +360,10 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray
     ``_add_cache_term(zs.copy(), f_ref, keys, score_sets[g], alphas[a],
     betas[b])``, bitwise, as an alphas x betas x score_sets array.
 
-    Each tile's cosines are sharpened once per (beta, scores) into one
-    reused tile of weights; alpha only scales the finished class sums.  A
-    row's argmax runs across its class runs: a later run takes the row
+    Each tile's cosines are sharpened once per beta into one reused tile of
+    weights, and each scores set takes it into class sums through
+    :func:`_scored_class_sums`; alpha only scales the finished class sums.
+    A row's argmax runs across its class runs: a later run takes the row
     only with a strictly larger logit, so ties go to the lower id as in
     ``predict``.
     """
@@ -357,18 +371,18 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray
     k = keys.shape[0] // c
     hits = np.zeros((len(alphas), len(betas), len(score_sets)), dtype=np.int64)
     weights = None
-    for rows, cls, cos in _cosine_tiles(f_ref, keys, c):
+    for rows, cls, _, cos in _cosine_tiles(f_ref, keys, c):
         if weights is None:  # the first tile is the largest
             weights = np.empty(cos.size)
         blk = weights[: cos.size].reshape(cos.shape)
+        sums = np.empty((len(cos), cls.stop - cls.start))
         if cls.start == 0:
             top = np.full(hits.shape + (len(cos),), -np.inf)
             pred = np.zeros(top.shape, dtype=np.int64)
-        for g, scores in enumerate(score_sets):
-            for b, beta in enumerate(betas):
-                _sharpen(cos, float(beta), out=blk)
-                blk *= scores[k * cls.start : k * cls.stop]
-                sums = _class_sums(blk, cls.stop - cls.start)
+        for b, beta in enumerate(betas):
+            _sharpen(cos, float(beta), out=blk)
+            for g, scores in enumerate(score_sets):
+                _scored_class_sums(blk, scores[k * cls.start : k * cls.stop], sums)
                 for a, alpha in enumerate(alphas):
                     z = zs[rows, cls] + float(alpha) * sums
                     arg = z.argmax(axis=1)
@@ -381,30 +395,39 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray
     return hits
 
 
-def _refined_cache(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig):
-    """The task's refined support rows (C*K x Q float64) and their cache
-    scores under ``cfg``, for a mask whose width the caller has checked."""
-    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
-    s_ref = refine._take_channels(task.support_features, mask.selected, cfg.renormalize, task.support_norms)
-    return s_ref, np.exp(cfg.kl_sign * cfg.gamma * _divergences(s_ref, w_ref, cfg.kl_temperature))
+def _support_runs(task: FewShotTask, n: int, take):
+    """Yield ``(classes, plan, keys)`` for each class run of the tiles of ``n``
+    query rows: ``keys = take(m, norms)`` of the run's stored support rows and
+    norms, tiled by ``plan`` as the whole keys would be.  One run's keys exist at a
+    time, never all C*K rows."""
+    blocks, runs = _tile_plan(n, task.c, task.k)
+    for cls in runs:
+        rows = slice(task.k * cls.start, task.k * cls.stop)
+        keys = take(task.support_features[rows], task.support_norms[rows])
+        yield cls, (blocks, [slice(0, cls.stop - cls.start)]), keys
 
 
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
     """:func:`ape_logits` built in the task's zero-shot logits ``zs``, which it
     overwrites and returns, for a mask whose width the caller has checked
-    against the task."""
-    s_ref, scores = _refined_cache(task, mask, cfg)
+    against the task; each class run's keys serve its cache scores and tiles."""
+    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
     f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
-    return _add_cache_term(zs, f_ref, s_ref, scores, cfg.alpha, cfg.beta)
+    runs = _support_runs(task, len(f_ref), lambda m, norms: refine._take_channels(m, mask.selected, cfg.renormalize, norms))
+    for cls, plan, keys in runs:
+        scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(keys, w_ref, cfg.kl_temperature, cls))
+        _add_cache_term(zs[:, cls], f_ref, keys, scores, cfg.alpha, cfg.beta, plan=plan)
+    return zs
 
 
 def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
     """Tip-Adapter cache baseline from the zero-shot logits ``zs`` (not modified):
     :func:`ape_logits` with every channel kept, gamma = 0 and no renormalization."""
-    ones = np.ones(task.c * task.k)
+    zs = zs.copy()
     test = numkit._unit64(task.test_features, task.test_norms)
-    support = numkit._unit64(task.support_features, task.support_norms)
-    return _add_cache_term(zs.copy(), test, support, ones, alpha, beta)
+    for cls, plan, keys in _support_runs(task, len(test), numkit._unit64):
+        _add_cache_term(zs[:, cls], test, keys, np.ones(len(keys)), alpha, beta, plan=plan)
+    return zs
 
 
 def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:

@@ -66,7 +66,7 @@ def _as_features(values, name: str) -> np.ndarray:
 def _checked(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not all(np.isfinite(m[rows]).all() for rows in _row_blocks(*m.shape)):  # no N x D mask
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -134,11 +134,10 @@ def _normalize_rows_inplace(m: np.ndarray, norms: np.ndarray | None = None, out=
             stacklevel=3,
         )
     rows = (np.abs(norms - 1.0) > _UNIT_BAND) & ~zero
-    if out is None:
-        out = m
-    else:
-        out[~rows] = m[~rows]
-    return np.divide(m, norms[:, None], out=out, where=rows[:, None])
+    if out is not None:  # widened first, so the division makes no cast temporary
+        out[...] = m
+        m = out
+    return np.divide(m, norms[:, None], out=m, where=rows[:, None])
 
 
 def _unit64(m: np.ndarray, norms: np.ndarray | None = None, rows=slice(None)) -> np.ndarray:

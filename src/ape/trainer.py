@@ -27,10 +27,12 @@ from .engine import (
     _add_cache_term,
     _are_class_ids,
     _cosine_tiles,
-    _refined_cache,
+    _divergences,
     _scored_class_sums,
     _sharpen,
+    _tile_plan,
     cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
+    zero_shot_logits,
 )
 
 __all__ = [
@@ -142,7 +144,9 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     bitwise.
     """
     refine._check_width(mask, task.d)
-    s_ref, scores = _refined_cache(task, mask, cfg)
+    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
+    s_ref = refine._take_channels(task.support_features, mask.selected, cfg.renormalize, task.support_norms)
+    scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(s_ref, w_ref, cfg.kl_temperature))
     return TrainState(
         res=np.zeros((task.c, mask.q)),
         scores=scores,
@@ -174,15 +178,16 @@ def forward(state: TrainState, f_batch) -> np.ndarray:
     scales its class's sum of frozen cache affinities by the gain
     exp(beta * f_ref @ res.T), which equals shifting that class's cache
     keys by it without forming a C*K x Q key matrix.  Float32 rows are
-    stored features: they are widened and normalized first, as
+    stored features: they are widened and normalized by row blocks, as
     ``FewShotTask`` reads them.
     """
-    f_batch = numkit._unit64(numkit._as_features(f_batch, "f_batch"))
+    f_batch = numkit._as_features(f_batch, "f_batch")
     if f_batch.shape[1] != state.d_total:
         raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
     cfg = state.cfg
-    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
-    zs = f_batch @ _shifted(state, state.res, np.empty_like(state.w)).T
+    norms = numkit._row_norms(f_batch) if f_batch.dtype == np.float32 else None
+    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize, norms)
+    zs = zero_shot_logits(f_batch, _shifted(state, state.res, np.empty_like(state.w)), norms)
     return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res)
 
 
@@ -277,16 +282,17 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
 def _snapshot_accuracies(state: TrainState, snaps, f_batch, norms, f_ref, labels, terms=None) -> list[float]:
     """Accuracy of ``forward`` under each ``(res, scores)`` snapshot on the
     full-width task rows ``f_batch`` (with their ``norms``, widened one row
-    block at a time), their refined channels and ``labels``; ``terms``, if
-    given, receives snapshot 0's per-row cross-entropy terms.  Each cosine
-    tile is computed and sharpened once for all snapshots; the scores
-    product runs in class chunks (:func:`_scored_class_sums`), so no second
-    tile and no logits matrix exist whole.  A row block split into several
-    tiles keeps one row block of class sums per snapshot until its last tile.
+    block at a time), their refined channels ``f_ref`` (or a function of a
+    row slice giving them) and ``labels``; ``terms``, if given, receives
+    snapshot 0's per-row cross-entropy terms.  Each cosine tile is computed
+    and sharpened once for all snapshots; the scores product runs in class
+    chunks (:func:`_scored_class_sums`), so no second tile and no logits
+    matrix exist whole.  A row block split into several tiles keeps one row
+    block of class sums per snapshot until its last tile.
     """
     cfg, c, k = state.cfg, state.c, state.k
     shifted, hits = np.empty_like(state.w), np.zeros(len(snaps), dtype=np.int64)
-    for rows, cls, blk in _cosine_tiles(f_ref, state.f_support_refined, c):
+    for rows, cls, q, blk in _cosine_tiles(f_ref, state.f_support_refined, c, _tile_plan(len(labels), c, k)):
         _sharpen(blk, cfg.beta, out=blk)
         if cls.start == 0:
             sums = np.empty((1 if cls.stop == c else len(snaps), len(blk), c))
@@ -296,7 +302,7 @@ def _snapshot_accuracies(state: TrainState, snaps, f_batch, norms, f_ref, labels
             acc = sums[min(e, len(sums) - 1)]
             _scored_class_sums(blk, scores[k * cls.start : k * cls.stop], acc[:, cls])
             if cls.stop == c:
-                acc *= np.exp(cfg.beta * (f_ref[rows] @ res.T))
+                acc *= np.exp(cfg.beta * (q @ res.T))
                 zs = f_rows @ _shifted(state, res, shifted).T
                 zs += cfg.alpha * acc
                 hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
@@ -318,10 +324,10 @@ def train(
     plus the pre-training row 0, each with the mean batch loss and
     support/test accuracy.  It is scored once, after the last step, from
     the residual and cache scores kept at each epoch: one pass over the
-    cosine tiles of the support rows, then the test rows, computes each
-    tile's frozen affinities once for all epochs.  Row 0's loss averages
-    per-row terms taken block by block, so the C*K x C support logits never
-    exist whole.  Every history value is bitwise that of ``forward``.
+    cosine tiles of the support rows, then the test rows (refined by row
+    blocks), computes each tile's frozen affinities once for all epochs.
+    Row 0's loss averages per-row terms taken block by block, so the C*K x C
+    support logits never exist whole.  Every history value is bitwise that of ``forward``.
     """
     state = init_state(task, mask, cfg)
 
@@ -352,9 +358,10 @@ def train(
     )
     test_acc = [None] * len(snaps)
     if task.test_labels is not None:
-        test_ref = refine._take_channels(task.test_features, state.mask_idx, cfg.renormalize, task.test_norms)
-        test_acc = _snapshot_accuracies(
-            state, snaps, task.test_features, task.test_norms, test_ref, task.test_labels
+        test_acc = _snapshot_accuracies(  # each test row block is refined when its tiles need it
+            state, snaps, task.test_features, task.test_norms,
+            lambda rows: refine._take_channels(task.test_features[rows], state.mask_idx, cfg.renormalize, task.test_norms[rows]),
+            task.test_labels,
         )
     rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
     return state, [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]

@@ -36,6 +36,23 @@ def random_task(rng, c=3, k=2, d=8, n_test=5, with_labels=True):
     )
 
 
+def stored_task(rng, c=3, k=2, d=8, n_test=5):
+    """:func:`random_task` with float32 support and test rows, as a loaded task holds them."""
+    task = random_task(rng, c=c, k=k, d=d, n_test=n_test)
+    return FewShotTask(
+        task.text_features,
+        task.support_features.astype(np.float32),
+        task.test_features.astype(np.float32),
+        task.test_labels,
+    )
+
+
+def widened(m):
+    """Reference widening of stored rows: the whole matrix to float64,
+    re-normalized by ``numkit._normalize_rows_inplace``."""
+    return numkit._normalize_rows_inplace(np.asarray(m, dtype=np.float64))
+
+
 def load_task_float64(manifest_path):
     """Reference loader: every feature file read through ``read_matrix``
     (widened to float64) and re-normalized by ``numkit._normalize_rows_inplace``,

@@ -222,6 +222,34 @@ class TestInferCommand:
         expected = engine.ape_logits(loaded, mask, EngineConfig()).astype(np.float32).astype(np.float64)
         assert dataio.read_matrix(f"{tmp_path / 'tip0.report'}.logits.apef").tobytes() == expected.tobytes()
 
+    def test_infer_refines_each_support_row_once(self, tmp_path):
+        """With the keys split into class runs, ``ape infer`` refines each
+        run's support rows once, for both its cache scores and its tiles."""
+        task = dataio.gen_synthetic(8, 4, 32, 6, 0.5, seed=3)
+        manifest = dataio.save_task(task, tmp_path)
+        mask_path = tmp_path / "mask.txt"
+        assert main(["refine", "--task", str(manifest), "--q", "16", "--out", str(mask_path)]) == 0
+        loaded, refined = [], []
+        load, take = dataio.load_task, refine._take_channels
+
+        def load_spy(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        def take_spy(m, indices, renormalize, norms=None):
+            support = loaded[0].support_features
+            if np.shares_memory(m, support):
+                first = (m.ctypes.data - support.ctypes.data) // support.strides[0]
+                refined.extend(range(first, first + len(m)))
+            return take(m, indices, renormalize, norms)
+
+        with block_budget(16, 4), mock.patch.object(dataio, "load_task", load_spy), \
+                mock.patch.object(refine, "_take_channels", take_spy):
+            assert len(engine._tile_plan(48, 8, 4)[1]) == 4
+            rc = main(["infer", "--task", str(manifest), "--mask", str(mask_path),
+                       "--report", str(tmp_path / "r.report")])
+        assert rc == 0 and sorted(refined) == list(range(32))
+
     def test_missing_task_is_runtime_error(self, tmp_path):
         rc = main([
             "infer", "--task", str(tmp_path / "nope.manifest"),
@@ -470,6 +498,21 @@ class TestGridOracle:
         with mock.patch.object(cli, "_divergences", wraps=engine._divergences) as spy:
             got = grid_search(*args)
         assert spy.call_count == 1
+        assert got == brute_force_grid(*args)
+
+    def test_one_sharpen_per_tile_and_beta(self):
+        """Each tile's weights are sharpened once per beta, whatever the
+        gammas: each gamma's scores take the same weights into class sums."""
+        rng = np.random.default_rng(8)
+        task = random_task(rng, c=4, k=3, d=8, n_test=6)
+        mask = refine.ChannelMask(selected=np.arange(5), scores=np.zeros(8))
+        args = (task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], [0.0, 0.2, 0.7])
+        with block_budget(4, 2):
+            blocks, runs = engine._tile_plan(4, 4, 2)  # 4 held-out rows x 4 classes of 2 kept shots
+            with mock.patch.object(engine, "_sharpen", wraps=engine._sharpen) as spy:
+                got = grid_search(*args)
+        assert len(blocks) * len(runs) > 1
+        assert spy.call_count == 2 * len(blocks) * len(runs)
         assert got == brute_force_grid(*args)
 
     def test_wrong_width_mask_rejected(self):

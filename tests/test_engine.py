@@ -21,8 +21,10 @@ from helpers import (
     kl_one_hot,
     one_hot_labels,
     random_task,
+    stored_task,
     tip_logits,
     unit_rows,
+    widened,
 )
 
 
@@ -563,6 +565,105 @@ class TestRowBlocks:
                 tracemalloc.stop()
         assert (len(blocks), len(runs)) == (2, 8)
         assert peak - out.nbytes < 0.5 * 256 * c * k * 8
+
+
+class TestStoredRowsWidenedWhereUsed:
+    """Float32 task rows are widened and refined where they are used: the
+    support keys one class run at a time, the zero-shot product one row
+    block at a time.  No float64 copy of a whole split exists, and every
+    result is bitwise that of the whole widened matrices."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c=st.integers(2, 6),
+        k=st.integers(1, 4),
+        n=st.integers(1, 40),
+        q=st.integers(1, 8),
+        rows=st.integers(2, 3),
+        renormalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=6, k=4, n=40, q=8, rows=2, renormalize=True, seed=3)  # 5 row blocks x 6 one-class runs
+    @example(c=3, k=1, n=4, q=8, rows=3, renormalize=False, seed=2)  # runs of 2 and 1 classes
+    def test_float32_paths_equal_whole_matrix_references(self, c, k, n, q, rows, renormalize, seed):
+        rng = np.random.default_rng(seed)
+        d = 8
+        task = stored_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(
+            selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d)
+        )
+        cfg = EngineConfig(
+            alpha=float(rng.uniform(0.1, 2.0)),
+            beta=float(rng.uniform(0.0, 8.0)),
+            gamma=float(rng.uniform(0.0, 1.0)),
+            kl_sign=int(rng.choice([1, -1])),
+            kl_temperature=float(rng.uniform(0.5, 2.0)),
+            renormalize=renormalize,
+        )
+        w, s64, f64 = task.text_features, widened(task.support_features), widened(task.test_features)
+        w_ref, s_ref, f_ref = (refine.apply_mask(m, mask, renormalize) for m in (w, s64, f64))
+        scores = cache_scores_unblocked(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
+        state = trainer.init_state(task, mask, cfg)
+        state.res += 0.1 * rng.standard_normal(state.res.shape)
+        padded = np.zeros((c, d))
+        padded[:, mask.selected] = state.res
+        want = {
+            "zero_shot": f64 @ w.T,
+            "ape": cache_term_unblocked(f64 @ w.T, f_ref, s_ref, scores, cfg.alpha, cfg.beta, c, k),
+            "tip": cache_term_unblocked(f64 @ w.T, f64, s64, 1.0, cfg.alpha, cfg.beta, c, k),
+            "forward": cache_term_unblocked(
+                f64 @ (w + padded).T, f_ref, s_ref, state.scores, cfg.alpha, cfg.beta, c, k, state.res
+            ),
+        }
+        with block_budget(c * k, rows):
+            got = {
+                "zero_shot": engine.zero_shot_logits(task.test_features, w, task.test_norms),
+                "ape": engine.ape_logits(task, mask, cfg),
+                "tip": tip_logits(task, cfg.alpha, cfg.beta),
+                "forward": trainer.forward(state, task.test_features),
+            }
+        for name, expected in want.items():
+            assert got[name].tobytes() == expected.tobytes(), name
+
+    def test_split_keys_never_hold_the_whole_support(self):
+        """With the keys split into 8 class runs, ``ape_logits`` refines and
+        the Tip-Adapter baseline widens one run's support rows at a time:
+        neither holds the C*K x Q refined or C*K x D widened support."""
+        rng = np.random.default_rng(7)
+        c, k, n, d = 256, 16, 256, 256
+        task = stored_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.full_mask(d)  # Q = D, so both would be the same size
+        zs = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+        whole = c * k * d * 8
+        calls = {
+            "ape": lambda: engine.ape_logits(task, mask, EngineConfig()),
+            "tip": lambda: engine._tip_core(zs, task, 1.0, 5.5),
+        }
+        with block_budget(c * k, 32):
+            assert len(engine._tile_plan(n, c, k)[1]) == 8
+            for name, call in calls.items():
+                tracemalloc.start()
+                try:
+                    call()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 0.75 * whole, name
+
+    def test_zero_shot_of_stored_rows_holds_its_output_and_one_block(self):
+        rng = np.random.default_rng(8)
+        n, c, d, rows = 4096, 8, 256, 64
+        f = unit_rows(rng, n, d).astype(np.float32)
+        w = unit_rows(rng, c, d)
+        norms = numkit._row_norms(f)
+        with block_budget(d, rows):
+            tracemalloc.start()
+            try:
+                out = engine.zero_shot_logits(f, w, norms)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 8 * rows * d
 
 
 class TestPredictAccuracy:

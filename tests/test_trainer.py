@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 from ape import engine, numkit, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
-from helpers import block_budget, frozen_checksum, grads, random_task, shifted_keys_logits, train_reference, unit_rows
+from helpers import (
+    block_budget,
+    frozen_checksum,
+    grads,
+    random_task,
+    shifted_keys_logits,
+    stored_task,
+    train_reference,
+    unit_rows,
+)
 
 
 def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
@@ -517,10 +526,10 @@ class TestTrain:
         task, mask, cfg = make_instance(rng, c=3, k=4)
         seen = []
 
-        def spy(f_ref, keys, c):
-            for rows, cls, blk in engine._cosine_tiles(f_ref, keys, c):
-                seen.append((f_ref.shape[0], rows, cls))
-                yield rows, cls, blk
+        def spy(f_ref, keys, c, plan):
+            for rows, cls, q, blk in engine._cosine_tiles(f_ref, keys, c, plan):
+                seen.append((plan[0][-1].stop, rows, cls))
+                yield rows, cls, q, blk
 
         with mock.patch.object(trainer, "_cosine_tiles", spy), block_budget(12, 3):
             _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=3))
@@ -594,6 +603,40 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
         assert peak < 8 * (c * k) * c
+
+    def test_history_refines_the_test_rows_by_row_blocks(self):
+        """With the keys split into class runs, the history's test pass
+        refines each row block when its tiles need it: ``train`` never holds
+        the N x Q refined test rows."""
+        rng = np.random.default_rng(47)
+        c, k, n, d = 4, 2, 4096, 256
+        task = stored_task(rng, c=c, k=k, d=d, n_test=n)
+        with block_budget(c * k, 64):
+            assert len(engine._tile_plan(n, c, k)[1]) == 2
+            tracemalloc.start()
+            try:
+                trainer.train(task, refine.full_mask(d), EngineConfig(), OptimConfig(epochs=1, batch_size=4))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * n * d * 8
+
+    def test_forward_of_stored_rows_never_widens_them_whole(self):
+        """``forward`` (``ape eval``) takes the zero-shot term of float32 rows
+        through the blocked ``zero_shot_logits``: no N x D float64 rows."""
+        rng = np.random.default_rng(48)
+        c, k, n, d = 4, 2, 4096, 256
+        task = stored_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(selected=np.arange(16), scores=np.zeros(d))
+        state = trainer.init_state(task, mask, EngineConfig())
+        with block_budget(d, 64):
+            tracemalloc.start()
+            try:
+                trainer.forward(state, task.test_features)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.25 * n * d * 8
 
     def test_frozen_arrays_read_only_after_train(self):
         rng = np.random.default_rng(44)
