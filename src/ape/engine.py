@@ -413,8 +413,10 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
     against the task; each class run's keys serve its cache scores and tiles."""
     w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
     f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
-    runs = _support_runs(task, len(f_ref), lambda m, norms: refine._take_channels(m, mask.selected, cfg.renormalize, norms))
-    for cls, plan, keys in runs:
+    def take(m, norms):
+        return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
+
+    for cls, plan, keys in _support_runs(task, len(f_ref), take):
         scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(keys, w_ref, cfg.kl_temperature, cls))
         _add_cache_term(zs[:, cls], f_ref, keys, scores, cfg.alpha, cfg.beta, plan=plan)
     return zs

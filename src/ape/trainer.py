@@ -358,11 +358,12 @@ def train(
     )
     test_acc = [None] * len(snaps)
     if task.test_labels is not None:
-        test_acc = _snapshot_accuracies(  # each test row block is refined when its tiles need it
-            state, snaps, task.test_features, task.test_norms,
-            lambda rows: refine._take_channels(task.test_features[rows], state.mask_idx, cfg.renormalize, task.test_norms[rows]),
-            task.test_labels,
-        )
+        f, norms = task.test_features, task.test_norms
+
+        def test_ref(rows):  # one test row block's channels, when its tiles need them
+            return refine._take_channels(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
+
+        test_acc = _snapshot_accuracies(state, snaps, f, norms, test_ref, task.test_labels)
     rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
     return state, [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
 
