@@ -13,6 +13,7 @@ import dataclasses
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,12 +50,13 @@ class MethodResult:
 
 @dataclass
 class EvalReport:
-    """Per-method accuracy and parameter counts plus the run's config echo."""
+    """Per-method accuracy and parameter counts, the run's config echo and its warning counts."""
 
     methods: list[MethodResult]
     config: dict
     wall_time_s: float
     history: list[dict] | None = None
+    warned: dict | None = None
 
     def render(self) -> str:
         lines = [REPORT_HEADER, ""]
@@ -77,6 +79,8 @@ class EvalReport:
             lines.append(f"params.{m.name} = {m.params}")
         for key in sorted(self.config):
             lines.append(f"config.{key} = {self.config[key]}")
+        for key in sorted(self.warned or {}):
+            lines.append(f"warnings.{key} = {self.warned[key]}")
         lines.append(f"wall_time_s = {self.wall_time_s:.3f}")
         return "\n".join(lines) + "\n"
 
@@ -222,7 +226,7 @@ def grid_search(
     s_ref = refine._take_channels(support, mask.selected, base_cfg.renormalize, s_norms)
     f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)
     divergences = _divergences(s_ref, w_ref, base_cfg.kl_temperature)
-    score_sets = [np.exp(base_cfg.kl_sign * float(gamma) * divergences) for gamma in gammas]
+    score_sets = np.stack([np.exp(base_cfg.kl_sign * float(gamma) * divergences) for gamma in gammas])
     hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets)
     # The first maximum in C order is the smallest alpha, then beta, then gamma.
     a, b, g = np.unravel_index(np.argmax(hits), hits.shape)
@@ -361,12 +365,17 @@ def cmd_eval(args) -> int:
     task = dataio.load_task(args.task)
     if task.test_labels is None:
         raise UsageError("eval task must provide test_labels")
-    state = _validated(trainer.load_checkpoint, args.ckpt, task)
-    logits = trainer.forward(state, task.test_features)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = _validated(trainer.load_checkpoint, args.ckpt, task)
+    for warning in caught:  # loading warns only for a v1 file, whose config is defaulted
+        print(f"warning: {warning.message}", file=sys.stderr)
+    logits = trainer.forward(state, task.test_features, task.test_norms)
     report = EvalReport(
         methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
         config=_config_echo(state.cfg, args.seed, None, state.q, task=args.task, ckpt=args.ckpt),
         wall_time_s=time.perf_counter() - started,
+        warned={"config_defaulted": len(caught)} if caught else None,
     )
     report.write(args.report)
     print(report.render(), end="")

@@ -260,28 +260,35 @@ def _divergences(s_ref, w_ref, temperature: float, classes: slice | None = None)
     return -np.log(np.clip(p_true, numkit.PROB_FLOOR, 1.0))
 
 
-def _class_sums(weighted, c: int) -> np.ndarray:
-    """N x C sums of each class's K cache columns (K = columns // c).
+# Score columns are zero-padded to a multiple of this width, so every
+# class-sum GEMM takes the same BLAS kernel: unpadded, numpy sends E = 1 and
+# E = 2 to other kernels, whose sums differed from E = 11's by up to 2.7e-15.
+_SCORE_COLS = 8
 
-    The cache columns are class-major, so summing each run of K columns
-    routes every entry into its own class column.
+
+def _class_sums(aff, scores, c: int, out=None) -> np.ndarray:
+    """E x N x C sums (into ``out``, if given) of each class's K columns of
+    ``aff`` (N x C*K, class-major) times that class's K entries in each row
+    of ``scores`` (E x C*K).
+
+    One C-batched GEMM of the strided class views of ``aff`` by C x K x E'
+    score blocks, E zero-padded to E'; no one-hot matrix is formed.  It runs
+    in class chunks whose output holds about 1/8 of ``aff``'s values.  A
+    sum's bits depend on neither E, the chunk nor the other rows of the call
+    (``tests/class_sums_property.py``); a one-row call goes to GEMV.
     """
-    return weighted.reshape(weighted.shape[0], c, -1).sum(axis=-1)
-
-
-def _scored_class_sums(aff, scores, out) -> np.ndarray:
-    """``out[:] = _class_sums(aff * scores, C)`` for the N x C ``out``, bitwise,
-    with the product taken in class chunks of about 1/8 of ``aff``'s columns
-    in one reused scratch, so no second matrix of ``aff``'s size exists."""
-    n, c = out.shape
-    k = aff.shape[1] // c
-    width = -(-c // 8) * k  # cache columns per class chunk
-    scratch = np.empty(n * min(width, aff.shape[1]))
-    for lo in range(0, aff.shape[1], width):
-        hi = min(lo + width, aff.shape[1])
-        part = np.multiply(aff[:, lo:hi], scores[lo:hi], out=scratch[: n * (hi - lo)].reshape(n, -1))
-        out[:, lo // k : hi // k] = _class_sums(part, (hi - lo) // k)
-    return out
+    n, e, k = aff.shape[0], scores.shape[0], aff.shape[1] // c
+    cols = np.zeros((c, k, -(-e // _SCORE_COLS) * _SCORE_COLS))
+    cols[..., :e] = scores.reshape(e, c, k).transpose(1, 2, 0)
+    views = aff.reshape(n, c, k).transpose(1, 0, 2)
+    step = max(1, -(-c // 8) * k // cols.shape[2])  # classes per chunk
+    scratch = np.empty((n, min(step, c), cols.shape[2]))
+    sums = np.empty((e, n, c)) if out is None else out
+    for lo in range(0, c, step):
+        part = scratch[:, : min(step, c - lo)]
+        np.matmul(views[lo : lo + step], cols[lo : lo + step], out=part.transpose(1, 0, 2))
+        sums[:, :, lo : lo + step] = part[..., :e].transpose(2, 0, 1)
+    return sums
 
 
 # Query rows per tile once the keys are split: every call re-packs its
@@ -347,8 +354,7 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None
         if res is not None and cls.start == 0:
             gain = np.exp(beta * (q @ res.T))
         _sharpen(blk, beta, out=blk)
-        blk *= scores[k * cls.start : k * cls.stop]
-        sums = _class_sums(blk, cls.stop - cls.start)
+        sums = _class_sums(blk, scores[None, k * cls.start : k * cls.stop], cls.stop - cls.start)[0]
         if res is not None:
             sums *= gain[:, cls]
         zs[rows, cls] += alpha * sums
@@ -358,11 +364,12 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None
 def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray:
     """Count of rows whose ``labels`` entry is the argmax of
     ``_add_cache_term(zs.copy(), f_ref, keys, score_sets[g], alphas[a],
-    betas[b])``, bitwise, as an alphas x betas x score_sets array.
+    betas[b])``, bitwise, as an alphas x betas x score_sets array
+    (``score_sets``: one C*K row of scores per set).
 
     Each tile's cosines are sharpened once per beta into one reused tile of
-    weights, and each scores set takes it into class sums through
-    :func:`_scored_class_sums`; alpha only scales the finished class sums.
+    weights, which :func:`_class_sums` takes into the class sums of up to
+    ``_SCORE_COLS`` score sets at once; alpha only scales the finished sums.
     A row's argmax runs across its class runs: a later run takes the row
     only with a strictly larger logit, so ties go to the lower id as in
     ``predict``.
@@ -372,24 +379,26 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray
     hits = np.zeros((len(alphas), len(betas), len(score_sets)), dtype=np.int64)
     weights = None
     for rows, cls, _, cos in _cosine_tiles(f_ref, keys, c):
-        if weights is None:  # the first tile is the largest
+        if weights is None:  # the first tile is the largest; both buffers are reused
             weights = np.empty(cos.size)
+            buf = np.empty(min(len(score_sets), _SCORE_COLS) * len(cos) * (cls.stop - cls.start))
         blk = weights[: cos.size].reshape(cos.shape)
-        sums = np.empty((len(cos), cls.stop - cls.start))
         if cls.start == 0:
             top = np.full(hits.shape + (len(cos),), -np.inf)
             pred = np.zeros(top.shape, dtype=np.int64)
         for b, beta in enumerate(betas):
             _sharpen(cos, float(beta), out=blk)
-            for g, scores in enumerate(score_sets):
-                _scored_class_sums(blk, scores[k * cls.start : k * cls.stop], sums)
-                for a, alpha in enumerate(alphas):
-                    z = zs[rows, cls] + float(alpha) * sums
-                    arg = z.argmax(axis=1)
-                    z = z[np.arange(len(z)), arg]
-                    better = z > top[a, b, g]
-                    top[a, b, g, better] = z[better]
-                    pred[a, b, g, better] = arg[better] + cls.start
+            for lo in range(0, len(score_sets), _SCORE_COLS):
+                group = score_sets[lo : lo + _SCORE_COLS, k * cls.start : k * cls.stop]
+                out = buf[: len(group) * len(cos) * (cls.stop - cls.start)].reshape(len(group), len(cos), -1)
+                for g, sums in enumerate(_class_sums(blk, group, cls.stop - cls.start, out), lo):
+                    for a, alpha in enumerate(alphas):
+                        z = zs[rows, cls] + float(alpha) * sums
+                        arg = z.argmax(axis=1)
+                        z = z[np.arange(len(z)), arg]
+                        better = z > top[a, b, g]
+                        top[a, b, g, better] = z[better]
+                        pred[a, b, g, better] = arg[better] + cls.start
         if cls.stop == c:
             hits += np.count_nonzero(pred == labels[rows], axis=-1)
     return hits

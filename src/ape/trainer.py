@@ -26,9 +26,9 @@ from .engine import (
     FewShotTask,
     _add_cache_term,
     _are_class_ids,
+    _class_sums,
     _cosine_tiles,
     _divergences,
-    _scored_class_sums,
     _sharpen,
     _tile_plan,
     cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
@@ -56,6 +56,9 @@ _CFG_BLOCK = struct.Struct("<dddqd?")
 _LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
 # The frozen context: set once, at construction; its arrays are read-only.
 _FROZEN = ("mask_idx", "w", "f_support_refined", "cfg")
+# Snapshots per class-sum call in the history: at C=100 and 625-row tiles
+# their sums take 2 MB, where 8 (the padded width) raised a desk train's peak RSS by 4%.
+_SNAPSHOT_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def _shifted(state: TrainState, res: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(state: TrainState, f_batch) -> np.ndarray:
+def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     """Logits of the residual-augmented classifier for a batch of full-width
     rows, under the state's own engine config.
 
@@ -179,13 +182,15 @@ def forward(state: TrainState, f_batch) -> np.ndarray:
     exp(beta * f_ref @ res.T), which equals shifting that class's cache
     keys by it without forming a C*K x Q key matrix.  Float32 rows are
     stored features: they are widened and normalized by row blocks, as
-    ``FewShotTask`` reads them.
+    ``FewShotTask`` reads them, by ``norms`` (their float64 row norms, such
+    as a task's ``test_norms``) when given.
     """
     f_batch = numkit._as_features(f_batch, "f_batch")
     if f_batch.shape[1] != state.d_total:
         raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
     cfg = state.cfg
-    norms = numkit._row_norms(f_batch) if f_batch.dtype == np.float32 else None
+    if norms is None and f_batch.dtype == np.float32:
+        norms = numkit._row_norms(f_batch)
     f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize, norms)
     zs = zero_shot_logits(f_batch, _shifted(state, state.res, np.empty_like(state.w)), norms)
     return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res)
@@ -226,7 +231,7 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
     aff = f_ref @ state.f_support_refined.T
     _sharpen(aff, cfg.beta, out=aff)
     gain = np.exp(cfg.beta * (f_ref @ state.res.T))
-    cache = _scored_class_sums(aff, state.scores, np.empty((b, c))) * gain
+    cache = _class_sums(aff, state.scores[None], c)[0] * gain
     logits = f_batch @ _shifted(state, state.res, np.empty_like(state.w)).T + cfg.alpha * cache
 
     g = numkit._softmax(logits)
@@ -279,31 +284,39 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
     return state
 
 
-def _snapshot_accuracies(state: TrainState, snaps, f_batch, norms, f_ref, labels, terms=None) -> list[float]:
-    """Accuracy of ``forward`` under each ``(res, scores)`` snapshot on the
-    full-width task rows ``f_batch`` (with their ``norms``, widened one row
-    block at a time), their refined channels ``f_ref`` (or a function of a
-    row slice giving them) and ``labels``; ``terms``, if given, receives
+def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref, labels, terms=None) -> list[float]:
+    """Accuracy of ``forward`` under each snapshot ``(ress[e], scores[e])``
+    (``scores``: one row of C*K cache scores per residual) on the full-width
+    task rows ``f_batch`` (with their ``norms``, widened one row block at a
+    time), their refined channels ``f_ref`` (or a function of a row slice
+    giving them) and ``labels``; ``terms``, if given, receives
     snapshot 0's per-row cross-entropy terms.  Each cosine tile is computed
-    and sharpened once for all snapshots; the scores product runs in class
-    chunks (:func:`_scored_class_sums`), so no second tile and no logits
-    matrix exist whole.  A row block split into several tiles keeps one row
-    block of class sums per snapshot until its last tile.
+    and sharpened once for all snapshots, and :func:`_class_sums` takes it
+    into the class sums of up to ``_SNAPSHOT_GROUP`` snapshots at once, so no
+    second tile and no logits matrix exist whole.  A row block split into
+    several tiles keeps one row block of class sums per snapshot until its
+    last tile.
     """
     cfg, c, k = state.cfg, state.c, state.k
-    shifted, hits = np.empty_like(state.w), np.zeros(len(snaps), dtype=np.int64)
-    for rows, cls, q, blk in _cosine_tiles(f_ref, state.f_support_refined, c, _tile_plan(len(labels), c, k)):
+    shifted, hits = np.empty_like(state.w), np.zeros(len(ress), dtype=np.int64)
+    plan = _tile_plan(len(labels), c, k)
+    split = len(plan[1]) > 1  # then each snapshot's sums wait for the row block's last tile
+    held = len(ress) if split else min(len(ress), _SNAPSHOT_GROUP)
+    buf = np.empty(held * plan[0][0].stop * c)  # one for the pass: fresh sums per call took 5 MB more RSS
+    for rows, cls, q, blk in _cosine_tiles(f_ref, state.f_support_refined, c, plan):
         _sharpen(blk, cfg.beta, out=blk)
-        if cls.start == 0:
-            sums = np.empty((1 if cls.stop == c else len(snaps), len(blk), c))
+        sums = buf[: held * len(blk) * c].reshape(held, len(blk), c)
         if cls.stop == c:
             f_rows = numkit._unit64(f_batch, norms, rows)
-        for e, (res, scores) in enumerate(snaps):
-            acc = sums[min(e, len(sums) - 1)]
-            _scored_class_sums(blk, scores[k * cls.start : k * cls.stop], acc[:, cls])
-            if cls.stop == c:
-                acc *= np.exp(cfg.beta * (q @ res.T))
-                zs = f_rows @ _shifted(state, res, shifted).T
+        for lo in range(0, len(ress), _SNAPSHOT_GROUP):
+            group = scores[lo : lo + _SNAPSHOT_GROUP, k * cls.start : k * cls.stop]
+            at = slice(lo, lo + len(group)) if split else slice(0, len(group))
+            _class_sums(blk, group, cls.stop - cls.start, out=sums[at, :, cls])
+            if cls.stop < c:
+                continue
+            for e, acc in enumerate(sums[at], lo):
+                acc *= np.exp(cfg.beta * (q @ ress[e].T))
+                zs = f_rows @ _shifted(state, ress[e], shifted).T
                 zs += cfg.alpha * acc
                 hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
                 if e == 0 and terms is not None:
@@ -336,7 +349,8 @@ def train(
     steps_per_epoch = math.ceil(n / optim.batch_size)
     total_steps = optim.epochs * steps_per_epoch
     rng = np.random.default_rng(optim.seed)
-    snaps, losses = [(state.res.copy(), state.scores.copy())], []
+    ress, scores, losses = [state.res.copy()], np.empty((optim.epochs + 1, n)), []
+    scores[0] = state.scores
 
     for _ in range(optim.epochs):
         perm = rng.permutation(n)
@@ -350,20 +364,21 @@ def train(
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res, d_scores), lr_t, optim)
         losses.append(float(np.mean(batch_losses)))
-        snaps.append((state.res.copy(), state.scores.copy()))
+        ress.append(state.res.copy())
+        scores[len(losses)] = state.scores
 
     terms = np.empty(n)
     support_acc = _snapshot_accuracies(
-        state, snaps, task.support_features, task.support_norms, state.f_support_refined, y_support, terms
+        state, ress, scores, task.support_features, task.support_norms, state.f_support_refined, y_support, terms
     )
-    test_acc = [None] * len(snaps)
+    test_acc = [None] * len(ress)
     if task.test_labels is not None:
         f, norms = task.test_features, task.test_norms
 
         def test_ref(rows):  # one test row block's channels, when its tiles need them
             return refine._take_channels(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
 
-        test_acc = _snapshot_accuracies(state, snaps, f, norms, test_ref, task.test_labels)
+        test_acc = _snapshot_accuracies(state, ress, scores, f, norms, test_ref, task.test_labels)
     rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
     return state, [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
 

@@ -161,11 +161,16 @@ def brute_force_grid(task, mask, base_cfg, alphas, betas, gammas=None, val_task=
 
 def cache_term_unblocked(zs, f_ref, keys, scores, alpha, beta, c, k, res=None):
     """Reference logits: zs plus the cache term over the whole N x C*K
-    affinity matrix at once.  A C x Q class residual ``res`` multiplies
-    each class sum by the gain exp(beta * f_ref @ res.T), as a whole
-    N x C matrix."""
-    weighted = np.exp(-beta * (1.0 - f_ref @ keys.T)) * scores
-    sums = weighted.reshape(len(f_ref), c, k).sum(axis=-1)
+    affinity matrix at once.  Each class sum is its K affinities times its
+    K scores, one GEMM per class over a score column zero-padded to 8
+    columns: the summation order of the engine's class-sum kernel, here
+    taken over all rows and classes in one call.  A C x Q class residual
+    ``res`` multiplies each class sum by the gain exp(beta * f_ref @ res.T),
+    as a whole N x C matrix."""
+    aff = np.exp(-beta * (1.0 - f_ref @ keys.T))
+    cols = np.zeros((c, k, 8))
+    cols[:, :, 0] = np.broadcast_to(scores, (c * k,)).reshape(c, k)
+    sums = np.matmul(aff.reshape(len(f_ref), c, k).transpose(1, 0, 2), cols)[:, :, 0].T
     if res is not None:
         sums = sums * np.exp(beta * (f_ref @ res.T))
     return zs + alpha * sums

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ape import cli, dataio, engine, refine, trainer
+from ape import cli, dataio, engine, numkit, refine, trainer
 from ape.cli import _holdout_split, grid_search, main, parse_grid
 from ape.engine import EngineConfig, FewShotTask
 from helpers import block_budget, brute_force_grid, holdout_split_loop, random_task, tip_logits, unit_rows
@@ -559,6 +559,45 @@ class TestEvalCommand:
         ])
         assert rc == 0
         assert read_kv(eval_report)["accuracy.ape_t"] == read_kv(train_report)["accuracy.ape_t"]
+
+    def test_eval_takes_the_test_rows_norms_once(self, workspace):
+        """The loaded task's ``test_norms`` serve ``forward``: one norm pass
+        over the 60 x 32 test rows, not a second one inside ``forward``."""
+        tmp_path, manifest, mask_path = workspace
+        ckpt = tmp_path / "model.ckpt"
+        assert main([
+            "train", "--task", str(manifest), "--mask", str(mask_path), "--epochs", "1",
+            "--out", str(ckpt), "--report", str(tmp_path / "t.report"),
+        ]) == 0
+        with mock.patch.object(numkit, "_row_norms", wraps=numkit._row_norms) as spy:
+            assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest),
+                         "--report", str(tmp_path / "e.report")]) == 0
+        shapes = [call.args[0].shape for call in spy.call_args_list]
+        assert shapes.count((60, 32)) == 1, shapes
+
+    def test_v1_checkpoint_counted_in_the_report_and_warned_on_one_line(self, workspace, capsys):
+        """A v1 file loads under the default config: the eval report adds one
+        key saying so, every other line stays as for the same v2 file, and
+        stderr gets one line without Python's source echo."""
+        tmp_path, manifest, mask_path = workspace
+        ckpt, report = tmp_path / "model.ckpt", tmp_path / "e.report"
+        assert main([
+            "train", "--task", str(manifest), "--mask", str(mask_path), "--epochs", "2",
+            "--out", str(ckpt), "--report", str(tmp_path / "t.report"),
+        ]) == 0
+        assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest), "--report", str(report)]) == 0
+        v2_lines = strip_volatile(report).splitlines()
+        blob = ckpt.read_bytes()
+        cfg_at = len(trainer.CKPT_MAGIC) + 8 * (3 + 24)  # magic, C K Q, Q mask indices
+        ckpt.write_bytes(trainer._CKPT_MAGIC_V1 + blob[len(trainer.CKPT_MAGIC) : cfg_at]
+                         + blob[cfg_at + trainer._CFG_BLOCK.size :])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest), "--report", str(report)]) == 0
+        v1_lines = strip_volatile(report).splitlines()
+        assert v1_lines == v2_lines + ["warnings.config_defaulted = 1"]
+        assert capsys.readouterr().err == (
+            f"warning: {ckpt} is a v1 checkpoint with no engine config; loading it under the defaults\n"
+        )
 
     def test_report_echoes_checkpoint_q_without_lambda(self, workspace):
         """A checkpoint stores Q but not lambda, so eval echoes only Q."""

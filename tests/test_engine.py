@@ -3,8 +3,12 @@
 import contextlib
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -384,6 +388,21 @@ class TestRoutingOracle:
         want = f @ (task.text_features + padded).T + cfg.alpha * (aff * state.scores) @ labels
         got = trainer.forward(state, f)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestClassSumKernel:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_column_bits_independent_of_e_rows_and_chunks(self, threads):
+        """``tests/class_sums_property.py`` in a child process, since the BLAS
+        thread count must be set before numpy loads."""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, str(here / "class_sums_property.py")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestRowBlocks:

@@ -145,7 +145,8 @@ class TestStateOwnsItsConfig:
         assert trainer.load_checkpoint(tmp_path / "model.ckpt", task).cfg == cfg
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.cfg.alpha = 2.0
-        assert list(inspect.signature(trainer.forward).parameters) == ["state", "f_batch"]
+        # forward takes no engine config of its own
+        assert list(inspect.signature(trainer.forward).parameters) == ["state", "f_batch", "norms"]
 
     def test_config_cannot_be_reassigned(self):
         """The frozen support rows were refined under ``cfg``; swapping it
