@@ -23,7 +23,9 @@ from .engine import (
 from .numkit import ZeroRowWarning, l2_normalize_rows
 from .refine import (
     ChannelMask,
+    CriterionVector,
     apply_mask,
+    blend_criteria,
     full_mask,
     inter_class_similarity,
     inter_class_variance,
@@ -51,6 +53,7 @@ __all__ = [
     "EngineConfig",
     "FewShotTask",
     "ChannelMask",
+    "CriterionVector",
     "OptimConfig",
     "TrainState",
     "ZeroRowWarning",
@@ -58,6 +61,7 @@ __all__ = [
     "adamw_step",
     "ape_logits",
     "apply_mask",
+    "blend_criteria",
     "cache_affinity",
     "cache_scores",
     "cosine_lr",

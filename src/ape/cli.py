@@ -366,16 +366,21 @@ def cmd_eval(args) -> int:
     if task.test_labels is None:
         raise UsageError("eval task must provide test_labels")
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", trainer._ConfigDefaultedWarning)
         state = _validated(trainer.load_checkpoint, args.ckpt, task)
-    for warning in caught:  # loading warns only for a v1 file, whose config is defaulted
-        print(f"warning: {warning.message}", file=sys.stderr)
+    defaulted = 0
+    for w in caught:  # the v1 warning goes out as one line; any other passes through as raised
+        if w.category is trainer._ConfigDefaultedWarning:
+            defaulted += 1
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     logits = trainer.forward(state, task.test_features, task.test_norms)
     report = EvalReport(
         methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
         config=_config_echo(state.cfg, args.seed, None, state.q, task=args.task, ckpt=args.ckpt),
         wall_time_s=time.perf_counter() - started,
-        warned={"config_defaulted": len(caught)} if caught else None,
+        warned={"config_defaulted": defaulted} if defaulted else None,
     )
     report.write(args.report)
     print(report.render(), end="")

@@ -350,11 +350,15 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None
     """
     c = zs.shape[1]
     k = keys.shape[0] // c
+    buf = None
     for rows, cls, q, blk in _cosine_tiles(f_ref, keys, c, plan):
+        if buf is None:  # the first tile is the largest; its sums buffer is reused
+            buf = np.empty(blk.size // k)
         if res is not None and cls.start == 0:
             gain = np.exp(beta * (q @ res.T))
         _sharpen(blk, beta, out=blk)
-        sums = _class_sums(blk, scores[None, k * cls.start : k * cls.stop], cls.stop - cls.start)[0]
+        out = buf[: blk.size // k].reshape(1, len(blk), -1)
+        sums = _class_sums(blk, scores[None, k * cls.start : k * cls.stop], cls.stop - cls.start, out)[0]
         if res is not None:
             sums *= gain[:, cls]
         zs[rows, cls] += alpha * sums

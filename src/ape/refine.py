@@ -17,9 +17,11 @@ import numpy as np
 from . import numkit
 
 __all__ = [
+    "CriterionVector",
     "ChannelMask",
     "inter_class_similarity",
     "inter_class_variance",
+    "blend_criteria",
     "select_channels",
     "apply_mask",
     "full_mask",
@@ -28,6 +30,22 @@ __all__ = [
 ]
 
 MASK_HEADER = "APE-MASK v1"
+
+
+@dataclass(frozen=True, eq=False)
+class CriterionVector:
+    """Per-channel scores of one kind: 'similarity', 'variance' or 'blended'."""
+
+    kind: str
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.kind not in ("similarity", "variance", "blended"):
+            raise ValueError(f"unknown criterion kind {self.kind!r}")
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.ndim != 1 or not np.isfinite(v).all():
+            raise ValueError("criterion values must be a finite 1-D vector")
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +86,7 @@ class ChannelMask:
         return len(self.scores)
 
 
-def inter_class_similarity(w) -> np.ndarray:
+def inter_class_similarity(w) -> CriterionVector:
     """Average inter-class channel product over unit-norm prototypes.
 
     For channel k the score is (1/C^2) * sum over ordered pairs of distinct
@@ -89,39 +107,51 @@ def inter_class_similarity(w) -> np.ndarray:
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ValueError("prototype rows must be L2-normalized (within 1e-6)")
     colsum = w.sum(axis=0)
-    return (colsum * colsum - (w * w).sum(axis=0)) / (c * c)
+    values = (colsum * colsum - (w * w).sum(axis=0)) / (c * c)
+    return CriterionVector("similarity", values)
 
 
-def inter_class_variance(w) -> np.ndarray:
+def inter_class_variance(w) -> CriterionVector:
     """Per-channel population variance of the prototype values across classes."""
     w = numkit.as_matrix(w, "w")
     if w.shape[0] < 2:
         raise ValueError("inter-class variance needs at least 2 classes")
-    return np.var(w, axis=0)
+    return CriterionVector("variance", np.var(w, axis=0))
 
 
-def select_channels(s, v, lam: float, q: int) -> ChannelMask:
-    """Keep the q channels with the smallest blended score lam * S - (1 - lam) * V
-    of the per-channel similarity ``s`` and variance ``v``: low scores mark
-    small inter-class similarity and large inter-class variance.
+def blend_criteria(s: CriterionVector, v: CriterionVector, lam: float) -> CriterionVector:
+    """Blend similarity and variance into one score: lam * S - (1 - lam) * V.
+
+    Low blended scores mark the channels worth keeping: small inter-class
+    similarity and large inter-class variance.
+    """
+    if s.kind != "similarity":
+        raise ValueError(f"first criterion must be 'similarity', got {s.kind!r}")
+    if v.kind != "variance":
+        raise ValueError(f"second criterion must be 'variance', got {v.kind!r}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    if s.values.shape != v.values.shape:
+        raise ValueError("criterion vectors must have equal length")
+    return CriterionVector("blended", lam * s.values - (1.0 - lam) * v.values)
+
+
+def select_channels(s: CriterionVector, v: CriterionVector, lam: float, q: int) -> ChannelMask:
+    """Keep the q channels with the smallest blended score.
 
     Ties break toward the lower channel index, so the result is
     deterministic and the selection for q is a subset of the selection
     for q + 1.
 
     Raises:
-        ValueError: if lambda is not in [0, 1], ``s`` and ``v`` are not
-            1-D vectors of one length, or q is not in [1, D].
+        ValueError: if q is not in [1, D].
     """
-    s, v = np.asarray(s, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if s.ndim != 1 or s.shape != v.shape:
-        raise ValueError("criterion vectors must be 1-D and of equal length")
-    j = lam * s - (1.0 - lam) * v
-    if not 1 <= q <= len(j):
-        raise ValueError(f"q must lie in [1, {len(j)}], got {q}")
-    return ChannelMask(selected=np.sort(np.argsort(j, kind="stable")[:q]), scores=j)
+    j = blend_criteria(s, v, lam)
+    d = len(j.values)
+    if not 1 <= q <= d:
+        raise ValueError(f"q must lie in [1, {d}], got {q}")
+    order = np.argsort(j.values, kind="stable")
+    return ChannelMask(selected=np.sort(order[:q]), scores=j.values)
 
 
 def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=None) -> np.ndarray:

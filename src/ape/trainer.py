@@ -61,6 +61,10 @@ _FROZEN = ("mask_idx", "w", "f_support_refined", "cfg")
 _SNAPSHOT_GROUP = 4
 
 
+class _ConfigDefaultedWarning(UserWarning):
+    """A v1 checkpoint, which stores no engine config, loaded under ``EngineConfig()``."""
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     """AdamW and schedule settings, checked at construction.  The cosine
@@ -294,27 +298,25 @@ def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref,
     and sharpened once for all snapshots, and :func:`_class_sums` takes it
     into the class sums of up to ``_SNAPSHOT_GROUP`` snapshots at once, so no
     second tile and no logits matrix exist whole.  A row block split into
-    several tiles keeps one row block of class sums per snapshot until its
+    several tiles takes every snapshot in one group, whose sums wait for its
     last tile.
     """
     cfg, c, k = state.cfg, state.c, state.k
     shifted, hits = np.empty_like(state.w), np.zeros(len(ress), dtype=np.int64)
     plan = _tile_plan(len(labels), c, k)
-    split = len(plan[1]) > 1  # then each snapshot's sums wait for the row block's last tile
-    held = len(ress) if split else min(len(ress), _SNAPSHOT_GROUP)
-    buf = np.empty(held * plan[0][0].stop * c)  # one for the pass: fresh sums per call took 5 MB more RSS
+    size = len(ress) if len(plan[1]) > 1 else min(len(ress), _SNAPSHOT_GROUP)
+    buf = np.empty(size * plan[0][0].stop * c)  # one for the pass: fresh sums per call took 5 MB more RSS
     for rows, cls, q, blk in _cosine_tiles(f_ref, state.f_support_refined, c, plan):
         _sharpen(blk, cfg.beta, out=blk)
-        sums = buf[: held * len(blk) * c].reshape(held, len(blk), c)
         if cls.stop == c:
             f_rows = numkit._unit64(f_batch, norms, rows)
-        for lo in range(0, len(ress), _SNAPSHOT_GROUP):
-            group = scores[lo : lo + _SNAPSHOT_GROUP, k * cls.start : k * cls.stop]
-            at = slice(lo, lo + len(group)) if split else slice(0, len(group))
-            _class_sums(blk, group, cls.stop - cls.start, out=sums[at, :, cls])
+        for lo in range(0, len(ress), size):
+            group = scores[lo : lo + size, k * cls.start : k * cls.stop]
+            sums = buf[: len(group) * len(blk) * c].reshape(len(group), len(blk), c)
+            _class_sums(blk, group, cls.stop - cls.start, out=sums[:, :, cls])
             if cls.stop < c:
                 continue
-            for e, acc in enumerate(sums[at], lo):
+            for e, acc in enumerate(sums, lo):
                 acc *= np.exp(cfg.beta * (q @ ress[e].T))
                 zs = f_rows @ _shifted(state, ress[e], shifted).T
                 zs += cfg.alpha * acc
@@ -448,7 +450,9 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
         except ValueError as exc:
             raise ValueError(f"checkpoint holds a bad engine config: {path}: {exc}") from None
     else:
-        warnings.warn(f"{path} is a v1 checkpoint with no engine config; loading it under the defaults")
+        warnings.warn(
+            f"{path} is a v1 checkpoint with no engine config; loading it under the defaults", _ConfigDefaultedWarning
+        )
         cfg = EngineConfig()
 
     def take_f64(shape) -> np.ndarray:

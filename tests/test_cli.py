@@ -411,7 +411,7 @@ grid_values = st.one_of(st.sampled_from([0.0, 1.0, 5.5]), st.floats(0.0, 10.0))
     q=st.integers(1, 8),
     alphas=st.lists(grid_values, min_size=1, max_size=4),
     betas=st.lists(grid_values, min_size=1, max_size=3),
-    gammas=st.none() | st.lists(grid_values, min_size=1, max_size=3),
+    gammas=st.none() | st.lists(grid_values, min_size=1, max_size=11),
     with_val=st.booleans(),
     kl_sign=st.sampled_from([1, -1]),
     renormalize=st.booleans(),
@@ -428,6 +428,10 @@ grid_values = st.one_of(st.sampled_from([0.0, 1.0, 5.5]), st.floats(0.0, 10.0))
          seed=300041115)
 @example(c=3, k=3, q=4, alphas=[5.5], betas=[0.0, 5.5], gammas=[1.0, 0.0, 1.0],
          with_val=False, kl_sign=-1, renormalize=True, seed=4074326702)
+# Ten gammas: two class-sum groups of 8 and 2, the second offset by 8.
+@example(c=4, k=3, q=5, alphas=[0.0, 1.0], betas=[1.0, 5.5],
+         gammas=[0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 5.5, 10.0],
+         with_val=True, kl_sign=1, renormalize=True, seed=17)
 def check_grid_oracle(c, k, q, alphas, betas, gammas, with_val, kl_sign, renormalize, seed):
     """Same config and bitwise-same accuracy as one ape_logits per candidate."""
     rng = np.random.default_rng(seed)
@@ -598,6 +602,25 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             f"warning: {ckpt} is a v1 checkpoint with no engine config; loading it under the defaults\n"
         )
+
+    def test_other_load_warnings_pass_through_uncounted(self, tmp_path, capsys):
+        """Rebuilding a v2 checkpoint's refined support rows warns of a row
+        that is zero on the kept channels: that warning is raised as it is,
+        and the report gains no warnings key."""
+        rng = np.random.default_rng(5)
+        task = random_task(rng, c=3, k=2, d=8, n_test=4)
+        support = task.support_features.copy()
+        support[0] = np.eye(8)[7]  # zero on the kept channels 0-3
+        task = FewShotTask(task.text_features, support, task.test_features, task.test_labels)
+        mask = refine.ChannelMask(selected=np.arange(4), scores=np.zeros(8))
+        manifest, ckpt, report = dataio.save_task(task, tmp_path), tmp_path / "m.ckpt", tmp_path / "e.report"
+        with pytest.warns(numkit.ZeroRowWarning):
+            trainer.save_checkpoint(ckpt, trainer.init_state(task, mask, EngineConfig()))
+        capsys.readouterr()
+        with pytest.warns(numkit.ZeroRowWarning, match="1 zero row"):
+            assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest), "--report", str(report)]) == 0
+        assert not [key for key in read_kv(report) if key.startswith("warnings.")]
+        assert capsys.readouterr().err == ""
 
     def test_report_echoes_checkpoint_q_without_lambda(self, workspace):
         """A checkpoint stores Q but not lambda, so eval echoes only Q."""

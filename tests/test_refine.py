@@ -21,7 +21,8 @@ def two_prototypes():
 class TestInterClassSimilarity:
     def test_hand_expanded_two_class(self):
         s = refine.inter_class_similarity(two_prototypes())
-        np.testing.assert_allclose(s, [0.3, 0.0], atol=1e-15)
+        assert s.kind == "similarity"
+        np.testing.assert_allclose(s.values, [0.3, 0.0], atol=1e-15)
 
     def test_identical_prototypes_closed_form(self):
         # C copies of one prototype: S_k = ((C^2 - C) / C^2) * x_k^2
@@ -30,11 +31,11 @@ class TestInterClassSimilarity:
             w = np.tile(x, (c, 1))
             s = refine.inter_class_similarity(w)
             expected = (c * c - c) / (c * c) * x**2
-            np.testing.assert_allclose(s, expected, rtol=1e-12)
+            np.testing.assert_allclose(s.values, expected, rtol=1e-12)
 
     def test_orthogonal_prototypes(self):
         s = refine.inter_class_similarity(np.eye(2))
-        np.testing.assert_array_equal(s, [0.0, 0.0])
+        np.testing.assert_array_equal(s.values, [0.0, 0.0])
 
     def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(4)
@@ -46,7 +47,7 @@ class TestInterClassSimilarity:
             for j in range(c):
                 if i != j:
                     expected += w[i] * w[j]
-        np.testing.assert_allclose(s, expected / (c * c), atol=1e-12)
+        np.testing.assert_allclose(s.values, expected / (c * c), atol=1e-12)
 
     def test_requires_two_classes(self):
         with pytest.raises(ValueError):
@@ -61,27 +62,27 @@ class TestInterClassVariance:
     def test_two_values(self):
         v = refine.inter_class_variance(two_prototypes())
         # channel 0: values (1, 0.6), mean 0.8 -> 0.04; channel 1: (0, 0.8) -> 0.16
-        np.testing.assert_allclose(v, [0.04, 0.16], rtol=1e-12)
+        np.testing.assert_allclose(v.values, [0.04, 0.16], rtol=1e-12)
 
     def test_spec_channel_example(self):
         v = refine.inter_class_variance([[0.6], [0.8]])
-        np.testing.assert_allclose(v, [0.01], rtol=1e-12)
+        np.testing.assert_allclose(v.values, [0.01], rtol=1e-12)
 
     def test_constant_channel_is_zero(self):
         v = refine.inter_class_variance([[0.5, 1.0], [0.5, -1.0]])
-        assert v[0] == 0.0
-        np.testing.assert_allclose(v[1], 1.0, rtol=1e-15)
+        assert v.values[0] == 0.0
+        np.testing.assert_allclose(v.values[1], 1.0, rtol=1e-15)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         v = refine.inter_class_variance(rng.standard_normal((6, 9)))
-        assert (v >= 0.0).all()
+        assert (v.values >= 0.0).all()
 
 
 class TestSelectChannels:
     def test_worked_two_channel_example(self):
-        s = np.asarray([0.3, 0.0])
-        v = np.asarray([0.04, 0.16])
+        s = refine.CriterionVector("similarity", [0.3, 0.0])
+        v = refine.CriterionVector("variance", [0.04, 0.16])
         mask = refine.select_channels(s, v, lam=0.7, q=1)
         np.testing.assert_allclose(mask.scores, [0.198, -0.048], atol=1e-15)
         np.testing.assert_array_equal(mask.selected, [1])
@@ -89,33 +90,35 @@ class TestSelectChannels:
     def test_full_mask_any_scores(self):
         rng = np.random.default_rng(6)
         d = 12
-        s = rng.standard_normal(d)
-        v = np.zeros(d)
+        s = refine.CriterionVector("similarity", rng.standard_normal(d))
+        v = refine.CriterionVector("variance", np.zeros(d))
         mask = refine.select_channels(s, v, lam=1.0, q=d)
         np.testing.assert_array_equal(mask.selected, np.arange(d))
 
     def test_tie_break_to_lower_index(self):
-        s = np.zeros(6)
-        v = np.zeros(6)
+        s = refine.CriterionVector("similarity", np.zeros(6))
+        v = refine.CriterionVector("variance", np.zeros(6))
         mask = refine.select_channels(s, v, lam=0.5, q=3)
         np.testing.assert_array_equal(mask.selected, [0, 1, 2])
 
     def test_q_out_of_range(self):
-        s = np.zeros(4)
-        v = np.zeros(4)
+        s = refine.CriterionVector("similarity", np.zeros(4))
+        v = refine.CriterionVector("variance", np.zeros(4))
         for q in (0, 5):
             with pytest.raises(ValueError):
                 refine.select_channels(s, v, 0.5, q)
 
     def test_lambda_out_of_range(self):
-        s = np.zeros(4)
-        v = np.zeros(4)
+        s = refine.CriterionVector("similarity", np.zeros(4))
+        v = refine.CriterionVector("variance", np.zeros(4))
         with pytest.raises(ValueError):
             refine.select_channels(s, v, 1.5, 2)
 
-    def test_criteria_of_unequal_length_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            refine.select_channels(np.zeros(4), np.zeros(5), 0.5, 2)
+    def test_swapped_criteria_rejected(self):
+        s = refine.CriterionVector("similarity", np.zeros(4))
+        v = refine.CriterionVector("variance", np.zeros(4))
+        with pytest.raises(ValueError):
+            refine.select_channels(v, s, 0.5, 2)
 
     def test_exhaustive_subset_optimality(self):
         """The stable top-q rule hits the exact minimum over all subsets."""

@@ -555,7 +555,7 @@ class TestTrain:
     @given(
         c=st.integers(1, 11),
         k=st.integers(1, 3),
-        epochs=st.integers(0, 3),
+        epochs=st.integers(0, 9),
         batch_size=st.integers(1, 40),
         with_labels=st.booleans(),
         renormalize=st.booleans(),
@@ -569,14 +569,19 @@ class TestTrain:
     @example(c=1, k=1, epochs=3, batch_size=1, with_labels=True, renormalize=False, block_rows=2, seed=2)
     @example(c=11, k=3, epochs=1, batch_size=40, with_labels=False, renormalize=True, block_rows=9, seed=3)
     @example(c=11, k=3, epochs=2, batch_size=5, with_labels=True, renormalize=True, block_rows=2, seed=4)
+    @example(c=11, k=3, epochs=9, batch_size=5, with_labels=True, renormalize=True, block_rows=2, seed=5)
+    @example(c=5, k=2, epochs=9, batch_size=3, with_labels=True, renormalize=False, block_rows=9, seed=6)
     def test_bitwise_equal_to_reference_loop(
         self, c, k, epochs, batch_size, with_labels, renormalize, block_rows, seed
     ):
         """History and learnables are those of the per-epoch ``forward`` loop,
         byte for byte.  The first example keeps a short last batch; C = 9 and
         11 leave a short last class chunk (chunks hold 1/8 of a tile's
-        classes, rounded up).  The last example splits the keys: the 33
-        support rows take 5 blocks x 4 class runs, the 4 test rows 1 x 3."""
+        classes, rounded up).  The C = 11, K = 3 examples with block_rows=2
+        split the keys: the 33 support rows take 5 blocks x 4 class runs,
+        the 4 test rows 1 x 3; with 9 epochs every block's 10 snapshots go
+        in one group.  The last example keeps the keys whole and takes its
+        10 snapshots in groups of 4, 4 and 2."""
         rng = np.random.default_rng(seed)
         task, mask, cfg = make_instance(rng, c=c, k=k)
         cfg = dataclasses.replace(cfg, renormalize=renormalize)
