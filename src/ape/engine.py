@@ -266,23 +266,28 @@ def _divergences(s_ref, w_ref, temperature: float, classes: slice | None = None)
 _SCORE_COLS = 8
 
 
-def _class_sums(aff, scores, c: int, out=None) -> np.ndarray:
-    """E x N x C sums (into ``out``, if given) of each class's K columns of
-    ``aff`` (N x C*K, class-major) times that class's K entries in each row
-    of ``scores`` (E x C*K).
+def _score_cols(scores, c: int) -> np.ndarray:
+    """:func:`_class_sums`'s C x K x E' blocks of the E x C*K ``scores``, E zero-padded to E'."""
+    cols = np.zeros((c, scores.shape[1] // c, -(-len(scores) // _SCORE_COLS) * _SCORE_COLS))
+    cols[..., : len(scores)] = scores.reshape(len(scores), c, -1).transpose(1, 2, 0)
+    return cols
 
-    One C-batched GEMM of the strided class views of ``aff`` by C x K x E'
-    score blocks, E zero-padded to E'; no one-hot matrix is formed.  It runs
-    in class chunks whose output holds about 1/8 of ``aff``'s values.  A
-    sum's bits depend on neither E, the chunk nor the other rows of the call
+
+def _class_sums(aff, cols, e: int, out=None) -> np.ndarray:
+    """E x N x C sums (into ``out``, if given) of each class's K columns of
+    ``aff`` (N x C*K, class-major) times that class's K entries in each of
+    the E score rows that :func:`_score_cols` made ``cols`` of.
+
+    One C-batched GEMM of the strided class views of ``aff`` by the score
+    blocks; no one-hot matrix is formed.  It runs in class chunks whose
+    output holds about 1/8 of ``aff``'s values.  A sum's bits depend on
+    neither E, the chunk nor the other rows of the call
     (``tests/class_sums_property.py``); a one-row call goes to GEMV.
     """
-    n, e, k = aff.shape[0], scores.shape[0], aff.shape[1] // c
-    cols = np.zeros((c, k, -(-e // _SCORE_COLS) * _SCORE_COLS))
-    cols[..., :e] = scores.reshape(e, c, k).transpose(1, 2, 0)
+    n, (c, k, width) = aff.shape[0], cols.shape
     views = aff.reshape(n, c, k).transpose(1, 0, 2)
-    step = max(1, -(-c // 8) * k // cols.shape[2])  # classes per chunk
-    scratch = np.empty((n, min(step, c), cols.shape[2]))
+    step = max(1, -(-c // 8) * k // width)  # classes per chunk
+    scratch = np.empty((n, min(step, c), width))
     sums = np.empty((e, n, c)) if out is None else out
     for lo in range(0, c, step):
         part = scratch[:, : min(step, c - lo)]
@@ -337,28 +342,30 @@ def _cosine_tiles(f_ref, keys, c: int, plan=None):
             yield rows, cls, q, np.matmul(q, keys[k * cls.start : k * cls.stop].T, out=out)
 
 
-def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None, plan=None):
+def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None, scale=None, plan=None):
     """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T))
     into the N x C ``zs`` in place, one cosine tile of ``plan`` (as in
     :func:`_cosine_tiles`) at a time; returns ``zs``.
 
-    A C x Q residual ``res`` shifting each class's keys scales its class sum
-    by the gain exp(beta * f_ref @ res.T), formed once per row block.  Only
-    one tile is alive at once.  Rows are independent and each class sum
-    sees only its own K columns, so the result is bitwise that of the
-    whole matrix.
+    A C x Q residual ``res`` first adds its text shift ``scale * p`` (``scale``:
+    one factor per row) and then scales each class sum by the gain exp(beta *
+    p), where p = f_ref @ res.T is formed once per row block.  Only one tile
+    is alive at once.  Rows are independent and each class sum sees only its
+    own K columns, so the result is bitwise that of the whole matrix.
     """
     c = zs.shape[1]
     k = keys.shape[0] // c
-    buf = None
+    cols, buf = _score_cols(scores[None], c), None
     for rows, cls, q, blk in _cosine_tiles(f_ref, keys, c, plan):
         if buf is None:  # the first tile is the largest; its sums buffer is reused
             buf = np.empty(blk.size // k)
         if res is not None and cls.start == 0:
-            gain = np.exp(beta * (q @ res.T))
+            p = q @ res.T
+            zs[rows] += scale[rows, None] * p
+            gain = np.exp(beta * p)
         _sharpen(blk, beta, out=blk)
         out = buf[: blk.size // k].reshape(1, len(blk), -1)
-        sums = _class_sums(blk, scores[None, k * cls.start : k * cls.stop], cls.stop - cls.start, out)[0]
+        sums = _class_sums(blk, cols[cls], 1, out)[0]
         if res is not None:
             sums *= gain[:, cls]
         zs[rows, cls] += alpha * sums
@@ -395,7 +402,8 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray
             for lo in range(0, len(score_sets), _SCORE_COLS):
                 group = score_sets[lo : lo + _SCORE_COLS, k * cls.start : k * cls.stop]
                 out = buf[: len(group) * len(cos) * (cls.stop - cls.start)].reshape(len(group), len(cos), -1)
-                for g, sums in enumerate(_class_sums(blk, group, cls.stop - cls.start, out), lo):
+                cols = _score_cols(group, cls.stop - cls.start)
+                for g, sums in enumerate(_class_sums(blk, cols, len(group), out), lo):
                     for a, alpha in enumerate(alphas):
                         z = zs[rows, cls] + float(alpha) * sums
                         arg = z.argmax(axis=1)

@@ -133,11 +133,16 @@ def _normalize_rows_inplace(m: np.ndarray, norms: np.ndarray | None = None, out=
             ZeroRowWarning,
             stacklevel=3,
         )
-    rows = (np.abs(norms - 1.0) > _UNIT_BAND) & ~zero
     if out is not None:  # widened first, so the division makes no cast temporary
         out[...] = m
         m = out
-    return np.divide(m, norms[:, None], out=m, where=rows[:, None])
+    return np.divide(m, _divisors(norms)[:, None], out=m, where=~zero[:, None])
+
+
+def _divisors(norms: np.ndarray) -> np.ndarray:
+    """Each row's divisor in :func:`_normalize_rows_inplace`: its norm, but 1
+    inside the unit band (bits kept) and 0 for a zero row (left as it is)."""
+    return np.where(np.abs(norms - 1.0) > _UNIT_BAND, norms, 1.0)
 
 
 def _unit64(m: np.ndarray, norms: np.ndarray | None = None, rows=slice(None)) -> np.ndarray:

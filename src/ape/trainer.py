@@ -1,13 +1,14 @@
 """Lightweight residual training on top of the training-free classifier.
 
 Only two tensors learn: a per-class residual over the refined channels
-(added to the text prototypes, zero-padded to full width, and acting as a
-per-class gain exp(beta * f @ res.T) on the frozen cache's affinities,
-which equals shifting the class's keys but forms no C*K x Q key matrix) and the
-per-entry cache scores.  Everything else -- prototypes, cache features,
-channel mask -- stays frozen and read-only.  Gradients are derived
-analytically and the update rule is AdamW with decoupled weight decay
-under a cosine learning-rate schedule.
+and the per-entry cache scores.  One Q-wide product p = f @ res.T serves
+both uses of the residual: the text shift r * p (the residual zero-padded
+and added to the prototypes) and the gain exp(beta * p) on each class's
+frozen cache affinities (its keys shifted, with no C*K x Q key matrix).
+Everything else -- prototypes, cache features, channel mask -- stays
+frozen and read-only.  Gradients are derived analytically and the update
+rule is AdamW with decoupled weight decay under a cosine learning-rate
+schedule.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .engine import (
     _class_sums,
     _cosine_tiles,
     _divergences,
+    _score_cols,
     _sharpen,
     _tile_plan,
     cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
@@ -55,7 +57,7 @@ _CFG_BLOCK = struct.Struct("<dddqd?")
 # The learnables and their moments in checkpoint order: each *res is C x Q, each *scores C*K.
 _LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
 # The frozen context: set once, at construction; its arrays are read-only.
-_FROZEN = ("mask_idx", "w", "f_support_refined", "cfg")
+_FROZEN = ("mask_idx", "w", "f_support_refined", "support_scale", "cfg")
 # Snapshots per class-sum call in the history: at C=100 and 625-row tiles
 # their sums take 2 MB, where 8 (the padded width) raised a desk train's peak RSS by 4%.
 _SNAPSHOT_GROUP = 4
@@ -108,6 +110,7 @@ class TrainState:
     mask_idx: np.ndarray           # Q selected channel indices
     w: np.ndarray                  # C x D text prototypes
     f_support_refined: np.ndarray  # C*K x Q, class-major
+    support_scale: np.ndarray      # C*K r of the support rows (see _refine), derived, not saved
     cfg: EngineConfig              # alpha, beta and refinement of every pass
 
     def __setattr__(self, name, value):
@@ -152,39 +155,43 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     """
     refine._check_width(mask, task.d)
     w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
-    s_ref = refine._take_channels(task.support_features, mask.selected, cfg.renormalize, task.support_norms)
-    scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(s_ref, w_ref, cfg.kl_temperature))
+    frozen = _frozen_context(task, mask.selected, cfg)
+    scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(frozen["f_support_refined"], w_ref, cfg.kl_temperature))
+    shape = (task.c, mask.q)
     return TrainState(
-        res=np.zeros((task.c, mask.q)),
-        scores=scores,
-        m_res=np.zeros((task.c, mask.q)),
-        v_res=np.zeros((task.c, mask.q)),
-        m_scores=np.zeros_like(scores),
-        v_scores=np.zeros_like(scores),
-        step=0,
-        mask_idx=np.asarray(mask.selected, dtype=np.int64).copy(),
-        w=task.text_features.copy(),
-        f_support_refined=s_ref,
-        cfg=cfg,
+        res=np.zeros(shape), scores=scores, m_res=np.zeros(shape), v_res=np.zeros(shape),
+        m_scores=np.zeros_like(scores), v_scores=np.zeros_like(scores), step=0, **frozen,
     )
 
 
-def _shifted(state: TrainState, res: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """w_shift into the C x D ``out``: the prototypes plus ``res``, zero-padded to full width."""
-    out.fill(0.0)
-    out[:, state.mask_idx] = res
-    out += state.w
-    return out
+def _frozen_context(task: FewShotTask, mask_idx, cfg: EngineConfig) -> dict:
+    """The frozen fields of a state over ``task``: its own mask indices and
+    prototypes, the refined support rows and their r (see :func:`_refine`)."""
+    mask_idx = np.array(mask_idx, dtype=np.int64)
+    s_ref, scale = _refine(task.support_features, mask_idx, cfg.renormalize, task.support_norms)
+    return dict(mask_idx=mask_idx, w=task.text_features.copy(), f_support_refined=s_ref, support_scale=scale, cfg=cfg)
+
+
+def _refine(m, mask_idx, renormalize: bool, norms=None) -> tuple[np.ndarray, np.ndarray]:
+    """``refine._take_channels`` of the rows ``m`` stands for, bit for bit,
+    and each row's r, what re-normalization divided it by (``numkit._divisors``;
+    1 without it), so that r * q is the row's kept channels."""
+    q = refine._take_channels(m, mask_idx, False, norms)
+    if not renormalize:
+        return q, np.ones(len(q))
+    kept = numkit._row_norms(q)
+    return numkit._normalize_rows_inplace(q, kept), numkit._divisors(kept)
 
 
 def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     """Logits of the residual-augmented classifier for a batch of full-width
     rows, under the state's own engine config.
 
-    The residual shifts the text prototypes (padded to full width) and
-    scales its class's sum of frozen cache affinities by the gain
-    exp(beta * f_ref @ res.T), which equals shifting that class's cache
-    keys by it without forming a C*K x Q key matrix.  Float32 rows are
+    The frozen zero-shot logits f @ w.T take the text shift r * p (r: see
+    :func:`_refine`), as if the padded residual shifted the prototypes, and
+    each class's sum of frozen cache affinities the gain exp(beta * p), as
+    if it shifted that class's keys; p = f_ref @ res.T is formed once per
+    row block.  Float32 rows are
     stored features: they are widened and normalized by row blocks, as
     ``FewShotTask`` reads them, by ``norms`` (their float64 row norms, such
     as a task's ``test_norms``) when given.
@@ -195,9 +202,9 @@ def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     cfg = state.cfg
     if norms is None and f_batch.dtype == np.float32:
         norms = numkit._row_norms(f_batch)
-    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize, norms)
-    zs = zero_shot_logits(f_batch, _shifted(state, state.res, np.empty_like(state.w)), norms)
-    return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res)
+    f_ref, scale = _refine(f_batch, state.mask_idx, cfg.renormalize, norms)
+    zs = zero_shot_logits(f_batch, state.w, norms)
+    return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res, scale)
 
 
 def cross_entropy(logits, label_ids) -> float:
@@ -219,13 +226,14 @@ def _ce_terms(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(y)), y]
 
 
-def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
+def _grad_parts(state: TrainState, f_batch, f_ref, scale, label_ids):
     """The batch logits and the analytic gradients of the mean cross-entropy
-    w.r.t. the learnables, for full-width rows and their refined channels.
+    w.r.t. the learnables, for full-width rows, their refined channels and
+    their r (see :func:`_refine`).
 
     Returns (logits, d_res, d_scores), the gradients shaped (C, Q) and
-    (C*K,).  The residual gradient is the sum of the text-prototype path
-    and the cache-gain path, which share the upstream softmax gradient.
+    (C*K,).  The residual gradient sums the text-shift path and the
+    cache-gain path; both are linear in the refined rows, so it is one GEMM.
     """
     y = np.asarray(label_ids, dtype=np.int64)
     b, c, k, cfg = f_batch.shape[0], state.c, state.k, state.cfg
@@ -234,22 +242,20 @@ def _grad_parts(state: TrainState, f_batch, f_ref, label_ids):
     # forward's, bit for bit.
     aff = f_ref @ state.f_support_refined.T
     _sharpen(aff, cfg.beta, out=aff)
-    gain = np.exp(cfg.beta * (f_ref @ state.res.T))
-    cache = _class_sums(aff, state.scores[None], c)[0] * gain
-    logits = f_batch @ _shifted(state, state.res, np.empty_like(state.w)).T + cfg.alpha * cache
+    p = f_ref @ state.res.T
+    gain = np.exp(cfg.beta * p)
+    cache = _class_sums(aff, _score_cols(state.scores[None], c), 1)[0] * gain
+    logits = (f_batch @ state.w.T + scale[:, None] * p) + cfg.alpha * cache
 
     g = numkit._softmax(logits)
     g[np.arange(b), y] -= 1.0
     g /= b
 
-    # Text path: residual columns live at the mask indices of W.
-    d_res_text = g.T @ np.take(f_batch, state.mask_idx, axis=1)
-
-    # Cache path: d cache[:, c] / d res_c = beta * cache[:, c] * f_ref; scores pass the gain.
-    d_res_cache = (cfg.alpha * cfg.beta * g * cache).T @ f_ref
+    # d logits[:, c] / d res_c = (r + alpha * beta * cache[:, c]) * f_ref; scores pass the gain.
+    d_res = (scale[:, None] * g + cfg.alpha * cfg.beta * g * cache).T @ f_ref
     d_scores = cfg.alpha * np.einsum("bc,bck->ck", g * gain, aff.reshape(b, c, k)).reshape(c * k)
 
-    return logits, d_res_text + d_res_cache, d_scores
+    return logits, d_res, d_scores
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -288,37 +294,39 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
     return state
 
 
-def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref, labels, terms=None) -> list[float]:
+def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref, scale, labels, terms=None):
     """Accuracy of ``forward`` under each snapshot ``(ress[e], scores[e])``
     (``scores``: one row of C*K cache scores per residual) on the full-width
     task rows ``f_batch`` (with their ``norms``, widened one row block at a
     time), their refined channels ``f_ref`` (or a function of a row slice
-    giving them) and ``labels``; ``terms``, if given, receives
-    snapshot 0's per-row cross-entropy terms.  Each cosine tile is computed
-    and sharpened once for all snapshots, and :func:`_class_sums` takes it
-    into the class sums of up to ``_SNAPSHOT_GROUP`` snapshots at once, so no
-    second tile and no logits matrix exist whole.  A row block split into
-    several tiles takes every snapshot in one group, whose sums wait for its
-    last tile.
+    giving them, which may fill ``scale`` for it), their r ``scale`` and
+    ``labels``; ``terms``, if given, receives snapshot 0's per-row
+    cross-entropy terms.  A row block's zero-shot product and each cosine
+    tile are computed once for all snapshots; :func:`_class_sums` takes a
+    tile into the class sums of up to ``_SNAPSHOT_GROUP`` snapshots at once
+    (all of them where a row block is split into several tiles, whose sums
+    wait for its last tile), and a snapshot's Q-wide product gives its gain
+    and text shift.  No second tile and no logits matrix exist whole.
     """
     cfg, c, k = state.cfg, state.c, state.k
-    shifted, hits = np.empty_like(state.w), np.zeros(len(ress), dtype=np.int64)
+    hits = np.zeros(len(ress), dtype=np.int64)
     plan = _tile_plan(len(labels), c, k)
     size = len(ress) if len(plan[1]) > 1 else min(len(ress), _SNAPSHOT_GROUP)
     buf = np.empty(size * plan[0][0].stop * c)  # one for the pass: fresh sums per call took 5 MB more RSS
     for rows, cls, q, blk in _cosine_tiles(f_ref, state.f_support_refined, c, plan):
         _sharpen(blk, cfg.beta, out=blk)
         if cls.stop == c:
-            f_rows = numkit._unit64(f_batch, norms, rows)
+            zs0 = numkit._unit64(f_batch, norms, rows) @ state.w.T
         for lo in range(0, len(ress), size):
             group = scores[lo : lo + size, k * cls.start : k * cls.stop]
             sums = buf[: len(group) * len(blk) * c].reshape(len(group), len(blk), c)
-            _class_sums(blk, group, cls.stop - cls.start, out=sums[:, :, cls])
+            _class_sums(blk, _score_cols(group, cls.stop - cls.start), len(group), out=sums[:, :, cls])
             if cls.stop < c:
                 continue
             for e, acc in enumerate(sums, lo):
-                acc *= np.exp(cfg.beta * (q @ ress[e].T))
-                zs = f_rows @ _shifted(state, ress[e], shifted).T
+                p = q @ ress[e].T
+                acc *= np.exp(cfg.beta * p)
+                zs = zs0 + scale[rows, None] * p
                 zs += cfg.alpha * acc
                 hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
                 if e == 0 and terms is not None:
@@ -361,7 +369,7 @@ def train(
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb = numkit._unit64(task.support_features, task.support_norms, idx)
             fb_ref, yb = state.f_support_refined[idx], y_support[idx]
-            logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, yb)
+            logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, state.support_scale[idx], yb)
             batch_losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res, d_scores), lr_t, optim)
@@ -370,17 +378,19 @@ def train(
         scores[len(losses)] = state.scores
 
     terms = np.empty(n)
+    f, norms = task.support_features, task.support_norms
     support_acc = _snapshot_accuracies(
-        state, ress, scores, task.support_features, task.support_norms, state.f_support_refined, y_support, terms
+        state, ress, scores, f, norms, state.f_support_refined, state.support_scale, y_support, terms
     )
     test_acc = [None] * len(ress)
     if task.test_labels is not None:
-        f, norms = task.test_features, task.test_norms
+        f, norms, scale = task.test_features, task.test_norms, np.empty(len(task.test_labels))
 
-        def test_ref(rows):  # one test row block's channels, when its tiles need them
-            return refine._take_channels(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
+        def test_ref(rows):  # one test row block's channels and r, when its tiles need them
+            q, scale[rows] = _refine(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
+            return q
 
-        test_acc = _snapshot_accuracies(state, ress, scores, f, norms, test_ref, task.test_labels)
+        test_acc = _snapshot_accuracies(state, ress, scores, f, norms, test_ref, scale, task.test_labels)
     rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
     return state, [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
 
@@ -440,7 +450,6 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
         raise ValueError(f"checkpoint mask does not fit a {task.d}-channel task")
     if len(np.unique(raw_idx)) != q:
         raise ValueError("checkpoint mask indices are not distinct")
-    mask_idx = raw_idx.astype(np.int64)
     if blob.startswith(CKPT_MAGIC):
         block = take(_CFG_BLOCK.size)
         try:
@@ -468,13 +477,4 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
     if (learned["v_res"] < 0).any() or (learned["v_scores"] < 0).any():
         raise ValueError(f"checkpoint holds negative second moments: {path}")
 
-    return TrainState(
-        **learned,
-        step=int(step),
-        mask_idx=mask_idx,
-        w=task.text_features.copy(),
-        f_support_refined=refine._take_channels(
-            task.support_features, mask_idx, cfg.renormalize, task.support_norms
-        ),
-        cfg=cfg,
-    )
+    return TrainState(**learned, step=int(step), **_frozen_context(task, raw_idx, cfg))

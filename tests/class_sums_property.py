@@ -20,6 +20,10 @@ E_WIDEST = 24
 E_NARROWER = (1, 2, 3, 8, 9, 11, 17)
 
 
+def class_sums(aff, scores, c):
+    return engine._class_sums(aff, engine._score_cols(scores, c), len(scores))
+
+
 @settings(max_examples=300, deadline=None, database=None, suppress_health_check=list(HealthCheck))
 @given(
     n=st.integers(1, 300),
@@ -35,25 +39,25 @@ def column_bits_independent_of_e_rows_and_chunks(n, c, k, cut, seed):
     rng = np.random.default_rng(seed)
     aff = rng.random((n, c * k))
     scores = rng.random((E_WIDEST, c * k))
-    want = engine._class_sums(aff, scores, c)
+    want = class_sums(aff, scores, c)
     dense = np.einsum("nck,eck->enc", aff.reshape(n, c, k), scores.reshape(-1, c, k))
     np.testing.assert_allclose(want, dense, rtol=1e-13)
     for e in E_NARROWER:
-        got = engine._class_sums(aff, scores[:e], c)
+        got = class_sums(aff, scores[:e], c)
         assert got.tobytes() == want[:e].tobytes(), f"E={e}"
     # Row blocks as the tile plan makes them: no block of one row unless N = 1.
     if n >= 4:
         mid = min(max(2, round(cut * n)), n - 2)
         for rows in (slice(0, mid), slice(mid, n)):
-            got = engine._class_sums(aff[rows], scores[:3], c)
+            got = class_sums(aff[rows], scores[:3], c)
             assert got.tobytes() == want[:3, rows].tobytes(), f"rows {rows}"
     # Every class alone (a chunk of one class) and a run of whole classes.
     for j in range(c):
-        got = engine._class_sums(aff[:, k * j : k * j + k].copy(), scores[:, k * j : k * j + k], 1)
+        got = class_sums(aff[:, k * j : k * j + k].copy(), scores[:, k * j : k * j + k], 1)
         assert got.tobytes() == want[:, :, j : j + 1].tobytes(), f"class {j}"
     lo = min(int(cut * c), c - 1)
     hi = lo + 1 + (c - lo - 1) // 2
-    got = engine._class_sums(aff[:, k * lo : k * hi].copy(), scores[:9, k * lo : k * hi], hi - lo)
+    got = class_sums(aff[:, k * lo : k * hi].copy(), scores[:9, k * lo : k * hi], hi - lo)
     assert got.tobytes() == want[:9, :, lo:hi].tobytes(), f"classes {lo}:{hi}"
 
 

@@ -74,10 +74,28 @@ def tip_logits(task, alpha, beta):
 
 def grads(state, f_batch, label_ids):
     """(d_res, d_scores) of ``trainer._grad_parts`` on a float64 batch of
-    full-width rows, refined here as ``trainer.forward`` refines it."""
-    f_ref = refine._take_channels(f_batch, state.mask_idx, state.cfg.renormalize)
-    _, d_res, d_scores = trainer._grad_parts(state, f_batch, f_ref, label_ids)
+    full-width rows, refined (channels and r) as ``trainer.forward`` refines it."""
+    f_ref, scale = trainer._refine(f_batch, state.mask_idx, state.cfg.renormalize)
+    _, d_res, d_scores = trainer._grad_parts(state, f_batch, f_ref, scale, label_ids)
     return d_res, d_scores
+
+
+def kept_scale(f, mask_idx, renormalize):
+    """Reference r of float64 rows ``f``: the norm of each row's kept
+    channels, or 1 where re-normalization leaves the row undivided (inside
+    the unit band, or without re-normalization); 0 for a zero row."""
+    kept = f[:, mask_idx]
+    norms = np.sqrt((kept * kept).sum(axis=1))
+    return np.where(renormalize & (np.abs(norms - 1.0) > numkit._UNIT_BAND), norms, 1.0)
+
+
+def shifted_forward_reference(f, w, f_ref, s_ref, state):
+    """Whole-matrix reference of ``trainer.forward`` on float64 rows ``f``
+    refined to ``f_ref``: the zero-shot logits plus the text shift r * p,
+    then the cache term with its gain, p = f_ref @ res.T taken as one matrix."""
+    cfg = state.cfg
+    zs = f @ w.T + kept_scale(f, state.mask_idx, cfg.renormalize)[:, None] * (f_ref @ state.res.T)
+    return cache_term_unblocked(zs, f_ref, s_ref, state.scores, cfg.alpha, cfg.beta, state.c, state.k, state.res)
 
 
 def check_labels_reference(labels, c, k):
@@ -202,7 +220,7 @@ def frozen_checksum(state):
     """Digest over the frozen context, the engine config included; it must
     not change across training."""
     h = hashlib.sha256()
-    for arr in (state.mask_idx, state.w, state.f_support_refined):
+    for arr in (state.mask_idx, state.w, state.f_support_refined, state.support_scale):
         h.update(arr.tobytes())
     h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
     h.update(repr(astuple(state.cfg)).encode())

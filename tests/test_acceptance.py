@@ -249,6 +249,7 @@ def test_criterion_7_scheduler_and_optimizer_contracts():
         mask_idx=np.arange(1),
         w=np.zeros((1, 1)),
         f_support_refined=np.zeros((1, 1)),
+        support_scale=np.ones(1),
         cfg=EngineConfig(),
     )
     optim = OptimConfig(lr=1e-3, weight_decay=0.01)

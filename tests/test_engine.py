@@ -25,6 +25,7 @@ from helpers import (
     kl_one_hot,
     one_hot_labels,
     random_task,
+    shifted_forward_reference,
     stored_task,
     tip_logits,
     unit_rows,
@@ -441,8 +442,6 @@ class TestRowBlocks:
         score_args = (s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.1 * rng.standard_normal(state.res.shape)
-        padded = np.zeros((c, d))
-        padded[:, mask.selected] = state.res
 
         scores = cache_scores_unblocked(*score_args)
         want = {
@@ -450,9 +449,7 @@ class TestRowBlocks:
             "tip": cache_term_unblocked(
                 f @ w.T, f, task.support_features, 1.0, cfg.alpha, cfg.beta, c, k
             ),
-            "forward": cache_term_unblocked(
-                f @ (w + padded).T, f_ref, s_ref, state.scores, cfg.alpha, cfg.beta, c, k, state.res
-            ),
+            "forward": shifted_forward_reference(f, w, f_ref, s_ref, state),
         }
 
         def logits():
@@ -624,15 +621,11 @@ class TestStoredRowsWidenedWhereUsed:
         scores = cache_scores_unblocked(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.1 * rng.standard_normal(state.res.shape)
-        padded = np.zeros((c, d))
-        padded[:, mask.selected] = state.res
         want = {
             "zero_shot": f64 @ w.T,
             "ape": cache_term_unblocked(f64 @ w.T, f_ref, s_ref, scores, cfg.alpha, cfg.beta, c, k),
             "tip": cache_term_unblocked(f64 @ w.T, f64, s64, 1.0, cfg.alpha, cfg.beta, c, k),
-            "forward": cache_term_unblocked(
-                f64 @ (w + padded).T, f_ref, s_ref, state.scores, cfg.alpha, cfg.beta, c, k, state.res
-            ),
+            "forward": shifted_forward_reference(f64, w, f_ref, s_ref, state),
         }
         with block_budget(c * k, rows):
             got = {

@@ -3,9 +3,14 @@
 import dataclasses
 import inspect
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -130,7 +135,7 @@ class TestInitState:
         state = trainer.init_state(task, mask, cfg)
         assert (state.c, state.k, state.q, state.d_total) == (4, 3, 5, 9)
         values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
-        assert len(values) == 11  # learnables, moments, step, three frozen arrays and cfg
+        assert len(values) == 12  # learnables, moments, step, four frozen arrays and cfg
         with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
             trainer.TrainState(**values, c=4)
 
@@ -202,16 +207,59 @@ class TestStateOwnsItsConfig:
 
 class TestForward:
     def test_padded_residual_zero_outside_mask(self):
+        """The text shift is the residual zero-padded to full width: with
+        alpha = 0 it is f[:, mask] @ res.T, and a row with no kept channels
+        (r = 0) keeps its zero-shot logits bitwise."""
         rng = np.random.default_rng(33)
-        task, mask, cfg = make_instance(rng)
-        state = trainer.init_state(task, mask, cfg)
-        state.res[:] = rng.standard_normal(state.res.shape)
-        w_shift = trainer._shifted(state, state.res, np.empty_like(state.w))
-        unselected = np.setdiff1d(np.arange(task.d), state.mask_idx)
-        np.testing.assert_array_equal(w_shift[:, unselected], state.w[:, unselected])
-        np.testing.assert_array_equal(
-            w_shift[:, state.mask_idx], state.w[:, state.mask_idx] + state.res
-        )
+        task, mask, _ = make_instance(rng)
+        state = trainer.init_state(task, mask, EngineConfig(alpha=0.0))
+        f = task.test_features.copy()
+        f[0, state.mask_idx] = 0.0
+        f = numkit.l2_normalize_rows(f)
+        with pytest.warns(numkit.ZeroRowWarning):
+            base = trainer.forward(state, f)
+            state.res[:] = rng.standard_normal(state.res.shape)
+            shifted = trainer.forward(state, f)
+        np.testing.assert_allclose(shifted - base, f[:, state.mask_idx] @ state.res.T, rtol=0, atol=1e-12)
+        assert shifted[0].tobytes() == base[0].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 5),
+        k=st.integers(1, 3),
+        q=st.integers(1, 8),
+        b=st.integers(0, 5),
+        beta=st.floats(0.0, 8.0),
+        renormalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=2, k=2, q=1, b=0, beta=5.5, renormalize=True, seed=0)
+    @example(c=3, k=1, q=8, b=3, beta=0.0, renormalize=False, seed=1)
+    def test_text_shift_equals_padded_prototypes(self, c, k, q, b, beta, renormalize, seed):
+        """``forward`` (text shift r * p plus the gained cache term) gives the
+        logits of the padded residual added to the prototypes and the
+        shifted keys, within 1e-12 of the largest logit, on ``b`` random
+        rows, a row zero on the kept channels (r = 0 under re-normalization)
+        and a row on the kept channels only (inside the unit band, r = 1);
+        a step's logits stay bitwise those of ``forward``."""
+        rng = np.random.default_rng(seed)
+        task, mask, _ = make_instance(rng, c=c, k=k, d=q + 3, q=q)
+        state = trainer.init_state(task, mask, EngineConfig(alpha=0.9, beta=beta, gamma=0.3, renormalize=renormalize))
+        state.res += 0.3 * rng.standard_normal(state.res.shape)
+        state.scores *= rng.uniform(0.2, 2.0, state.scores.shape)
+        f = rng.standard_normal((b + 2, task.d))
+        f[b, state.mask_idx] = 0.0
+        f[b + 1] = np.where(np.isin(np.arange(task.d), state.mask_idx), f[b + 1], 0.0)
+        f = numkit.l2_normalize_rows(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", numkit.ZeroRowWarning)
+            f_ref, scale = trainer._refine(f, state.mask_idx, renormalize)
+            want = shifted_keys_logits(state, f)
+            got = trainer.forward(state, f)
+        assert scale[b:].tolist() == ([0.0, 1.0] if renormalize else [1.0, 1.0])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        step_logits, _, _ = trainer._grad_parts(state, f, f_ref, scale, rng.integers(0, c, b + 2))
+        assert step_logits.tobytes() == got.tobytes()
 
     def test_residual_row_touches_only_its_class_column(self):
         rng = np.random.default_rng(34)
@@ -320,8 +368,8 @@ class TestBackward:
         want = shifted_keys_logits(state, f_batch)
         got = trainer.forward(state, f_batch)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        f_ref = refine._take_channels(f_batch, state.mask_idx, renormalize)
-        step_logits, _, _ = trainer._grad_parts(state, f_batch, f_ref, rng.integers(0, c, b))
+        f_ref, scale = trainer._refine(f_batch, state.mask_idx, renormalize)
+        step_logits, _, _ = trainer._grad_parts(state, f_batch, f_ref, scale, rng.integers(0, c, b))
         assert step_logits.tobytes() == got.tobytes()
 
     def test_step_never_forms_the_shifted_keys(self):
@@ -336,12 +384,26 @@ class TestBackward:
         optim = OptimConfig()
         tracemalloc.start()
         try:
-            _, d_res, d_scores = trainer._grad_parts(state, fb, fb_ref, yb)
+            _, d_res, d_scores = trainer._grad_parts(state, fb, fb_ref, state.support_scale[idx], yb)
             trainer.adamw_step(state, (d_res, d_scores), optim.lr, optim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * c * k * q / 2
+
+    def test_steps_take_no_full_width_columns(self):
+        """A step's text path needs only the batch's refined rows and r: the
+        full-width column takes (``refine``'s of the support rows) do not
+        grow with the steps."""
+        rng = np.random.default_rng(40)
+        task, mask, cfg = make_instance(rng, c=3, k=4)
+        task.test_labels = None
+        counts = []
+        for epochs in (0, 2):
+            with mock.patch.object(np, "take", wraps=np.take) as take:
+                trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=5))
+            counts.append(sum(np.shape(call.args[0])[1:] == (task.d,) for call in take.call_args_list))
+        assert counts[0] == counts[1] > 0
 
     def test_step_holds_one_affinity_matrix(self):
         """The scores product runs in class chunks: a step's tracemalloc peak
@@ -354,7 +416,7 @@ class TestBackward:
         fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], idx // k
         tracemalloc.start()
         try:
-            trainer._grad_parts(state, fb, fb_ref, yb)
+            trainer._grad_parts(state, fb, fb_ref, state.support_scale[idx], yb)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,6 +460,7 @@ class TestAdamWStep:
             mask_idx=np.arange(q),
             w=np.zeros((c, q)),
             f_support_refined=np.zeros((c * k, q)),
+            support_scale=np.ones(c * k),
             cfg=EngineConfig(),
         )
 
@@ -551,6 +614,31 @@ class TestTrain:
         assert history[0]["loss"] == trainer.cross_entropy(logits, y)
         assert history[0]["support_acc"] == engine.accuracy(logits, y)
 
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_one_zero_shot_product_per_row_block_whatever_the_epochs(self, epochs):
+        """The history forms each row block's D-wide zero-shot product once;
+        every snapshot adds its Q-wide text shift to it."""
+        rng = np.random.default_rng(44)
+        task, mask, cfg = make_instance(rng, c=3, k=1)
+        products = []
+
+        class Rows(np.ndarray):
+            def __matmul__(self, other):
+                products.append((len(self), other.shape))
+                return np.asarray(self) @ other
+
+        unit64 = numkit._unit64
+
+        def spy(m, norms=None, rows=slice(None)):  # the history's row blocks, not a step's batch
+            out = unit64(m, norms, rows)
+            return out.view(Rows) if isinstance(rows, slice) else out
+
+        with mock.patch.object(numkit, "_unit64", spy), block_budget(3, 2):
+            trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=2))
+            blocks = engine._tile_plan(3, 3, 1)[0] + engine._tile_plan(4, 3, 1)[0]
+        assert len(blocks) == 3
+        assert products == [(b.stop - b.start, (task.d, task.c)) for b in blocks]
+
     @settings(max_examples=60, deadline=None)
     @given(
         c=st.integers(1, 11),
@@ -595,6 +683,22 @@ class TestTrain:
         for field in ("res", "scores", "m_res", "v_res", "m_scores", "v_scores"):
             assert getattr(state, field).tobytes() == getattr(ref_state, field).tobytes(), field
         assert state.step == ref_state.step == epochs * math.ceil(c * k / batch_size)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_reference_loop_examples_under_blas_threads(self, threads):
+        """The explicit examples above in a child process, since the BLAS
+        thread count must be set before numpy loads: the history's row-block
+        zero-shot and residual products must match ``forward``'s bit for bit."""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
+        test = f"{here / 'test_trainer.py'}::TestTrain::test_bitwise_equal_to_reference_loop"
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=explicit", test],
+            cwd=here.parent, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "1 passed" in done.stdout
 
     def test_history_never_holds_the_support_logits(self):
         """A many-class train's tracemalloc peak stays below the C*K x C support logits."""
