@@ -304,9 +304,8 @@ def cmd_train(args) -> int:
     if task.test_labels is not None:
         # A fresh state reproduces the training-free logits bitwise, so the
         # history's first and last rows are the ape and ape_t accuracies.
-        zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms)
         methods = [
-            MethodResult("zero_shot", 0, accuracy(zs, task.test_labels)),
+            MethodResult("zero_shot", 0, history[0]["zero_shot_acc"]),
             MethodResult("ape", 0, history[0]["test_acc"]),
             MethodResult("ape_t", state.param_count(), history[-1]["test_acc"]),
         ]

@@ -61,6 +61,9 @@ _FROZEN = ("mask_idx", "w", "f_support_refined", "support_scale", "cfg")
 # Snapshots per class-sum call in the history: at C=100 and 625-row tiles
 # their sums take 2 MB, where 8 (the padded width) raised a desk train's peak RSS by 4%.
 _SNAPSHOT_GROUP = 4
+# ``train`` holds the C*K x C*K support affinity within this many
+# ``numkit._BLOCK_BYTES`` (C*K <= 2048 at 8 MiB); a step reads it in 8 class chunks.
+_HELD_BLOCKS, _STEP_CHUNKS = 4, 8
 
 
 class _ConfigDefaultedWarning(UserWarning):
@@ -169,7 +172,7 @@ def _frozen_context(task: FewShotTask, mask_idx, cfg: EngineConfig) -> dict:
     prototypes, the refined support rows and their r (see :func:`_refine`)."""
     mask_idx = np.array(mask_idx, dtype=np.int64)
     s_ref, scale = _refine(task.support_features, mask_idx, cfg.renormalize, task.support_norms)
-    return dict(mask_idx=mask_idx, w=task.text_features.copy(), f_support_refined=s_ref, support_scale=scale, cfg=cfg)
+    return dict(mask_idx=mask_idx, w=task.text_features.view(), f_support_refined=s_ref, support_scale=scale, cfg=cfg)
 
 
 def _refine(m, mask_idx, renormalize: bool, norms=None) -> tuple[np.ndarray, np.ndarray]:
@@ -226,26 +229,32 @@ def _ce_terms(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(y)), y]
 
 
-def _grad_parts(state: TrainState, f_batch, f_ref, scale, label_ids):
+def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=None):
     """The batch logits and the analytic gradients of the mean cross-entropy
-    w.r.t. the learnables, for full-width rows, their refined channels and
-    their r (see :func:`_refine`).
+    w.r.t. the learnables, from the batch's zero-shot logits ``zs``, refined
+    channels and r (see :func:`_refine`).  The batch's affinities are its
+    rows ``idx`` of the held support affinity ``aff`` (see :func:`train`),
+    else its own sharpened product; either is read by class chunks (a
+    gather of held rows), so no second B x C*K matrix exists.
 
     Returns (logits, d_res, d_scores), the gradients shaped (C, Q) and
     (C*K,).  The residual gradient sums the text-shift path and the
     cache-gain path; both are linear in the refined rows, so it is one GEMM.
     """
     y = np.asarray(label_ids, dtype=np.int64)
-    b, c, k, cfg = f_batch.shape[0], state.c, state.k, state.cfg
-    # The backward pass needs the whole B x C*K frozen-key affinity, so this
-    # forward materializes it (and no second one); its operations are
-    # forward's, bit for bit.
-    aff = f_ref @ state.f_support_refined.T
-    _sharpen(aff, cfg.beta, out=aff)
+    b, c, k, cfg = len(zs), state.c, state.k, state.cfg
+    if aff is None:
+        aff, idx = f_ref @ state.f_support_refined.T, slice(None)
+        _sharpen(aff, cfg.beta, out=aff)
+    # The batch's affinities to each class chunk; the operations are forward's, bit for bit.
+    chunks = [(cls, slice(k * cls.start, k * cls.stop)) for cls in numkit._even_slices(c, min(c, _STEP_CHUNKS))]
     p = f_ref @ state.res.T
     gain = np.exp(cfg.beta * p)
-    cache = _class_sums(aff, _score_cols(state.scores[None], c), 1)[0] * gain
-    logits = (f_batch @ state.w.T + scale[:, None] * p) + cfg.alpha * cache
+    cols, cache = _score_cols(state.scores[None], c), np.empty((b, c))
+    for cls, keys in chunks:
+        _class_sums(aff[idx, keys], cols[cls], 1, out=cache[None, :, cls])
+    cache *= gain
+    logits = (zs + scale[:, None] * p) + cfg.alpha * cache
 
     g = numkit._softmax(logits)
     g[np.arange(b), y] -= 1.0
@@ -253,9 +262,11 @@ def _grad_parts(state: TrainState, f_batch, f_ref, scale, label_ids):
 
     # d logits[:, c] / d res_c = (r + alpha * beta * cache[:, c]) * f_ref; scores pass the gain.
     d_res = (scale[:, None] * g + cfg.alpha * cfg.beta * g * cache).T @ f_ref
-    d_scores = cfg.alpha * np.einsum("bc,bck->ck", g * gain, aff.reshape(b, c, k)).reshape(c * k)
-
-    return logits, d_res, d_scores
+    g *= gain
+    d_scores = np.empty((c, k))
+    for cls, keys in chunks:
+        np.einsum("bc,bck->ck", g[:, cls], aff[idx, keys].reshape(b, -1, k), out=d_scores[cls])
+    return logits, d_res, cfg.alpha * d_scores.reshape(c * k)
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -294,29 +305,51 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
     return state
 
 
-def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref, scale, labels, terms=None):
+def _support_affinity(s_ref, c: int, beta: float) -> np.ndarray:
+    """The sharpened C*K x C*K affinity of the support rows ``s_ref`` to
+    themselves, each row block written by ``forward``'s tile GEMMs and
+    sharpened in place."""
+    n, k = len(s_ref), len(s_ref) // c
+    aff, (blocks, runs) = np.empty((n, n)), _tile_plan(n, c, k)
+    for rows in blocks:
+        for cls in runs:
+            keys = slice(k * cls.start, k * cls.stop)
+            np.matmul(s_ref[rows], s_ref[keys].T, out=aff[rows, keys])
+        _sharpen(aff[rows], beta, out=aff[rows])
+    return aff
+
+
+def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref, scale, labels, terms=None,
+                         aff=None, zs=None):
     """Accuracy of ``forward`` under each snapshot ``(ress[e], scores[e])``
-    (``scores``: one row of C*K cache scores per residual) on the full-width
-    task rows ``f_batch`` (with their ``norms``, widened one row block at a
-    time), their refined channels ``f_ref`` (or a function of a row slice
-    giving them, which may fill ``scale`` for it), their r ``scale`` and
-    ``labels``; ``terms``, if given, receives snapshot 0's per-row
-    cross-entropy terms.  A row block's zero-shot product and each cosine
-    tile are computed once for all snapshots; :func:`_class_sums` takes a
-    tile into the class sums of up to ``_SNAPSHOT_GROUP`` snapshots at once
-    (all of them where a row block is split into several tiles, whose sums
-    wait for its last tile), and a snapshot's Q-wide product gives its gain
-    and text shift.  No second tile and no logits matrix exist whole.
+    (``scores``: one row of C*K cache scores per residual), then that of the
+    zero-shot logits, on the full-width task rows ``f_batch`` (with their
+    ``norms``, widened one row block at a time), their refined channels
+    ``f_ref`` (or a function of a row slice giving them, which may fill
+    ``scale`` for it), their r ``scale`` and ``labels``; ``terms``, if
+    given, receives snapshot 0's per-row cross-entropy terms.  The held
+    support affinity ``aff`` and zero-shot logits ``zs``, if given, give the
+    tiles and row blocks.  A row block's zero-shot product and each cosine
+    tile serve all snapshots; :func:`_class_sums` takes a tile into the
+    class sums of up to ``_SNAPSHOT_GROUP`` snapshots at once (all of them
+    where a row block is split into several tiles, whose sums wait for its
+    last tile), and a snapshot's Q-wide product gives its gain and text
+    shift.  No logits matrix exists whole.
     """
     cfg, c, k = state.cfg, state.c, state.k
-    hits = np.zeros(len(ress), dtype=np.int64)
+    hits = np.zeros(len(ress) + 1, dtype=np.int64)
     plan = _tile_plan(len(labels), c, k)
     size = len(ress) if len(plan[1]) > 1 else min(len(ress), _SNAPSHOT_GROUP)
     buf = np.empty(size * plan[0][0].stop * c)  # one for the pass: fresh sums per call took 5 MB more RSS
-    for rows, cls, q, blk in _cosine_tiles(f_ref, state.f_support_refined, c, plan):
-        _sharpen(blk, cfg.beta, out=blk)
+    tiles = _cosine_tiles(f_ref, state.f_support_refined, c, plan) if aff is None else (
+        (rows, cls, f_ref[rows], aff[rows, k * cls.start : k * cls.stop]) for rows in plan[0] for cls in plan[1]
+    )
+    for rows, cls, q, blk in tiles:
+        if aff is None:
+            _sharpen(blk, cfg.beta, out=blk)
         if cls.stop == c:
-            zs0 = numkit._unit64(f_batch, norms, rows) @ state.w.T
+            zs0 = numkit._unit64(f_batch, norms, rows) @ state.w.T if zs is None else zs[rows]
+            hits[-1] += np.count_nonzero(zs0.argmax(axis=1) == labels[rows])
         for lo in range(0, len(ress), size):
             group = scores[lo : lo + size, k * cls.start : k * cls.stop]
             sums = buf[: len(group) * len(blk) * c].reshape(len(group), len(blk), c)
@@ -326,11 +359,11 @@ def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref,
             for e, acc in enumerate(sums, lo):
                 p = q @ ress[e].T
                 acc *= np.exp(cfg.beta * p)
-                zs = zs0 + scale[rows, None] * p
-                zs += cfg.alpha * acc
-                hits[e] += np.count_nonzero(zs.argmax(axis=1) == labels[rows])  # as accuracy()
+                z = zs0 + scale[rows, None] * p
+                z += cfg.alpha * acc
+                hits[e] += np.count_nonzero(z.argmax(axis=1) == labels[rows])  # as accuracy()
                 if e == 0 and terms is not None:
-                    terms[rows] = _ce_terms(zs, labels[rows])
+                    terms[rows] = _ce_terms(z, labels[rows])
     return [float(h / len(labels)) for h in hits]
 
 
@@ -343,14 +376,18 @@ def train(
     """Run the full training loop over the support set.
 
     Batches are sampled without replacement from a seeded shuffle each
-    epoch (last short batch kept).  The history holds one row per epoch
-    plus the pre-training row 0, each with the mean batch loss and
-    support/test accuracy.  It is scored once, after the last step, from
-    the residual and cache scores kept at each epoch: one pass over the
-    cosine tiles of the support rows, then the test rows (refined by row
-    blocks), computes each tile's frozen affinities once for all epochs.
-    Row 0's loss averages per-row terms taken block by block, so the C*K x C
-    support logits never exist whole.  Every history value is bitwise that of ``forward``.
+    epoch (last short batch kept).  While the frozen C*K x C*K support
+    affinity fits ``_HELD_BLOCKS`` row blocks, it and the support zero-shot
+    logits are formed once; the steps and the history read their rows.  The
+    history holds one row per epoch plus the pre-training row 0 (which also
+    holds ``zero_shot_acc``), each with the mean batch loss and support/test
+    accuracy.  It is scored once, after the last step, from the residual
+    and cache scores kept at each epoch: one pass over the cosine tiles of
+    the support rows, then the test rows (refined by row blocks), computes
+    each tile's frozen affinities once for all epochs.  Row 0's loss
+    averages per-row terms taken block by block, so the C*K x C support
+    logits never exist whole.  Every history value is bitwise that of
+    ``forward``.
     """
     state = init_state(task, mask, cfg)
 
@@ -361,15 +398,19 @@ def train(
     rng = np.random.default_rng(optim.seed)
     ress, scores, losses = [state.res.copy()], np.empty((optim.epochs + 1, n)), []
     scores[0] = state.scores
+    f, norms, s_ref = task.support_features, task.support_norms, state.f_support_refined
+    aff = zs = None
+    if 8 * n * n <= _HELD_BLOCKS * numkit._BLOCK_BYTES:
+        aff, zs = _support_affinity(s_ref, task.c, cfg.beta), zero_shot_logits(f, state.w, norms)
 
     for _ in range(optim.epochs):
         perm = rng.permutation(n)
         batch_losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
-            fb = numkit._unit64(task.support_features, task.support_norms, idx)
-            fb_ref, yb = state.f_support_refined[idx], y_support[idx]
-            logits, d_res, d_scores = _grad_parts(state, fb, fb_ref, state.support_scale[idx], yb)
+            zb = numkit._unit64(f, norms, idx) @ state.w.T if zs is None else zs[idx]
+            yb = y_support[idx]
+            logits, d_res, d_scores = _grad_parts(state, zb, s_ref[idx], state.support_scale[idx], yb, aff, idx)
             batch_losses.append(cross_entropy(logits, yb))
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res, d_scores), lr_t, optim)
@@ -378,11 +419,11 @@ def train(
         scores[len(losses)] = state.scores
 
     terms = np.empty(n)
-    f, norms = task.support_features, task.support_norms
-    support_acc = _snapshot_accuracies(
-        state, ress, scores, f, norms, state.f_support_refined, state.support_scale, y_support, terms
+    *support_acc, _ = _snapshot_accuracies(
+        state, ress, scores, f, norms, s_ref, state.support_scale, y_support, terms, aff, zs
     )
-    test_acc = [None] * len(ress)
+    del aff, zs  # freed before the test pass
+    test_acc, zero_shot_acc = [None] * len(ress), None
     if task.test_labels is not None:
         f, norms, scale = task.test_features, task.test_norms, np.empty(len(task.test_labels))
 
@@ -390,9 +431,13 @@ def train(
             q, scale[rows] = _refine(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
             return q
 
-        test_acc = _snapshot_accuracies(state, ress, scores, f, norms, test_ref, scale, task.test_labels)
+        *test_acc, zero_shot_acc = _snapshot_accuracies(
+            state, ress, scores, f, norms, test_ref, scale, task.test_labels
+        )
     rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
-    return state, [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
+    history = [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
+    history[0]["zero_shot_acc"] = zero_shot_acc
+    return state, history
 
 
 def save_checkpoint(path, state: TrainState) -> None:

@@ -74,10 +74,30 @@ def tip_logits(task, alpha, beta):
 
 def grads(state, f_batch, label_ids):
     """(d_res, d_scores) of ``trainer._grad_parts`` on a float64 batch of
-    full-width rows, refined (channels and r) as ``trainer.forward`` refines it."""
+    full-width rows, refined (channels and r) as ``trainer.forward`` refines
+    it, with its zero-shot logits f @ w.T and its own affinities."""
     f_ref, scale = trainer._refine(f_batch, state.mask_idx, state.cfg.renormalize)
-    _, d_res, d_scores = trainer._grad_parts(state, f_batch, f_ref, scale, label_ids)
+    _, d_res, d_scores = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, label_ids)
     return d_res, d_scores
+
+
+def holds_support(n):
+    """Whether ``trainer.train`` holds the C*K x C*K support affinity of ``n`` support rows."""
+    return 8 * n * n <= trainer._HELD_BLOCKS * numkit._BLOCK_BYTES
+
+
+def support_affinity(state):
+    """Reference held affinity: ``engine.cache_affinity`` of each tile of the
+    support rows' plan, as ``forward`` tiles the support split, placed into
+    one C*K x C*K matrix."""
+    s, k = state.f_support_refined, state.k
+    blocks, runs = engine._tile_plan(len(s), state.c, k)
+    aff = np.empty((len(s), len(s)))
+    for rows in blocks:
+        for cls in runs:
+            keys = slice(k * cls.start, k * cls.stop)
+            aff[rows, keys] = engine.cache_affinity(s[rows], s[keys], state.cfg.beta)
+    return aff
 
 
 def kept_scale(f, mask_idx, renormalize):
@@ -228,15 +248,22 @@ def frozen_checksum(state):
 
 
 def train_reference(task, mask, cfg, optim):
-    """Reference training loop: every step refines its own batch through
-    ``forward`` and :func:`grads`, and every history row runs ``forward`` on
-    the whole support and test splits."""
+    """Reference training loop: every history row runs ``forward`` on the
+    whole support and test splits.  Where ``train`` holds the support
+    affinity (:func:`holds_support`), a step takes its batch's rows of
+    :func:`support_affinity` and of the whole support split's zero-shot
+    logits, and its loss from the step's logits; otherwise it refines its
+    own batch through ``forward`` and :func:`grads`."""
     state = trainer.init_state(task, mask, cfg)
     n = task.c * task.k
     y_support = task.support_class_ids()
     steps_per_epoch = math.ceil(n / optim.batch_size)
     total_steps = optim.epochs * steps_per_epoch
     rng = np.random.default_rng(optim.seed)
+    held = holds_support(n)
+    if held:
+        aff = support_affinity(state)
+        zs = engine.zero_shot_logits(task.support_features, task.text_features, task.support_norms)
 
     def eval_row(epoch, loss=None):
         support_logits = trainer.forward(state, task.support_features)
@@ -249,14 +276,23 @@ def train_reference(task, mask, cfg, optim):
                 "support_acc": accuracy(support_logits, y_support), "test_acc": test_acc}
 
     history = [eval_row(0)]
+    history[0]["zero_shot_acc"] = None
+    if task.test_labels is not None:
+        zero_shot = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+        history[0]["zero_shot_acc"] = accuracy(zero_shot, task.test_labels)
     for epoch in range(optim.epochs):
         perm = rng.permutation(n)
         losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb, yb = task.support_features[idx], y_support[idx]
-            losses.append(trainer.cross_entropy(trainer.forward(state, fb), yb))
-            step_grads = grads(state, fb, yb)
+            if held:
+                s_ref, scale = state.f_support_refined[idx], state.support_scale[idx]
+                logits, *step_grads = trainer._grad_parts(state, zs[idx], s_ref, scale, yb, aff, idx)
+                losses.append(trainer.cross_entropy(logits, yb))
+            else:
+                losses.append(trainer.cross_entropy(trainer.forward(state, fb), yb))
+                step_grads = grads(state, fb, yb)
             trainer.adamw_step(state, step_grads, trainer.cosine_lr(state.step, total_steps, optim.lr), optim)
         history.append(eval_row(epoch + 1, float(np.mean(losses))))
     return state, history

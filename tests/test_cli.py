@@ -287,6 +287,22 @@ class TestTrainCommand:
         kv = read_kv(report)
         assert kv["accuracy.ape_t"] == kv["accuracy.ape"]
 
+    def test_zero_shot_accuracy_comes_from_the_history(self, workspace):
+        """``ape train`` reports the zero-shot accuracy that its history's test
+        pass counts, with no zero-shot logits of the whole test split; it is
+        the accuracy of ``zero_shot_logits``."""
+        tmp_path, manifest, mask_path = workspace
+        report = tmp_path / "zs.report"
+        with mock.patch.object(cli, "zero_shot_logits", wraps=engine.zero_shot_logits) as spy:
+            rc = main([
+                "train", "--task", str(manifest), "--mask", str(mask_path), "--epochs", "1",
+                "--out", str(tmp_path / "zs.ckpt"), "--report", str(report),
+            ])
+        assert rc == 0 and spy.call_count == 0
+        task = dataio.load_task(manifest)
+        zs = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+        assert read_kv(report)["accuracy.zero_shot"] == repr(100.0 * engine.accuracy(zs, task.test_labels))
+
 
 class TestSearchCommand:
     def test_single_point_grid(self, workspace, capsys):

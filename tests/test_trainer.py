@@ -25,9 +25,11 @@ from helpers import (
     block_budget,
     frozen_checksum,
     grads,
+    holds_support,
     random_task,
     shifted_keys_logits,
     stored_task,
+    support_affinity,
     train_reference,
     unit_rows,
 )
@@ -258,7 +260,7 @@ class TestForward:
             got = trainer.forward(state, f)
         assert scale[b:].tolist() == ([0.0, 1.0] if renormalize else [1.0, 1.0])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        step_logits, _, _ = trainer._grad_parts(state, f, f_ref, scale, rng.integers(0, c, b + 2))
+        step_logits, _, _ = trainer._grad_parts(state, f @ state.w.T, f_ref, scale, rng.integers(0, c, b + 2))
         assert step_logits.tobytes() == got.tobytes()
 
     def test_residual_row_touches_only_its_class_column(self):
@@ -369,11 +371,13 @@ class TestBackward:
         got = trainer.forward(state, f_batch)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         f_ref, scale = trainer._refine(f_batch, state.mask_idx, renormalize)
-        step_logits, _, _ = trainer._grad_parts(state, f_batch, f_ref, scale, rng.integers(0, c, b))
+        step_logits, _, _ = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, rng.integers(0, c, b))
         assert step_logits.tobytes() == got.tobytes()
 
-    def test_step_never_forms_the_shifted_keys(self):
-        """A step's tracemalloc peak stays below half the C*K x Q key matrix."""
+    @pytest.mark.parametrize("held", [False, True])
+    def test_step_never_forms_the_shifted_keys(self, held):
+        """A step's tracemalloc peak stays below half the C*K x Q key matrix,
+        with the held support affinity or without it."""
         rng = np.random.default_rng(38)
         c, k, q, b = 50, 16, 256, 8
         task, mask, cfg = make_instance(rng, c=c, k=k, d=q + 64, q=q)
@@ -381,10 +385,12 @@ class TestBackward:
         state.res += 0.05 * rng.standard_normal(state.res.shape)
         idx = rng.permutation(c * k)[:b]
         fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], idx // k
+        zs, aff = task.support_features @ state.w.T, support_affinity(state) if held else None
         optim = OptimConfig()
         tracemalloc.start()
         try:
-            _, d_res, d_scores = trainer._grad_parts(state, fb, fb_ref, state.support_scale[idx], yb)
+            zb = zs[idx] if held else fb @ state.w.T
+            _, d_res, d_scores = trainer._grad_parts(state, zb, fb_ref, state.support_scale[idx], yb, aff, idx)
             trainer.adamw_step(state, (d_res, d_scores), optim.lr, optim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -416,11 +422,31 @@ class TestBackward:
         fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], idx // k
         tracemalloc.start()
         try:
-            trainer._grad_parts(state, fb, fb_ref, state.support_scale[idx], yb)
+            trainer._grad_parts(state, fb @ state.w.T, fb_ref, state.support_scale[idx], yb)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * b * c * k
+
+    def test_held_step_gathers_one_class_chunk_at_a_time(self):
+        """A step on the held support affinity gathers its batch's rows by
+        class chunks: its tracemalloc peak stays below a quarter of one
+        B x C*K matrix, which a batch-wide gather would take whole."""
+        rng = np.random.default_rng(41)
+        c, k, q, b = 8, 128, 16, 512
+        task, mask, cfg = make_instance(rng, c=c, k=k, d=32, q=q)
+        state = trainer.init_state(task, mask, cfg)
+        assert holds_support(c * k)
+        zs, aff = task.support_features @ state.w.T, support_affinity(state)
+        idx = rng.permutation(c * k)[:b]
+        fb_ref, scale, yb = state.f_support_refined[idx], state.support_scale[idx], idx // k
+        tracemalloc.start()
+        try:
+            trainer._grad_parts(state, zs[idx], fb_ref, scale, yb, aff, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * b * c * k / 4
 
     def test_alpha_zero_isolates_text_path(self):
         rng = np.random.default_rng(37)
@@ -595,18 +621,17 @@ class TestTrain:
                 seen.append((plan[0][-1].stop, rows, cls))
                 yield rows, cls, q, blk
 
-        with mock.patch.object(trainer, "_cosine_tiles", spy), block_budget(12, 3):
+        held = mock.patch.object(trainer, "_support_affinity", wraps=trainer._support_affinity)
+        with mock.patch.object(trainer, "_cosine_tiles", spy), block_budget(12, 3), held as build:
             _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=3))
+            support_plan = engine._tile_plan(12, 3, 4)
         # A 3-row budget splits the keys: the 12 support rows take one block
-        # in 3 one-class tiles, the 4 test rows one block in runs of 2 and 1.
+        # in 3 one-class tiles, which the held affinity is built from once;
+        # the 4 test rows take one block in runs of 2 and 1.
         support, test = slice(0, 12), slice(0, 4)
-        assert seen == [
-            (12, support, slice(0, 1)),
-            (12, support, slice(1, 2)),
-            (12, support, slice(2, 3)),
-            (4, test, slice(0, 2)),
-            (4, test, slice(2, 3)),
-        ]
+        assert build.call_count == 1
+        assert support_plan == ([support], [slice(0, 1), slice(1, 2), slice(2, 3)])
+        assert seen == [(4, test, slice(0, 2)), (4, test, slice(2, 3))]
         assert len(history) == epochs + 1
         fresh = trainer.init_state(task, mask, cfg)
         logits = trainer.forward(fresh, task.support_features)
@@ -614,10 +639,13 @@ class TestTrain:
         assert history[0]["loss"] == trainer.cross_entropy(logits, y)
         assert history[0]["support_acc"] == engine.accuracy(logits, y)
 
+    @pytest.mark.parametrize("held", [True, False])
     @pytest.mark.parametrize("epochs", [0, 1, 3])
-    def test_one_zero_shot_product_per_row_block_whatever_the_epochs(self, epochs):
+    def test_one_zero_shot_product_per_row_block_whatever_the_epochs(self, epochs, held):
         """The history forms each row block's D-wide zero-shot product once;
-        every snapshot adds its Q-wide text shift to it."""
+        every snapshot adds its Q-wide text shift to it.  A held support
+        split's zero-shot logits come from one ``zero_shot_logits`` call,
+        which the steps and the history's support pass share."""
         rng = np.random.default_rng(44)
         task, mask, cfg = make_instance(rng, c=3, k=1)
         products = []
@@ -633,11 +661,54 @@ class TestTrain:
             out = unit64(m, norms, rows)
             return out.view(Rows) if isinstance(rows, slice) else out
 
-        with mock.patch.object(numkit, "_unit64", spy), block_budget(3, 2):
+        zero_shot = mock.patch.object(trainer, "zero_shot_logits", wraps=engine.zero_shot_logits)
+        with mock.patch.object(numkit, "_unit64", spy), block_budget(3 if held else 1, 2), zero_shot as whole:
+            assert holds_support(3) == held
             trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=2))
-            blocks = engine._tile_plan(3, 3, 1)[0] + engine._tile_plan(4, 3, 1)[0]
-        assert len(blocks) == 3
+            blocks = ([] if held else engine._tile_plan(3, 3, 1)[0]) + engine._tile_plan(4, 3, 1)[0]
+        assert len(blocks) == (2 if held else 3)
         assert products == [(b.stop - b.start, (task.d, task.c)) for b in blocks]
+        assert [call.args[0] is task.support_features for call in whole.call_args_list] == ([True] if held else [])
+
+    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_held_steps_run_no_cosine_gemm_and_no_sharpen(self, epochs, held):
+        """With the support affinity held, the steps run no cosine GEMM (a
+        product of the refined support rows with themselves) and no
+        ``_sharpen``: the support tiles' GEMMs run once, and ``_sharpen``
+        once per support row block, whatever the epochs.  Over the budget,
+        each step runs one of each."""
+        rng = np.random.default_rng(49)
+        task, mask, cfg = make_instance(rng, c=3, k=4)
+        task.test_labels = None
+        gemms = []
+
+        class Keys(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if ufunc is np.matmul and all(isinstance(x, Keys) for x in inputs):
+                    gemms.append(len(inputs[0]))
+                if out is not None:
+                    kwargs["out"] = tuple(np.asarray(o) for o in out)
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        frozen_context = trainer._frozen_context
+
+        def keys_spy(*args):
+            frozen = frozen_context(*args)
+            frozen["f_support_refined"] = frozen["f_support_refined"].view(Keys)
+            return frozen
+
+        optim = OptimConfig(epochs=epochs, batch_size=5)
+        sharpen = mock.patch.object(trainer, "_sharpen", wraps=engine._sharpen)
+        budget = block_budget(12, 3 if held else 2)
+        with mock.patch.object(trainer, "_frozen_context", keys_spy), budget, sharpen as spy:
+            assert holds_support(12) == held
+            trainer.train(task, mask, cfg, optim)
+        # The 12 support rows take one row block in 3 one-class tiles, the
+        # held affinity's before the steps, the history's after them.
+        steps = [] if held else [5, 5, 2] * epochs
+        assert gemms == [12] * 3 + steps if held else steps + [12] * 3
+        assert spy.call_count == (1 if held else 3) + len(steps)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -659,6 +730,10 @@ class TestTrain:
     @example(c=11, k=3, epochs=2, batch_size=5, with_labels=True, renormalize=True, block_rows=2, seed=4)
     @example(c=11, k=3, epochs=9, batch_size=5, with_labels=True, renormalize=True, block_rows=2, seed=5)
     @example(c=5, k=2, epochs=9, batch_size=3, with_labels=True, renormalize=False, block_rows=9, seed=6)
+    @example(c=4, k=2, epochs=2, batch_size=3, with_labels=True, renormalize=True, block_rows=2, seed=7)
+    @example(c=3, k=3, epochs=2, batch_size=3, with_labels=True, renormalize=True, block_rows=2, seed=8)
+    @example(c=8, k=1, epochs=2, batch_size=3, with_labels=True, renormalize=False, block_rows=2, seed=9)
+    @example(c=5, k=2, epochs=3, batch_size=4, with_labels=True, renormalize=True, block_rows=3, seed=10)
     def test_bitwise_equal_to_reference_loop(
         self, c, k, epochs, batch_size, with_labels, renormalize, block_rows, seed
     ):
@@ -668,8 +743,16 @@ class TestTrain:
         classes, rounded up).  The C = 11, K = 3 examples with block_rows=2
         split the keys: the 33 support rows take 5 blocks x 4 class runs,
         the 4 test rows 1 x 3; with 9 epochs every block's 10 snapshots go
-        in one group.  The last example keeps the keys whole and takes its
-        10 snapshots in groups of 4, 4 and 2."""
+        in one group.  The C = 5, K = 2, block_rows=9 example keeps the keys
+        whole and takes its 10 snapshots in groups of 4, 4 and 2.
+
+        ``train`` holds the support affinity where C*K <= 4 * block_rows.
+        The two C = 11, K = 3, block_rows=2 examples and C = 3, K = 3,
+        block_rows=2 (9 rows, one past the budget) form it in every step;
+        every other example holds it: C = 4, K = 2, block_rows=2 at the
+        budget's edge in 2 row blocks x 2 class runs, C = 8, K = 1 in 4 row
+        blocks, and C = 5, K = 2, block_rows=3 in one row block of 5
+        one-class tiles."""
         rng = np.random.default_rng(seed)
         task, mask, cfg = make_instance(rng, c=c, k=k)
         cfg = dataclasses.replace(cfg, renormalize=renormalize)
@@ -683,6 +766,42 @@ class TestTrain:
         for field in ("res", "scores", "m_res", "v_res", "m_scores", "v_scores"):
             assert getattr(state, field).tobytes() == getattr(ref_state, field).tobytes(), field
         assert state.step == ref_state.step == epochs * math.ceil(c * k / batch_size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.integers(1, 9),
+        k=st.integers(1, 4),
+        block_rows=st.integers(1, 9),
+        stored=st.booleans(),
+        renormalize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=3, k=4, block_rows=3, stored=True, renormalize=True, seed=0)
+    @example(c=8, k=1, block_rows=2, stored=False, renormalize=True, seed=1)
+    def test_held_step_logits_are_forward_at_the_batch_rows(self, c, k, block_rows, stored, renormalize, seed):
+        """A step on the held support affinity and zero-shot logits gives
+        the logits of ``forward`` over the whole support split at the
+        batch's rows, bit for bit.  Each batch is one of ``forward``'s row
+        blocks, so that the step's only product of its own, the Q-wide
+        p = f_ref @ res.T, has ``forward``'s shape: BLAS may round a row of a
+        product with another row count differently."""
+        rng = np.random.default_rng(seed)
+        task = (stored_task if stored else random_task)(rng, c=c, k=k, d=8, n_test=2)
+        mask = refine.ChannelMask(selected=np.sort(rng.choice(8, 5, replace=False)), scores=np.zeros(8))
+        state = trainer.init_state(task, mask, EngineConfig(alpha=0.9, beta=3.0, gamma=0.3, renormalize=renormalize))
+        state.res += 0.3 * rng.standard_normal(state.res.shape)
+        state.scores *= rng.uniform(0.2, 2.0, state.scores.shape)
+        n, s_ref, y = c * k, state.f_support_refined, task.support_class_ids()
+        with block_budget(n, max(block_rows, -(-n // 4))):
+            assert holds_support(n)
+            plan = engine._tile_plan(n, c, k)
+            aff = trainer._support_affinity(s_ref, c, state.cfg.beta)
+            zs = engine.zero_shot_logits(task.support_features, state.w, task.support_norms)
+            want = trainer.forward(state, task.support_features)
+        for rows in plan[0]:
+            idx = np.arange(rows.start, rows.stop)
+            got, _, _ = trainer._grad_parts(state, zs[idx], s_ref[idx], state.support_scale[idx], y[idx], aff, idx)
+            assert got.tobytes() == want[rows].tobytes()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_reference_loop_examples_under_blas_threads(self, threads):
@@ -756,6 +875,17 @@ class TestTrain:
             state.w[0, 0] = 1.0
         with pytest.raises(ValueError):
             state.f_support_refined += 1.0
+
+    def test_state_views_the_task_prototypes(self):
+        """The state's prototypes are a read-only view of the task's text
+        rows, not a copy; the task's own array keeps its flags."""
+        rng = np.random.default_rng(46)
+        task, mask, cfg = make_instance(rng)
+        writeable = task.text_features.flags.writeable
+        state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=1, batch_size=3))
+        assert np.shares_memory(state.w, task.text_features)
+        assert not state.w.flags.writeable
+        assert task.text_features.flags.writeable == writeable
 
     def test_refines_once_per_call(self):
         """The number of channel gathers does not grow with the epochs."""
