@@ -26,7 +26,6 @@ from .engine import (
     _ape_core,
     _divergences,
     _grid_hits,
-    _tip_core,
     accuracy,
     ape_logits,  # noqa: F401 - perfbench's tracer test rebinds ape.cli.ape_logits
     zero_shot_logits,
@@ -266,7 +265,8 @@ def cmd_infer(args) -> int:
     if labels is not None:
         # Both baselines are scored before the APE cache term goes into zs.
         acc["zero_shot"] = accuracy(zs, labels)
-        acc["tip_adapter"] = accuracy(_tip_core(zs, task, cfg.alpha, cfg.beta), labels)
+        tip = EngineConfig(cfg.alpha, cfg.beta, gamma=0.0, renormalize=False)
+        acc["tip_adapter"] = accuracy(_ape_core(zs.copy(), task, refine.full_mask(task.d), tip), labels)
     ape = _ape_core(zs, task, mask, cfg)
     if labels is None:
         # Only the APE logits are written, so the baseline is not computed.

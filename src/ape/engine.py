@@ -431,25 +431,22 @@ def _support_runs(task: FewShotTask, n: int, take):
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
     """:func:`ape_logits` built in the task's zero-shot logits ``zs``, which it
     overwrites and returns, for a mask whose width the caller has checked
-    against the task; each class run's keys serve its cache scores and tiles."""
-    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
+    against the task; each class run's keys serve its cache scores and tiles.
+
+    At gamma = 0 every score is exp(+-0 * divergence) = 1 exactly, as the
+    divergences are finite, so their GEMM is skipped: under every channel,
+    no renormalization and gamma = 0 this is the Tip-Adapter baseline."""
+    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize) if cfg.gamma else None
     f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
     def take(m, norms):
         return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
 
     for cls, plan, keys in _support_runs(task, len(f_ref), take):
-        scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(keys, w_ref, cfg.kl_temperature, cls))
+        if w_ref is None:
+            scores = np.ones(len(keys))
+        else:
+            scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(keys, w_ref, cfg.kl_temperature, cls))
         _add_cache_term(zs[:, cls], f_ref, keys, scores, cfg.alpha, cfg.beta, plan=plan)
-    return zs
-
-
-def _tip_core(zs, task: FewShotTask, alpha: float, beta: float) -> np.ndarray:
-    """Tip-Adapter cache baseline from the zero-shot logits ``zs`` (not modified):
-    :func:`ape_logits` with every channel kept, gamma = 0 and no renormalization."""
-    zs = zs.copy()
-    test = numkit._unit64(task.test_features, task.test_norms)
-    for cls, plan, keys in _support_runs(task, len(test), numkit._unit64):
-        _add_cache_term(zs[:, cls], test, keys, np.ones(len(keys)), alpha, beta, plan=plan)
     return zs
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -33,7 +33,7 @@ from .engine import (
     _score_cols,
     _sharpen,
     _tile_plan,
-    cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 3)
+    cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 1b)
     zero_shot_logits,
 )
 
@@ -56,8 +56,8 @@ _CKPT_MAGIC_V1 = b"APE-CKPT v1\n"  # v2 without the config block
 _CFG_BLOCK = struct.Struct("<dddqd?")
 # The learnables and their moments in checkpoint order: each *res is C x Q, each *scores C*K.
 _LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
-# The frozen context: set once, at construction; its arrays are read-only.
-_FROZEN = ("mask_idx", "w", "f_support_refined", "support_scale", "cfg")
+# The frozen context: set once, at construction; its arrays are read-only views.
+_FROZEN = ("mask_idx", "w", "support_features", "support_norms", "cfg", "f_support_refined", "support_scale")
 # Snapshots per class-sum call in the history: at C=100 and 625-row tiles
 # their sums take 2 MB, where 8 (the padded width) raised a desk train's peak RSS by 4%.
 _SNAPSHOT_GROUP = 4
@@ -98,7 +98,8 @@ class OptimConfig:
 @dataclass(eq=False)
 class TrainState:
     """Learnable tensors, their optimizer moments, and the read-only frozen
-    context with its engine config; sizes C, K, Q and D come from the arrays."""
+    context with its engine config, from which every construction (``replace``
+    too) derives the refined support rows; sizes C, K, Q and D come from the arrays."""
 
     # learnable
     res: np.ndarray        # C x Q class residuals
@@ -109,17 +110,28 @@ class TrainState:
     m_scores: np.ndarray
     v_scores: np.ndarray
     step: int
-    # frozen context
+    # frozen context: read-only views of the caller's arrays, never copies
     mask_idx: np.ndarray           # Q selected channel indices
     w: np.ndarray                  # C x D text prototypes
-    f_support_refined: np.ndarray  # C*K x Q, class-major
-    support_scale: np.ndarray      # C*K r of the support rows (see _refine), derived, not saved
+    support_features: np.ndarray   # C*K x D support rows, class-major
+    support_norms: np.ndarray      # C*K float64 norms of the support rows
     cfg: EngineConfig              # alpha, beta and refinement of every pass
+    # derived from the mask, the support rows and norms and cfg; not saved
+    f_support_refined: np.ndarray = field(init=False, repr=False)  # C*K x Q
+    support_scale: np.ndarray = field(init=False, repr=False)      # C*K r of the support rows (see _refine)
+
+    def __post_init__(self):
+        if self.res.shape != (len(self.w), len(self.mask_idx)) or self.scores.shape != (len(self.support_features),):
+            raise ValueError("the learnables do not fit the frozen context: res must be C x Q and scores C*K")
+        self.f_support_refined, self.support_scale = _refine(
+            self.support_features, self.mask_idx, self.cfg.renormalize, self.support_norms
+        )
 
     def __setattr__(self, name, value):
         if name in _FROZEN and hasattr(self, name):
             raise AttributeError(f"{name} is set at construction: the frozen context stays as built")
         if name in _FROZEN and isinstance(value, np.ndarray):
+            value = value.view()  # the caller's array keeps its flags
             value.flags.writeable = False
         super().__setattr__(name, value)
 
@@ -151,28 +163,15 @@ def param_count(c: int, q: int, k: int) -> int:
 
 
 def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> TrainState:
-    """Fresh state: zero residuals and cache scores from the frozen model.
-
-    A forward pass of the fresh state reproduces the training-free logits
-    bitwise.
-    """
+    """Fresh state: zero residuals and cache scores from the frozen model;
+    its forward pass reproduces the training-free logits bitwise."""
     refine._check_width(mask, task.d)
     w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
-    frozen = _frozen_context(task, mask.selected, cfg)
-    scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(frozen["f_support_refined"], w_ref, cfg.kl_temperature))
-    shape = (task.c, mask.q)
-    return TrainState(
-        res=np.zeros(shape), scores=scores, m_res=np.zeros(shape), v_res=np.zeros(shape),
-        m_scores=np.zeros_like(scores), v_scores=np.zeros_like(scores), step=0, **frozen,
-    )
-
-
-def _frozen_context(task: FewShotTask, mask_idx, cfg: EngineConfig) -> dict:
-    """The frozen fields of a state over ``task``: its own mask indices and
-    prototypes, the refined support rows and their r (see :func:`_refine`)."""
-    mask_idx = np.array(mask_idx, dtype=np.int64)
-    s_ref, scale = _refine(task.support_features, mask_idx, cfg.renormalize, task.support_norms)
-    return dict(mask_idx=mask_idx, w=task.text_features.view(), f_support_refined=s_ref, support_scale=scale, cfg=cfg)
+    zeros = {name: np.zeros(task.c * task.k if name.endswith("scores") else (task.c, mask.q)) for name in _LEARNED}
+    state = TrainState(**zeros, step=0, mask_idx=mask.selected, w=task.text_features,
+                       support_features=task.support_features, support_norms=task.support_norms, cfg=cfg)
+    state.scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(state.f_support_refined, w_ref, cfg.kl_temperature))
+    return state
 
 
 def _refine(m, mask_idx, renormalize: bool, norms=None) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +193,9 @@ def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     :func:`_refine`), as if the padded residual shifted the prototypes, and
     each class's sum of frozen cache affinities the gain exp(beta * p), as
     if it shifted that class's keys; p = f_ref @ res.T is formed once per
-    row block.  Float32 rows are
-    stored features: they are widened and normalized by row blocks, as
-    ``FewShotTask`` reads them, by ``norms`` (their float64 row norms, such
-    as a task's ``test_norms``) when given.
+    row block.  Float32 rows are stored features: they are widened and
+    normalized by row blocks, as ``FewShotTask`` reads them, by ``norms``
+    (their float64 row norms, such as a task's ``test_norms``) when given.
     """
     f_batch = numkit._as_features(f_batch, "f_batch")
     if f_batch.shape[1] != state.d_total:
@@ -463,7 +461,7 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
     config it stores (a v1 file stores none: it loads under ``EngineConfig()``
     with a ``UserWarning``).
 
-    The frozen context is rebuilt from ``task`` and that config, so the task
+    The frozen context views ``task``'s rows under that config, so the task
     must match the checkpoint's class count and shot count, and every mask
     index must fit its width.
 
@@ -510,8 +508,7 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
         cfg = EngineConfig()
 
     def take_f64(shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        return np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64).reshape(shape)
+        return np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").astype(np.float64).reshape(shape)
 
     learned = {name: take_f64(c * k if name.endswith("scores") else (c, q)) for name in _LEARNED}
     (step,) = struct.unpack("<Q", take(8))
@@ -522,4 +519,5 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
     if (learned["v_res"] < 0).any() or (learned["v_scores"] < 0).any():
         raise ValueError(f"checkpoint holds negative second moments: {path}")
 
-    return TrainState(**learned, step=int(step), **_frozen_context(task, raw_idx, cfg))
+    return TrainState(**learned, step=int(step), mask_idx=raw_idx.astype(np.int64), w=task.text_features,
+                      support_features=task.support_features, support_norms=task.support_norms, cfg=cfg)

@@ -65,11 +65,25 @@ def load_task_float64(manifest_path):
     return FewShotTask(**rows, test_labels=labels)
 
 
+def tip_config(alpha, beta):
+    """The engine config under which ``_ape_core`` is the Tip-Adapter baseline."""
+    return engine.EngineConfig(alpha, beta, gamma=0.0, renormalize=False)
+
+
 def tip_logits(task, alpha, beta):
-    """The Tip-Adapter baseline as ``ape infer`` computes it: ``engine._tip_core``
-    on the task's zero-shot logits."""
-    zs = engine.zero_shot_logits(task.test_features, task.text_features)
-    return engine._tip_core(zs, task, alpha, beta)
+    """The Tip-Adapter baseline as ``ape infer`` computes it: ``engine._ape_core``
+    on the task's zero-shot logits, with every channel kept, gamma = 0 and no
+    renormalization."""
+    zs = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+    return engine._ape_core(zs, task, refine.full_mask(task.d), tip_config(alpha, beta))
+
+
+def tip_reference(task, alpha, beta):
+    """Reference Tip-Adapter logits (Zhang et al., ECCV 2022) by the one-hot
+    formula zs + alpha * exp(-beta * (1 - f @ F.T)) @ L over the widened
+    full-width test rows f and support rows F, L the C*K x C one-hot labels."""
+    f, s, w = widened(task.test_features), widened(task.support_features), task.text_features
+    return f @ w.T + alpha * np.exp(-beta * (1.0 - f @ s.T)) @ one_hot_labels(task.c, task.k)
 
 
 def grads(state, f_batch, label_ids):
@@ -240,7 +254,8 @@ def frozen_checksum(state):
     """Digest over the frozen context, the engine config included; it must
     not change across training."""
     h = hashlib.sha256()
-    for arr in (state.mask_idx, state.w, state.f_support_refined, state.support_scale):
+    for arr in (state.mask_idx, state.w, state.support_features, state.support_norms, state.f_support_refined,
+                state.support_scale):
         h.update(arr.tobytes())
     h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
     h.update(repr(astuple(state.cfg)).encode())

@@ -19,7 +19,7 @@ from ape import dataio, engine, numkit, refine, trainer
 from ape.cli import grid_search
 from ape.engine import EngineConfig
 from ape.trainer import OptimConfig
-from helpers import grads, random_task, unit_rows
+from helpers import grads, random_task, tip_reference, unit_rows
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -74,7 +74,7 @@ def test_criterion_2_degeneration_identities():
         alpha, beta = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 8.0))
         cfg = EngineConfig(alpha=alpha, beta=beta, gamma=0.0, renormalize=False)
         got = engine.ape_logits(task, mask, cfg)
-        want = engine._tip_core(zs, task, alpha, beta)
+        want = tip_reference(task, alpha, beta)
         np.testing.assert_allclose(got, want, atol=1e-12)
     elapsed = time.perf_counter() - started
     report(
@@ -248,8 +248,8 @@ def test_criterion_7_scheduler_and_optimizer_contracts():
         step=0,
         mask_idx=np.arange(1),
         w=np.zeros((1, 1)),
-        f_support_refined=np.zeros((1, 1)),
-        support_scale=np.ones(1),
+        support_features=np.ones((1, 1)),
+        support_norms=np.ones(1),
         cfg=EngineConfig(),
     )
     optim = OptimConfig(lr=1e-3, weight_decay=0.01)

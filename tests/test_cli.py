@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 from ape import cli, dataio, engine, numkit, refine, trainer
 from ape.cli import _holdout_split, grid_search, main, parse_grid
 from ape.engine import EngineConfig, FewShotTask
-from helpers import block_budget, brute_force_grid, holdout_split_loop, random_task, tip_logits, unit_rows
+from helpers import (
+    block_budget,
+    brute_force_grid,
+    holdout_split_loop,
+    random_task,
+    tip_config,
+    tip_reference,
+    unit_rows,
+)
 
 
 @pytest.fixture()
@@ -180,7 +188,7 @@ class TestInferCommand:
         cfg = EngineConfig(alpha=1.3, gamma=0.4)
         for name, logits in (
             ("zero_shot", engine.zero_shot_logits(task.test_features, task.text_features)),
-            ("tip_adapter", tip_logits(task, cfg.alpha, cfg.beta)),
+            ("tip_adapter", tip_reference(task, cfg.alpha, cfg.beta)),
             ("ape", engine.ape_logits(task, mask, cfg)),
         ):
             assert kv[f"accuracy.{name}"] == repr(100.0 * engine.accuracy(logits, task.test_labels))
@@ -210,26 +218,30 @@ class TestInferCommand:
         unlabeled = dataio.save_task(task, tmp_path / "u", name="unlabeled")
         for path, calls in ((unlabeled, 0), (manifest, 1)):
             report = tmp_path / f"tip{calls}.report"
-            spy = mock.Mock(wraps=engine._tip_core)
-            with mock.patch.object(cli, "_tip_core", spy):
+            spy = mock.Mock(wraps=engine._ape_core)
+            with mock.patch.object(cli, "_ape_core", spy):
                 rc = main([
                     "infer", "--task", str(path), "--mask", str(mask_path),
                     "--report", str(report),
                 ])
-            assert rc == 0 and spy.call_count == calls
+            baseline = [call for call in spy.call_args_list if call.args[3] == tip_config(1.0, 5.5)]
+            assert rc == 0 and spy.call_count == calls + 1 and len(baseline) == calls
+            assert all(call.args[2].q == call.args[1].d for call in baseline)  # every channel kept
         loaded = dataio.load_task(unlabeled)
         mask, _ = refine.load_mask(mask_path)
         expected = engine.ape_logits(loaded, mask, EngineConfig()).astype(np.float32).astype(np.float64)
         assert dataio.read_matrix(f"{tmp_path / 'tip0.report'}.logits.apef").tobytes() == expected.tobytes()
 
     def test_infer_refines_each_support_row_once(self, tmp_path):
-        """With the keys split into class runs, ``ape infer`` refines each
-        run's support rows once, for both its cache scores and its tiles."""
+        """With the keys split into class runs, each pass of ``ape infer`` (the
+        APE logits on the mask's 16 channels, the Tip-Adapter baseline on all
+        32) refines each run's support rows once, for both its cache scores
+        and its tiles."""
         task = dataio.gen_synthetic(8, 4, 32, 6, 0.5, seed=3)
         manifest = dataio.save_task(task, tmp_path)
         mask_path = tmp_path / "mask.txt"
         assert main(["refine", "--task", str(manifest), "--q", "16", "--out", str(mask_path)]) == 0
-        loaded, refined = [], []
+        loaded, refined = [], {16: [], 32: []}
         load, take = dataio.load_task, refine._take_channels
 
         def load_spy(path):
@@ -240,7 +252,7 @@ class TestInferCommand:
             support = loaded[0].support_features
             if np.shares_memory(m, support):
                 first = (m.ctypes.data - support.ctypes.data) // support.strides[0]
-                refined.extend(range(first, first + len(m)))
+                refined[len(indices)].extend(range(first, first + len(m)))
             return take(m, indices, renormalize, norms)
 
         with block_budget(16, 4), mock.patch.object(dataio, "load_task", load_spy), \
@@ -248,7 +260,7 @@ class TestInferCommand:
             assert len(engine._tile_plan(48, 8, 4)[1]) == 4
             rc = main(["infer", "--task", str(manifest), "--mask", str(mask_path),
                        "--report", str(tmp_path / "r.report")])
-        assert rc == 0 and sorted(refined) == list(range(32))
+        assert rc == 0 and all(sorted(rows) == list(range(32)) for rows in refined.values())
 
     def test_missing_task_is_runtime_error(self, tmp_path):
         rc = main([

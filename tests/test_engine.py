@@ -27,7 +27,9 @@ from helpers import (
     random_task,
     shifted_forward_reference,
     stored_task,
+    tip_config,
     tip_logits,
+    tip_reference,
     unit_rows,
     widened,
 )
@@ -160,21 +162,31 @@ class TestApeLogits:
             task = random_task(rng, c=3, k=2, d=6, n_test=4)
             cfg = EngineConfig(alpha=1.3, beta=2.5, gamma=0.0, renormalize=False)
             got = engine.ape_logits(task, refine.full_mask(task.d), cfg)
-            want = tip_logits(task, 1.3, 2.5)
+            want = tip_reference(task, 1.3, 2.5)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_baseline_config_equals_tip_core_bitwise(self):
-        """Every channel, gamma = 0 (unit scores) and no renormalization is
-        the Tip-Adapter baseline that ``ape infer`` reports, bit for bit."""
+    def test_gamma_zero_skip_equals_explicit_unit_scores_bitwise(self):
+        """At gamma = 0 the logits skip the divergences' GEMM and use unit
+        scores: bitwise the cache term fed exp(kl_sign * 0 * divergences),
+        whatever the sign, temperature, mask or renormalization (the
+        Tip-Adapter baseline is every channel without renormalization)."""
         for seed in range(5):
             rng = np.random.default_rng(200 + seed)
-            task = random_task(rng, c=4, k=3, d=9, n_test=7)
-            zs = engine.zero_shot_logits(task.test_features, task.text_features)
-            for alpha, beta in ((0.5, 1.0), (1.3, 2.5), (2.0, 7.0)):
-                for kl_sign in (1, -1):
-                    cfg = EngineConfig(alpha, beta, 0.0, kl_sign, renormalize=False)
-                    got = engine.ape_logits(task, refine.full_mask(task.d), cfg)
-                    assert got.tobytes() == engine._tip_core(zs, task, alpha, beta).tobytes()
+            task = (random_task if seed % 2 else stored_task)(rng, c=4, k=3, d=9, n_test=7)
+            zs = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+            some = refine.ChannelMask(np.sort(rng.choice(9, 5, replace=False)), np.zeros(9))
+            for mask, renormalize in ((refine.full_mask(9), False), (some, True), (some, False)):
+                def take(m, norms=None):
+                    return refine._take_channels(m, mask.selected, renormalize, norms)
+
+                s_ref, w_ref = take(task.support_features, task.support_norms), take(task.text_features)
+                f_ref = take(task.test_features, task.test_norms)
+                for alpha, beta in ((0.5, 1.0), (1.3, 2.5), (2.0, 7.0)):
+                    for kl_sign, temperature in ((1, 1.0), (-1, 1.0), (1, 0.3), (-1, 2.5)):
+                        cfg = EngineConfig(alpha, beta, 0.0, kl_sign, temperature, renormalize)
+                        scores = np.exp(kl_sign * 0.0 * engine._divergences(s_ref, w_ref, temperature))
+                        want = engine._add_cache_term(zs.copy(), f_ref, s_ref, scores, alpha, beta)
+                        assert engine.ape_logits(task, mask, cfg).tobytes() == want.tobytes()
 
     def test_matches_bruteforce_loops(self):
         """Vectorized logits agree with an explicit per-sample loop."""
@@ -649,7 +661,7 @@ class TestStoredRowsWidenedWhereUsed:
         whole = c * k * d * 8
         calls = {
             "ape": lambda: engine.ape_logits(task, mask, EngineConfig()),
-            "tip": lambda: engine._tip_core(zs, task, 1.0, 5.5),
+            "tip": lambda: engine._ape_core(zs.copy(), task, mask, tip_config(1.0, 5.5)),
         }
         with block_budget(c * k, 32):
             assert len(engine._tile_plan(n, c, k)[1]) == 8

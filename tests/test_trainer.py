@@ -136,7 +136,7 @@ class TestInitState:
         task, mask, cfg = make_instance(rng, c=4, k=3, d=9, q=5)
         state = trainer.init_state(task, mask, cfg)
         assert (state.c, state.k, state.q, state.d_total) == (4, 3, 5, 9)
-        values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+        values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
         assert len(values) == 12  # learnables, moments, step, four frozen arrays and cfg
         with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
             trainer.TrainState(**values, c=4)
@@ -205,6 +205,55 @@ class TestStateOwnsItsConfig:
         assert loaded.cfg == cfg and type(loaded.cfg.renormalize) is bool and type(loaded.cfg.kl_sign) is int
         want = trainer.forward(state, task.test_features)
         assert trainer.forward(loaded, task.test_features).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 3.0),
+        beta=st.floats(0.0, 8.0),
+        gamma=st.floats(0.0, 1.0),
+        kl_sign=st.sampled_from([1, -1]),
+        kl_temperature=st.floats(0.05, 4.0),
+        renormalize=st.booleans(),
+        stored=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(alpha=3.0, beta=5.5, gamma=0.2, kl_sign=1, kl_temperature=1.0, renormalize=False, stored=False, seed=0)
+    def test_replace_derives_the_refined_rows_again(
+        self, alpha, beta, gamma, kl_sign, kl_temperature, renormalize, stored, seed
+    ):
+        """``dataclasses.replace`` goes through the constructor, so a state
+        given another config, or another mask of the same Q, refines its
+        support rows under it: its forward is bitwise that of a fresh state
+        carrying the same learnables.  Refined rows cannot be passed in, nor
+        a mask or support rows that the learnables do not fit."""
+        rng = np.random.default_rng(seed)
+        task = (stored_task if stored else random_task)(rng, c=4, k=3, d=8, n_test=5)
+        mask, other = (refine.ChannelMask(np.sort(rng.choice(8, 5, replace=False)), np.zeros(8)) for _ in "ab")
+        state = trainer.init_state(task, mask, EngineConfig())
+        state.res += 0.1 * rng.standard_normal(state.res.shape)
+        state.scores *= rng.uniform(0.5, 1.5, state.scores.shape)
+        cfg = EngineConfig(alpha, beta, gamma, kl_sign, kl_temperature, renormalize)
+
+        def fresh(mask, cfg):
+            want = trainer.init_state(task, mask, cfg)
+            want.res[:], want.scores[:] = state.res, state.scores
+            return trainer.forward(want, task.test_features, task.test_norms)
+
+        for moved, want in (
+            (dataclasses.replace(state, cfg=cfg), fresh(mask, cfg)),
+            (dataclasses.replace(state, mask_idx=other.selected), fresh(other, state.cfg)),
+        ):
+            assert trainer.forward(moved, task.test_features, task.test_norms).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="do not fit the frozen context"):
+            dataclasses.replace(state, mask_idx=other.selected[:4])  # res keeps Q = 5 columns
+        with pytest.raises(ValueError, match="do not fit the frozen context"):
+            dataclasses.replace(state, support_features=task.support_features[:9])  # scores keep C*K = 12
+        values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
+        for name in ("f_support_refined", "support_scale"):
+            with pytest.raises(TypeError, match=name):
+                trainer.TrainState(**values, **{name: getattr(state, name)})
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(state, **{name: getattr(state, name)})
 
 
 class TestForward:
@@ -485,8 +534,8 @@ class TestAdamWStep:
             step=0,
             mask_idx=np.arange(q),
             w=np.zeros((c, q)),
-            f_support_refined=np.zeros((c * k, q)),
-            support_scale=np.ones(c * k),
+            support_features=np.full((c * k, q), q**-0.5),
+            support_norms=np.ones(c * k),
             cfg=EngineConfig(),
         )
 
@@ -691,17 +740,16 @@ class TestTrain:
                     kwargs["out"] = tuple(np.asarray(o) for o in out)
                 return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
-        frozen_context = trainer._frozen_context
+        refine_rows = trainer._refine  # only the state's support rows: the task has no test labels
 
         def keys_spy(*args):
-            frozen = frozen_context(*args)
-            frozen["f_support_refined"] = frozen["f_support_refined"].view(Keys)
-            return frozen
+            s_ref, scale = refine_rows(*args)
+            return s_ref.view(Keys), scale
 
         optim = OptimConfig(epochs=epochs, batch_size=5)
         sharpen = mock.patch.object(trainer, "_sharpen", wraps=engine._sharpen)
         budget = block_budget(12, 3 if held else 2)
-        with mock.patch.object(trainer, "_frozen_context", keys_spy), budget, sharpen as spy:
+        with mock.patch.object(trainer, "_refine", keys_spy), budget, sharpen as spy:
             assert holds_support(12) == held
             trainer.train(task, mask, cfg, optim)
         # The 12 support rows take one row block in 3 one-class tiles, the
@@ -877,15 +925,18 @@ class TestTrain:
             state.f_support_refined += 1.0
 
     def test_state_views_the_task_prototypes(self):
-        """The state's prototypes are a read-only view of the task's text
-        rows, not a copy; the task's own array keeps its flags."""
+        """The state's prototypes, support rows and their norms are
+        read-only views of the task's arrays, not copies; the task's own
+        arrays keep their flags."""
         rng = np.random.default_rng(46)
         task, mask, cfg = make_instance(rng)
-        writeable = task.text_features.flags.writeable
+        names = {"w": "text_features", "support_features": "support_features", "support_norms": "support_norms"}
+        writeable = {name: getattr(task, name).flags.writeable for name in names.values()}
         state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=1, batch_size=3))
-        assert np.shares_memory(state.w, task.text_features)
-        assert not state.w.flags.writeable
-        assert task.text_features.flags.writeable == writeable
+        for field, name in names.items():
+            assert np.shares_memory(getattr(state, field), getattr(task, name))
+            assert not getattr(state, field).flags.writeable
+            assert getattr(task, name).flags.writeable == writeable[name]
 
     def test_refines_once_per_call(self):
         """The number of channel gathers does not grow with the epochs."""
@@ -933,7 +984,8 @@ class TestCheckpoint:
         with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
             trainer.load_checkpoint(path, task)
         assert spy.call_count == 1
-        assert spy.call_args.args[0] is task.support_features
+        rows = spy.call_args.args[0]  # the state's read-only view of the task's support rows, not a copy
+        assert np.shares_memory(rows, task.support_features) and rows.shape == task.support_features.shape
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
