@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, refine, trainer
+from . import dataio, numkit, refine, trainer
 from .engine import (
     EngineConfig,
     FewShotTask,
@@ -218,6 +218,7 @@ def grid_search(
         kept, held, labels = _holdout_split(task)
         support, s_norms = task.support_features[kept], task.support_norms[kept]
         test, t_norms = task.support_features[held], task.support_norms[held]
+        numkit._release(task.support_features)  # both gathers are copies
 
     refine._check_width(mask, task.d)
     zs = zero_shot_logits(test, task.text_features, t_norms)

@@ -7,10 +7,11 @@ happens once at write time, so write -> read round trips are bitwise
 stable.  A task manifest is a small ``key = value`` text file mapping
 dataset roles to APEF paths.
 
-A loaded task keeps its support and test rows as the float32 payload
-read from disk: 4 bytes per value plus one float64 norm per row.  Each
-consumer widens and normalizes the rows it uses (``numkit._unit64``), so
-they are bitwise the rows a float64 load would re-normalize.
+A loaded task keeps its support and test rows as read-only float32 views
+of the files, mapped, plus one float64 norm per row.  Each consumer widens
+and normalizes the rows it uses (``numkit._unit64``), so they are bitwise
+the rows a float64 load would re-normalize, and drops the file pages of
+each row block once it is done with them (``numkit._release``).
 
 The manifest's ``support_labels`` file (a C*K x C one-hot matrix) is part
 of the on-disk format only: it is validated on load and written on save,
@@ -28,6 +29,7 @@ opens only their files, with the same checks.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import struct
 import warnings
@@ -152,11 +154,18 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _read_payload(path) -> np.ndarray:
-    """The checked float32 payload of an APEF file, read-only."""
-    with _open_apef(path) as (fh, shape):
-        payload = _read_rows(fh, np.empty(shape, dtype="<f4"), path)
-    payload.flags.writeable = False
-    return payload
+    """The checked float32 payload of an APEF file: a read-only view of the
+    file, mapped, whose pages are read in as rows are used and dropped again
+    by ``numkit._release``.  The mapping keeps the file's inode, so a
+    writer that replaces the file by rename (:func:`_atomic_file`) leaves
+    the view as it was.  A writer that rewrites the file in place must not
+    run while the view is in use: keeping the length, it changes rows that
+    were checked at load with no error; truncating (``cp`` onto the path,
+    ``ndarray.tofile``), it makes the next read of a lost page kill the
+    process with SIGBUS."""
+    with _open_apef(path) as (fh, (rows, cols)):
+        payload = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(payload, dtype="<f4", count=rows * cols, offset=24).reshape(rows, cols)
 
 
 @contextlib.contextmanager
@@ -181,13 +190,6 @@ def _open_apef(path):
         if size != expected:
             raise TruncatedError(f"{path}: payload is {size} bytes, header implies {expected}")
         yield fh, (rows, cols)
-
-
-def _read_rows(fh, out: np.ndarray, path) -> np.ndarray:
-    """Fill the float32 ``out`` with the next payload rows of ``fh``."""
-    if fh.readinto(out) != out.nbytes:
-        raise TruncatedError(f"{path}: payload ended early")
-    return out
 
 
 _ROLE_KEYS = ("text_features", "support_features", "support_labels", "test_features")
@@ -243,19 +245,16 @@ def _check_labels(path, c: int, k: int) -> None:
     A rejected file names the first rule it breaks, as a check of the
     whole matrix would: rows that are not one-hot, else misgrouped rows.
     """
-    with _open_apef(path) as (fh, shape):
-        _check_shape("support_labels", shape, c * k, c)
-        blocks = numkit._row_blocks(c * k, c)
-        buf = np.empty(blocks[0].stop * c, dtype="<f4")
-        misgrouped = False
-        for rows in blocks:
-            ids = np.arange(rows.start, rows.stop)
-            blk = _read_rows(fh, buf[: ids.size * c].reshape(ids.size, c), path)
-            if np.count_nonzero(blk) == ids.size and (blk[ids - rows.start, ids // k] == 1.0).all():
-                continue
-            if not (np.isin(blk, (0.0, 1.0)).all() and (np.count_nonzero(blk, axis=1) == 1).all()):
-                raise NonOneHotError("support_labels: rows must contain exactly one 1")
-            misgrouped = True
+    labels = _read_payload(path)
+    _check_shape("support_labels", labels.shape, c * k, c)
+    misgrouped = False
+    for rows, blk in numkit._stored_blocks(labels):
+        ids = np.arange(rows.start, rows.stop)
+        if np.count_nonzero(blk) == ids.size and (blk[ids - rows.start, ids // k] == 1.0).all():
+            continue
+        if not (np.isin(blk, (0.0, 1.0)).all() and (np.count_nonzero(blk, axis=1) == 1).all()):
+            raise NonOneHotError("support_labels: rows must contain exactly one 1")
+        misgrouped = True
     if misgrouped:
         raise NonOneHotError(
             "support_labels: rows must be grouped class-major (row c*K+j hot at column c)"

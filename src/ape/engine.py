@@ -420,12 +420,12 @@ def _support_runs(task: FewShotTask, n: int, take):
     """Yield ``(classes, plan, keys)`` for each class run of the tiles of ``n``
     query rows: ``keys = take(m, norms)`` of the run's stored support rows and
     norms, tiled by ``plan`` as the whole keys would be.  One run's keys exist at a
-    time, never all C*K rows."""
+    time, never all C*K rows, once the caller drops each run's keys before the next."""
     blocks, runs = _tile_plan(n, task.c, task.k)
     for cls in runs:
         rows = slice(task.k * cls.start, task.k * cls.stop)
-        keys = take(task.support_features[rows], task.support_norms[rows])
-        yield cls, (blocks, [slice(0, cls.stop - cls.start)]), keys
+        plan = (blocks, [slice(0, cls.stop - cls.start)])
+        yield cls, plan, take(task.support_features[rows], task.support_norms[rows])  # no local holds them
 
 
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
@@ -447,6 +447,7 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
         else:
             scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(keys, w_ref, cfg.kl_temperature, cls))
         _add_cache_term(zs[:, cls], f_ref, keys, scores, cfg.alpha, cfg.beta, plan=plan)
+        del keys  # freed before the next run's keys are taken
     return zs
 
 

@@ -2,23 +2,25 @@
 
 Matrices are plain 2-D ``float64`` numpy arrays in row-major order; this
 module is the single place where the low-level conventions live:
-coercion, normalization, stable softmax, and the probability floor used
-to score cache entries.  Feature rows may also be ``float32``, as stored
-on disk: they stand for the float64 rows that :func:`_unit64` gives,
-widened and normalized where they are used.  All public functions are
-pure -- inputs are never mutated and results contain no NaN/Inf entries.
-Public functions check their inputs; the private helpers
+coercion, normalization, and the probability floor used to score cache
+entries.  Feature rows may also be ``float32``, as stored on disk: they
+stand for the float64 rows that :func:`_unit64` gives, widened and
+normalized where they are used.  All public functions are pure -- inputs
+are never mutated and results contain no NaN/Inf entries.
+Public functions check their inputs; the private helper
 :func:`_normalize_rows_inplace` (which overwrites a matrix the caller
-owns) and :func:`_softmax` do not, so callers use them only on matrices
-the library has already validated.
+owns) does not, so callers use it only on matrices the library has
+already validated.
 
 Row-wise work over large matrices runs in row blocks (:func:`_row_blocks`)
 of about :data:`_BLOCK_BYTES` each, so no kernel holds a second
-full-size temporary.
+full-size temporary.  Passes over stored rows that view a file mapping
+go through :func:`_stored_blocks`, which gives each block's pages back.
 """
 
 from __future__ import annotations
 
+import mmap
 import warnings
 
 import numpy as np
@@ -41,6 +43,9 @@ _UNIT_BAND = 1e-12
 # Bytes of float64 scratch per row block.  Blocks only bound memory: rows
 # are independent, so every blocked result equals the unblocked one bitwise.
 _BLOCK_BYTES = 8 << 20
+
+# madvise advice that drops a mapping's resident pages (None where mmap lacks it).
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 
 
 class ZeroRowWarning(UserWarning):
@@ -66,9 +71,31 @@ def _as_features(values, name: str) -> np.ndarray:
 def _checked(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not all(np.isfinite(m[rows]).all() for rows in _row_blocks(*m.shape)):  # no N x D mask
+    if not all(np.isfinite(blk).all() for _, blk in _stored_blocks(m)):  # no N x D mask
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _release(m: np.ndarray) -> None:
+    """Drop the resident pages of the read-only file mapping that ``m`` views
+    (``dataio._read_payload``), so a pass over stored rows keeps about one
+    row block of them in memory; a later read faults them back in from the
+    file, bit for bit.  Any other array, writable mappings included, is left
+    as it is."""
+    base = m
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview) and base.readonly and isinstance(base.obj, mmap.mmap) and _DONTNEED:
+        base.obj.madvise(_DONTNEED)
+
+
+def _stored_blocks(m: np.ndarray):
+    """Yield ``(rows, m[rows])`` for each :func:`_row_blocks` block of a 2-D
+    ``m``, giving the block's file pages back (:func:`_release`) once the
+    caller asks for the next one, so a pass over stored rows holds one block."""
+    for rows in _row_blocks(*m.shape):
+        yield rows, m[rows]
+        _release(m)
 
 
 def l2_normalize_rows(m) -> np.ndarray:
@@ -110,10 +137,9 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     place of an N x D temporary.
     """
     norms = np.empty(m.shape[0])
-    blocks = _row_blocks(*m.shape)
-    squares = np.empty((blocks[0].stop, m.shape[1]))
-    for rows in blocks:
-        sq = np.multiply(m[rows], m[rows], out=squares[: rows.stop - rows.start], dtype=np.float64)
+    squares = np.empty((_row_blocks(*m.shape)[0].stop, m.shape[1]))
+    for rows, blk in _stored_blocks(m):
+        sq = np.multiply(blk, blk, out=squares[: rows.stop - rows.start], dtype=np.float64)
         sq.sum(axis=1, out=norms[rows])
     return np.sqrt(norms, out=norms)
 
@@ -158,14 +184,6 @@ def _unit64(m: np.ndarray, norms: np.ndarray | None = None, rows=slice(None)) ->
         return m[rows]
     norms = _row_norms(m) if norms is None else norms
     part = m[rows]
-    return _normalize_rows_inplace(part, norms[rows], out=np.empty(part.shape))
-
-
-def _softmax(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Unchecked row-wise softmax of ``m / temperature`` (``m`` finite 2-D
-    float64, ``temperature`` > 0), stable: the row maximum is subtracted first."""
-    z = m / temperature
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
+    out = _normalize_rows_inplace(part, norms[rows], out=np.empty(part.shape))
+    _release(m)
+    return out

@@ -162,18 +162,19 @@ def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=
     Float32 rows give up their columns first, one row block at a time, and
     only those are widened and divided by the full rows' norms: each entry
     is the same ``float64(x) / norm``, and no full-width float64 copy of
-    ``m`` exists.  Zero rows survive renormalization unchanged (with a
-    warning), matching :func:`ape.numkit.l2_normalize_rows`.
+    ``m`` exists, and each block's file pages are dropped
+    (``numkit._stored_blocks``) once taken.  Zero rows survive renormalization
+    unchanged (with a warning), matching :func:`ape.numkit.l2_normalize_rows`.
     """
     out = np.empty((m.shape[0], len(indices)))
     stored = m.dtype == np.float32
     if stored and norms is None:
         norms = numkit._row_norms(m)
-    for rows in numkit._row_blocks(*m.shape):
+    for rows, blk in numkit._stored_blocks(m):
         if stored:
-            numkit._normalize_rows_inplace(np.take(m[rows], indices, axis=1), norms[rows], out=out[rows])
+            numkit._normalize_rows_inplace(np.take(blk, indices, axis=1), norms[rows], out=out[rows])
         else:
-            np.take(m[rows], indices, axis=1, out=out[rows])
+            np.take(blk, indices, axis=1, out=out[rows])
     if renormalize:
         numkit._normalize_rows_inplace(out)
     return out

@@ -218,13 +218,17 @@ def cross_entropy(logits, label_ids) -> float:
     y = np.asarray(label_ids)
     if y.shape != (z.shape[0],) or not _are_class_ids(y, z.shape[1]):
         raise ValueError(f"label_ids must be {z.shape[0]} integral class ids in [0, {z.shape[1]})")
-    return float(_ce_terms(z, y.astype(np.int64)).mean())
+    return float(_ce_terms(z, y.astype(np.int64))[0].mean())
 
 
-def _ce_terms(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row softmax cross-entropy of the logits ``z`` against int64 class ids ``y``."""
+def _ce_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row softmax cross-entropy of the logits ``z`` against int64 class
+    ids ``y``, with the shifted ``exp`` of ``z`` and its row sums, whose
+    quotient is the row-wise softmax."""
     z = z - z.max(axis=1, keepdims=True)
-    return np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(y)), y]
+    e = np.exp(z)
+    sums = e.sum(axis=1)
+    return np.log(sums) - z[np.arange(len(y)), y], e, sums
 
 
 def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=None):
@@ -235,8 +239,9 @@ def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=No
     else its own sharpened product; either is read by class chunks (a
     gather of held rows), so no second B x C*K matrix exists.
 
-    Returns (logits, d_res, d_scores), the gradients shaped (C, Q) and
-    (C*K,).  The residual gradient sums the text-shift path and the
+    Returns (logits, loss, d_res, d_scores): the batch's mean cross-entropy,
+    bitwise :func:`cross_entropy` of the logits, and the gradients shaped
+    (C, Q) and (C*K,).  The residual gradient sums the text-shift path and the
     cache-gain path; both are linear in the refined rows, so it is one GEMM.
     """
     y = np.asarray(label_ids, dtype=np.int64)
@@ -254,7 +259,8 @@ def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=No
     cache *= gain
     logits = (zs + scale[:, None] * p) + cfg.alpha * cache
 
-    g = numkit._softmax(logits)
+    terms, e, sums = _ce_terms(logits, y)
+    g = np.divide(e, sums[:, None], out=e)
     g[np.arange(b), y] -= 1.0
     g /= b
 
@@ -264,7 +270,7 @@ def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=No
     d_scores = np.empty((c, k))
     for cls, keys in chunks:
         np.einsum("bc,bck->ck", g[:, cls], aff[idx, keys].reshape(b, -1, k), out=d_scores[cls])
-    return logits, d_res, cfg.alpha * d_scores.reshape(c * k)
+    return logits, float(terms.mean()), d_res, cfg.alpha * d_scores.reshape(c * k)
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -361,7 +367,7 @@ def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref,
                 z += cfg.alpha * acc
                 hits[e] += np.count_nonzero(z.argmax(axis=1) == labels[rows])  # as accuracy()
                 if e == 0 and terms is not None:
-                    terms[rows] = _ce_terms(z, labels[rows])
+                    terms[rows] = _ce_terms(z, labels[rows])[0]
     return [float(h / len(labels)) for h in hits]
 
 
@@ -408,8 +414,8 @@ def train(
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             zb = numkit._unit64(f, norms, idx) @ state.w.T if zs is None else zs[idx]
             yb = y_support[idx]
-            logits, d_res, d_scores = _grad_parts(state, zb, s_ref[idx], state.support_scale[idx], yb, aff, idx)
-            batch_losses.append(cross_entropy(logits, yb))
+            _, loss, d_res, d_scores = _grad_parts(state, zb, s_ref[idx], state.support_scale[idx], yb, aff, idx)
+            batch_losses.append(loss)
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res, d_scores), lr_t, optim)
         losses.append(float(np.mean(batch_losses)))

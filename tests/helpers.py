@@ -21,6 +21,14 @@ def block_budget(cols, rows):
     return mock.patch.object(numkit, "_BLOCK_BYTES", 8 * cols * rows)
 
 
+def softmax(m, temperature=1.0):
+    """Row-wise softmax of ``m / temperature``, stable: the row maximum is subtracted first."""
+    z = m / temperature
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def one_hot_labels(c, k):
     """The dense C*K x C label matrix that class-major support rows imply."""
     return np.kron(np.eye(c), np.ones((k, 1)))
@@ -91,7 +99,7 @@ def grads(state, f_batch, label_ids):
     full-width rows, refined (channels and r) as ``trainer.forward`` refines
     it, with its zero-shot logits f @ w.T and its own affinities."""
     f_ref, scale = trainer._refine(f_batch, state.mask_idx, state.cfg.renormalize)
-    _, d_res, d_scores = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, label_ids)
+    _, _, d_res, d_scores = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, label_ids)
     return d_res, d_scores
 
 
@@ -245,7 +253,7 @@ def cache_scores_unblocked(s_ref, w_ref, gamma, kl_sign=1, kl_temperature=1.0):
     """Reference cache scores: one softmax over all C*K support rows."""
     n = s_ref.shape[0]
     k = n // w_ref.shape[0]
-    probs = numkit._softmax(s_ref @ w_ref.T, kl_temperature)
+    probs = softmax(s_ref @ w_ref.T, kl_temperature)
     p_true = np.clip(probs[np.arange(n), np.arange(n) // k], PROB_FLOOR, 1.0)
     return np.exp(kl_sign * gamma * -np.log(p_true))
 
@@ -303,7 +311,7 @@ def train_reference(task, mask, cfg, optim):
             fb, yb = task.support_features[idx], y_support[idx]
             if held:
                 s_ref, scale = state.f_support_refined[idx], state.support_scale[idx]
-                logits, *step_grads = trainer._grad_parts(state, zs[idx], s_ref, scale, yb, aff, idx)
+                logits, _, *step_grads = trainer._grad_parts(state, zs[idx], s_ref, scale, yb, aff, idx)
                 losses.append(trainer.cross_entropy(logits, yb))
             else:
                 losses.append(trainer.cross_entropy(trainer.forward(state, fb), yb))

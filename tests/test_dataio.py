@@ -1,8 +1,13 @@
 """Tests for the binary matrix format, manifests, and the task generator."""
 
 import dataclasses
+import gc
+import mmap
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -559,9 +564,10 @@ class TestFloat32Task:
             with pytest.raises(ValueError, match=f"^{role} rows must be unit-norm within 1e-6$"):
                 dataio.load_task(manifest)
 
-    def test_loaded_task_holds_four_bytes_per_value(self, tmp_path):
-        """4 bytes per support and test value plus one float64 norm per row;
-        the rest is the C x D float64 text rows and the int64 test labels."""
+    def test_loaded_task_maps_its_payloads(self, tmp_path):
+        """Loading allocates only one float64 norm per support and test row,
+        the C x D float64 text rows and the int64 test labels: the support
+        and test rows are read-only float32 views of file mappings."""
         rng = np.random.default_rng(73)
         c, k, d, n = 8, 16, 256, 64
         manifest = dataio.save_task(random_task(rng, c=c, k=k, d=d, n_test=n), tmp_path)
@@ -572,10 +578,11 @@ class TestFloat32Task:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        rows = c * k + n
-        expected = (4 * d + 8) * rows + 8 * c * d + 8 * n
-        assert expected <= held < expected + 16384
-        assert loaded.support_features.dtype == np.float32
+        expected = 8 * (c * k + n) + 8 * c * d + 8 * n
+        assert expected <= held < expected + 8192  # a payload copy would take 4 * d * (c * k + n)
+        for rows in (loaded.support_features, loaded.test_features):
+            assert rows.dtype == np.float32 and not rows.flags.writeable
+            assert isinstance(mapping(rows), mmap.mmap)
 
     def test_ape_logits_never_widens_the_whole_support(self, tmp_path):
         """The refined support rows are taken by row blocks, so no
@@ -593,3 +600,144 @@ class TestFloat32Task:
             finally:
                 tracemalloc.stop()
         assert peak < 0.5 * 8 * c * k * d
+
+
+def mapping(m):
+    """The object at the end of ``m``'s ``.base`` chain: the mmap a loaded payload views."""
+    while isinstance(m, np.ndarray):
+        m = m.base
+    return m.obj if isinstance(m, memoryview) else m
+
+
+def vm_status(key):
+    """This process's ``/proc/self/status`` entry ``key`` in bytes, or None."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next((int(line.split()[1]) * 1024 for line in fh if line.startswith(f"{key}:")), None)
+    except OSError:
+        return None
+
+
+class TestMappedPayloads:
+    """Support and test payloads are read-only mappings of their files whose
+    pages the row-block passes drop again (``numkit._release``)."""
+
+    def test_rows_read_after_release_equal_rows_before(self, tmp_path):
+        rng = np.random.default_rng(90)
+        manifest = dataio.save_task(random_task(rng, c=4, k=3, d=32, n_test=9), tmp_path)
+        task = dataio.load_task(manifest)
+        before = task.support_features.copy(), task.test_features.copy()
+        logits = engine.ape_logits(task, refine.full_mask(task.d), EngineConfig())
+        for rows, copy in zip((task.support_features, task.test_features), before):
+            numkit._release(rows[1:])
+            assert rows.tobytes() == copy.tobytes()
+        assert engine.ape_logits(task, refine.full_mask(task.d), EngineConfig()).tobytes() == logits.tobytes()
+
+    def test_release_leaves_other_arrays_as_they_are(self, tmp_path):
+        """Anonymous arrays, their views and writable mappings keep their
+        values: dropping a private mapping's pages would lose its writes."""
+        m = np.random.default_rng(91).standard_normal((6, 5)).astype(np.float32)
+        want = m.copy()
+        for arr in (m, m[2:], m.T, m[:, 1:3].view(np.int32), np.zeros(0)):
+            numkit._release(arr)
+        assert m.tobytes() == want.tobytes()
+        path = tmp_path / "m.apef"
+        dataio.write_matrix(path, want)
+        with open(path, "rb") as fh:
+            private = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        rows = np.frombuffer(private, dtype="<f4", count=want.size, offset=24).reshape(want.shape)
+        rows[0] = 7.0
+        numkit._release(rows)
+        assert (rows[0] == 7.0).all() and rows[1:].tobytes() == want[1:].tobytes()
+        del rows
+        private.close()
+
+    def test_saving_into_a_loaded_tasks_directory_leaves_it_unchanged(self, tmp_path):
+        """Writers replace files by rename, so the mapped inodes keep their bytes."""
+        rng = np.random.default_rng(92)
+        manifest = dataio.save_task(random_task(rng, c=4, k=3, d=32, n_test=9), tmp_path)
+        task = dataio.load_task(manifest)
+        mask, cfg = refine.full_mask(task.d), EngineConfig(gamma=0.5)
+        rows = task.support_features.copy(), task.test_features.copy()
+        logits = engine.ape_logits(task, mask, cfg)
+        assert dataio.save_task(random_task(rng, c=4, k=3, d=32, n_test=9), tmp_path) == manifest
+        assert task.support_features.tobytes() == rows[0].tobytes()
+        assert task.test_features.tobytes() == rows[1].tobytes()
+        assert engine.ape_logits(task, mask, cfg).tobytes() == logits.tobytes()
+
+    def test_rewriting_a_loaded_payload_in_place_reaches_its_rows(self, tmp_path):
+        """Pins the hazard that README states: rows are checked once, at load,
+        so a rewrite in place that keeps the file's length changes rows that
+        passed the checks, and a NaN reaches the logits with no error."""
+        rng = np.random.default_rng(95)
+        manifest = dataio.save_task(random_task(rng, c=4, k=3, d=32, n_test=9), tmp_path)
+        task = dataio.load_task(manifest)
+        with open(dataio.read_manifest(manifest)["support_features"], "r+b") as fh:
+            fh.seek(24)
+            fh.write(np.float32(np.nan).tobytes())
+        assert np.isnan(task.support_features[0, 0])
+        assert np.isnan(engine.ape_logits(task, refine.full_mask(task.d), EngineConfig())).any()
+
+    def test_stored_blocks_release_after_each_block(self, tmp_path):
+        """Every pass over stored rows drops each block's pages before it
+        reads the next block, and covers the rows once, in order."""
+        dataio.write_matrix(tmp_path / "m.apef", np.random.default_rng(96).standard_normal((10, 4)))
+        rows = dataio._read_payload(tmp_path / "m.apef")
+        seen = []
+        with block_budget(4, 3), mock.patch.object(numkit, "_release", lambda m: seen.append("release")):
+            blocks = numkit._row_blocks(10, 4)
+            for sl, blk in numkit._stored_blocks(rows):
+                assert blk.tobytes() == rows[sl].tobytes()
+                seen.append(sl)
+        assert len(blocks) > 1 and seen == [x for sl in blocks for x in (sl, "release")]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_load_drop_cycles_keep_the_descriptor_count(self, tmp_path):
+        """Each mapping holds a duplicate descriptor of its file until it is dropped."""
+        manifest = dataio.save_task(random_task(np.random.default_rng(93)), tmp_path)
+        dataio.load_task(manifest)
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(100):
+            dataio.load_task(manifest)
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(vm_status("VmHWM") is None, reason="needs VmHWM in /proc/self/status")
+    def test_infer_peak_grows_less_than_the_support_payload(self, tmp_path):
+        """``ape infer`` in a child process: its peak resident set grows by
+        less than the 32 MiB support payload, which a copy would hold whole."""
+        rng = np.random.default_rng(94)
+        c, k, d, n, q = 512, 16, 1024, 64, 64
+        with open(tmp_path / "support.apef", "wb") as fh:  # written by blocks, never whole
+            fh.write(dataio.MAGIC + struct.pack("<IQQ", dataio.VERSION, c * k, d))
+            for _ in range(c * k // 1024):
+                fh.write(unit_rows(rng, 1024, d).astype("<f4").tobytes())
+        dataio.write_matrix(tmp_path / "text.apef", unit_rows(rng, c, d))
+        dataio.write_matrix(tmp_path / "test.apef", unit_rows(rng, n, d))
+        dataio._write_labels(tmp_path / "labels.apef", c, k)
+        files = ("text.apef", "support.apef", "labels.apef", "test.apef")
+        (tmp_path / "t.manifest").write_text(
+            f"{dataio.MANIFEST_HEADER}\nC = {c}\nK = {k}\nD = {d}\n"
+            + "".join(f"{role} = {name}\n" for role, name in zip(dataio._ROLE_KEYS, files))
+        )
+        kept = np.arange(d) < q
+        refine.save_mask(tmp_path / "mask.txt", refine.ChannelMask(np.flatnonzero(kept), (~kept).astype(float)), 0.5)
+        child = (
+            "import sys\n"
+            "from ape import cli\n"
+            "from test_dataio import vm_status\n"
+            "before = vm_status('VmHWM')\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(vm_status('VmHWM') - before)\n"
+        )
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", child, "infer", "--task", str(tmp_path / "t.manifest"),
+             "--mask", str(tmp_path / "mask.txt"), "--report", str(tmp_path / "r.report")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) < 4 * c * k * d

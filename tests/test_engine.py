@@ -26,6 +26,7 @@ from helpers import (
     one_hot_labels,
     random_task,
     shifted_forward_reference,
+    softmax,
     stored_task,
     tip_config,
     tip_logits,
@@ -124,15 +125,13 @@ class TestCacheScores:
 
     def test_matches_scalar_kl_loop(self):
         """Vectorized scores agree with the per-row one-hot divergence."""
-        from ape import numkit
-
         rng = np.random.default_rng(17)
         c, k, q = 4, 3, 6
         sup = unit_rows(rng, c * k, q)
         w = unit_rows(rng, c, q)
         gamma, sign, temp = 0.3, -1, 0.7
         got = engine.cache_scores(sup, w, gamma, sign, temp)
-        probs = numkit._softmax(sup @ w.T, temp)
+        probs = softmax(sup @ w.T, temp)
         expected = [
             math.exp(sign * gamma * kl_one_hot(probs[i], i // k))
             for i in range(c * k)

@@ -309,8 +309,10 @@ class TestForward:
             got = trainer.forward(state, f)
         assert scale[b:].tolist() == ([0.0, 1.0] if renormalize else [1.0, 1.0])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        step_logits, _, _ = trainer._grad_parts(state, f @ state.w.T, f_ref, scale, rng.integers(0, c, b + 2))
+        y = rng.integers(0, c, b + 2)
+        step_logits, step_loss, _, _ = trainer._grad_parts(state, f @ state.w.T, f_ref, scale, y)
         assert step_logits.tobytes() == got.tobytes()
+        assert step_loss == trainer.cross_entropy(step_logits, y)  # bitwise, from the step's own softmax
 
     def test_residual_row_touches_only_its_class_column(self):
         rng = np.random.default_rng(34)
@@ -420,8 +422,10 @@ class TestBackward:
         got = trainer.forward(state, f_batch)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         f_ref, scale = trainer._refine(f_batch, state.mask_idx, renormalize)
-        step_logits, _, _ = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, rng.integers(0, c, b))
+        y = rng.integers(0, c, b)
+        step_logits, step_loss, _, _ = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, y)
         assert step_logits.tobytes() == got.tobytes()
+        assert step_loss == trainer.cross_entropy(step_logits, y)
 
     @pytest.mark.parametrize("held", [False, True])
     def test_step_never_forms_the_shifted_keys(self, held):
@@ -439,7 +443,7 @@ class TestBackward:
         tracemalloc.start()
         try:
             zb = zs[idx] if held else fb @ state.w.T
-            _, d_res, d_scores = trainer._grad_parts(state, zb, fb_ref, state.support_scale[idx], yb, aff, idx)
+            _, _, d_res, d_scores = trainer._grad_parts(state, zb, fb_ref, state.support_scale[idx], yb, aff, idx)
             trainer.adamw_step(state, (d_res, d_scores), optim.lr, optim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -848,8 +852,9 @@ class TestTrain:
             want = trainer.forward(state, task.support_features)
         for rows in plan[0]:
             idx = np.arange(rows.start, rows.stop)
-            got, _, _ = trainer._grad_parts(state, zs[idx], s_ref[idx], state.support_scale[idx], y[idx], aff, idx)
+            got, loss, _, _ = trainer._grad_parts(state, zs[idx], s_ref[idx], state.support_scale[idx], y[idx], aff, idx)
             assert got.tobytes() == want[rows].tobytes()
+            assert loss == trainer.cross_entropy(got, y[idx])
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_reference_loop_examples_under_blas_threads(self, threads):
