@@ -24,6 +24,7 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _ape_core,
+    _checked_norms,
     _divergences,
     _grid_hits,
     accuracy,
@@ -238,6 +239,7 @@ def cmd_refine(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {args.lam}")
     text = dataio._read_text(dataio.read_manifest(args.task))  # the only rows refinement reads
+    _checked_norms("text_features", text)
     d = text.shape[1]
     if not 1 <= args.q <= d:
         raise UsageError(f"--q must lie in [1, {d}], got {args.q}")

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, numkit
+from . import numkit
 from .engine import FewShotTask
 
 __all__ = [
@@ -292,13 +292,11 @@ def load_task(manifest_path) -> FewShotTask:
 
 
 def _read_text(man: dict) -> np.ndarray:
-    """The manifest's C x D text rows, widened, re-normalized and checked
-    as :class:`FewShotTask` checks them."""
+    """The manifest's C x D text rows, widened and re-normalized; their unit
+    norms are left for :class:`FewShotTask` (or another reader) to check."""
     text = read_matrix(man["text_features"])
     _check_shape("text_features", text.shape, man["c"], man["d"])
-    text = _unit_rows("text_features", text)
-    engine._checked_norms("text_features", text)
-    return text
+    return _unit_rows("text_features", text)
 
 
 def _read_cache(man: dict) -> tuple[np.ndarray, np.ndarray]:

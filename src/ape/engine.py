@@ -86,8 +86,9 @@ class FewShotTask:
 
     def __post_init__(self):
         self.text_features = numkit.as_matrix(self.text_features, "text_features")
-        self.support_features = numkit._as_features(self.support_features, "support_features")
-        self.test_features = numkit._as_features(self.test_features, "test_features")
+        # float32 rows are checked finite by their norms, in the one pass below
+        self.support_features = numkit._as_features(self.support_features, "support_features", finite=False)
+        self.test_features = numkit._as_features(self.test_features, "test_features", finite=False)
         (c, d), (n_support, d_support) = self.text_features.shape, self.support_features.shape
         if c < 1 or n_support < c or n_support % c or d_support != d:
             raise ValueError(
@@ -131,11 +132,14 @@ def _checked_norms(name: str, m: np.ndarray) -> np.ndarray:
 
     Raises:
         ValueError: naming ``name`` if float64 rows are off unit norm by
-            more than 1e-6 or a float32 row is zero.
+            more than 1e-6, or float32 rows hold a non-finite entry (a
+            non-finite norm) or a zero row.
     """
     norms = numkit._row_norms(m)
     off = np.abs(norms - 1.0).max()
     if m.dtype == np.float32:
+        if not np.isfinite(norms).all():
+            raise ValueError(f"{name} contains non-finite entries")
         if off > 1e-4:
             warnings.warn(f"{name}: rows off unit norm by up to {off:.2e}; renormalizing")
         bad = (norms == 0.0).any()
@@ -242,13 +246,15 @@ def _divergences(s_ref, w_ref, temperature: float, classes: slice | None = None)
 
     The softmax runs in place on one reused block of the GEMM: only the
     true-class entry of each row is divided by its row sum, with the bits
-    of ``numkit._softmax``.
+    of ``numkit._softmax``.  The block takes about ``numkit._BLOCK_BYTES``,
+    or a quarter of it for a run of :func:`_support_runs`, whose keys and
+    tile hold the rest.
     """
     n, c = s_ref.shape[0], w_ref.shape[0]
+    blocks = numkit._row_blocks(n, c if classes is None else 4 * c)
     classes = slice(0, c) if classes is None else classes
     k = n // (classes.stop - classes.start)
     p_true = np.empty(n)
-    blocks = numkit._row_blocks(n, c)
     buf = np.empty((blocks[0].stop, c))
     for rows in blocks:
         z = np.matmul(s_ref[rows], w_ref.T, out=buf[: rows.stop - rows.start])
@@ -416,12 +422,22 @@ def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray
     return hits
 
 
-def _support_runs(task: FewShotTask, n: int, take):
-    """Yield ``(classes, plan, keys)`` for each class run of the tiles of ``n``
-    query rows: ``keys = take(m, norms)`` of the run's stored support rows and
-    norms, tiled by ``plan`` as the whole keys would be.  One run's keys exist at a
-    time, never all C*K rows, once the caller drops each run's keys before the next."""
+def _support_runs(task: FewShotTask, n: int, q: int, take):
+    """Yield ``(classes, plan, keys)`` for each class run of the support keys
+    of ``n`` query rows: ``keys = take(m, norms)`` of the run's stored support
+    rows and norms, ``q`` columns wide, tiled by ``plan`` in the row blocks of
+    :func:`_tile_plan`.  One run's keys exist at a time, never all C*K rows,
+    once the caller drops each run's keys before the next.
+
+    The runs split :func:`_tile_plan`'s further, evenly, until one run's
+    keys take at most half of ``numkit._BLOCK_BYTES``, and keep its rules:
+    no run of one key column unless C*K = 1, and no split of a one-row
+    product (a GEMV, whose sums depend on its key count)."""
     blocks, runs = _tile_plan(n, task.c, task.k)
+    if n > 1:
+        per_run = max(1, numkit._BLOCK_BYTES // (16 * task.k * q))  # classes in half a budget
+        count = min(max(len(runs), -(-task.c // per_run)), task.c if task.k > 1 else task.c // 2)
+        runs = numkit._even_slices(task.c, max(1, count))
     for cls in runs:
         rows = slice(task.k * cls.start, task.k * cls.stop)
         plan = (blocks, [slice(0, cls.stop - cls.start)])
@@ -441,7 +457,7 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
     def take(m, norms):
         return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
 
-    for cls, plan, keys in _support_runs(task, len(f_ref), take):
+    for cls, plan, keys in _support_runs(task, len(f_ref), mask.q, take):
         if w_ref is None:
             scores = np.ones(len(keys))
         else:

@@ -61,17 +61,23 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return _checked(np.asarray(values, dtype=np.float64), name)
 
 
-def _as_features(values, name: str) -> np.ndarray:
+def _as_features(values, name: str, finite: bool = True) -> np.ndarray:
     """:func:`as_matrix` that keeps a float32 array float32: stored feature
-    rows, which :func:`_unit64` widens and normalizes where they are used."""
+    rows, which :func:`_unit64` widens and normalizes where they are used.
+    ``finite=False`` skips the finiteness pass over float32 rows, for a
+    caller that checks their float64 :func:`_row_norms` instead: squares of
+    float32 values cannot overflow float64, so a finite norm means finite
+    entries."""
     m = np.asarray(values)
-    return _checked(m if m.dtype == np.float32 else np.asarray(m, dtype=np.float64), name)
+    if m.dtype == np.float32:
+        return _checked(m, name, finite)
+    return _checked(np.asarray(m, dtype=np.float64), name)
 
 
-def _checked(m: np.ndarray, name: str) -> np.ndarray:
+def _checked(m: np.ndarray, name: str, finite: bool = True) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not all(np.isfinite(blk).all() for _, blk in _stored_blocks(m)):  # no N x D mask
+    if finite and not all(np.isfinite(blk).all() for _, blk in _stored_blocks(m)):  # no N x D mask
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

@@ -287,6 +287,9 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
 
     Weight decay is decoupled: parameters shrink by lr_t * wd * param
     independently of the adaptive step, which uses bias-corrected moments.
+    Each update is written into two scratch buffers of its tensor's shape,
+    with the operations and order of the plain expressions, so its bits are
+    theirs without their temporaries.
     """
     d_res, d_scores = grads
     if d_res.shape != state.res.shape or d_scores.shape != state.scores.shape:
@@ -298,13 +301,20 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
         (state.res, d_res, state.m_res, state.v_res),
         (state.scores, d_scores, state.m_scores, state.v_scores),
     ):
+        a, b = np.empty_like(p), np.empty_like(p)
         if optim.weight_decay:
-            p -= lr_t * optim.weight_decay * p
+            p -= np.multiply(lr_t * optim.weight_decay, p, out=a)
         m *= optim.beta1
-        m += (1.0 - optim.beta1) * g
+        m += np.multiply(1.0 - optim.beta1, g, out=a)
         v *= optim.beta2
-        v += (1.0 - optim.beta2) * g * g
-        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + optim.eps)
+        np.multiply(1.0 - optim.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, bc1, out=a)  # lr_t * (m / bc1)
+        a *= lr_t
+        np.divide(v, bc2, out=b)  # / (sqrt(v / bc2) + eps)
+        np.sqrt(b, out=b)
+        b += optim.eps
+        p -= np.divide(a, b, out=a)
     state.step = t
     return state
 

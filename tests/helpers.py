@@ -103,6 +103,23 @@ def grads(state, f_batch, label_ids):
     return d_res, d_scores
 
 
+def adamw_reference(params, grad_list, moments, step, lr_t, optim):
+    """Reference AdamW update of each array in ``params`` in place, with its
+    gradient in ``grad_list`` and its (m, v) in ``moments``, by the plain
+    expressions that ``trainer.adamw_step`` must match bitwise; ``step`` is
+    the count after the update."""
+    bc1 = 1.0 - optim.beta1 ** step
+    bc2 = 1.0 - optim.beta2 ** step
+    for p, g, (m, v) in zip(params, grad_list, moments):
+        if optim.weight_decay:
+            p -= lr_t * optim.weight_decay * p
+        m *= optim.beta1
+        m += (1.0 - optim.beta1) * g
+        v *= optim.beta2
+        v += (1.0 - optim.beta2) * g * g
+        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + optim.eps)
+
+
 def holds_support(n):
     """Whether ``trainer.train`` holds the C*K x C*K support affinity of ``n`` support rows."""
     return 8 * n * n <= trainer._HELD_BLOCKS * numkit._BLOCK_BYTES

@@ -564,6 +564,34 @@ class TestFloat32Task:
             with pytest.raises(ValueError, match=f"^{role} rows must be unit-norm within 1e-6$"):
                 dataio.load_task(manifest)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("role", ["support_features", "test_features"])
+    def test_non_finite_entry_rejected_by_its_norm(self, tmp_path, role, value):
+        """A float32 payload is checked finite by its float64 row norms, with
+        the message the entrywise check gave."""
+        rng = np.random.default_rng(75)
+        task = random_task(rng, c=3, k=2, d=5)
+        manifest = dataio.save_task(task, tmp_path)
+        rows = getattr(task, role).copy()
+        rows[1, 2] = value
+        write_raw_apef(tmp_path / f"task_{role}.apef", rows)
+        with pytest.raises(ValueError, match=f"^{role} contains non-finite entries$"):
+            dataio.load_task(manifest)
+
+    def test_load_reads_each_payload_once_and_checks_text_once(self, tmp_path):
+        """``load_task`` makes one pass over each float32 payload (its norms)
+        and checks the text rows' norms once, in ``FewShotTask``."""
+        rng = np.random.default_rng(76)
+        manifest = dataio.save_task(random_task(rng, c=3, k=2, d=5), tmp_path)
+        with mock.patch.object(numkit, "_stored_blocks", wraps=numkit._stored_blocks) as blocks, \
+                mock.patch.object(engine, "_checked_norms", wraps=engine._checked_norms) as checks:
+            loaded = dataio.load_task(manifest)
+        for rows in (loaded.support_features, loaded.test_features):
+            assert sum(call.args[0] is rows for call in blocks.call_args_list) == 1
+        assert [call.args[0] for call in checks.call_args_list] == [
+            "text_features", "support_features", "test_features"
+        ]
+
     def test_loaded_task_maps_its_payloads(self, tmp_path):
         """Loading allocates only one float64 norm per support and test row,
         the C x D float64 text rows and the int64 test labels: the support

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -687,6 +688,96 @@ class TestStoredRowsWidenedWhereUsed:
             finally:
                 tracemalloc.stop()
         assert peak <= out.nbytes + 2 * 8 * rows * d
+
+
+def support_runs(task, n, q):
+    """The class runs ``engine._support_runs`` takes keys for, with no key taken."""
+    return [cls for cls, _, _ in engine._support_runs(task, n, q, lambda m, norms: None)]
+
+
+def shaped_task(c, k, d):
+    """A stand-in for a task of C x K support rows of width D, whose rows
+    take no memory: enough for ``engine._support_runs`` to plan its runs."""
+    rows = np.broadcast_to(np.float32(0.0), (c * k, d))
+    return SimpleNamespace(c=c, k=k, support_features=rows, support_norms=np.ones(c * k))
+
+
+class TestSupportRuns:
+    """``ape_logits`` takes its refined keys in class runs of at most half a
+    block budget, split finer than ``engine._tile_plan``'s runs where those
+    hold more, and scores them in softmax blocks of a quarter budget."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("stored", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_finer_runs_equal_the_single_run_bitwise(self, k, stored, seed):
+        rng = np.random.default_rng(seed)
+        c, n, d, q = 8, 12, 16, 8
+        task = (stored_task if stored else random_task)(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d))
+        cfg = EngineConfig(
+            alpha=float(rng.uniform(0.1, 2.0)),
+            beta=float(rng.uniform(0.0, 8.0)),
+            gamma=float(rng.uniform(0.1, 1.0)),
+            kl_sign=int(rng.choice([1, -1])),
+            kl_temperature=float(rng.uniform(0.5, 2.0)),
+        )
+        assert len(support_runs(task, n, d)) == 1
+        want = {"ape": engine.ape_logits(task, mask, cfg), "tip": tip_logits(task, cfg.alpha, cfg.beta)}
+        with block_budget(c * k, n):  # the tile plan keeps one run of all C classes
+            assert len(engine._tile_plan(n, c, k)[1]) == 1
+            assert len(support_runs(task, n, q)) > 1 and len(support_runs(task, n, d)) > 1
+            got = {"ape": engine.ape_logits(task, mask, cfg), "tip": tip_logits(task, cfg.alpha, cfg.beta)}
+        for name, expected in want.items():
+            assert got[name].tobytes() == expected.tobytes(), name
+
+    def test_peak_above_its_held_rows_is_about_one_budget(self):
+        """Past ``zs`` (its output) and the refined test and text rows,
+        ``_ape_core`` holds about one budget: a run's keys in half of it and
+        a tile, or a softmax block, in the rest.  Keys of the tile plan's one
+        run, a whole budget here, took about two."""
+        rng = np.random.default_rng(9)
+        c, k, n, d, q = 32, 16, 512, 512, 256
+        task = stored_task(rng, c=c, k=k, d=d, n_test=n)
+        mask = refine.ChannelMask(selected=np.arange(q), scores=np.zeros(d))
+        budget = c * k * q * 8  # the whole refined support
+        zs = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+        with mock.patch.object(numkit, "_BLOCK_BYTES", budget):
+            assert len(engine._tile_plan(n, c, k)[1]) == 1 and len(support_runs(task, n, q)) == 2
+            tracemalloc.start()
+            try:
+                engine._ape_core(zs, task, mask, EngineConfig())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        held = 8 * (n + c) * q  # f_ref and w_ref
+        assert peak - held < 1.25 * budget
+
+    def test_paper_shape_runs(self):
+        """At C=1000, K=16, N=2000 and Q=512 the tile plan's 5 runs of 200
+        classes become 16 runs of 62 or 63, whose keys fit half the 8 MiB
+        budget; a run's softmax takes blocks of a quarter budget.  At the
+        desk's C=100 the trainer's and the grid search's softmax of all 1600
+        support rows is one block."""
+        runs = support_runs(shaped_task(1000, 16, 1024), 2000, 512)
+        assert len(engine._tile_plan(2000, 1000, 16)[1]) == 5
+        assert len(runs) == 16 and {r.stop - r.start for r in runs} == {62, 63}
+        assert runs == numkit._even_slices(1000, 16)
+        assert all(8 * 16 * (r.stop - r.start) * 512 <= numkit._BLOCK_BYTES // 2 for r in runs)
+
+        rng = np.random.default_rng(10)
+        row_blocks, plans = numkit._row_blocks, []
+
+        def spy(n, cols):
+            plans.append(row_blocks(n, cols))
+            return plans[-1]
+
+        for c, n, classes in ((1000, 16 * 63, slice(0, 63)), (100, 1600, None)):
+            s_ref, w_ref = unit_rows(rng, n, 8), unit_rows(rng, c, 8)
+            with mock.patch.object(numkit, "_row_blocks", spy):
+                engine._divergences(s_ref, w_ref, 1.0, classes)
+        assert 8 * plans[0][0].stop * 1000 <= numkit._BLOCK_BYTES // 4
+        assert len(plans) == 2 and len(plans[0]) == 4 and plans[1] == [slice(0, 1600)]
 
 
 class TestPredictAccuracy:

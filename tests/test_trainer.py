@@ -22,6 +22,7 @@ from ape import engine, numkit, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
 from helpers import (
+    adamw_reference,
     block_budget,
     frozen_checksum,
     grads,
@@ -566,6 +567,26 @@ class TestAdamWStep:
         trainer.adamw_step(state, (np.zeros((1, 1)), np.zeros(1)), 0.01, optim)
         np.testing.assert_allclose(state.res[0, 0], 0.999, rtol=1e-15)
         np.testing.assert_allclose(state.scores[0], 0.999, rtol=1e-15)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_the_plain_expressions_bitwise(self, weight_decay):
+        """The scratch-buffer update keeps the bits of the expressions it
+        replaced, over many steps and both learnable tensors."""
+        rng = np.random.default_rng(42)
+        state = self.make_state(rng.standard_normal((6, 5)), rng.standard_normal(12))
+        optim = OptimConfig(lr=1e-2, weight_decay=weight_decay)
+        params = [state.res.copy(), state.scores.copy()]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        for step in range(1, 31):
+            step_grads = (rng.standard_normal((6, 5)), 1e-3 * rng.standard_normal(12))
+            lr_t = trainer.cosine_lr(step - 1, 30, optim.lr)
+            trainer.adamw_step(state, step_grads, lr_t, optim)
+            adamw_reference(params, step_grads, moments, step, lr_t, optim)
+            got = (state.res, state.scores, state.m_res, state.v_res, state.m_scores, state.v_scores)
+            want = (*params, *moments[0], *moments[1])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        assert state.step == 30
 
     def test_moment_decays_and_eps_are_fixed(self):
         assert (OptimConfig.beta1, OptimConfig.beta2, OptimConfig.eps) == (0.9, 0.999, 1e-8)
