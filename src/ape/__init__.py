@@ -24,7 +24,6 @@ from .numkit import ZeroRowWarning, l2_normalize_rows
 from .refine import (
     ChannelMask,
     CriterionVector,
-    apply_mask,
     blend_criteria,
     full_mask,
     inter_class_similarity,
@@ -41,7 +40,6 @@ from .trainer import (
     forward,
     init_state,
     load_checkpoint,
-    param_count,
     save_checkpoint,
     train,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "accuracy",
     "adamw_step",
     "ape_logits",
-    "apply_mask",
     "blend_criteria",
     "cache_affinity",
     "cache_scores",
@@ -75,7 +72,6 @@ __all__ = [
     "load_checkpoint",
     "load_mask",
     "load_task",
-    "param_count",
     "predict",
     "read_matrix",
     "save_checkpoint",

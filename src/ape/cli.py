@@ -222,8 +222,8 @@ def grid_search(
         numkit._release(task.support_features)  # both gathers are copies
 
     refine._check_width(mask, task.d)
-    zs = zero_shot_logits(test, task.text_features, t_norms)
-    w_ref = refine._take_channels(task.text_features, mask.selected, base_cfg.renormalize)
+    zs = zero_shot_logits(test, task.text_features, t_norms, task.text_norms)
+    w_ref = refine._take_channels(task.text_features, mask.selected, base_cfg.renormalize, task.text_norms)
     s_ref = refine._take_channels(support, mask.selected, base_cfg.renormalize, s_norms)
     f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)
     divergences = _divergences(s_ref, w_ref, base_cfg.kl_temperature)
@@ -239,12 +239,12 @@ def cmd_refine(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         raise UsageError(f"lambda must lie in [0, 1], got {args.lam}")
     text = dataio._read_text(dataio.read_manifest(args.task))  # the only rows refinement reads
-    _checked_norms("text_features", text)
-    d = text.shape[1]
+    w = numkit._unit64(text, _checked_norms("text_features", text))
+    d = w.shape[1]
     if not 1 <= args.q <= d:
         raise UsageError(f"--q must lie in [1, {d}], got {args.q}")
-    sim = refine.inter_class_similarity(text)
-    var = refine.inter_class_variance(text)
+    sim = refine.inter_class_similarity(w)
+    var = refine.inter_class_variance(w)
     mask = refine.select_channels(sim, var, args.lam, args.q)
     refine.save_mask(args.out, mask, args.lam)
     order = np.argsort(mask.scores, kind="stable")
@@ -262,7 +262,7 @@ def cmd_infer(args) -> int:
     started = time.perf_counter()
     task, mask, mask_lam = _task_and_mask(args)
     cfg = _engine_config(args)
-    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
     labels = task.test_labels
     acc = dict.fromkeys(("zero_shot", "tip_adapter", "ape"))
     if labels is not None:

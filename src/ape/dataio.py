@@ -7,11 +7,11 @@ happens once at write time, so write -> read round trips are bitwise
 stable.  A task manifest is a small ``key = value`` text file mapping
 dataset roles to APEF paths.
 
-A loaded task keeps its support and test rows as read-only float32 views
-of the files, mapped, plus one float64 norm per row.  Each consumer widens
-and normalizes the rows it uses (``numkit._unit64``), so they are bitwise
-the rows a float64 load would re-normalize, and drops the file pages of
-each row block once it is done with them (``numkit._release``).
+A loaded task keeps its text, support and test rows as read-only float32
+views of the files, mapped, plus one float64 norm per row.  Each consumer
+widens and normalizes the rows it uses (``numkit._unit64``), so they are
+bitwise the rows a float64 load would re-normalize, and drops the file
+pages of each row block once it is done with them (``numkit._release``).
 
 The manifest's ``support_labels`` file (a C*K x C one-hot matrix) is part
 of the on-disk format only: it is validated on load and written on save,
@@ -32,7 +32,6 @@ import contextlib
 import mmap
 import os
 import struct
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,24 +260,13 @@ def _check_labels(path, c: int, k: int) -> None:
         )
 
 
-def _unit_rows(role: str, m: np.ndarray) -> np.ndarray:
-    """Re-normalize freshly read feature rows in place, warning when they
-    drift more than 1e-4."""
-    norms = numkit._row_norms(m)
-    drift = np.abs(norms - 1.0).max() if m.size else 0.0
-    if drift > 1e-4:
-        warnings.warn(f"{role}: rows off unit norm by up to {drift:.2e}; renormalizing")
-    return numkit._normalize_rows_inplace(m, norms)
-
-
 def load_task(manifest_path) -> FewShotTask:
     """Assemble and validate a few-shot task from a manifest: its cache
     (:func:`_read_cache`) and its split (:func:`_read_split`).
 
-    Feature rows are re-normalized (float32 storage wiggles the norms); a
-    warning is emitted when any row is off by more than 1e-4.  Text rows
-    are widened and re-normalized here; support and test rows stay the
-    read-only float32 payloads, which the task reads normalized.
+    Feature rows stay the read-only float32 payloads, which the task reads
+    normalized (float32 storage wiggles the norms); a warning is emitted
+    when any row is off by more than 1e-4.
     The support label file is validated on its float32 payload and then
     dropped: the task's class-major row order carries the same information.
 
@@ -292,15 +280,15 @@ def load_task(manifest_path) -> FewShotTask:
 
 
 def _read_text(man: dict) -> np.ndarray:
-    """The manifest's C x D text rows, widened and re-normalized; their unit
-    norms are left for :class:`FewShotTask` (or another reader) to check."""
-    text = read_matrix(man["text_features"])
+    """The manifest's C x D float32 text payload; its norms are left for
+    :class:`FewShotTask` (or another reader) to check."""
+    text = _read_payload(man["text_features"])
     _check_shape("text_features", text.shape, man["c"], man["d"])
-    return _unit_rows("text_features", text)
+    return text
 
 
 def _read_cache(man: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The manifest's text rows and its C*K x D float32 support payload,
+    """The manifest's C x D text and C*K x D support float32 payloads,
     once the support label file passes its check."""
     text = _read_text(man)
     support = _read_payload(man["support_features"])
@@ -331,7 +319,7 @@ def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     roles = {
-        "text_features": task.text_features,
+        "text_features": numkit._unit64(task.text_features, task.text_norms),
         "support_features": numkit._unit64(task.support_features, task.support_norms),
         "support_labels": None,  # written by row blocks, see _write_labels
         "test_features": numkit._unit64(task.test_features, task.test_norms),

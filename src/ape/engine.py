@@ -70,23 +70,24 @@ class FewShotTask:
     Support rows are grouped class-major: row c*K + j is the j-th shot of
     class c, which is all the support labels say.  C and D are the text
     shape; K is support rows // C.  Float64 feature rows must be unit-norm.
-    Support and test rows may instead be float32, as stored on disk (zero
-    rows rejected): they stay float32 and stand for their normalized float64
-    widening, ``numkit._unit64`` with the norms derived here (a warning
-    names a role whose rows are off unit norm by more than 1e-4).
+    Text, support and test rows may instead be float32, as stored on disk
+    (zero rows rejected): they stay float32 and stand for their normalized
+    float64 widening, ``numkit._unit64`` with the norms derived here (a
+    warning names a role whose rows are off unit norm by more than 1e-4).
     """
 
     text_features: np.ndarray      # C x D
     support_features: np.ndarray   # C*K x D
     test_features: np.ndarray      # N x D
     test_labels: np.ndarray | None  # N class ids, optional
-    # float64 norm of each support and test row, derived, never passed in
+    # float64 norm of each text, support and test row, derived, never passed in
+    text_norms: np.ndarray = field(init=False, repr=False)
     support_norms: np.ndarray = field(init=False, repr=False)
     test_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.text_features = numkit.as_matrix(self.text_features, "text_features")
         # float32 rows are checked finite by their norms, in the one pass below
+        self.text_features = numkit._as_features(self.text_features, "text_features", finite=False)
         self.support_features = numkit._as_features(self.support_features, "support_features", finite=False)
         self.test_features = numkit._as_features(self.test_features, "test_features", finite=False)
         (c, d), (n_support, d_support) = self.text_features.shape, self.support_features.shape
@@ -99,7 +100,7 @@ class FewShotTask:
             raise ValueError(
                 f"test_features must be N x {d} with N >= 1, got {self.test_features.shape}"
             )
-        _checked_norms("text_features", self.text_features)
+        self.text_norms = _checked_norms("text_features", self.text_features)
         self.support_norms = _checked_norms("support_features", self.support_features)
         self.test_norms = _checked_norms("test_features", self.test_features)
         if self.test_labels is not None:
@@ -155,24 +156,27 @@ def _are_class_ids(labels: np.ndarray, c: int) -> bool:
     return bool(((labels >= 0) & (labels < c) & (labels == np.round(labels))).all())
 
 
-def zero_shot_logits(f_batch, w, norms=None) -> np.ndarray:
+def zero_shot_logits(f_batch, w, norms=None, w_norms=None) -> np.ndarray:
     """Cosine logits between test rows and class prototypes: f @ w.T.
 
     For unit rows every entry lies in [-1, 1].  Float32 rows are stored
     features: they are widened and normalized first, as ``FewShotTask``
-    reads them, by ``norms`` (their float64 row norms, such as a task's
-    ``test_norms``) when given, one ``numkit._row_blocks`` block at a time
-    into the N x C output, so no float64 copy of all N rows exists.
+    reads them, by ``norms`` and ``w_norms`` (their float64 row norms, such
+    as a task's ``test_norms`` and ``text_norms``) when given.  Test rows
+    go one ``numkit._row_blocks`` block at a time into the N x C output, so
+    no float64 copy of all N rows exists; float32 prototypes are widened
+    whole, for this product only.
 
     Raises:
         ValueError: on feature-dimension mismatch.
     """
     f_batch = numkit._as_features(f_batch, "f_batch")
-    w = numkit.as_matrix(w, "w")
+    w = numkit._as_features(w, "w")
     if f_batch.shape[1] != w.shape[1]:
         raise ValueError(
             f"feature dims differ: {f_batch.shape[1]} vs {w.shape[1]}"
         )
+    w = numkit._unit64(w, w_norms)
     if f_batch.dtype != np.float32:
         return f_batch @ w.T
     norms = numkit._row_norms(f_batch) if norms is None else norms
@@ -452,11 +456,11 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
     At gamma = 0 every score is exp(+-0 * divergence) = 1 exactly, as the
     divergences are finite, so their GEMM is skipped: under every channel,
     no renormalization and gamma = 0 this is the Tip-Adapter baseline."""
-    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize) if cfg.gamma else None
-    f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
     def take(m, norms):
         return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
 
+    w_ref = take(task.text_features, task.text_norms) if cfg.gamma else None
+    f_ref = take(task.test_features, task.test_norms)
     for cls, plan, keys in _support_runs(task, len(f_ref), mask.q, take):
         if w_ref is None:
             scores = np.ones(len(keys))
@@ -479,7 +483,7 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
         ValueError: if the mask does not cover the task's D channels.
     """
     refine._check_width(mask, task.d)
-    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms)
+    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
     return _ape_core(zs, task, mask, cfg)
 
 

@@ -139,14 +139,20 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     """Float64 Euclidean norm of each row of a 2-D float64 or float32 matrix.
 
     Bitwise equal to ``np.sqrt((w * w).sum(axis=1))`` for ``w`` the
-    C-ordered float64 widening of ``m``, with one block of squares in
-    place of an N x D temporary.
+    C-ordered float64 widening of ``m``: each row is summed on its own, so
+    the squares are taken a few rows at a time (about 1/64 of
+    ``_BLOCK_BYTES``) within each :func:`_stored_blocks` block, never an
+    N x D temporary or a whole block of them.
     """
     norms = np.empty(m.shape[0])
-    squares = np.empty((_row_blocks(*m.shape)[0].stop, m.shape[1]))
-    for rows, blk in _stored_blocks(m):
-        sq = np.multiply(blk, blk, out=squares[: rows.stop - rows.start], dtype=np.float64)
-        sq.sum(axis=1, out=norms[rows])
+    step = max(1, _BLOCK_BYTES // (64 * 8 * max(m.shape[1], 1)))
+    squares = np.empty((min(step, m.shape[0]), m.shape[1]))
+    for rows, _ in _stored_blocks(m):
+        for lo in range(rows.start, rows.stop, step):
+            sub = slice(lo, min(lo + step, rows.stop))
+            sq = squares[: sub.stop - sub.start]
+            sq[...] = m[sub]  # widened by the copy, so the product needs no cast buffers
+            np.multiply(sq, sq, out=sq).sum(axis=1, out=norms[sub])
     return np.sqrt(norms, out=norms)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "inter_class_variance",
     "blend_criteria",
     "select_channels",
-    "apply_mask",
     "full_mask",
     "save_mask",
     "load_mask",
@@ -93,13 +92,15 @@ def inter_class_similarity(w) -> CriterionVector:
     classes (i, j) of w[i, k] * w[j, k].  Because the prototype rows are
     L2-normalized, summing these scores over any channel subset equals the
     average pairwise cosine similarity restricted to that subset, so the
-    criterion decomposes exactly per channel.
+    criterion decomposes exactly per channel.  Float32 rows are stored
+    prototypes, widened and normalized first (``numkit._unit64``), as a
+    loaded task reads them.
 
     Raises:
         ValueError: if fewer than two classes, or rows are not unit-norm
             within 1e-6.
     """
-    w = numkit.as_matrix(w, "w")
+    w = numkit._unit64(numkit._as_features(w, "w"))
     c = w.shape[0]
     if c < 2:
         raise ValueError("inter-class similarity needs at least 2 classes")
@@ -112,8 +113,9 @@ def inter_class_similarity(w) -> CriterionVector:
 
 
 def inter_class_variance(w) -> CriterionVector:
-    """Per-channel population variance of the prototype values across classes."""
-    w = numkit.as_matrix(w, "w")
+    """Per-channel population variance of the prototype values across
+    classes; float32 rows are widened and normalized first, as above."""
+    w = numkit._unit64(numkit._as_features(w, "w"))
     if w.shape[0] < 2:
         raise ValueError("inter-class variance needs at least 2 classes")
     return CriterionVector("variance", np.var(w, axis=0))
@@ -178,17 +180,6 @@ def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=
     if renormalize:
         numkit._normalize_rows_inplace(out)
     return out
-
-
-def apply_mask(m, mask: ChannelMask, renormalize: bool = True) -> np.ndarray:
-    """Project ``m`` onto the mask's selected channels.
-
-    Raises:
-        ValueError: if ``m`` does not have ``mask.d_total`` columns.
-    """
-    m = numkit.as_matrix(m, "m")
-    _check_width(mask, m.shape[1])
-    return _take_channels(m, mask.selected, renormalize)
 
 
 def _check_width(mask: ChannelMask, d: int) -> None:

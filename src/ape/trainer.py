@@ -40,7 +40,6 @@ from .engine import (
 __all__ = [
     "OptimConfig",
     "TrainState",
-    "param_count",
     "init_state",
     "forward",
     "cross_entropy",
@@ -57,7 +56,8 @@ _CFG_BLOCK = struct.Struct("<dddqd?")
 # The learnables and their moments in checkpoint order: each *res is C x Q, each *scores C*K.
 _LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
 # The frozen context: set once, at construction; its arrays are read-only views.
-_FROZEN = ("mask_idx", "w", "support_features", "support_norms", "cfg", "f_support_refined", "support_scale")
+_FROZEN = ("mask_idx", "text_features", "text_norms", "support_features", "support_norms", "cfg",
+           "w", "f_support_refined", "support_scale")
 # Snapshots per class-sum call in the history: at C=100 and 625-row tiles
 # their sums take 2 MB, where 8 (the padded width) raised a desk train's peak RSS by 4%.
 _SNAPSHOT_GROUP = 4
@@ -99,7 +99,8 @@ class OptimConfig:
 class TrainState:
     """Learnable tensors, their optimizer moments, and the read-only frozen
     context with its engine config, from which every construction (``replace``
-    too) derives the refined support rows; sizes C, K, Q and D come from the arrays."""
+    too) derives the float64 prototypes and the refined support rows; sizes
+    C, K, Q and D come from the arrays."""
 
     # learnable
     res: np.ndarray        # C x Q class residuals
@@ -112,17 +113,21 @@ class TrainState:
     step: int
     # frozen context: read-only views of the caller's arrays, never copies
     mask_idx: np.ndarray           # Q selected channel indices
-    w: np.ndarray                  # C x D text prototypes
+    text_features: np.ndarray      # C x D text rows, float64 or stored float32
+    text_norms: np.ndarray         # C float64 norms of the text rows
     support_features: np.ndarray   # C*K x D support rows, class-major
     support_norms: np.ndarray      # C*K float64 norms of the support rows
     cfg: EngineConfig              # alpha, beta and refinement of every pass
-    # derived from the mask, the support rows and norms and cfg; not saved
+    # derived from the frozen context above; not saved
+    w: np.ndarray = field(init=False, repr=False)                  # C x D float64 prototypes
     f_support_refined: np.ndarray = field(init=False, repr=False)  # C*K x Q
     support_scale: np.ndarray = field(init=False, repr=False)      # C*K r of the support rows (see _refine)
 
     def __post_init__(self):
-        if self.res.shape != (len(self.w), len(self.mask_idx)) or self.scores.shape != (len(self.support_features),):
+        c, q, n = len(self.text_features), len(self.mask_idx), len(self.support_features)
+        if self.res.shape != (c, q) or self.scores.shape != (n,):
             raise ValueError("the learnables do not fit the frozen context: res must be C x Q and scores C*K")
+        self.w = numkit._unit64(self.text_features, self.text_norms)
         self.f_support_refined, self.support_scale = _refine(
             self.support_features, self.mask_idx, self.cfg.renormalize, self.support_norms
         )
@@ -152,24 +157,21 @@ class TrainState:
         return self.w.shape[1]
 
     def param_count(self) -> int:
-        return param_count(self.c, self.q, self.k)
-
-
-def param_count(c: int, q: int, k: int) -> int:
-    """Number of learnable scalars: C*Q residuals plus C*K cache scores."""
-    if c < 1 or q < 1 or k < 1:
-        raise ValueError("counts must be positive")
-    return c * q + c * k
+        """Number of learnable scalars: C*Q residuals plus C*K cache scores."""
+        if not (self.res.size and self.scores.size):
+            raise ValueError("counts must be positive")
+        return self.res.size + self.scores.size
 
 
 def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> TrainState:
     """Fresh state: zero residuals and cache scores from the frozen model;
     its forward pass reproduces the training-free logits bitwise."""
     refine._check_width(mask, task.d)
-    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize)
+    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize, task.text_norms)
     zeros = {name: np.zeros(task.c * task.k if name.endswith("scores") else (task.c, mask.q)) for name in _LEARNED}
-    state = TrainState(**zeros, step=0, mask_idx=mask.selected, w=task.text_features,
-                       support_features=task.support_features, support_norms=task.support_norms, cfg=cfg)
+    state = TrainState(**zeros, step=0, mask_idx=mask.selected, text_features=task.text_features,
+                       text_norms=task.text_norms, support_features=task.support_features,
+                       support_norms=task.support_norms, cfg=cfg)
     state.scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(state.f_support_refined, w_ref, cfg.kl_temperature))
     return state
 
@@ -535,5 +537,6 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
     if (learned["v_res"] < 0).any() or (learned["v_scores"] < 0).any():
         raise ValueError(f"checkpoint holds negative second moments: {path}")
 
-    return TrainState(**learned, step=int(step), mask_idx=raw_idx.astype(np.int64), w=task.text_features,
-                      support_features=task.support_features, support_norms=task.support_norms, cfg=cfg)
+    return TrainState(**learned, step=int(step), mask_idx=raw_idx.astype(np.int64), text_features=task.text_features,
+                      text_norms=task.text_norms, support_features=task.support_features,
+                      support_norms=task.support_norms, cfg=cfg)

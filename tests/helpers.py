@@ -45,10 +45,10 @@ def random_task(rng, c=3, k=2, d=8, n_test=5, with_labels=True):
 
 
 def stored_task(rng, c=3, k=2, d=8, n_test=5):
-    """:func:`random_task` with float32 support and test rows, as a loaded task holds them."""
+    """:func:`random_task` with float32 text, support and test rows, as a loaded task holds them."""
     task = random_task(rng, c=c, k=k, d=d, n_test=n_test)
     return FewShotTask(
-        task.text_features,
+        task.text_features.astype(np.float32),
         task.support_features.astype(np.float32),
         task.test_features.astype(np.float32),
         task.test_labels,
@@ -73,6 +73,20 @@ def load_task_float64(manifest_path):
     return FewShotTask(**rows, test_labels=labels)
 
 
+def apply_mask(m, mask, renormalize=True):
+    """The rows ``m`` (checked float64) on the mask's channels, optionally
+    re-normalized: the channel take the engine runs, for the tests' references."""
+    m = numkit.as_matrix(m, "m")
+    refine._check_width(mask, m.shape[1])
+    return refine._take_channels(m, mask.selected, renormalize)
+
+
+def param_count(c, q, k):
+    """Learnable scalars of a state of C classes, Q channels and K shots:
+    C*Q residuals plus C*K cache scores."""
+    return c * q + c * k
+
+
 def tip_config(alpha, beta):
     """The engine config under which ``_ape_core`` is the Tip-Adapter baseline."""
     return engine.EngineConfig(alpha, beta, gamma=0.0, renormalize=False)
@@ -90,7 +104,7 @@ def tip_reference(task, alpha, beta):
     """Reference Tip-Adapter logits (Zhang et al., ECCV 2022) by the one-hot
     formula zs + alpha * exp(-beta * (1 - f @ F.T)) @ L over the widened
     full-width test rows f and support rows F, L the C*K x C one-hot labels."""
-    f, s, w = widened(task.test_features), widened(task.support_features), task.text_features
+    f, s, w = widened(task.test_features), widened(task.support_features), numkit._unit64(task.text_features)
     return f @ w.T + alpha * np.exp(-beta * (1.0 - f @ s.T)) @ one_hot_labels(task.c, task.k)
 
 
@@ -279,8 +293,8 @@ def frozen_checksum(state):
     """Digest over the frozen context, the engine config included; it must
     not change across training."""
     h = hashlib.sha256()
-    for arr in (state.mask_idx, state.w, state.support_features, state.support_norms, state.f_support_refined,
-                state.support_scale):
+    for arr in (state.mask_idx, state.text_features, state.text_norms, state.w, state.support_features,
+                state.support_norms, state.f_support_refined, state.support_scale):
         h.update(arr.tobytes())
     h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
     h.update(repr(astuple(state.cfg)).encode())

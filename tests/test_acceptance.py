@@ -19,7 +19,7 @@ from ape import dataio, engine, numkit, refine, trainer
 from ape.cli import grid_search
 from ape.engine import EngineConfig
 from ape.trainer import OptimConfig
-from helpers import grads, random_task, tip_reference, unit_rows
+from helpers import grads, param_count, random_task, tip_reference, unit_rows
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -141,7 +141,7 @@ def test_criterion_3_gradient_check():
 
 def test_criterion_4_parameter_accounting():
     """Learnable parameter counts line up with the documented budgets."""
-    count = trainer.param_count(1000, 500, 16)
+    count = param_count(1000, 500, 16)
     assert count == 516_000
     assert abs(count / 1e6 - 0.51) < 0.01  # 0.51 M budget at two-figure rounding
     baseline = 16_000 * 1024  # full-cache fine-tuning comparison point
@@ -247,7 +247,8 @@ def test_criterion_7_scheduler_and_optimizer_contracts():
         v_scores=np.zeros(1),
         step=0,
         mask_idx=np.arange(1),
-        w=np.zeros((1, 1)),
+        text_features=np.zeros((1, 1)),
+        text_norms=np.zeros(1),
         support_features=np.ones((1, 1)),
         support_norms=np.ones(1),
         cfg=EngineConfig(),

@@ -24,6 +24,7 @@ from helpers import (
     block_budget,
     brute_force_grid,
     holdout_split_loop,
+    param_count,
     random_task,
     tip_config,
     tip_reference,
@@ -283,7 +284,7 @@ class TestTrainCommand:
         assert rc == 0
         kv = read_kv(report)
         # 6 classes * 24 channels + 6 classes * 4 shots
-        assert kv["params.ape_t"] == str(trainer.param_count(6, 24, 4))
+        assert kv["params.ape_t"] == str(param_count(6, 24, 4))
         assert ckpt.exists()
         assert "epoch" in report.read_text()
 

@@ -161,7 +161,7 @@ class TestTaskManifest:
         labels = dataio.read_matrix(tmp_path / "task_support_labels.apef")
         assert labels.tobytes() == one_hot_labels(task.c, task.k).tobytes()
         # feature rows survive one float32 quantization plus re-normalization
-        np.testing.assert_allclose(loaded.text_features, task.text_features, atol=1e-6)
+        np.testing.assert_allclose(numkit._unit64(loaded.text_features), task.text_features, atol=1e-6)
         # a second round trip is exact
         manifest2 = dataio.save_task(loaded, tmp_path / "again")
         again = dataio.load_task(manifest2)
@@ -229,18 +229,25 @@ class TestTaskManifest:
         task = random_task(rng, c=3, k=2, d=5)
         manifest = dataio.save_task(task, tmp_path)
         dataio.write_matrix(tmp_path / "task_text_features.apef", task.text_features * 1.01)
-        with pytest.warns(UserWarning, match="renormalizing"):
+        with pytest.warns(UserWarning, match="^text_features: rows off unit norm by up to .+; renormalizing$"):
             loaded = dataio.load_task(manifest)
-        np.testing.assert_allclose(np.linalg.norm(loaded.text_features, axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(loaded.text_norms, 1.01, atol=1e-6)
+        rows = numkit._unit64(loaded.text_features, loaded.text_norms)
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-9)
+        assert engine.zero_shot_logits(loaded.test_features, loaded.text_features).tobytes() == (
+            engine.zero_shot_logits(load_task_float64(manifest).test_features, rows).tobytes()
+        )
 
-    def test_unit_rows_takes_one_norm_pass(self):
-        m = np.random.default_rng(60).standard_normal((7, 5))
-        want = numkit._normalize_rows_inplace(m.copy())
+    def test_each_role_takes_one_norm_pass(self, tmp_path):
+        """Load takes each role's row norms once, text rows included, and the
+        task keeps them: a widening that is passed them takes none."""
+        manifest = dataio.save_task(random_task(np.random.default_rng(60), c=3, k=2, d=5), tmp_path)
         with mock.patch.object(numkit, "_row_norms", wraps=numkit._row_norms) as spy:
-            with pytest.warns(UserWarning, match="renormalizing"):
-                got = dataio._unit_rows("text_features", m)
-        assert spy.call_count == 1
-        assert got is m and got.tobytes() == want.tobytes()
+            loaded = dataio.load_task(manifest)
+            assert [call.args[0].shape for call in spy.call_args_list] == [(3, 5), (6, 5), (5, 5)]
+            numkit._unit64(loaded.text_features, loaded.text_norms)
+            assert spy.call_count == 3
+        assert loaded.text_norms.tobytes() == numkit._row_norms(loaded.text_features).tobytes()
 
     @pytest.mark.parametrize("key", ["C", "K", "D"])
     @pytest.mark.parametrize("value", ["three", "0", "-2", "2.5"])
@@ -363,9 +370,9 @@ class TestLabelCheck:
         spy = mock.Mock(wraps=dataio.read_matrix)
         with mock.patch.object(dataio, "read_matrix", spy):
             dataio.load_task(manifest)
-        read = {call.args[0].name for call in spy.call_args_list}
-        # support and test rows stay float32 payloads too; only these widen
-        assert read == {f"task_{role}.apef" for role in ("text_features", "test_labels")}
+        read = [call.args[0].name for call in spy.call_args_list]
+        # text, support and test rows stay float32 payloads too; only the test labels widen
+        assert read == ["task_test_labels.apef"]
 
     @settings(max_examples=200, deadline=None)
     @given(case=perturbed_labels(changes=2))
@@ -467,12 +474,13 @@ class TestGenSynthetic:
 @st.composite
 def stored_tasks(draw):
     """A labelled float64 task to write with ``save_task``, one of whose
-    support rows and one test row are one-hot: such a row has norm exactly 1
-    in float32 too, so it passes through the 1e-12 band unnormalized."""
+    text, support and test rows each are one-hot: such a row has norm
+    exactly 1 in float32 too, so it passes through the 1e-12 band
+    unnormalized."""
     c, k, d, n = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(4, 9)), draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     task = random_task(rng, c=c, k=k, d=d, n_test=n)
-    for rows in (task.support_features, task.test_features):
+    for rows in (task.text_features, task.support_features, task.test_features):
         rows[rng.integers(len(rows))] = np.eye(d)[rng.integers(d)]
     q = draw(st.integers(1, d))
     mask = refine.ChannelMask(selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d))
@@ -480,8 +488,8 @@ def stored_tasks(draw):
 
 
 class TestFloat32Task:
-    """A loaded task keeps its support and test rows as the float32 payload
-    and stands for the rows a float64 load re-normalizes, bit for bit."""
+    """A loaded task keeps its text, support and test rows as the float32
+    payload and stands for the rows a float64 load re-normalizes, bit for bit."""
 
     CONFIGS = (
         EngineConfig(),
@@ -495,8 +503,10 @@ class TestFloat32Task:
         task, mask = case
         manifest = dataio.save_task(task, tmp_path)
         got, want = dataio.load_task(manifest), load_task_float64(manifest)
-        assert got.support_features.dtype == got.test_features.dtype == np.float32
-        assert want.support_features.dtype == want.test_features.dtype == np.float64
+        assert got.text_features.dtype == got.support_features.dtype == got.test_features.dtype == np.float32
+        assert want.text_features.dtype == want.support_features.dtype == want.test_features.dtype == np.float64
+        for criterion in (refine.inter_class_similarity, refine.inter_class_variance):
+            assert criterion(got.text_features).values.tobytes() == criterion(want.text_features).values.tobytes()
         for cfg in self.CONFIGS:
             assert engine.ape_logits(got, mask, cfg).tobytes() == engine.ape_logits(want, mask, cfg).tobytes()
         assert tip_logits(got, 1.0, 5.5).tobytes() == tip_logits(want, 1.0, 5.5).tobytes()
@@ -529,7 +539,8 @@ class TestFloat32Task:
         task = random_task(rng, c=3, k=2, d=6, n_test=4)
         manifest = dataio.save_task(task, tmp_path / "a")
         # rows 1e-3 off unit norm: the stored payload is not what the task stands for
-        dataio.write_matrix(tmp_path / "a" / "task_support_features.apef", task.support_features * 1.001)
+        for role in ("text_features", "support_features"):
+            dataio.write_matrix(tmp_path / "a" / f"task_{role}.apef", getattr(task, role) * 1.001)
         with pytest.warns(UserWarning, match="renormalizing"):
             loaded = dataio.load_task(manifest)
         dataio.save_task(loaded, tmp_path / "got")
@@ -537,8 +548,9 @@ class TestFloat32Task:
         for role in ("text_features", "support_features", "test_features", "test_labels"):
             got = (tmp_path / "got" / f"task_{role}.apef").read_bytes()
             assert got == (tmp_path / "want" / f"task_{role}.apef").read_bytes(), role
-        raw = (tmp_path / "a" / "task_support_features.apef").read_bytes()
-        assert raw != (tmp_path / "got" / "task_support_features.apef").read_bytes()
+        for role in ("text_features", "support_features"):
+            raw = (tmp_path / "a" / f"task_{role}.apef").read_bytes()
+            assert raw != (tmp_path / "got" / f"task_{role}.apef").read_bytes(), role
 
     def test_drifting_rows_warn_with_the_role(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -552,7 +564,7 @@ class TestFloat32Task:
             engine.zero_shot_logits(load_task_float64(manifest).test_features, loaded.text_features).tobytes()
         )
 
-    @pytest.mark.parametrize("role", ["support_features", "test_features"])
+    @pytest.mark.parametrize("role", ["text_features", "support_features", "test_features"])
     def test_zero_row_rejected(self, tmp_path, role):
         rng = np.random.default_rng(72)
         task = random_task(rng, c=3, k=2, d=5)
@@ -565,7 +577,7 @@ class TestFloat32Task:
                 dataio.load_task(manifest)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("role", ["support_features", "test_features"])
+    @pytest.mark.parametrize("role", ["text_features", "support_features", "test_features"])
     def test_non_finite_entry_rejected_by_its_norm(self, tmp_path, role, value):
         """A float32 payload is checked finite by its float64 row norms, with
         the message the entrywise check gave."""
@@ -580,22 +592,22 @@ class TestFloat32Task:
 
     def test_load_reads_each_payload_once_and_checks_text_once(self, tmp_path):
         """``load_task`` makes one pass over each float32 payload (its norms)
-        and checks the text rows' norms once, in ``FewShotTask``."""
+        and checks each role's norms once, in ``FewShotTask``."""
         rng = np.random.default_rng(76)
         manifest = dataio.save_task(random_task(rng, c=3, k=2, d=5), tmp_path)
         with mock.patch.object(numkit, "_stored_blocks", wraps=numkit._stored_blocks) as blocks, \
                 mock.patch.object(engine, "_checked_norms", wraps=engine._checked_norms) as checks:
             loaded = dataio.load_task(manifest)
-        for rows in (loaded.support_features, loaded.test_features):
+        for rows in (loaded.text_features, loaded.support_features, loaded.test_features):
             assert sum(call.args[0] is rows for call in blocks.call_args_list) == 1
         assert [call.args[0] for call in checks.call_args_list] == [
             "text_features", "support_features", "test_features"
         ]
 
     def test_loaded_task_maps_its_payloads(self, tmp_path):
-        """Loading allocates only one float64 norm per support and test row,
-        the C x D float64 text rows and the int64 test labels: the support
-        and test rows are read-only float32 views of file mappings."""
+        """Loading allocates only one float64 norm per text, support and test
+        row and the int64 test labels: the text, support and test rows are
+        read-only float32 views of file mappings."""
         rng = np.random.default_rng(73)
         c, k, d, n = 8, 16, 256, 64
         manifest = dataio.save_task(random_task(rng, c=c, k=k, d=d, n_test=n), tmp_path)
@@ -606,9 +618,9 @@ class TestFloat32Task:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        expected = 8 * (c * k + n) + 8 * c * d + 8 * n
-        assert expected <= held < expected + 8192  # a payload copy would take 4 * d * (c * k + n)
-        for rows in (loaded.support_features, loaded.test_features):
+        expected = 8 * (c + c * k + n) + 8 * n
+        assert expected <= held < expected + 8192  # a float32 text copy alone would take 4 * c * d
+        for rows in (loaded.text_features, loaded.support_features, loaded.test_features):
             assert rows.dtype == np.float32 and not rows.flags.writeable
             assert isinstance(mapping(rows), mmap.mmap)
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from ape import engine, numkit, refine, trainer
 from ape.engine import EngineConfig, FewShotTask
 from helpers import (
+    apply_mask,
     block_budget,
     cache_scores_unblocked,
     cache_term_unblocked,
@@ -198,9 +199,9 @@ class TestApeLogits:
         cfg = EngineConfig(alpha=0.8, beta=3.0, gamma=0.25)
         got = engine.ape_logits(task, mask, cfg)
 
-        w_ref = refine.apply_mask(task.text_features, mask)
-        s_ref = refine.apply_mask(task.support_features, mask)
-        f_ref = refine.apply_mask(task.test_features, mask)
+        w_ref = apply_mask(task.text_features, mask)
+        s_ref = apply_mask(task.support_features, mask)
+        f_ref = apply_mask(task.test_features, mask)
         scores = engine.cache_scores(s_ref, w_ref, cfg.gamma)
         n_test = task.test_features.shape[0]
         expected = np.zeros((n_test, task.c))
@@ -263,9 +264,9 @@ class TestApeLogits:
         task = random_task(rng, c=3, k=2, d=8)
         with pytest.raises(ValueError, match="^mask covers 6 channels, matrix has 8$"):
             engine.ape_logits(task, refine.full_mask(6), EngineConfig())
-        with mock.patch.object(refine, "apply_mask") as apply_mask:
+        with mock.patch.object(numkit, "as_matrix", wraps=numkit.as_matrix) as spy:
             engine.ape_logits(task, refine.full_mask(8), EngineConfig())
-        apply_mask.assert_not_called()
+        assert spy.call_count == 0
 
 
 class TestTipAdapterLogits:
@@ -321,8 +322,8 @@ class TestClassPermutation:
             np.testing.assert_allclose(logits(moved), logits(task)[:, perm], rtol=0, atol=1e-12)
 
         def scores(t):
-            s_ref = refine.apply_mask(t.support_features, mask)
-            w_ref = refine.apply_mask(t.text_features, mask)
+            s_ref = apply_mask(t.support_features, mask)
+            w_ref = apply_mask(t.text_features, mask)
             return engine.cache_scores(s_ref, w_ref, cfg.gamma, kl_sign, cfg.kl_temperature)
 
         np.testing.assert_allclose(scores(moved), blocks(scores(task)), rtol=0, atol=1e-12)
@@ -378,9 +379,9 @@ class TestRoutingOracle:
         f = task.test_features
         zs = engine.zero_shot_logits(f, task.text_features)
 
-        w_ref = refine.apply_mask(task.text_features, mask)
-        s_ref = refine.apply_mask(task.support_features, mask)
-        f_ref = refine.apply_mask(f, mask)
+        w_ref = apply_mask(task.text_features, mask)
+        s_ref = apply_mask(task.support_features, mask)
+        f_ref = apply_mask(f, mask)
         aff = engine.cache_affinity(f_ref, s_ref, cfg.beta)
         scores = engine.cache_scores(s_ref, w_ref, cfg.gamma)
         want = zs + cfg.alpha * (aff * scores) @ labels
@@ -450,7 +451,7 @@ class TestRowBlocks:
             kl_temperature=float(rng.uniform(0.5, 2.0)),
         )
         f, w = task.test_features, task.text_features
-        w_ref, s_ref, f_ref = (refine.apply_mask(m, mask) for m in (w, task.support_features, f))
+        w_ref, s_ref, f_ref = (apply_mask(m, mask) for m in (w, task.support_features, f))
         score_args = (s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.1 * rng.standard_normal(state.res.shape)
@@ -547,7 +548,7 @@ class TestRowBlocks:
         c, k, n, d = 4, 8, 40, 16
         task = random_task(rng, c=c, k=k, d=d, n_test=n)
         mask = refine.ChannelMask(selected=np.arange(10), scores=np.zeros(d))
-        s_ref, w_ref = (refine.apply_mask(m, mask) for m in (task.support_features, task.text_features))
+        s_ref, w_ref = (apply_mask(m, mask) for m in (task.support_features, task.text_features))
         calls = {
             "ape_logits": lambda: engine.ape_logits(task, mask, EngineConfig()),
             "cache_scores": lambda: engine.cache_scores(s_ref, w_ref, 0.2),
@@ -628,8 +629,8 @@ class TestStoredRowsWidenedWhereUsed:
             kl_temperature=float(rng.uniform(0.5, 2.0)),
             renormalize=renormalize,
         )
-        w, s64, f64 = task.text_features, widened(task.support_features), widened(task.test_features)
-        w_ref, s_ref, f_ref = (refine.apply_mask(m, mask, renormalize) for m in (w, s64, f64))
+        w, s64, f64 = widened(task.text_features), widened(task.support_features), widened(task.test_features)
+        w_ref, s_ref, f_ref = (apply_mask(m, mask, renormalize) for m in (w, s64, f64))
         scores = cache_scores_unblocked(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.1 * rng.standard_normal(state.res.shape)
@@ -641,7 +642,8 @@ class TestStoredRowsWidenedWhereUsed:
         }
         with block_budget(c * k, rows):
             got = {
-                "zero_shot": engine.zero_shot_logits(task.test_features, w, task.test_norms),
+                "zero_shot": engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms,
+                                                     task.text_norms),
                 "ape": engine.ape_logits(task, mask, cfg),
                 "tip": tip_logits(task, cfg.alpha, cfg.beta),
                 "forward": trainer.forward(state, task.test_features),
@@ -735,9 +737,10 @@ class TestSupportRuns:
         """Past ``zs`` (its output) and the refined test and text rows,
         ``_ape_core`` holds about one budget: a run's keys in half of it and
         a tile, or a softmax block, in the rest.  Keys of the tile plan's one
-        run, a whole budget here, took about two."""
+        run, a whole budget here, took about two, and a float64 copy of the
+        C x D float32 text rows would take half of one."""
         rng = np.random.default_rng(9)
-        c, k, n, d, q = 32, 16, 512, 512, 256
+        c, k, n, d, q = 32, 16, 512, 2048, 256
         task = stored_task(rng, c=c, k=k, d=d, n_test=n)
         mask = refine.ChannelMask(selected=np.arange(q), scores=np.zeros(d))
         budget = c * k * q * 8  # the whole refined support
@@ -751,6 +754,7 @@ class TestSupportRuns:
             finally:
                 tracemalloc.stop()
         held = 8 * (n + c) * q  # f_ref and w_ref
+        assert task.text_features.dtype == np.float32 and 8 * c * d == budget // 2
         assert peak - held < 1.25 * budget
 
     def test_paper_shape_runs(self):

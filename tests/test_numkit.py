@@ -1,6 +1,8 @@
 """Unit tests for the shared numeric kernels."""
 
+import contextlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ape import numkit
-from helpers import kl_one_hot, softmax
+from helpers import block_budget, kl_one_hot, softmax
 
 
 class TestL2NormalizeRows:
@@ -83,6 +85,39 @@ class TestL2NormalizeRows:
         with mock.patch.object(numkit, "_BLOCK_BYTES", 8 * d * rows):
             got = numkit._row_norms(m)
         assert got.tobytes() == np.sqrt((m * m).sum(axis=1)).tobytes()
+
+
+class TestRowNorms:
+    """``_row_norms`` squares a few rows at a time within each row block."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, d, block_rows", [
+        (1, 7, 128),      # one row
+        (128, 7, 128),    # one block of 64 sub-blocks of 2 rows
+        (131, 7, 128),    # two blocks, the last sub-block one row
+        (300, 1024, None),  # the default budget: sub-blocks of 16 rows
+        (3, 20000, None),   # rows wider than a sub-block: one row at a time
+    ])
+    def test_equal_the_widened_expression(self, dtype, n, d, block_rows):
+        rng = np.random.default_rng(n + d)
+        m = (rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, (n, 1))).astype(dtype)
+        w = m.astype(np.float64)
+        with block_budget(d, block_rows) if block_rows else contextlib.nullcontext():
+            got = numkit._row_norms(m)
+        assert got.tobytes() == np.sqrt((w * w).sum(axis=1)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scratch_stays_within_a_sub_block(self, dtype):
+        """4096 x 256 rows are one row block, whose squares took 8 MiB."""
+        m = np.random.default_rng(5).standard_normal((4096, 256)).astype(dtype)
+        assert len(numkit._row_blocks(*m.shape)) == 1
+        tracemalloc.start()
+        try:
+            out = numkit._row_norms(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + numkit._BLOCK_BYTES // 64 + 8192
 
 
 class TestSoftmaxRows:

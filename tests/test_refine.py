@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ape import numkit, refine
-from helpers import block_budget, unit_rows
+from helpers import apply_mask, block_budget, unit_rows
 
 
 def two_prototypes():
@@ -184,27 +184,25 @@ class TestSelectChannels:
                 selected=np.sort(rng.choice(d, q, replace=False)),
                 scores=np.zeros(d),
             )
-            refined_mean.append(mean_pairwise_cosine(refine.apply_mask(w, mask)))
-            random_mean.append(mean_pairwise_cosine(refine.apply_mask(w, rnd)))
+            refined_mean.append(mean_pairwise_cosine(apply_mask(w, mask)))
+            random_mean.append(mean_pairwise_cosine(apply_mask(w, rnd)))
         assert np.mean(refined_mean) <= np.mean(random_mean)
 
 
-class TestApplyMask:
+class TestTakeChannels:
     def test_single_channel_renormalizes_to_unit(self):
-        mask = refine.ChannelMask(selected=[1], scores=[1.0, 0.0])
-        out = refine.apply_mask(np.array([[0.6, 0.8]]), mask, renormalize=True)
+        out = refine._take_channels(np.array([[0.6, 0.8]]), np.array([1]), renormalize=True)
         np.testing.assert_allclose(out, [[1.0]], rtol=1e-15)
 
     def test_identity_mask_bitwise(self):
         rng = np.random.default_rng(9)
         m = unit_rows(rng, 5, 6)
-        out = refine.apply_mask(m, refine.full_mask(6), renormalize=False)
+        out = refine._take_channels(m, refine.full_mask(6).selected, renormalize=False)
         assert out.tobytes() == m.tobytes()
 
     def test_zero_row_warns(self):
-        mask = refine.ChannelMask(selected=[1], scores=[1.0, 0.0])
         with pytest.warns(numkit.ZeroRowWarning):
-            out = refine.apply_mask(np.array([[1.0, 0.0]]), mask, renormalize=True)
+            out = refine._take_channels(np.array([[1.0, 0.0]]), np.array([1]), renormalize=True)
         np.testing.assert_array_equal(out, [[0.0]])
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -241,9 +239,8 @@ class TestApplyMask:
         assert got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):
-        mask = refine.full_mask(3)
-        with pytest.raises(ValueError):
-            refine.apply_mask(np.zeros((2, 4)), mask)
+        with pytest.raises(ValueError, match="^mask covers 3 channels, matrix has 4$"):
+            refine._check_width(refine.full_mask(3), 4)
 
 
 class TestMaskInvariants:

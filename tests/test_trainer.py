@@ -23,10 +23,12 @@ from ape.engine import EngineConfig, FewShotTask
 from ape.trainer import OptimConfig
 from helpers import (
     adamw_reference,
+    apply_mask,
     block_budget,
     frozen_checksum,
     grads,
     holds_support,
+    param_count,
     random_task,
     shifted_keys_logits,
     stored_task,
@@ -81,17 +83,22 @@ def max_rel_err(analytic, numeric):
 
 class TestParamCount:
     def test_reference_budget(self):
-        assert trainer.param_count(1000, 500, 16) == 516_000
+        assert param_count(1000, 500, 16) == 516_000
 
-    def test_minimal(self):
-        assert trainer.param_count(1, 1, 1) == 2
+    @pytest.mark.parametrize("c, k, d, q", [(1, 1, 2, 1), (3, 2, 8, 5)])
+    def test_counts_the_learnables(self, c, k, d, q):
+        task, mask, cfg = make_instance(np.random.default_rng(35), c=c, k=k, d=d, q=q)
+        state = trainer.init_state(task, mask, cfg)
+        assert state.param_count() == param_count(c, q, k) == state.res.size + state.scores.size
 
     def test_arithmetic(self):
-        assert trainer.param_count(100, 800, 4) == 80_400
+        state = TestAdamWStep().make_state(np.zeros((100, 800)), np.zeros(400))
+        assert state.param_count() == param_count(100, 800, 4) == 80_400
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            trainer.param_count(0, 1, 1)
+        state = TestAdamWStep().make_state(np.zeros((2, 0)), np.zeros(2), EngineConfig(renormalize=False))
+        with pytest.raises(ValueError, match="counts must be positive"):
+            state.param_count()
 
 
 class TestInitState:
@@ -116,8 +123,8 @@ class TestInitState:
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
         want = engine.cache_scores(
-            refine.apply_mask(task.support_features, mask, cfg.renormalize),
-            refine.apply_mask(task.text_features, mask, cfg.renormalize),
+            apply_mask(task.support_features, mask, cfg.renormalize),
+            apply_mask(task.text_features, mask, cfg.renormalize),
             cfg.gamma,
             cfg.kl_sign,
             cfg.kl_temperature,
@@ -138,7 +145,7 @@ class TestInitState:
         state = trainer.init_state(task, mask, cfg)
         assert (state.c, state.k, state.q, state.d_total) == (4, 3, 5, 9)
         values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
-        assert len(values) == 12  # learnables, moments, step, four frozen arrays and cfg
+        assert len(values) == 13  # learnables, moments, step, five frozen arrays and cfg
         with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
             trainer.TrainState(**values, c=4)
 
@@ -250,10 +257,10 @@ class TestStateOwnsItsConfig:
         with pytest.raises(ValueError, match="do not fit the frozen context"):
             dataclasses.replace(state, support_features=task.support_features[:9])  # scores keep C*K = 12
         values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
-        for name in ("f_support_refined", "support_scale"):
-            with pytest.raises(TypeError, match=name):
+        for name in ("w", "f_support_refined", "support_scale"):
+            with pytest.raises(TypeError, match=f"'{name}'"):
                 trainer.TrainState(**values, **{name: getattr(state, name)})
-            with pytest.raises(ValueError, match=name):
+            with pytest.raises(ValueError, match=f"field {name} "):
                 dataclasses.replace(state, **{name: getattr(state, name)})
 
 
@@ -526,7 +533,7 @@ class TestCrossEntropy:
 
 
 class TestAdamWStep:
-    def make_state(self, res, scores):
+    def make_state(self, res, scores, cfg=EngineConfig()):
         c, q = res.shape
         k = scores.shape[0] // c
         return trainer.TrainState(
@@ -538,10 +545,11 @@ class TestAdamWStep:
             v_scores=np.zeros_like(scores, dtype=np.float64),
             step=0,
             mask_idx=np.arange(q),
-            w=np.zeros((c, q)),
-            support_features=np.full((c * k, q), q**-0.5),
+            text_features=np.zeros((c, q)),
+            text_norms=np.zeros(c),
+            support_features=np.full((c * k, q), max(q, 1) ** -0.5),
             support_norms=np.ones(c * k),
-            cfg=EngineConfig(),
+            cfg=cfg,
         )
 
     def test_single_step_closed_form(self):
@@ -731,9 +739,9 @@ class TestTrain:
 
         unit64 = numkit._unit64
 
-        def spy(m, norms=None, rows=slice(None)):  # the history's row blocks, not a step's batch
+        def spy(m, norms=None, rows=slice(None)):  # the history's row blocks, not a step's batch or the text
             out = unit64(m, norms, rows)
-            return out.view(Rows) if isinstance(rows, slice) else out
+            return out.view(Rows) if isinstance(rows, slice) and rows != slice(None) else out
 
         zero_shot = mock.patch.object(trainer, "zero_shot_logits", wraps=engine.zero_shot_logits)
         with mock.patch.object(numkit, "_unit64", spy), block_budget(3 if held else 1, 2), zero_shot as whole:
@@ -956,7 +964,8 @@ class TestTrain:
         arrays keep their flags."""
         rng = np.random.default_rng(46)
         task, mask, cfg = make_instance(rng)
-        names = {"w": "text_features", "support_features": "support_features", "support_norms": "support_norms"}
+        names = {"w": "text_features", "text_features": "text_features", "text_norms": "text_norms",
+                 "support_features": "support_features", "support_norms": "support_norms"}
         writeable = {name: getattr(task, name).flags.writeable for name in names.values()}
         state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=1, batch_size=3))
         for field, name in names.items():
