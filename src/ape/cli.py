@@ -104,20 +104,24 @@ def _validated(build, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
-def _task_and_mask(args, split=None) -> tuple[FewShotTask, refine.ChannelMask, float]:
+def _task_and_mask(args, split=None, holdout=False) -> tuple[FewShotTask, refine.ChannelMask, float]:
     """``--task``, ``--mask`` and its lambda; a mask of another width is a UsageError.
 
     Given another manifest ``split``, the task is ``--task``'s cache (text
     and support rows) with ``split``'s test rows and labels: neither the
     cache's test files nor the split's text, support and label files are
-    read.  A split of another class count or width is a UsageError.
+    read.  A split of another class count or width is a UsageError.  A
+    ``holdout`` task's test rows are the support shots that
+    :func:`_holdout_split` holds out, and no test file is read.
     """
-    if split is None:
+    if split is None and not holdout:
         task = dataio.load_task(args.task)
     else:
-        man, split_man = dataio.read_manifest(args.task), dataio.read_manifest(split)
-        cache, test = dataio._read_cache(man), dataio._read_split(split_man)
-        if (split_man["c"], split_man["d"]) != (man["c"], man["d"]):
+        man = dataio.read_manifest(args.task)
+        split_man = None if split is None else dataio.read_manifest(split)
+        cache = dataio._read_cache(man)
+        test = (cache[1][man["k"] - 1 :: man["k"]], None) if holdout else dataio._read_split(split_man)
+        if split_man and (split_man["c"], split_man["d"]) != (man["c"], man["d"]):
             raise UsageError("--val-task must share the task's class count and feature width")
         task = FewShotTask(*cache, *test)
     mask, lam = refine.load_mask(args.mask)
@@ -338,7 +342,7 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     alphas, betas = parse_grid(args.alpha_grid), parse_grid(args.beta_grid)
     gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
-    task, mask, mask_lam = _task_and_mask(args, args.val_task)
+    task, mask, mask_lam = _task_and_mask(args, args.val_task, holdout=not args.val_task)
     val_task = task if args.val_task else None  # its test split is the --val-task's
     best, best_acc = grid_search(task, mask, _engine_config(args), alphas, betas, gammas, val_task)
     found = {"alpha": best.alpha, "beta": best.beta, "gamma": best.gamma,

@@ -98,17 +98,23 @@ class NonOneHotError(DataIOError):
 
 def write_matrix(path, m) -> None:
     """Write a matrix as an APEF file (float32 narrowing, atomic rename).
+    Narrowing is the one pass over ``m``: only a narrowed block that is not
+    finite sends ``m`` through the entrywise check, to name the cause.
 
     Raises:
         ValueError: if the input is not a finite 2-D matrix or a value
             exceeds the float32 range; ``path`` is then left untouched.
     """
-    m = numkit.as_matrix(m, "matrix")
-    _write_rows(path, m.shape, lambda rows: m[rows])
+    m = numkit._as_features(m, "matrix", finite=False)
+    try:
+        _write_rows(path, m.shape, lambda rows: m[rows])
+    except ValueError:
+        numkit._as_features(m, "matrix")  # a non-finite entry is named first
+        raise
 
 
 def _write_rows(path, shape, block_of) -> None:
-    """Write an APEF file of ``shape`` whose payload rows are the float64
+    """Write an APEF file of ``shape`` whose payload rows are
     ``block_of(rows)`` for the row blocks of ``numkit._row_blocks``, each
     narrowed into one reused float32 buffer: bitwise ``astype("<f4")`` of
     the whole matrix, which never exists."""
@@ -264,11 +270,8 @@ def load_task(manifest_path) -> FewShotTask:
     """Assemble and validate a few-shot task from a manifest: its cache
     (:func:`_read_cache`) and its split (:func:`_read_split`).
 
-    Feature rows stay the read-only float32 payloads, which the task reads
-    normalized (float32 storage wiggles the norms); a warning is emitted
-    when any row is off by more than 1e-4.
-    The support label file is validated on its float32 payload and then
-    dropped: the task's class-major row order carries the same information.
+    Feature rows stay the mapped float32 payloads, and the support label
+    file is checked and dropped, as the module docstring says.
 
     Raises:
         ManifestError, ShapeMismatchError, NonOneHotError: naming the
@@ -350,7 +353,7 @@ def _write_labels(path, c: int, k: int) -> None:
     the whole one-hot matrix never exists."""
     def one_hot(rows: slice) -> np.ndarray:
         ids = np.arange(rows.start, rows.stop)
-        blk = np.zeros((ids.size, c))
+        blk = np.zeros((ids.size, c), dtype=np.float32)
         blk[ids - rows.start, ids // k] = 1.0
         return blk
 
@@ -384,20 +387,17 @@ def gen_synthetic(
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     protos = rng.standard_normal((c, d))
-    zeroed = rng.choice(d, size=d // 4, replace=False)
-    protos[:, zeroed] = 0.0
-    protos = numkit.l2_normalize_rows(protos)
+    protos[:, rng.choice(d, size=d // 4, replace=False)] = 0.0
+    numkit._normalize_rows_inplace(protos)
 
-    def jitter(base: np.ndarray) -> np.ndarray:
-        if noise_sigma > 0:
-            base = base + rng.normal(0.0, noise_sigma, base.shape)
-        return numkit.l2_normalize_rows(base)
+    def around_protos(n: int) -> np.ndarray:  # n unit rows per class, class-major
+        if noise_sigma == 0:
+            rows = np.repeat(protos, n, axis=0)
+        else:  # the (c*n, d) draw, the prototypes added in place: bitwise prototypes + noise
+            rows = rng.normal(0.0, noise_sigma, (c, n, d))
+            rows += protos[:, None]
+        return numkit._normalize_rows_inplace(rows.reshape(c * n, d))
 
-    support = jitter(np.repeat(protos, k, axis=0))
-    test = jitter(np.repeat(protos, n_test_per_class, axis=0))
-    return FewShotTask(
-        text_features=protos,
-        support_features=support,
-        test_features=test,
-        test_labels=np.repeat(np.arange(c), n_test_per_class),
-    )
+    support = around_protos(k)  # drawn before the test rows
+    test = around_protos(n_test_per_class)
+    return FewShotTask(protos, support, test, np.repeat(np.arange(c), n_test_per_class))

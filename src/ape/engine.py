@@ -86,10 +86,13 @@ class FewShotTask:
     test_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # float32 rows are checked finite by their norms, in the one pass below
-        self.text_features = numkit._as_features(self.text_features, "text_features", finite=False)
-        self.support_features = numkit._as_features(self.support_features, "support_features", finite=False)
-        self.test_features = numkit._as_features(self.test_features, "test_features", finite=False)
+        roles, norms = ("text_features", "support_features", "test_features"), {}
+        for role in roles:  # one norm pass per role; float64 entries are named before the shapes
+            m = numkit._as_features(getattr(self, role), role, finite=False)
+            if m.dtype != np.float32:
+                norms[role] = numkit._row_norms(m)
+                numkit._as_features(m, role, norms=norms[role])
+            setattr(self, role, m)
         (c, d), (n_support, d_support) = self.text_features.shape, self.support_features.shape
         if c < 1 or n_support < c or n_support % c or d_support != d:
             raise ValueError(
@@ -100,9 +103,9 @@ class FewShotTask:
             raise ValueError(
                 f"test_features must be N x {d} with N >= 1, got {self.test_features.shape}"
             )
-        self.text_norms = _checked_norms("text_features", self.text_features)
-        self.support_norms = _checked_norms("support_features", self.support_features)
-        self.test_norms = _checked_norms("test_features", self.test_features)
+        for role in roles:
+            norms[role] = _checked_norms(role, getattr(self, role), norms.get(role))
+            setattr(self, role.replace("features", "norms"), norms[role])
         if self.test_labels is not None:
             labels = np.asarray(self.test_labels)
             if labels.shape != (self.test_features.shape[0],):
@@ -128,25 +131,18 @@ class FewShotTask:
         return np.repeat(np.arange(self.c), self.k)
 
 
-def _checked_norms(name: str, m: np.ndarray) -> np.ndarray:
-    """The float64 row norms of a task's feature rows ``m``.
-
-    Raises:
-        ValueError: naming ``name`` if float64 rows are off unit norm by
-            more than 1e-6, or float32 rows hold a non-finite entry (a
-            non-finite norm) or a zero row.
-    """
-    norms = numkit._row_norms(m)
+def _checked_norms(name: str, m: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """The float64 row norms (``norms``, if known) of a task's feature rows
+    ``m``, checked as :class:`FewShotTask` says; a ValueError names ``name``.
+    Finiteness is read off the norms: only a non-finite norm sends ``m``
+    through the entrywise check, which tells a NaN or inf entry from a
+    finite float64 one too large to square."""
+    norms = numkit._row_norms(m) if norms is None else norms
+    numkit._as_features(m, name, norms=norms)
     off = np.abs(norms - 1.0).max()
-    if m.dtype == np.float32:
-        if not np.isfinite(norms).all():
-            raise ValueError(f"{name} contains non-finite entries")
-        if off > 1e-4:
-            warnings.warn(f"{name}: rows off unit norm by up to {off:.2e}; renormalizing")
-        bad = (norms == 0.0).any()
-    else:
-        bad = off > 1e-6
-    if bad:
+    if m.dtype == np.float32 and off > 1e-4:
+        warnings.warn(f"{name}: rows off unit norm by up to {off:.2e}; renormalizing")
+    if (norms == 0.0).any() if m.dtype == np.float32 else off > 1e-6:
         raise ValueError(f"{name} rows must be unit-norm within 1e-6")
     return norms
 
@@ -162,7 +158,8 @@ def zero_shot_logits(f_batch, w, norms=None, w_norms=None) -> np.ndarray:
     For unit rows every entry lies in [-1, 1].  Float32 rows are stored
     features: they are widened and normalized first, as ``FewShotTask``
     reads them, by ``norms`` and ``w_norms`` (their float64 row norms, such
-    as a task's ``test_norms`` and ``text_norms``) when given.  Test rows
+    as a task's ``test_norms`` and ``text_norms``) when given; rows whose
+    given norms are finite are finite, so they take no entrywise pass.  Test rows
     go one ``numkit._row_blocks`` block at a time into the N x C output, so
     no float64 copy of all N rows exists; float32 prototypes are widened
     whole, for this product only.
@@ -170,8 +167,8 @@ def zero_shot_logits(f_batch, w, norms=None, w_norms=None) -> np.ndarray:
     Raises:
         ValueError: on feature-dimension mismatch.
     """
-    f_batch = numkit._as_features(f_batch, "f_batch")
-    w = numkit._as_features(w, "w")
+    f_batch = numkit._as_features(f_batch, "f_batch", norms=norms)
+    w = numkit._as_features(w, "w", norms=w_norms)
     if f_batch.shape[1] != w.shape[1]:
         raise ValueError(
             f"feature dims differ: {f_batch.shape[1]} vs {w.shape[1]}"

@@ -6,11 +6,12 @@ coercion, normalization, and the probability floor used to score cache
 entries.  Feature rows may also be ``float32``, as stored on disk: they
 stand for the float64 rows that :func:`_unit64` gives, widened and
 normalized where they are used.  All public functions are pure -- inputs
-are never mutated and results contain no NaN/Inf entries.
-Public functions check their inputs; the private helper
+are never mutated and results contain no NaN/Inf entries.  A matrix is
+checked once, where it enters (:func:`_as_features`), by the pass made
+there anyway: finite float64 row norms vouch for finite entries, and a
+writer checks each block it narrows to float32.  The private helper
 :func:`_normalize_rows_inplace` (which overwrites a matrix the caller
-owns) does not, so callers use it only on matrices the library has
-already validated.
+owns) checks nothing, so callers use it only on validated matrices.
 
 Row-wise work over large matrices runs in row blocks (:func:`_row_blocks`)
 of about :data:`_BLOCK_BYTES` each, so no kernel holds a second
@@ -58,25 +59,20 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     Raises:
         ValueError: if the input is not 2-D or has NaN/Inf entries.
     """
-    return _checked(np.asarray(values, dtype=np.float64), name)
+    return _as_features(np.asarray(values, dtype=np.float64), name)
 
 
-def _as_features(values, name: str, finite: bool = True) -> np.ndarray:
+def _as_features(values, name: str, finite: bool = True, norms=None) -> np.ndarray:
     """:func:`as_matrix` that keeps a float32 array float32: stored feature
     rows, which :func:`_unit64` widens and normalizes where they are used.
-    ``finite=False`` skips the finiteness pass over float32 rows, for a
-    caller that checks their float64 :func:`_row_norms` instead: squares of
-    float32 values cannot overflow float64, so a finite norm means finite
-    entries."""
+    ``finite=False`` skips the entrywise finiteness pass, for a caller that
+    reads it off the rows' float64 :func:`_row_norms`; given those
+    ``norms``, the pass runs only if one is not finite, to name its cause."""
     m = np.asarray(values)
-    if m.dtype == np.float32:
-        return _checked(m, name, finite)
-    return _checked(np.asarray(m, dtype=np.float64), name)
-
-
-def _checked(m: np.ndarray, name: str, finite: bool = True) -> np.ndarray:
+    m = m if m.dtype == np.float32 else np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    finite = finite and (norms is None or not np.isfinite(norms).all())
     if finite and not all(np.isfinite(blk).all() for _, blk in _stored_blocks(m)):  # no N x D mask
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -150,9 +146,11 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     for rows, _ in _stored_blocks(m):
         for lo in range(rows.start, rows.stop, step):
             sub = slice(lo, min(lo + step, rows.stop))
-            sq = squares[: sub.stop - sub.start]
-            sq[...] = m[sub]  # widened by the copy, so the product needs no cast buffers
-            np.multiply(sq, sq, out=sq).sum(axis=1, out=norms[sub])
+            sq, part = squares[: sub.stop - sub.start], m[sub]
+            if part.dtype != sq.dtype:
+                sq[...] = part  # widened by the copy, so the product needs no cast buffers
+                part = sq
+            np.multiply(part, part, out=sq).sum(axis=1, out=norms[sub])
     return np.sqrt(norms, out=norms)
 
 

@@ -199,7 +199,7 @@ def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     normalized by row blocks, as ``FewShotTask`` reads them, by ``norms``
     (their float64 row norms, such as a task's ``test_norms``) when given.
     """
-    f_batch = numkit._as_features(f_batch, "f_batch")
+    f_batch = numkit._as_features(f_batch, "f_batch", norms=norms)
     if f_batch.shape[1] != state.d_total:
         raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
     cfg = state.cfg

@@ -902,6 +902,27 @@ class TestFilesRead:
             "val/task_test_features.apef", "val/task_test_labels.apef", "s.report",
         }
 
+    @staticmethod
+    def holdout_argv(workspace, report):
+        tmp_path, manifest, mask_path = workspace
+        return ["search", "--task", manifest, "--mask", mask_path, "--alpha-grid", "0:2:3",
+                "--beta-grid", "2:8:3", "--gamma-grid", "0:1:2", "--report", tmp_path / report]
+
+    def test_holdout_search_opens_no_test_file(self, workspace):
+        tmp_path = workspace[0]
+        assert self.run(tmp_path, self.holdout_argv(workspace, "h.report")) == {
+            "task.manifest", "task_text_features.apef", "task_support_features.apef",
+            "task_support_labels.apef", "mask.txt", "h.report",
+        }
+
+    def test_damaged_test_files_leave_the_holdout_search_as_it_was(self, workspace):
+        tmp_path = workspace[0]
+        assert main([str(a) for a in self.holdout_argv(workspace, "intact.report")]) == 0
+        for name in ("task_test_features", "task_test_labels"):
+            (tmp_path / f"{name}.apef").write_bytes(b"not an APEF file")
+        assert main([str(a) for a in self.holdout_argv(workspace, "damaged.report")]) == 0
+        assert (tmp_path / "damaged.report").read_bytes() == (tmp_path / "intact.report").read_bytes()
+
     def test_damaged_files_of_unused_roles_change_nothing(self, val_workspace):
         tmp_path, manifest, mask_path, _ = val_workspace
         search = self.search_argv(val_workspace, "intact.report")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import mmap
 import os
 import re
@@ -107,6 +108,41 @@ class TestMatrixRoundTrip:
             finally:
                 tracemalloc.stop()
         assert peak < rows * cols + 2 * 4 * block_rows * cols + 65536  # the payload is 4 MiB
+
+
+class TestWriteMatrixPass:
+    """The narrowing is ``write_matrix``'s one pass over its input; only a
+    block that fails it sends the input through the entrywise check, which
+    then names the cause as a check of the whole input would."""
+
+    def test_one_narrowing_pass_and_no_entrywise_pass(self, tmp_path):
+        m = np.random.default_rng(58).standard_normal((40, 6))
+        with block_budget(6, 8), \
+                mock.patch.object(numkit, "_stored_blocks", side_effect=AssertionError("entrywise pass")), \
+                mock.patch.object(np, "isfinite", wraps=np.isfinite) as finite:
+            dataio.write_matrix(tmp_path / "m.apef", m)
+        checked = [call.args[0] for call in finite.call_args_list]
+        assert [blk.dtype for blk in checked] == [np.float32] * 5
+        assert sum(len(blk) for blk in checked) == 40
+        assert dataio.read_matrix(tmp_path / "m.apef").tobytes() == m.astype(np.float32).astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("first, last, message", [
+        (1e39, np.nan, "matrix contains non-finite entries"),
+        (1e39, -np.inf, "matrix contains non-finite entries"),
+        (np.nan, 1e39, "matrix contains non-finite entries"),
+        (1e39, 1.0, "matrix values exceed the float32 range"),
+        (1.0, -1e39, "matrix values exceed the float32 range"),
+    ])
+    def test_failing_block_named_as_by_a_whole_check(self, tmp_path, first, last, message):
+        path = tmp_path / "m.apef"
+        dataio.write_matrix(path, np.eye(3))
+        before = path.read_bytes()
+        m = np.ones((40, 6))
+        m[0, 0], m[-1, -1] = first, last
+        with block_budget(6, 8), pytest.raises(ValueError, match=f"^{message}$"):
+            dataio.write_matrix(path, m)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.apef"]
 
 
 class TestMatrixErrors:
@@ -462,6 +498,30 @@ class TestGenSynthetic:
             hits += int((sims.argmax(axis=1) == np.arange(task.c)).sum())
             total += task.c
         assert hits / total >= 0.95
+
+    @pytest.mark.parametrize("args, digests", [
+        ((5, 3, 16, 4, 0.6, 11), {
+            "task.manifest": "5f314c7b5ccde31440af65e8a3fd1905de8909d3bc11f1a2db042c5ed38fdf79",
+            "task_support_features.apef": "dcf650392111141e9c91427273894b9b52a2aef8b01fc666aff20ea77b566b77",
+            "task_support_labels.apef": "010dd70bca6ac0a87c6975d268a8c36585566d77e447e274981dd1ce3c300d93",
+            "task_test_features.apef": "097f0124d301cf82b9731cf7a7c32b0de753c0cd7dc37a728f4124068fd27200",
+            "task_test_labels.apef": "551c210e71de868abc8908e404f0f0f97366698f4a6cf9f4d0f706bb1cb2625a",
+            "task_text_features.apef": "c5a3acb94c70627139315db453e7e351646a67f7d8f45919b787ffa9aaa2aeec",
+        }),
+        ((4, 2, 8, 3, 0.0, 3), {
+            "task.manifest": "8ae621cbf424657ae6e29a700caf9febc2b8a19975e6b276493839a67322a8e7",
+            "task_support_features.apef": "2c010a23e213eee2e271044b3fef8819ab552b6ee1b963869ff591543101f1b7",
+            "task_support_labels.apef": "b538c3e0aff6f70a3a7c15f0582320a9673b918e9cc815ee03ede5938e43794d",
+            "task_test_features.apef": "f19c780b5600e82161b6deb1457180b6ef48cb123ee7e39bc63166ea7300a87c",
+            "task_test_labels.apef": "eea331d90fd0c36c45e1c50db0862546c9374cd09d8bba16be11a56fea5e9d4e",
+            "task_text_features.apef": "e3bad33364367c392cb7543fc48dda86656d6c522af5fac2cee8bfd8abfeb573",
+        }),
+    ], ids=["sigma0.6", "sigma0"])
+    def test_written_files_pinned(self, tmp_path, args, digests):
+        """The bytes of every file that ``gen_synthetic`` + ``save_task`` write."""
+        dataio.save_task(dataio.gen_synthetic(*args), tmp_path)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == digests
 
     def test_invalid_counts_rejected(self):
         for bad in ((1, 2, 8), (3, 0, 8), (3, 2, 1)):

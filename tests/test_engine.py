@@ -72,6 +72,28 @@ class TestZeroShotLogits:
             got = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_given_norms_take_no_entrywise_pass(self, dtype):
+        """Rows whose finite norms the caller passes are not read for their
+        finiteness: ``numkit._stored_blocks`` carries that pass."""
+        rng = np.random.default_rng(14)
+        f, w = unit_rows(rng, 40, 16).astype(dtype), unit_rows(rng, 5, 16).astype(dtype)
+        norms, w_norms = numkit._row_norms(f), numkit._row_norms(w)
+        want = engine.zero_shot_logits(f, w)
+        with mock.patch.object(numkit, "_stored_blocks", side_effect=AssertionError("entrywise pass")):
+            got = engine.zero_shot_logits(f, w, norms, w_norms)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", ["f_batch", "w"])
+    def test_non_finite_norms_name_the_rows(self, dtype, name):
+        rng = np.random.default_rng(15)
+        rows = {"f_batch": unit_rows(rng, 6, 8).astype(dtype), "w": unit_rows(rng, 3, 8).astype(dtype)}
+        rows[name][1, 2] = np.nan
+        norms = {key: numkit._row_norms(m) for key, m in rows.items()}
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            engine.zero_shot_logits(rows["f_batch"], rows["w"], norms["f_batch"], norms["w"])
+
 
 class TestCacheAffinity:
     def test_identical_row_gives_one(self):
@@ -883,3 +905,52 @@ class TestConfigAndTaskValidation:
                     test_features=unit_rows(rng, 2, 5),
                     test_labels=labels,
                 )
+
+
+ROLES = ("text_features", "support_features", "test_features")
+
+
+class TestFloat64TaskCheck:
+    """Float64 rows are checked by one norm pass per role, as float32 rows
+    are; an entrywise pass runs only to name the cause of a non-finite norm."""
+
+    @staticmethod
+    def rows(seed):
+        rng = np.random.default_rng(seed)
+        return {"text_features": unit_rows(rng, 3, 8), "support_features": unit_rows(rng, 6, 8),
+                "test_features": unit_rows(rng, 4, 8)}
+
+    def test_one_norm_pass_per_role_and_no_entrywise_pass(self):
+        rows = self.rows(81)
+        with mock.patch.object(numkit, "_row_norms", wraps=numkit._row_norms) as norms, \
+                mock.patch.object(numkit, "_stored_blocks", wraps=numkit._stored_blocks) as blocks:
+            task = FewShotTask(**rows, test_labels=None)
+        for spy in (norms, blocks):  # each norm pass takes its own blocks, and nothing else does
+            assert [id(call.args[0]) for call in spy.call_args_list] == [id(rows[role]) for role in ROLES]
+        for role in ROLES:
+            assert getattr(task, role) is rows[role]
+            assert getattr(task, role.replace("features", "norms")).tobytes() == \
+                np.sqrt((rows[role] ** 2).sum(axis=1)).tobytes()
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "contains non-finite entries"),
+        (np.inf, "contains non-finite entries"),
+        (-np.inf, "contains non-finite entries"),
+        (1e200, "rows must be unit-norm within 1e-6"),  # finite, but its norm is not
+    ])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_bad_entry_named_as_before(self, role, value, message):
+        rows = self.rows(82)
+        rows[role][1, 2] = value
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{role} {message}$"):
+            FewShotTask(**rows, test_labels=None)
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_non_finite_entry_named_before_a_shape_error(self, role):
+        """The float64 norms are taken before the shapes are checked, where the
+        entrywise pass ran, so a non-finite entry is still named first."""
+        rows = self.rows(83)
+        rows[role][0, 0] = np.nan
+        rows["support_features"] = rows["support_features"][:5]  # not C*K rows
+        with pytest.raises(ValueError, match=f"^{role} contains non-finite entries$"):
+            FewShotTask(**rows, test_labels=None)

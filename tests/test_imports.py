@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private module-level function or class is used in the library."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,22 @@ def unused_imports(source: str) -> set[str]:
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def unreferenced_privates(sources) -> set[str]:
+    """Private module-level functions and classes of the ``sources`` that no
+    statement but their own definition names."""
+    defined, named = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_") and not own.endswith("__"):
+                defined.add(own)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    named.add(name)
+    return defined - named
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom . import dataio, numkit\nnp.zeros(numkit.X)\n"
     assert unused_imports(source) == {"os", "dataio"}
@@ -34,3 +51,14 @@ def test_library_modules_have_no_dead_imports():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert sorted(dead - REBOUND) == []
+
+
+def test_unreferenced_privates_are_found():
+    one = "def _used():\n    pass\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\n\nclass _Lone:\n    pass\n"
+    other = "from . import one\n\n\ndef public():\n    return one._used()\n"
+    assert unreferenced_privates([one, other]) == {"_recursive", "_Lone"}
+
+
+def test_library_privates_are_used_in_the_library():
+    """A private helper that only the tests use belongs in the tests."""
+    assert unreferenced_privates(path.read_text(encoding="utf-8") for path in SRC.glob("*.py")) == set()
