@@ -16,15 +16,12 @@ from .engine import (
     accuracy,
     ape_logits,
     cache_affinity,
-    cache_scores,
     predict,
     zero_shot_logits,
 )
 from .numkit import ZeroRowWarning, l2_normalize_rows
 from .refine import (
     ChannelMask,
-    CriterionVector,
-    blend_criteria,
     full_mask,
     inter_class_similarity,
     inter_class_variance,
@@ -51,16 +48,13 @@ __all__ = [
     "EngineConfig",
     "FewShotTask",
     "ChannelMask",
-    "CriterionVector",
     "OptimConfig",
     "TrainState",
     "ZeroRowWarning",
     "accuracy",
     "adamw_step",
     "ape_logits",
-    "blend_criteria",
     "cache_affinity",
-    "cache_scores",
     "cosine_lr",
     "forward",
     "full_mask",

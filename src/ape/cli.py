@@ -24,8 +24,8 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _ape_core,
+    _cache_scores,
     _checked_norms,
-    _divergences,
     _grid_hits,
     accuracy,
     ape_logits,  # noqa: F401 - perfbench's tracer test rebinds ape.cli.ape_logits
@@ -230,8 +230,7 @@ def grid_search(
     w_ref = refine._take_channels(task.text_features, mask.selected, base_cfg.renormalize, task.text_norms)
     s_ref = refine._take_channels(support, mask.selected, base_cfg.renormalize, s_norms)
     f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)
-    divergences = _divergences(s_ref, w_ref, base_cfg.kl_temperature)
-    score_sets = np.stack([np.exp(base_cfg.kl_sign * float(gamma) * divergences) for gamma in gammas])
+    score_sets = _cache_scores(s_ref, w_ref, base_cfg, gammas=gammas)
     hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets)
     # The first maximum in C order is the smallest alpha, then beta, then gamma.
     a, b, g = np.unravel_index(np.argmax(hits), hits.shape)

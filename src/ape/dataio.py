@@ -315,20 +315,20 @@ def _read_split(man: dict) -> tuple[np.ndarray, np.ndarray | None]:
 def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
     """Write a task's matrices plus its manifest; returns the manifest path.
 
-    Feature files hold the float64 rows the task stands for, narrowed (so a
-    loaded task is written as a float64 load of the same files would be).
+    Feature files hold the float64 rows the task stands for, narrowed by row
+    blocks (so a loaded task is written as a float64 load of the same files would be).
     The support label file is the class-major one-hot matrix of (C, K).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     roles = {
-        "text_features": numkit._unit64(task.text_features, task.text_norms),
-        "support_features": numkit._unit64(task.support_features, task.support_norms),
+        "text_features": (task.text_features, task.text_norms),
+        "support_features": (task.support_features, task.support_norms),
         "support_labels": None,  # written by row blocks, see _write_labels
-        "test_features": numkit._unit64(task.test_features, task.test_norms),
+        "test_features": (task.test_features, task.test_norms),
     }
     if task.test_labels is not None:
-        roles["test_labels"] = task.test_labels[:, None].astype(np.float64)
+        roles["test_labels"] = (task.test_labels[:, None].astype(np.float64), None)
     lines = [
         MANIFEST_HEADER,
         f"C = {task.c}",
@@ -340,8 +340,9 @@ def save_task(task: FewShotTask, out_dir, name: str = "task") -> Path:
         filename = f"{name}_{role}.apef"
         if matrix is None:
             _write_labels(out_dir / filename, task.c, task.k)
-        else:
-            write_matrix(out_dir / filename, matrix)
+        else:  # checked rows and their norms (None: float64 rows taken as they are)
+            m, norms = matrix
+            _write_rows(out_dir / filename, m.shape, lambda rows: numkit._unit64(m, norms, rows))
         lines.append(f"{role} = {filename}")
     manifest = out_dir / f"{name}.manifest"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")

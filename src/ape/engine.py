@@ -29,7 +29,6 @@ __all__ = [
     "FewShotTask",
     "zero_shot_logits",
     "cache_affinity",
-    "cache_scores",
     "ape_logits",
     "predict",
     "accuracy",
@@ -212,46 +211,27 @@ def _sharpen(cos, beta: float, out) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def cache_scores(
-    f_support_refined,
-    w_refined,
-    gamma: float,
-    kl_sign: int = 1,
-    kl_temperature: float = 1.0,
-) -> np.ndarray:
-    """Per-entry reliability weights for the cache.
-
-    Each support row is classified against the refined prototypes; the
-    softmax prediction's divergence from the row's one-hot label (class
-    row // K, as rows are class-major) measures how well the embedding
-    represents its class.  The weight is exp(kl_sign * gamma * divergence),
-    so gamma = 0 yields exactly 1 for every entry and a perfectly predicted
-    entry scores 1 for any gamma.
-
-    Raises:
-        ValueError: if the support rows are not K >= 1 per class or a scalar is out of range.
-    """
-    f_support_refined = numkit.as_matrix(f_support_refined, "f_support_refined")
-    w_refined = numkit.as_matrix(w_refined, "w_refined")
-    EngineConfig(gamma=gamma, kl_sign=kl_sign, kl_temperature=kl_temperature)  # raises on bad scalars
-    n, c = f_support_refined.shape[0], w_refined.shape[0]
-    if n < c or n % c:
-        raise ValueError(f"{n} support rows do not make {c} classes of K >= 1 shots")
-    return np.exp(kl_sign * gamma * _divergences(f_support_refined, w_refined, kl_temperature))
-
-
-def _divergences(s_ref, w_ref, temperature: float, classes: slice | None = None) -> np.ndarray:
-    """-log of each class-major support row's softmax probability of its own
-    class (floored at ``numkit.PROB_FLOOR``), as :func:`cache_scores` uses it.
-    ``s_ref`` holds the rows of the run of whole ``classes`` (default: all).
+def _cache_scores(s_ref, w_ref, cfg: EngineConfig, classes: slice | None = None, gammas=None) -> np.ndarray:
+    """One row of cache scores exp(kl_sign * gamma * divergence) for each of
+    ``gammas`` (default: ``cfg.gamma``), for the refined class-major support
+    rows ``s_ref`` of the run of whole ``classes`` (default: all) against the
+    refined prototypes ``w_ref``.  A row's divergence is -log of its softmax
+    probability (at ``cfg.kl_temperature``) of its own class, floored at
+    ``numkit.PROB_FLOOR``.  When every gamma is 0 every score is
+    exp(+-0 * divergence) = 1 exactly, as the divergences are finite, so
+    the GEMM is skipped and ``w_ref`` is not read.
 
     The softmax runs in place on one reused block of the GEMM: only the
     true-class entry of each row is divided by its row sum, with the bits
-    of ``numkit._softmax``.  The block takes about ``numkit._BLOCK_BYTES``,
+    a whole-row softmax gives it.  The block takes about ``numkit._BLOCK_BYTES``,
     or a quarter of it for a run of :func:`_support_runs`, whose keys and
     tile hold the rest.
     """
-    n, c = s_ref.shape[0], w_ref.shape[0]
+    gammas = [cfg.gamma] if gammas is None else [float(g) for g in gammas]
+    n = s_ref.shape[0]
+    if not any(gammas):
+        return np.ones((len(gammas), n))
+    c = w_ref.shape[0]
     blocks = numkit._row_blocks(n, c if classes is None else 4 * c)
     classes = slice(0, c) if classes is None else classes
     k = n // (classes.stop - classes.start)
@@ -259,12 +239,13 @@ def _divergences(s_ref, w_ref, temperature: float, classes: slice | None = None)
     buf = np.empty((blocks[0].stop, c))
     for rows in blocks:
         z = np.matmul(s_ref[rows], w_ref.T, out=buf[: rows.stop - rows.start])
-        z /= temperature
+        z /= cfg.kl_temperature
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
         ids = np.arange(rows.start, rows.stop)
         p_true[rows] = z[ids - rows.start, classes.start + ids // k] / z.sum(axis=1)
-    return -np.log(np.clip(p_true, numkit.PROB_FLOOR, 1.0))
+    divergences = -np.log(np.clip(p_true, numkit.PROB_FLOOR, 1.0))
+    return np.stack([np.exp(cfg.kl_sign * gamma * divergences) for gamma in gammas])
 
 
 # Score columns are zero-padded to a multiple of this width, so every
@@ -450,19 +431,16 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
     overwrites and returns, for a mask whose width the caller has checked
     against the task; each class run's keys serve its cache scores and tiles.
 
-    At gamma = 0 every score is exp(+-0 * divergence) = 1 exactly, as the
-    divergences are finite, so their GEMM is skipped: under every channel,
-    no renormalization and gamma = 0 this is the Tip-Adapter baseline."""
+    The text channels are taken once, and not at gamma = 0, where every
+    score is 1: under every channel, no renormalization and gamma = 0 this
+    is the Tip-Adapter baseline."""
     def take(m, norms):
         return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
 
     w_ref = take(task.text_features, task.text_norms) if cfg.gamma else None
     f_ref = take(task.test_features, task.test_norms)
     for cls, plan, keys in _support_runs(task, len(f_ref), mask.q, take):
-        if w_ref is None:
-            scores = np.ones(len(keys))
-        else:
-            scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(keys, w_ref, cfg.kl_temperature, cls))
+        scores = _cache_scores(keys, w_ref, cfg, cls)[0]
         _add_cache_term(zs[:, cls], f_ref, keys, scores, cfg.alpha, cfg.beta, plan=plan)
         del keys  # freed before the next run's keys are taken
     return zs

@@ -17,11 +17,9 @@ import numpy as np
 from . import numkit
 
 __all__ = [
-    "CriterionVector",
     "ChannelMask",
     "inter_class_similarity",
     "inter_class_variance",
-    "blend_criteria",
     "select_channels",
     "full_mask",
     "save_mask",
@@ -29,22 +27,6 @@ __all__ = [
 ]
 
 MASK_HEADER = "APE-MASK v1"
-
-
-@dataclass(frozen=True, eq=False)
-class CriterionVector:
-    """Per-channel scores of one kind: 'similarity', 'variance' or 'blended'."""
-
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("similarity", "variance", "blended"):
-            raise ValueError(f"unknown criterion kind {self.kind!r}")
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or not np.isfinite(v).all():
-            raise ValueError("criterion values must be a finite 1-D vector")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +67,8 @@ class ChannelMask:
         return len(self.scores)
 
 
-def inter_class_similarity(w) -> CriterionVector:
-    """Average inter-class channel product over unit-norm prototypes.
+def inter_class_similarity(w) -> np.ndarray:
+    """Average inter-class channel product of unit-norm prototypes, one float64 per channel.
 
     For channel k the score is (1/C^2) * sum over ordered pairs of distinct
     classes (i, j) of w[i, k] * w[j, k].  Because the prototype rows are
@@ -94,66 +76,61 @@ def inter_class_similarity(w) -> CriterionVector:
     average pairwise cosine similarity restricted to that subset, so the
     criterion decomposes exactly per channel.  Float32 rows are stored
     prototypes, widened and normalized first (``numkit._unit64``), as a
-    loaded task reads them.
+    loaded task reads them.  Finiteness is read off the rows' norms.
 
     Raises:
-        ValueError: if fewer than two classes, or rows are not unit-norm
-            within 1e-6.
+        ValueError: if fewer than two classes, an entry is not finite, or
+            rows are not unit-norm within 1e-6.
     """
-    w = numkit._unit64(numkit._as_features(w, "w"))
+    with np.errstate(invalid="ignore"):  # a non-finite entry is named below, not warned about
+        w = numkit._unit64(numkit._as_features(w, "w", finite=False))
+    norms = numkit._row_norms(w)
+    numkit._as_features(w, "w", norms=norms)
     c = w.shape[0]
     if c < 2:
         raise ValueError("inter-class similarity needs at least 2 classes")
-    norms = np.sqrt((w * w).sum(axis=1))
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ValueError("prototype rows must be L2-normalized (within 1e-6)")
     colsum = w.sum(axis=0)
-    values = (colsum * colsum - (w * w).sum(axis=0)) / (c * c)
-    return CriterionVector("similarity", values)
+    return (colsum * colsum - (w * w).sum(axis=0)) / (c * c)
 
 
-def inter_class_variance(w) -> CriterionVector:
+def inter_class_variance(w) -> np.ndarray:
     """Per-channel population variance of the prototype values across
-    classes; float32 rows are widened and normalized first, as above."""
-    w = numkit._unit64(numkit._as_features(w, "w"))
-    if w.shape[0] < 2:
-        raise ValueError("inter-class variance needs at least 2 classes")
-    return CriterionVector("variance", np.var(w, axis=0))
+    classes, as a float64 vector of D scores; float32 rows are widened and
+    normalized first, as above.  Finiteness is read off the variances."""
+    with np.errstate(invalid="ignore"):  # as above
+        w = numkit._unit64(numkit._as_features(w, "w", finite=False))
+        if w.shape[0] < 2:
+            raise ValueError("inter-class variance needs at least 2 classes")
+        var = np.var(w, axis=0)
+    if not np.isfinite(var).all():
+        raise ValueError("w contains non-finite entries, or entries too large for their variance")
+    return var
 
 
-def blend_criteria(s: CriterionVector, v: CriterionVector, lam: float) -> CriterionVector:
-    """Blend similarity and variance into one score: lam * S - (1 - lam) * V.
-
-    Low blended scores mark the channels worth keeping: small inter-class
-    similarity and large inter-class variance.
-    """
-    if s.kind != "similarity":
-        raise ValueError(f"first criterion must be 'similarity', got {s.kind!r}")
-    if v.kind != "variance":
-        raise ValueError(f"second criterion must be 'variance', got {v.kind!r}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if s.values.shape != v.values.shape:
-        raise ValueError("criterion vectors must have equal length")
-    return CriterionVector("blended", lam * s.values - (1.0 - lam) * v.values)
-
-
-def select_channels(s: CriterionVector, v: CriterionVector, lam: float, q: int) -> ChannelMask:
-    """Keep the q channels with the smallest blended score.
+def select_channels(sim, var, lam: float, q: int) -> ChannelMask:
+    """Keep the q channels with the smallest blended score
+    lam * sim - (1 - lam) * var: small inter-class similarity and large
+    inter-class variance mark the channels worth keeping.
 
     Ties break toward the lower channel index, so the result is
     deterministic and the selection for q is a subset of the selection
     for q + 1.
 
     Raises:
-        ValueError: if q is not in [1, D].
+        ValueError: unless lam lies in [0, 1], ``sim`` and ``var`` are 1-D
+            vectors of one length D, and q lies in [1, D].
     """
-    j = blend_criteria(s, v, lam)
-    d = len(j.values)
-    if not 1 <= q <= d:
-        raise ValueError(f"q must lie in [1, {d}], got {q}")
-    order = np.argsort(j.values, kind="stable")
-    return ChannelMask(selected=np.sort(order[:q]), scores=j.values)
+    sim, var = np.asarray(sim, dtype=np.float64), np.asarray(var, dtype=np.float64)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    if sim.ndim != 1 or sim.shape != var.shape:
+        raise ValueError("criterion vectors must be 1-D and of equal length")
+    if not 1 <= q <= len(sim):
+        raise ValueError(f"q must lie in [1, {len(sim)}], got {q}")
+    scores = lam * sim - (1.0 - lam) * var
+    return ChannelMask(selected=np.sort(np.argsort(scores, kind="stable")[:q]), scores=scores)
 
 
 def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=None) -> np.ndarray:

@@ -26,10 +26,9 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _add_cache_term,
-    _are_class_ids,
+    _cache_scores,
     _class_sums,
     _cosine_tiles,
-    _divergences,
     _score_cols,
     _sharpen,
     _tile_plan,
@@ -42,7 +41,6 @@ __all__ = [
     "TrainState",
     "init_state",
     "forward",
-    "cross_entropy",
     "adamw_step",
     "cosine_lr",
     "train",
@@ -172,7 +170,7 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     state = TrainState(**zeros, step=0, mask_idx=mask.selected, text_features=task.text_features,
                        text_norms=task.text_norms, support_features=task.support_features,
                        support_norms=task.support_norms, cfg=cfg)
-    state.scores = np.exp(cfg.kl_sign * cfg.gamma * _divergences(state.f_support_refined, w_ref, cfg.kl_temperature))
+    state.scores = _cache_scores(state.f_support_refined, w_ref, cfg)[0]
     return state
 
 
@@ -210,19 +208,6 @@ def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res, scale)
 
 
-def cross_entropy(logits, label_ids) -> float:
-    """Mean softmax cross-entropy of logits against integer class ids.
-
-    Raises:
-        ValueError: unless ``label_ids`` holds one integral id in [0, C) per logits row.
-    """
-    z = numkit.as_matrix(logits, "logits")
-    y = np.asarray(label_ids)
-    if y.shape != (z.shape[0],) or not _are_class_ids(y, z.shape[1]):
-        raise ValueError(f"label_ids must be {z.shape[0]} integral class ids in [0, {z.shape[1]})")
-    return float(_ce_terms(z, y.astype(np.int64))[0].mean())
-
-
 def _ce_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row softmax cross-entropy of the logits ``z`` against int64 class
     ids ``y``, with the shifted ``exp`` of ``z`` and its row sums, whose
@@ -241,9 +226,8 @@ def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=No
     else its own sharpened product; either is read by class chunks (a
     gather of held rows), so no second B x C*K matrix exists.
 
-    Returns (logits, loss, d_res, d_scores): the batch's mean cross-entropy,
-    bitwise :func:`cross_entropy` of the logits, and the gradients shaped
-    (C, Q) and (C*K,).  The residual gradient sums the text-shift path and the
+    Returns (logits, loss, d_res, d_scores): the batch's mean cross-entropy
+    and the gradients shaped (C, Q) and (C*K,).  The residual gradient sums the text-shift path and the
     cache-gain path; both are linear in the refined rows, so it is one GEMM.
     """
     y = np.asarray(label_ids, dtype=np.int64)

@@ -108,6 +108,21 @@ def tip_reference(task, alpha, beta):
     return f @ w.T + alpha * np.exp(-beta * (1.0 - f @ s.T)) @ one_hot_labels(task.c, task.k)
 
 
+def cross_entropy(logits, label_ids) -> float:
+    """Reference mean softmax cross-entropy of logits against integer class
+    ids, the mean of ``trainer._ce_terms``: the loss that the steps and the
+    history of ``trainer.train`` report, bitwise.
+
+    Raises:
+        ValueError: unless ``label_ids`` holds one integral id in [0, C) per logits row.
+    """
+    z = numkit.as_matrix(logits, "logits")
+    y = np.asarray(label_ids)
+    if y.shape != (z.shape[0],) or not engine._are_class_ids(y, z.shape[1]):
+        raise ValueError(f"label_ids must be {z.shape[0]} integral class ids in [0, {z.shape[1]})")
+    return float(trainer._ce_terms(z, y.astype(np.int64))[0].mean())
+
+
 def grads(state, f_batch, label_ids):
     """(d_res, d_scores) of ``trainer._grad_parts`` on a float64 batch of
     full-width rows, refined (channels and r) as ``trainer.forward`` refines
@@ -322,7 +337,7 @@ def train_reference(task, mask, cfg, optim):
     def eval_row(epoch, loss=None):
         support_logits = trainer.forward(state, task.support_features)
         if loss is None:
-            loss = trainer.cross_entropy(support_logits, y_support)
+            loss = cross_entropy(support_logits, y_support)
         test_acc = None
         if task.test_labels is not None:
             test_acc = accuracy(trainer.forward(state, task.test_features), task.test_labels)
@@ -343,9 +358,9 @@ def train_reference(task, mask, cfg, optim):
             if held:
                 s_ref, scale = state.f_support_refined[idx], state.support_scale[idx]
                 logits, _, *step_grads = trainer._grad_parts(state, zs[idx], s_ref, scale, yb, aff, idx)
-                losses.append(trainer.cross_entropy(logits, yb))
+                losses.append(cross_entropy(logits, yb))
             else:
-                losses.append(trainer.cross_entropy(trainer.forward(state, fb), yb))
+                losses.append(cross_entropy(trainer.forward(state, fb), yb))
                 step_grads = grads(state, fb, yb)
             trainer.adamw_step(state, step_grads, trainer.cosine_lr(state.step, total_steps, optim.lr), optim)
         history.append(eval_row(epoch + 1, float(np.mean(losses))))

@@ -19,7 +19,7 @@ from ape import dataio, engine, numkit, refine, trainer
 from ape.cli import grid_search
 from ape.engine import EngineConfig
 from ape.trainer import OptimConfig
-from helpers import grads, param_count, random_task, tip_reference, unit_rows
+from helpers import cross_entropy, grads, param_count, random_task, tip_reference, unit_rows
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -114,7 +114,7 @@ def test_criterion_3_gradient_check():
         d_res, d_scores = grads(state, f_batch, y)
 
         def loss():
-            return trainer.cross_entropy(trainer.forward(state, f_batch), y)
+            return cross_entropy(trainer.forward(state, f_batch), y)
 
         for arr, grad in ((state.res, d_res), (state.scores, d_scores)):
             flat = arr.reshape(-1)

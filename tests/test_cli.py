@@ -528,9 +528,9 @@ class TestGridOracle:
         task = random_task(rng, c=4, k=3, d=8, n_test=6)
         mask = refine.ChannelMask(selected=np.arange(5), scores=np.zeros(8))
         args = (task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], [0.0, 0.2, 0.7])
-        with mock.patch.object(cli, "_divergences", wraps=engine._divergences) as spy:
+        with mock.patch.object(cli, "_cache_scores", wraps=engine._cache_scores) as spy:
             got = grid_search(*args)
-        assert spy.call_count == 1
+        assert spy.call_count == 1 and list(spy.call_args.kwargs["gammas"]) == [0.0, 0.2, 0.7]
         assert got == brute_force_grid(*args)
 
     def test_one_sharpen_per_tile_and_beta(self):

@@ -566,7 +566,7 @@ class TestFloat32Task:
         assert got.text_features.dtype == got.support_features.dtype == got.test_features.dtype == np.float32
         assert want.text_features.dtype == want.support_features.dtype == want.test_features.dtype == np.float64
         for criterion in (refine.inter_class_similarity, refine.inter_class_variance):
-            assert criterion(got.text_features).values.tobytes() == criterion(want.text_features).values.tobytes()
+            assert criterion(got.text_features).tobytes() == criterion(want.text_features).tobytes()
         for cfg in self.CONFIGS:
             assert engine.ape_logits(got, mask, cfg).tobytes() == engine.ape_logits(want, mask, cfg).tobytes()
         assert tip_logits(got, 1.0, 5.5).tobytes() == tip_logits(want, 1.0, 5.5).tobytes()
@@ -696,6 +696,21 @@ class TestFloat32Task:
             tracemalloc.start()
             try:
                 engine.ape_logits(task, mask, EngineConfig())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * 8 * c * k * d
+
+    def test_save_task_widens_by_row_blocks(self, tmp_path):
+        """Re-saving a loaded task widens each feature role one row block at
+        a time, so no role's whole float64 copy is allocated."""
+        rng = np.random.default_rng(76)
+        c, k, d, n = 8, 16, 512, 64
+        task = dataio.load_task(dataio.save_task(random_task(rng, c=c, k=k, d=d, n_test=n), tmp_path / "a"))
+        with block_budget(d, 16):
+            tracemalloc.start()
+            try:
+                dataio.save_task(task, tmp_path / "b")
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

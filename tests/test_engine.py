@@ -121,20 +121,37 @@ class TestCacheAffinity:
             engine.cache_affinity([[1.0, 0.0]], [[1.0, 0.0]], beta=-1.0)
 
 
+def cache_scores(s_ref, w_ref, gamma, kl_sign=1, kl_temperature=1.0):
+    """The one row of ``engine._cache_scores`` at a single gamma."""
+    cfg = EngineConfig(gamma=gamma, kl_sign=kl_sign, kl_temperature=kl_temperature)
+    return engine._cache_scores(np.asarray(s_ref, dtype=np.float64), np.asarray(w_ref, dtype=np.float64), cfg)[0]
+
+
 class TestCacheScores:
     def test_gamma_zero_all_ones(self):
         rng = np.random.default_rng(16)
-        scores = engine.cache_scores(
-            unit_rows(rng, 6, 4), unit_rows(rng, 3, 4), gamma=0.0
-        )
+        scores = cache_scores(unit_rows(rng, 6, 4), unit_rows(rng, 3, 4), gamma=0.0)
         np.testing.assert_array_equal(scores, np.ones(6))
+
+    def test_all_gammas_zero_skip_the_prototypes(self):
+        """Every gamma 0 gives exact ones without reading the prototypes, so
+        the GEMM is skipped; one nonzero gamma scores all of them."""
+        rng = np.random.default_rng(16)
+        s_ref, w_ref = unit_rows(rng, 6, 4), unit_rows(rng, 3, 4)
+        for kl_sign in (1, -1):
+            cfg = EngineConfig(kl_sign=kl_sign, kl_temperature=0.7)
+            np.testing.assert_array_equal(engine._cache_scores(s_ref, None, cfg, gammas=[0.0, 0.0]), np.ones((2, 6)))
+            got = engine._cache_scores(s_ref, w_ref, cfg, gammas=np.array([0.0, 0.3, 1.1]))
+            assert got.shape == (3, 6)
+            for row, gamma in zip(got, (0.0, 0.3, 1.1)):
+                assert row.tobytes() == cache_scores_unblocked(s_ref, w_ref, gamma, kl_sign, 0.7).tobytes()
 
     def test_uniform_prediction_closed_form(self):
         # Two orthogonal prototypes and one support row per class, both at
         # 45 degrees: the softmax is uniform, so each divergence is ln 2.
         w = np.eye(2)
         sup = np.full((2, 2), math.sqrt(0.5))
-        scores = engine.cache_scores(sup, w, gamma=0.2, kl_sign=1)
+        scores = cache_scores(sup, w, gamma=0.2, kl_sign=1)
         np.testing.assert_allclose(scores, [math.exp(0.2 * math.log(2.0))] * 2, rtol=1e-12)
         np.testing.assert_allclose(scores, [1.14870] * 2, rtol=1e-5)
 
@@ -142,9 +159,7 @@ class TestCacheScores:
         # A tiny temperature saturates the softmax at the true class.
         w = np.eye(2)
         sup = np.eye(2)
-        scores = engine.cache_scores(
-            sup, w, gamma=0.7, kl_sign=1, kl_temperature=1e-3
-        )
+        scores = cache_scores(sup, w, gamma=0.7, kl_sign=1, kl_temperature=1e-3)
         np.testing.assert_array_equal(scores, np.ones(2))
 
     def test_matches_scalar_kl_loop(self):
@@ -154,19 +169,13 @@ class TestCacheScores:
         sup = unit_rows(rng, c * k, q)
         w = unit_rows(rng, c, q)
         gamma, sign, temp = 0.3, -1, 0.7
-        got = engine.cache_scores(sup, w, gamma, sign, temp)
+        got = cache_scores(sup, w, gamma, sign, temp)
         probs = softmax(sup @ w.T, temp)
         expected = [
             math.exp(sign * gamma * kl_one_hot(probs[i], i // k))
             for i in range(c * k)
         ]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-    def test_bad_labels_rejected(self):
-        # Three support rows cannot be two classes of one shot each.
-        rng = np.random.default_rng(18)
-        with pytest.raises(ValueError):
-            engine.cache_scores(unit_rows(rng, 3, 4), unit_rows(rng, 2, 4), 0.2)
 
 
 class TestApeLogits:
@@ -207,7 +216,7 @@ class TestApeLogits:
                 for alpha, beta in ((0.5, 1.0), (1.3, 2.5), (2.0, 7.0)):
                     for kl_sign, temperature in ((1, 1.0), (-1, 1.0), (1, 0.3), (-1, 2.5)):
                         cfg = EngineConfig(alpha, beta, 0.0, kl_sign, temperature, renormalize)
-                        scores = np.exp(kl_sign * 0.0 * engine._divergences(s_ref, w_ref, temperature))
+                        scores = cache_scores_unblocked(s_ref, w_ref, 0.0, kl_sign, temperature)
                         want = engine._add_cache_term(zs.copy(), f_ref, s_ref, scores, alpha, beta)
                         assert engine.ape_logits(task, mask, cfg).tobytes() == want.tobytes()
 
@@ -224,7 +233,7 @@ class TestApeLogits:
         w_ref = apply_mask(task.text_features, mask)
         s_ref = apply_mask(task.support_features, mask)
         f_ref = apply_mask(task.test_features, mask)
-        scores = engine.cache_scores(s_ref, w_ref, cfg.gamma)
+        scores = cache_scores(s_ref, w_ref, cfg.gamma)
         n_test = task.test_features.shape[0]
         expected = np.zeros((n_test, task.c))
         for n in range(n_test):
@@ -346,7 +355,7 @@ class TestClassPermutation:
         def scores(t):
             s_ref = apply_mask(t.support_features, mask)
             w_ref = apply_mask(t.text_features, mask)
-            return engine.cache_scores(s_ref, w_ref, cfg.gamma, kl_sign, cfg.kl_temperature)
+            return engine._cache_scores(s_ref, w_ref, cfg)[0]
 
         np.testing.assert_allclose(scores(moved), blocks(scores(task)), rtol=0, atol=1e-12)
 
@@ -405,7 +414,7 @@ class TestRoutingOracle:
         s_ref = apply_mask(task.support_features, mask)
         f_ref = apply_mask(f, mask)
         aff = engine.cache_affinity(f_ref, s_ref, cfg.beta)
-        scores = engine.cache_scores(s_ref, w_ref, cfg.gamma)
+        scores = engine._cache_scores(s_ref, w_ref, cfg)[0]
         want = zs + cfg.alpha * (aff * scores) @ labels
         got = engine.ape_logits(task, mask, cfg)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -474,11 +483,10 @@ class TestRowBlocks:
         )
         f, w = task.test_features, task.text_features
         w_ref, s_ref, f_ref = (apply_mask(m, mask) for m in (w, task.support_features, f))
-        score_args = (s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.1 * rng.standard_normal(state.res.shape)
 
-        scores = cache_scores_unblocked(*score_args)
+        scores = cache_scores_unblocked(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         want = {
             "ape": cache_term_unblocked(f @ w.T, f_ref, s_ref, scores, cfg.alpha, cfg.beta, c, k),
             "tip": cache_term_unblocked(
@@ -501,9 +509,9 @@ class TestRowBlocks:
             assert default[name].tobytes() == expected.tobytes(), name
             assert blocked[name].tobytes() == expected.tobytes(), name
 
-        assert engine.cache_scores(*score_args).tobytes() == scores.tobytes()
+        assert engine._cache_scores(s_ref, w_ref, cfg)[0].tobytes() == scores.tobytes()
         with block_budget(c, rows):
-            assert engine.cache_scores(*score_args).tobytes() == scores.tobytes()
+            assert engine._cache_scores(s_ref, w_ref, cfg)[0].tobytes() == scores.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 300), cols=st.integers(1, 64), rows=st.integers(1, 20))
@@ -570,10 +578,9 @@ class TestRowBlocks:
         c, k, n, d = 4, 8, 40, 16
         task = random_task(rng, c=c, k=k, d=d, n_test=n)
         mask = refine.ChannelMask(selected=np.arange(10), scores=np.zeros(d))
-        s_ref, w_ref = (apply_mask(m, mask) for m in (task.support_features, task.text_features))
         calls = {
             "ape_logits": lambda: engine.ape_logits(task, mask, EngineConfig()),
-            "cache_scores": lambda: engine.cache_scores(s_ref, w_ref, 0.2),
+            "init_state": lambda: trainer.init_state(task, mask, EngineConfig()),
         }
         for name, call in calls.items():
             counts = []
@@ -801,7 +808,7 @@ class TestSupportRuns:
         for c, n, classes in ((1000, 16 * 63, slice(0, 63)), (100, 1600, None)):
             s_ref, w_ref = unit_rows(rng, n, 8), unit_rows(rng, c, 8)
             with mock.patch.object(numkit, "_row_blocks", spy):
-                engine._divergences(s_ref, w_ref, 1.0, classes)
+                engine._cache_scores(s_ref, w_ref, EngineConfig(), classes)
         assert 8 * plans[0][0].stop * 1000 <= numkit._BLOCK_BYTES // 4
         assert len(plans) == 2 and len(plans[0]) == 4 and plans[1] == [slice(0, 1600)]
 

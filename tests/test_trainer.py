@@ -25,6 +25,8 @@ from helpers import (
     adamw_reference,
     apply_mask,
     block_budget,
+    cache_scores_unblocked,
+    cross_entropy,
     frozen_checksum,
     grads,
     holds_support,
@@ -51,7 +53,7 @@ def numeric_grads(state, f_batch, y, h=1e-5):
     """Central finite differences of the batch loss w.r.t. res and scores."""
 
     def loss():
-        return trainer.cross_entropy(trainer.forward(state, f_batch), y)
+        return cross_entropy(trainer.forward(state, f_batch), y)
 
     num_res = np.zeros_like(state.res)
     for i in range(state.res.shape[0]):
@@ -122,7 +124,7 @@ class TestInitState:
         rng = np.random.default_rng(32)
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
-        want = engine.cache_scores(
+        want = cache_scores_unblocked(
             apply_mask(task.support_features, mask, cfg.renormalize),
             apply_mask(task.text_features, mask, cfg.renormalize),
             cfg.gamma,
@@ -320,7 +322,7 @@ class TestForward:
         y = rng.integers(0, c, b + 2)
         step_logits, step_loss, _, _ = trainer._grad_parts(state, f @ state.w.T, f_ref, scale, y)
         assert step_logits.tobytes() == got.tobytes()
-        assert step_loss == trainer.cross_entropy(step_logits, y)  # bitwise, from the step's own softmax
+        assert step_loss == cross_entropy(step_logits, y)  # bitwise, from the step's own softmax
 
     def test_residual_row_touches_only_its_class_column(self):
         rng = np.random.default_rng(34)
@@ -433,7 +435,7 @@ class TestBackward:
         y = rng.integers(0, c, b)
         step_logits, step_loss, _, _ = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, y)
         assert step_logits.tobytes() == got.tobytes()
-        assert step_loss == trainer.cross_entropy(step_logits, y)
+        assert step_loss == cross_entropy(step_logits, y)
 
     @pytest.mark.parametrize("held", [False, True])
     def test_step_never_forms_the_shifted_keys(self, held):
@@ -528,8 +530,8 @@ class TestCrossEntropy:
         logits = np.random.default_rng(39).standard_normal((3, 4))
         for bad in ([1], [[0], [1], [2]], [0, -1, 2], [0, 1, 4], [0.5, 1, 2]):
             with pytest.raises(ValueError, match="label_ids"):
-                trainer.cross_entropy(logits, bad)
-        assert math.isfinite(trainer.cross_entropy(logits, [0, 1, 3]))
+                cross_entropy(logits, bad)
+        assert math.isfinite(cross_entropy(logits, [0, 1, 3]))
 
 
 class TestAdamWStep:
@@ -718,7 +720,7 @@ class TestTrain:
         fresh = trainer.init_state(task, mask, cfg)
         logits = trainer.forward(fresh, task.support_features)
         y = task.support_class_ids()
-        assert history[0]["loss"] == trainer.cross_entropy(logits, y)
+        assert history[0]["loss"] == cross_entropy(logits, y)
         assert history[0]["support_acc"] == engine.accuracy(logits, y)
 
     @pytest.mark.parametrize("held", [True, False])
@@ -883,7 +885,7 @@ class TestTrain:
             idx = np.arange(rows.start, rows.stop)
             got, loss, _, _ = trainer._grad_parts(state, zs[idx], s_ref[idx], state.support_scale[idx], y[idx], aff, idx)
             assert got.tobytes() == want[rows].tobytes()
-            assert loss == trainer.cross_entropy(got, y[idx])
+            assert loss == cross_entropy(got, y[idx])
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_reference_loop_examples_under_blas_threads(self, threads):
