@@ -24,9 +24,9 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _ape_core,
-    _cache_scores,
     _checked_norms,
-    _grid_hits,
+    _grid_run,
+    _support_runs,
     accuracy,
     ape_logits,  # noqa: F401 - perfbench's tracer test rebinds ape.cli.ape_logits
     zero_shot_logits,
@@ -111,8 +111,8 @@ def _task_and_mask(args, split=None, holdout=False) -> tuple[FewShotTask, refine
     and support rows) with ``split``'s test rows and labels: neither the
     cache's test files nor the split's text, support and label files are
     read.  A split of another class count or width is a UsageError.  A
-    ``holdout`` task's test rows are the support shots that
-    :func:`_holdout_split` holds out, and no test file is read.
+    ``holdout`` task's test rows are the last support shot of each class,
+    which :func:`grid_search` holds out, and no test file is read.
     """
     if split is None and not holdout:
         task = dataio.load_task(args.task)
@@ -166,17 +166,6 @@ def parse_grid(spec: str) -> np.ndarray:
     return ends if len(parts) == 1 else np.linspace(ends[0], ends[1], steps)
 
 
-def _holdout_split(task: FewShotTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The default validation fold for the grid search: the last shot of
-    every class held out.  Returns the indices of the kept support rows
-    (K - 1 per class, class-major) and of the held-out rows, and the
-    held-out rows' class ids."""
-    if task.k < 2:
-        raise UsageError("validation holdout needs K >= 2 (or pass --val-task)")
-    rows = np.arange(task.c * task.k).reshape(task.c, task.k)
-    return rows[:, :-1].ravel(), rows[:, -1], np.arange(task.c)
-
-
 def grid_search(
     task: FewShotTask,
     mask: refine.ChannelMask,
@@ -192,12 +181,16 @@ def grid_search(
     when given, otherwise one held-out shot per class.  Ties break toward
     the smaller alpha, then beta, then gamma.
 
-    The cache is frozen across candidates, so the search computes the
-    refined rows, the zero-shot logits and the support rows' softmax once,
-    and the cache scores once per gamma; ``engine._grid_hits`` counts every
-    candidate's correct rows over cosine tiles of the split.  Every
-    candidate's predictions equal ``ape_logits``'s bitwise, and its accuracy
-    is the float ``accuracy`` returns.
+    The cache is frozen across candidates, so the search refines the split
+    and takes its zero-shot logits once, and walks the class runs of
+    ``engine._support_runs`` as ``ape_logits`` does (the holdout's cache is
+    the first K - 1 shots of each class): a run's keys serve one softmax for
+    the scores of every gamma and the tiles over which ``engine._grid_run``
+    carries each candidate's top logit and argmax.  It holds the N x C
+    logits, the N x Q refined rows, those two per candidate and row, one
+    run's keys and scores and one tile with its weights.  Every candidate's
+    predictions equal ``ape_logits``'s bitwise, and its accuracy is the
+    float ``accuracy`` returns.
 
     Raises:
         UsageError: if any grid is empty or holds a value the engine
@@ -217,21 +210,22 @@ def grid_search(
             raise UsageError("--val-task manifest must provide test_labels")
         if val_task.c != task.c or val_task.d != task.d:
             raise UsageError("--val-task must share the task's class count and feature width")
-        support, s_norms = task.support_features, task.support_norms
-        test, t_norms, labels = val_task.test_features, val_task.test_norms, val_task.test_labels
+        test, t_norms, labels, shots = val_task.test_features, val_task.test_norms, val_task.test_labels, task.k
+    elif task.k < 2:
+        raise UsageError("validation holdout needs K >= 2 (or pass --val-task)")
     else:
-        kept, held, labels = _holdout_split(task)
-        support, s_norms = task.support_features[kept], task.support_norms[kept]
+        held, labels, shots = slice(task.k - 1, None, task.k), np.arange(task.c), task.k - 1
         test, t_norms = task.support_features[held], task.support_norms[held]
-        numkit._release(task.support_features)  # both gathers are copies
 
     refine._check_width(mask, task.d)
     zs = zero_shot_logits(test, task.text_features, t_norms, task.text_norms)
-    w_ref = refine._take_channels(task.text_features, mask.selected, base_cfg.renormalize, task.text_norms)
-    s_ref = refine._take_channels(support, mask.selected, base_cfg.renormalize, s_norms)
     f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)
-    score_sets = _cache_scores(s_ref, w_ref, base_cfg, gammas=gammas)
-    hits = _grid_hits(zs, f_ref, s_ref, labels, alphas, betas, score_sets)
+    top = np.full((alphas.size, betas.size, gammas.size, len(labels)), -np.inf)
+    pred = np.zeros(top.shape, dtype=np.int64)
+    for cls, plan, keys, score_sets in _support_runs(task, len(f_ref), mask, base_cfg, gammas, shots):
+        _grid_run(top, pred, zs[:, cls], f_ref, keys, score_sets, alphas, betas, plan, cls.start)
+        del keys, score_sets  # freed before the next run's keys are taken
+    hits = np.count_nonzero(pred == labels, axis=-1)
     # The first maximum in C order is the smallest alpha, then beta, then gamma.
     a, b, g = np.unravel_index(np.argmax(hits), hits.shape)
     best = replace(base_cfg, alpha=float(alphas[a]), beta=float(betas[b]), gamma=float(gammas[g]))

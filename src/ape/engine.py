@@ -206,34 +206,37 @@ def _sharpen(cos, beta: float, out) -> np.ndarray:
     Bitwise equal to the expression, without its temporaries: ``out`` is
     the only matrix written, so the peak stays at one output's bytes.
     """
-    np.subtract(1.0, cos, out=out)
-    out *= -beta
+    return _decay(np.subtract(1.0, cos, out=out), beta, out)
+
+
+def _decay(gap, beta: float, out) -> np.ndarray:
+    """exp(-beta * gap) into ``out`` by :func:`_sharpen`'s last two operations, so its bits."""
+    np.multiply(gap, -beta, out=out)
     return np.exp(out, out=out)
 
 
-def _cache_scores(s_ref, w_ref, cfg: EngineConfig, classes: slice | None = None, gammas=None) -> np.ndarray:
+def _cache_scores(s_ref, w_ref, cfg: EngineConfig, classes: slice, gammas) -> np.ndarray:
     """One row of cache scores exp(kl_sign * gamma * divergence) for each of
-    ``gammas`` (default: ``cfg.gamma``), for the refined class-major support
-    rows ``s_ref`` of the run of whole ``classes`` (default: all) against the
-    refined prototypes ``w_ref``.  A row's divergence is -log of its softmax
-    probability (at ``cfg.kl_temperature``) of its own class, floored at
-    ``numkit.PROB_FLOOR``.  When every gamma is 0 every score is
-    exp(+-0 * divergence) = 1 exactly, as the divergences are finite, so
-    the GEMM is skipped and ``w_ref`` is not read.
+    ``gammas``, for the refined class-major support rows ``s_ref`` of the run
+    of whole ``classes`` against the refined prototypes ``w_ref``.  A row's
+    divergence is -log of its softmax probability (at ``cfg.kl_temperature``)
+    of its own class, floored at ``numkit.PROB_FLOOR``.  When every gamma is
+    0 every score is exp(+-0 * divergence) = 1 exactly, as the divergences
+    are finite, so the GEMM is skipped and ``w_ref`` is not read.
 
     The softmax runs in place on one reused block of the GEMM: only the
     true-class entry of each row is divided by its row sum, with the bits
-    a whole-row softmax gives it.  The block takes about ``numkit._BLOCK_BYTES``,
-    or a quarter of it for a run of :func:`_support_runs`, whose keys and
-    tile hold the rest.
+    a whole-row softmax gives it.  The block takes about a quarter of
+    ``numkit._BLOCK_BYTES``, and a score's bits depend on it, so every
+    caller scores the runs of :func:`_run_plan`, whose keys and tile hold
+    the rest of the budget.
     """
-    gammas = [cfg.gamma] if gammas is None else [float(g) for g in gammas]
+    gammas = [float(g) for g in gammas]
     n = s_ref.shape[0]
     if not any(gammas):
         return np.ones((len(gammas), n))
     c = w_ref.shape[0]
-    blocks = numkit._row_blocks(n, c if classes is None else 4 * c)
-    classes = slice(0, c) if classes is None else classes
+    blocks = numkit._row_blocks(n, 4 * c)
     k = n // (classes.stop - classes.start)
     p_true = np.empty(n)
     buf = np.empty((blocks[0].stop, c))
@@ -360,88 +363,86 @@ def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None
     return zs
 
 
-def _grid_hits(zs, f_ref, keys, labels, alphas, betas, score_sets) -> np.ndarray:
-    """Count of rows whose ``labels`` entry is the argmax of
-    ``_add_cache_term(zs.copy(), f_ref, keys, score_sets[g], alphas[a],
-    betas[b])``, bitwise, as an alphas x betas x score_sets array
-    (``score_sets``: one C*K row of scores per set).
+def _grid_run(top, pred, zs, f_ref, keys, score_sets, alphas, betas, plan, first: int) -> None:
+    """Raise each candidate's top logit ``top`` and class id ``pred`` (both
+    alphas x betas x score sets x N) in place by the logits of the class run
+    ``first`` + range(C'): its zero-shot columns ``zs`` plus the
+    ``_add_cache_term`` of ``keys`` at ``score_sets[g]`` (one C'*K row per
+    set), ``alphas[a]`` and ``betas[b]``, bitwise, over the tiles of ``plan``.
 
-    Each tile's cosines are sharpened once per beta into one reused tile of
-    weights, which :func:`_class_sums` takes into the class sums of up to
-    ``_SCORE_COLS`` score sets at once; alpha only scales the finished sums.
-    A row's argmax runs across its class runs: a later run takes the row
+    Each tile's gap 1 - cos is taken once, in place; :func:`_decay` makes it
+    one reused tile of weights per beta, which :func:`_class_sums` takes into
+    the sums of up to ``_SCORE_COLS`` score sets at once; all alphas scale a
+    set's sums in one alphas x rows x C' scratch.  A later run takes a row
     only with a strictly larger logit, so ties go to the lower id as in
-    ``predict``.
-    """
+    ``predict``."""
     c = zs.shape[1]
-    k = keys.shape[0] // c
-    hits = np.zeros((len(alphas), len(betas), len(score_sets)), dtype=np.int64)
-    weights = None
-    for rows, cls, _, cos in _cosine_tiles(f_ref, keys, c):
-        if weights is None:  # the first tile is the largest; both buffers are reused
-            weights = np.empty(cos.size)
-            buf = np.empty(min(len(score_sets), _SCORE_COLS) * len(cos) * (cls.stop - cls.start))
-        blk = weights[: cos.size].reshape(cos.shape)
-        if cls.start == 0:
-            top = np.full(hits.shape + (len(cos),), -np.inf)
-            pred = np.zeros(top.shape, dtype=np.int64)
+    groups = [(lo, _score_cols(score_sets[lo : lo + _SCORE_COLS], c)) for lo in range(0, len(score_sets), _SCORE_COLS)]
+    rows0 = plan[0][0].stop  # the first row block is the largest; both buffers are reused
+    weights, buf = np.empty((rows0, len(keys))), np.empty(min(len(score_sets), _SCORE_COLS) * rows0 * c)
+    for rows, _, _, gap in _cosine_tiles(f_ref, keys, c, plan):
+        blk = weights[: len(gap)]
+        np.subtract(1.0, gap, out=gap)
         for b, beta in enumerate(betas):
-            _sharpen(cos, float(beta), out=blk)
-            for lo in range(0, len(score_sets), _SCORE_COLS):
-                group = score_sets[lo : lo + _SCORE_COLS, k * cls.start : k * cls.stop]
-                out = buf[: len(group) * len(cos) * (cls.stop - cls.start)].reshape(len(group), len(cos), -1)
-                cols = _score_cols(group, cls.stop - cls.start)
-                for g, sums in enumerate(_class_sums(blk, cols, len(group), out), lo):
-                    for a, alpha in enumerate(alphas):
-                        z = zs[rows, cls] + float(alpha) * sums
-                        arg = z.argmax(axis=1)
-                        z = z[np.arange(len(z)), arg]
-                        better = z > top[a, b, g]
-                        top[a, b, g, better] = z[better]
-                        pred[a, b, g, better] = arg[better] + cls.start
-        if cls.stop == c:
-            hits += np.count_nonzero(pred == labels[rows], axis=-1)
-    return hits
+            _decay(gap, float(beta), out=blk)
+            for lo, cols in groups:
+                e = min(_SCORE_COLS, len(score_sets) - lo)
+                out = buf[: e * len(gap) * c].reshape(e, len(gap), c)
+                for g, sums in enumerate(_class_sums(blk, cols, e, out), lo):
+                    z = np.multiply.outer(alphas, sums)
+                    z += zs[rows]
+                    arg = z.argmax(axis=2)
+                    z = np.take_along_axis(z, arg[..., None], axis=2)[..., 0]
+                    better = z > top[:, b, g, rows]
+                    np.copyto(top[:, b, g, rows], z, where=better)
+                    np.copyto(pred[:, b, g, rows], arg + first, where=better)
 
 
-def _support_runs(task: FewShotTask, n: int, q: int, take):
-    """Yield ``(classes, plan, keys)`` for each class run of the support keys
-    of ``n`` query rows: ``keys = take(m, norms)`` of the run's stored support
-    rows and norms, ``q`` columns wide, tiled by ``plan`` in the row blocks of
-    :func:`_tile_plan`.  One run's keys exist at a time, never all C*K rows,
-    once the caller drops each run's keys before the next.
-
-    The runs split :func:`_tile_plan`'s further, evenly, until one run's
-    keys take at most half of ``numkit._BLOCK_BYTES``, and keep its rules:
-    no run of one key column unless C*K = 1, and no split of a one-row
-    product (a GEMV, whose sums depend on its key count)."""
-    blocks, runs = _tile_plan(n, task.c, task.k)
+def _run_plan(n: int, c: int, k: int, q: int) -> tuple[list[slice], list[slice]]:
+    """:func:`_tile_plan` of ``n`` query rows and ``c`` x ``k`` keys, ``q``
+    columns wide, with its class runs split further, evenly, until one run's
+    keys take at most half of ``numkit._BLOCK_BYTES``: the runs of
+    :func:`_support_runs`.  No run has one key column unless C*K = 1, and a
+    one-row product (a GEMV, whose sums depend on its key count) is not split."""
+    blocks, runs = _tile_plan(n, c, k)
     if n > 1:
-        per_run = max(1, numkit._BLOCK_BYTES // (16 * task.k * q))  # classes in half a budget
-        count = min(max(len(runs), -(-task.c // per_run)), task.c if task.k > 1 else task.c // 2)
-        runs = numkit._even_slices(task.c, max(1, count))
+        per_run = max(1, numkit._BLOCK_BYTES // (16 * k * q))  # classes in half a budget
+        count = min(max(len(runs), -(-c // per_run)), c if k > 1 else c // 2)
+        runs = numkit._even_slices(c, max(1, count))
+    return blocks, runs
+
+
+def _support_runs(task: FewShotTask, n: int, mask: refine.ChannelMask, cfg: EngineConfig, gammas, shots=None):
+    """Yield ``(classes, plan, keys, scores)`` for each class run of
+    :func:`_run_plan` for ``n`` query rows: the refined first ``shots``
+    (default: all K) support rows of each class of the run, their tiling and
+    their ``_cache_scores`` at ``gammas``.  The text channels are taken once,
+    and not if every gamma is 0.  Once the caller drops each run's keys
+    before the next, one run's keys (and its gather of fewer than K shots,
+    whose file pages are dropped) exist at a time, never all C*K rows."""
+    def take(m, norms):
+        return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
+
+    w_ref = take(task.text_features, task.text_norms) if any(gammas) else None
+    k = task.k if shots is None else shots
+    blocks, runs = _run_plan(n, task.c, k, mask.q)
+    f, norms = task.support_features.reshape(task.c, task.k, -1), task.support_norms.reshape(task.c, task.k)
     for cls in runs:
-        rows = slice(task.k * cls.start, task.k * cls.stop)
-        plan = (blocks, [slice(0, cls.stop - cls.start)])
-        yield cls, plan, take(task.support_features[rows], task.support_norms[rows])  # no local holds them
+        keys = take(f[cls, :k].reshape(-1, f.shape[2]), norms[cls, :k].ravel())
+        numkit._release(task.support_features)
+        yield cls, (blocks, [slice(0, cls.stop - cls.start)]), keys, _cache_scores(keys, w_ref, cfg, cls, gammas)
+        del keys  # freed before the next run's keys are taken
 
 
 def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
     """:func:`ape_logits` built in the task's zero-shot logits ``zs``, which it
     overwrites and returns, for a mask whose width the caller has checked
-    against the task; each class run's keys serve its cache scores and tiles.
-
-    The text channels are taken once, and not at gamma = 0, where every
-    score is 1: under every channel, no renormalization and gamma = 0 this
-    is the Tip-Adapter baseline."""
-    def take(m, norms):
-        return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
-
-    w_ref = take(task.text_features, task.text_norms) if cfg.gamma else None
-    f_ref = take(task.test_features, task.test_norms)
-    for cls, plan, keys in _support_runs(task, len(f_ref), mask.q, take):
-        scores = _cache_scores(keys, w_ref, cfg, cls)[0]
-        _add_cache_term(zs[:, cls], f_ref, keys, scores, cfg.alpha, cfg.beta, plan=plan)
+    against the task; each class run's keys serve its cache scores and
+    tiles.  Under every channel, no renormalization and gamma = 0 this is
+    the Tip-Adapter baseline."""
+    f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
+    for cls, plan, keys, scores in _support_runs(task, len(f_ref), mask, cfg, [cfg.gamma]):
+        _add_cache_term(zs[:, cls], f_ref, keys, scores[0], cfg.alpha, cfg.beta, plan=plan)
         del keys  # freed before the next run's keys are taken
     return zs
 

@@ -29,6 +29,7 @@ from .engine import (
     _cache_scores,
     _class_sums,
     _cosine_tiles,
+    _run_plan,
     _score_cols,
     _sharpen,
     _tile_plan,
@@ -162,15 +163,19 @@ class TrainState:
 
 
 def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> TrainState:
-    """Fresh state: zero residuals and cache scores from the frozen model;
-    its forward pass reproduces the training-free logits bitwise."""
+    """Fresh state: zero residuals and the cache scores of ``ape_logits``'s
+    class runs for the task's test rows (the text channels are not taken at
+    gamma = 0); its forward pass reproduces the training-free logits bitwise."""
     refine._check_width(mask, task.d)
-    w_ref = refine._take_channels(task.text_features, mask.selected, cfg.renormalize, task.text_norms)
+    w_ref = (refine._take_channels(task.text_features, mask.selected, cfg.renormalize, task.text_norms)
+             if cfg.gamma else None)
     zeros = {name: np.zeros(task.c * task.k if name.endswith("scores") else (task.c, mask.q)) for name in _LEARNED}
     state = TrainState(**zeros, step=0, mask_idx=mask.selected, text_features=task.text_features,
                        text_norms=task.text_norms, support_features=task.support_features,
                        support_norms=task.support_norms, cfg=cfg)
-    state.scores = _cache_scores(state.f_support_refined, w_ref, cfg)[0]
+    for cls in _run_plan(len(task.test_features), task.c, task.k, mask.q)[1]:
+        keys = slice(task.k * cls.start, task.k * cls.stop)
+        state.scores[keys] = _cache_scores(state.f_support_refined[keys], w_ref, cfg, cls, [cfg.gamma])[0]
     return state
 
 

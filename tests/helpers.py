@@ -227,6 +227,17 @@ def kl_one_hot(pred_row, label_index: int) -> float:
     return -math.log(q)
 
 
+def several_runs_instance():
+    """``gen_synthetic(300, 16, 512, 3, 0.6, seed=0)`` and its lambda 0.7,
+    Q=256 mask: ``ape_logits`` takes the keys of its 900 test rows, and the
+    holdout search those of its 300 held-out shots, in several class runs,
+    each scored in softmax blocks of its own."""
+    task = dataio.gen_synthetic(300, 16, 512, 3, 0.6, seed=0)
+    w = numkit._unit64(task.text_features, task.text_norms)
+    sim, var = refine.inter_class_similarity(w), refine.inter_class_variance(w)
+    return task, refine.select_channels(sim, var, 0.7, 256)
+
+
 def holdout_split_loop(task):
     """Reference holdout: the last shot of every class becomes the test
     split, with the row indices built one by one.  Returns the kept

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import os
 import re
 import shlex
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ape import cli, dataio, engine, numkit, refine, trainer
-from ape.cli import _holdout_split, grid_search, main, parse_grid
+from ape.cli import grid_search, main, parse_grid
 from ape.engine import EngineConfig, FewShotTask
 from helpers import (
     block_budget,
@@ -26,6 +27,7 @@ from helpers import (
     holdout_split_loop,
     param_count,
     random_task,
+    several_runs_instance,
     tip_config,
     tip_reference,
     unit_rows,
@@ -376,15 +378,15 @@ class TestSearchCommand:
         ])
         assert rc == 2
 
-    def test_holdout_split_matches_loop(self, workspace):
-        _, manifest, _ = workspace
-        task = dataio.load_task(manifest)
-        kept, held, labels = _holdout_split(task)
-        got = task.support_features[kept], task.support_features[held], labels
-        want = holdout_split_loop(task)
-        assert len(got[0]) == len(want[0]) == task.c * (task.k - 1)
-        for a, b in zip(got, want, strict=True):  # support rows, held-out rows, their labels
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    def test_holdout_fold_matches_loop(self, workspace):
+        """The holdout search of a loaded task predicts as ``ape_logits`` on
+        the loop's fold: the first K - 1 shots of each class as the cache,
+        the last one as the split."""
+        _, manifest, mask_path = workspace
+        task, (mask, _) = dataio.load_task(manifest), refine.load_mask(mask_path)
+        kept, held, labels = holdout_split_loop(task)
+        probe = FewShotTask(task.text_features, kept, held, labels)
+        assert_grid_predicts_as_ape_logits(task, mask, probe, None)
 
     @pytest.mark.parametrize("flag, spec, message", [
         ("--alpha-grid", "nan", "error: grid 'nan' has a non-finite end"),
@@ -482,6 +484,20 @@ def check_grid_oracle(c, k, q, alphas, betas, gammas, with_val, kl_sign, renorma
     assert got_acc.hex() == want_acc.hex()
 
 
+def assert_grid_predicts_as_ape_logits(task, mask, probe, val_task):
+    """Every candidate of a 2 x 2 x 2 grid search over ``task`` (holdout, or
+    scored on ``val_task``) predicts ``predict(ape_logits(probe, ...))``,
+    bitwise: the argmaxes ``engine._grid_run`` leaves in its ``pred``."""
+    base, grids = EngineConfig(), ([0.5, 1.0], [1.0, 5.5], [0.0, 0.2])
+    with mock.patch.object(cli, "_grid_run", wraps=engine._grid_run) as spy:
+        grid_search(task, mask, base, *grids, val_task=val_task)
+    pred = spy.call_args.args[1]  # filled in place across the runs
+    for (a, alpha), (b, beta), (g, gamma) in itertools.product(*map(enumerate, grids)):
+        cfg = dataclasses.replace(base, alpha=alpha, beta=beta, gamma=gamma)
+        want = engine.predict(engine.ape_logits(probe, mask, cfg))
+        assert pred[a, b, g].tobytes() == want.tobytes(), (alpha, beta, gamma)
+
+
 class TestGridOracle:
     def test_matches_brute_force(self):
         check_grid_oracle()
@@ -521,32 +537,88 @@ class TestGridOracle:
             _, acc = grid_search(task, mask, EngineConfig(gamma=0.0), [1.0], [0.0], val_task=val_task)
         assert acc == 1.0
 
-    def test_support_softmax_once_for_all_gammas(self):
-        """The cache scores of every gamma come from one softmax of the
-        support rows against the prototypes."""
+    def test_one_support_softmax_per_class_run_for_all_gammas(self):
+        """Each class run's cache scores of every gamma come from one softmax
+        of the run's keys against the prototypes: one ``_cache_scores`` call
+        per run of ``engine._support_runs``, each with all the gammas."""
         rng = np.random.default_rng(8)
         task = random_task(rng, c=4, k=3, d=8, n_test=6)
         mask = refine.ChannelMask(selected=np.arange(5), scores=np.zeros(8))
         args = (task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], [0.0, 0.2, 0.7])
-        with mock.patch.object(cli, "_cache_scores", wraps=engine._cache_scores) as spy:
-            got = grid_search(*args)
-        assert spy.call_count == 1 and list(spy.call_args.kwargs["gammas"]) == [0.0, 0.2, 0.7]
-        assert got == brute_force_grid(*args)
+        with block_budget(4, 2):  # 4 held-out rows x 4 classes of 2 kept shots
+            runs = engine._run_plan(4, 4, 2, 5)[1]
+            with mock.patch.object(engine, "_cache_scores", wraps=engine._cache_scores) as spy:
+                got = grid_search(*args)
+            want = brute_force_grid(*args)
+        assert len(runs) > 1
+        assert [call.args[3] for call in spy.call_args_list] == runs
+        assert all(list(call.args[4]) == [0.0, 0.2, 0.7] for call in spy.call_args_list)
+        assert got == want
 
-    def test_one_sharpen_per_tile_and_beta(self):
-        """Each tile's weights are sharpened once per beta, whatever the
-        gammas: each gamma's scores take the same weights into class sums."""
+    def test_one_exp_per_tile_of_the_run_plan_and_beta(self):
+        """Each tile's gap 1 - cos is taken once and its weights take one
+        ``_decay`` (one exp) per beta, whatever the gammas: each gamma's
+        scores take the same weights into class sums."""
         rng = np.random.default_rng(8)
         task = random_task(rng, c=4, k=3, d=8, n_test=6)
         mask = refine.ChannelMask(selected=np.arange(5), scores=np.zeros(8))
         args = (task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], [0.0, 0.2, 0.7])
         with block_budget(4, 2):
-            blocks, runs = engine._tile_plan(4, 4, 2)  # 4 held-out rows x 4 classes of 2 kept shots
-            with mock.patch.object(engine, "_sharpen", wraps=engine._sharpen) as spy:
+            blocks, runs = engine._run_plan(4, 4, 2, 5)
+            with mock.patch.object(engine, "_decay", wraps=engine._decay) as spy:
                 got = grid_search(*args)
-        assert len(blocks) * len(runs) > 1
-        assert spy.call_count == 2 * len(blocks) * len(runs)
-        assert got == brute_force_grid(*args)
+            want = brute_force_grid(*args)
+        tiles = len(blocks) * len(runs)  # each run's plan: the row blocks by the run's keys
+        assert len(blocks) > 1 and len(runs) > 1
+        assert spy.call_count == 2 * tiles
+        assert got == want
+
+    def test_text_channels_not_taken_when_every_gamma_is_zero(self):
+        """Every score is 1 when every gamma is 0, so the search takes no
+        channels of the text rows, as ``ape_logits`` takes none at gamma 0."""
+        rng = np.random.default_rng(8)
+        task = random_task(rng, c=4, k=3, d=8, n_test=6)
+        mask = refine.ChannelMask(selected=np.arange(5), scores=np.zeros(8))
+        for gammas, takes in (([0.0], 0), ([0.0, 0.2], 1)):
+            args = (task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], gammas)
+            with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
+                got = grid_search(*args)
+            assert sum(call.args[0] is task.text_features for call in spy.call_args_list) == takes
+            assert got == brute_force_grid(*args)
+
+    @pytest.mark.parametrize("holdout", [False, True])
+    def test_every_candidate_predicts_as_ape_logits_across_class_runs(self, holdout):
+        """On a task whose search takes several class runs, every candidate's
+        predictions are ``predict(ape_logits(...))``'s, bitwise; in the
+        holdout the cache is the first K - 1 shots of each class."""
+        task, mask = several_runs_instance()
+        probe = FewShotTask(task.text_features, *holdout_split_loop(task)) if holdout else task
+        assert len(engine._run_plan(len(probe.test_features), probe.c, probe.k, mask.q)[1]) > 1
+        assert_grid_predicts_as_ape_logits(task, mask, probe, None if holdout else task)
+
+    @pytest.mark.parametrize("holdout", [False, True])
+    def test_peak_memory_does_not_grow_with_ck_past_one_run(self, holdout):
+        """At a fixed split and budget, eight times the shots cost the search
+        no more than one class run's keys: it holds one run's keys, scores
+        and tile, never all C*K keys, their scores or (in the holdout) a
+        gather of all kept shots."""
+        rng = np.random.default_rng(0)
+        c, d, q, n, budget = 16, 64, 32, 64, 8 * 8192
+        mask = refine.ChannelMask(selected=np.arange(q), scores=np.zeros(d))
+        peaks, run_keys = {}, {}
+        for k in (9, 72):
+            task = random_task(rng, c=c, k=k, d=d, n_test=1)
+            val_task = None if holdout else random_task(rng, c=c, k=k, d=d, n_test=n)
+            with mock.patch.object(numkit, "_BLOCK_BYTES", budget):
+                run_keys[k] = 8 * q * (k - holdout) * max(1, budget // (16 * (k - holdout) * q))
+                tracemalloc.start()
+                try:
+                    grid_search(task, mask, EngineConfig(), [0.0, 1.0], [1.0, 5.5], [0.1, 0.2], val_task)
+                    _, peaks[k] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert run_keys[72] <= budget // 2 < 8 * q * c * 71
+        assert peaks[72] - peaks[9] <= run_keys[72]
 
     def test_wrong_width_mask_rejected(self):
         rng = np.random.default_rng(9)

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -124,7 +123,8 @@ class TestCacheAffinity:
 def cache_scores(s_ref, w_ref, gamma, kl_sign=1, kl_temperature=1.0):
     """The one row of ``engine._cache_scores`` at a single gamma."""
     cfg = EngineConfig(gamma=gamma, kl_sign=kl_sign, kl_temperature=kl_temperature)
-    return engine._cache_scores(np.asarray(s_ref, dtype=np.float64), np.asarray(w_ref, dtype=np.float64), cfg)[0]
+    s_ref, w_ref = np.asarray(s_ref, dtype=np.float64), np.asarray(w_ref, dtype=np.float64)
+    return engine._cache_scores(s_ref, w_ref, cfg, slice(0, len(w_ref)), [gamma])[0]
 
 
 class TestCacheScores:
@@ -140,8 +140,9 @@ class TestCacheScores:
         s_ref, w_ref = unit_rows(rng, 6, 4), unit_rows(rng, 3, 4)
         for kl_sign in (1, -1):
             cfg = EngineConfig(kl_sign=kl_sign, kl_temperature=0.7)
-            np.testing.assert_array_equal(engine._cache_scores(s_ref, None, cfg, gammas=[0.0, 0.0]), np.ones((2, 6)))
-            got = engine._cache_scores(s_ref, w_ref, cfg, gammas=np.array([0.0, 0.3, 1.1]))
+            ones = engine._cache_scores(s_ref, None, cfg, slice(0, 3), [0.0, 0.0])
+            np.testing.assert_array_equal(ones, np.ones((2, 6)))
+            got = engine._cache_scores(s_ref, w_ref, cfg, slice(0, 3), np.array([0.0, 0.3, 1.1]))
             assert got.shape == (3, 6)
             for row, gamma in zip(got, (0.0, 0.3, 1.1)):
                 assert row.tobytes() == cache_scores_unblocked(s_ref, w_ref, gamma, kl_sign, 0.7).tobytes()
@@ -355,7 +356,7 @@ class TestClassPermutation:
         def scores(t):
             s_ref = apply_mask(t.support_features, mask)
             w_ref = apply_mask(t.text_features, mask)
-            return engine._cache_scores(s_ref, w_ref, cfg)[0]
+            return engine._cache_scores(s_ref, w_ref, cfg, slice(0, t.c), [cfg.gamma])[0]
 
         np.testing.assert_allclose(scores(moved), blocks(scores(task)), rtol=0, atol=1e-12)
 
@@ -414,7 +415,7 @@ class TestRoutingOracle:
         s_ref = apply_mask(task.support_features, mask)
         f_ref = apply_mask(f, mask)
         aff = engine.cache_affinity(f_ref, s_ref, cfg.beta)
-        scores = engine._cache_scores(s_ref, w_ref, cfg)[0]
+        scores = engine._cache_scores(s_ref, w_ref, cfg, slice(0, c), [cfg.gamma])[0]
         want = zs + cfg.alpha * (aff * scores) @ labels
         got = engine.ape_logits(task, mask, cfg)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -509,9 +510,9 @@ class TestRowBlocks:
             assert default[name].tobytes() == expected.tobytes(), name
             assert blocked[name].tobytes() == expected.tobytes(), name
 
-        assert engine._cache_scores(s_ref, w_ref, cfg)[0].tobytes() == scores.tobytes()
-        with block_budget(c, rows):
-            assert engine._cache_scores(s_ref, w_ref, cfg)[0].tobytes() == scores.tobytes()
+        assert engine._cache_scores(s_ref, w_ref, cfg, slice(0, c), [cfg.gamma])[0].tobytes() == scores.tobytes()
+        with block_budget(4 * c, rows):  # softmax blocks of a quarter budget: ``rows`` rows
+            assert engine._cache_scores(s_ref, w_ref, cfg, slice(0, c), [cfg.gamma])[0].tobytes() == scores.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 300), cols=st.integers(1, 64), rows=st.integers(1, 20))
@@ -722,15 +723,8 @@ class TestStoredRowsWidenedWhereUsed:
 
 
 def support_runs(task, n, q):
-    """The class runs ``engine._support_runs`` takes keys for, with no key taken."""
-    return [cls for cls, _, _ in engine._support_runs(task, n, q, lambda m, norms: None)]
-
-
-def shaped_task(c, k, d):
-    """A stand-in for a task of C x K support rows of width D, whose rows
-    take no memory: enough for ``engine._support_runs`` to plan its runs."""
-    rows = np.broadcast_to(np.float32(0.0), (c * k, d))
-    return SimpleNamespace(c=c, k=k, support_features=rows, support_norms=np.ones(c * k))
+    """The class runs ``engine._support_runs`` takes for ``n`` query rows and ``q`` channels."""
+    return engine._run_plan(n, task.c, task.k, q)[1]
 
 
 class TestSupportRuns:
@@ -790,13 +784,14 @@ class TestSupportRuns:
         """At C=1000, K=16, N=2000 and Q=512 the tile plan's 5 runs of 200
         classes become 16 runs of 62 or 63, whose keys fit half the 8 MiB
         budget; a run's softmax takes blocks of a quarter budget.  At the
-        desk's C=100 the trainer's and the grid search's softmax of all 1600
-        support rows is one block."""
-        runs = support_runs(shaped_task(1000, 16, 1024), 2000, 512)
+        desk's C=100 and Q=512 the 2000-row search splits into 2 runs of 50
+        classes, whose 800 support rows are one softmax block."""
+        runs = engine._run_plan(2000, 1000, 16, 512)[1]
         assert len(engine._tile_plan(2000, 1000, 16)[1]) == 5
         assert len(runs) == 16 and {r.stop - r.start for r in runs} == {62, 63}
         assert runs == numkit._even_slices(1000, 16)
         assert all(8 * 16 * (r.stop - r.start) * 512 <= numkit._BLOCK_BYTES // 2 for r in runs)
+        assert engine._run_plan(2000, 100, 16, 512)[1] == numkit._even_slices(100, 2)
 
         rng = np.random.default_rng(10)
         row_blocks, plans = numkit._row_blocks, []
@@ -805,12 +800,12 @@ class TestSupportRuns:
             plans.append(row_blocks(n, cols))
             return plans[-1]
 
-        for c, n, classes in ((1000, 16 * 63, slice(0, 63)), (100, 1600, None)):
+        for c, n, classes in ((1000, 16 * 63, slice(0, 63)), (100, 16 * 50, slice(0, 50))):
             s_ref, w_ref = unit_rows(rng, n, 8), unit_rows(rng, c, 8)
             with mock.patch.object(numkit, "_row_blocks", spy):
-                engine._cache_scores(s_ref, w_ref, EngineConfig(), classes)
+                engine._cache_scores(s_ref, w_ref, EngineConfig(), classes, [0.2])
         assert 8 * plans[0][0].stop * 1000 <= numkit._BLOCK_BYTES // 4
-        assert len(plans) == 2 and len(plans[0]) == 4 and plans[1] == [slice(0, 1600)]
+        assert len(plans) == 2 and len(plans[0]) == 4 and plans[1] == [slice(0, 800)]
 
 
 class TestPredictAccuracy:

@@ -32,6 +32,7 @@ from helpers import (
     holds_support,
     param_count,
     random_task,
+    several_runs_instance,
     shifted_keys_logits,
     stored_task,
     support_affinity,
@@ -111,6 +112,30 @@ class TestInitState:
         got = trainer.forward(state, task.test_features)
         want = engine.ape_logits(task, mask, cfg)
         assert got.tobytes() == want.tobytes()
+
+    def test_fresh_state_matches_training_free_bitwise_across_class_runs(self):
+        """Criterion 9 where ``ape_logits`` scores the cache by several class
+        runs: ``init_state`` scores the same runs in the same softmax blocks.
+        Scored as one run of all 4800 support rows, one score moved in its
+        last bits and 49 logits by up to 5.6e-17."""
+        task, mask = several_runs_instance()
+        assert len(engine._run_plan(len(task.test_features), task.c, task.k, mask.q)[1]) > 1
+        for cfg in (EngineConfig(), EngineConfig(gamma=1.0, kl_sign=-1, kl_temperature=0.7)):
+            state = trainer.init_state(task, mask, cfg)
+            got = trainer.forward(state, task.test_features, task.test_norms)
+            assert got.tobytes() == engine.ape_logits(task, mask, cfg).tobytes()
+
+    def test_text_channels_not_taken_at_gamma_zero(self):
+        """At gamma = 0 every cache score is 1, so ``init_state`` takes no
+        channels of the text rows, as ``ape_logits`` takes none."""
+        rng = np.random.default_rng(33)
+        task, mask, _ = make_instance(rng)
+        for gamma, takes in ((0.0, 0), (0.2, 1)):
+            with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
+                state = trainer.init_state(task, mask, EngineConfig(gamma=gamma))
+            assert sum(call.args[0] is task.text_features for call in spy.call_args_list) == takes
+            if not gamma:
+                np.testing.assert_array_equal(state.scores, np.ones(task.c * task.k))
 
     def test_residuals_start_at_zero(self):
         rng = np.random.default_rng(31)
