@@ -19,7 +19,7 @@ from .engine import (
     predict,
     zero_shot_logits,
 )
-from .numkit import ZeroRowWarning, l2_normalize_rows
+from .numkit import ZeroRowWarning
 from .refine import (
     ChannelMask,
     full_mask,
@@ -62,7 +62,6 @@ __all__ = [
     "init_state",
     "inter_class_similarity",
     "inter_class_variance",
-    "l2_normalize_rows",
     "load_checkpoint",
     "load_mask",
     "load_task",

@@ -28,7 +28,7 @@ from .engine import (
     _grid_run,
     _support_runs,
     accuracy,
-    ape_logits,  # noqa: F401 - perfbench's tracer test rebinds ape.cli.ape_logits
+    ape_logits,
     zero_shot_logits,
 )
 
@@ -84,8 +84,11 @@ class EvalReport:
         lines.append(f"wall_time_s = {self.wall_time_s:.3f}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        Path(path).write_text(self.render(), encoding="utf-8")
+    def publish(self, path) -> None:
+        """Write the report to ``path`` and print it."""
+        text = self.render()
+        Path(path).write_text(text, encoding="utf-8")
+        print(text, end="")
 
 
 def _default_seed() -> int:
@@ -130,15 +133,18 @@ def _task_and_mask(args, split=None, holdout=False) -> tuple[FewShotTask, refine
     return task, mask, lam
 
 
-def _engine_config(args) -> EngineConfig:
-    """The config of the fields the subcommand takes as flags; the rest keep their defaults."""
-    fields = (f.name for f in dataclasses.fields(EngineConfig))
-    return _validated(EngineConfig, **{name: getattr(args, name) for name in fields if hasattr(args, name)})
+def _config(cls, args):
+    """The ``cls`` config of the fields the subcommand takes as flags; the rest keep their defaults."""
+    fields = (f.name for f in dataclasses.fields(cls))
+    return _validated(cls, **{name: getattr(args, name) for name in fields if hasattr(args, name)})
 
 
-def _config_echo(cfg: EngineConfig, seed: int, lam: float | None, q: int, **extra) -> dict:
-    """The report's config lines; ``lam`` None (unknown) echoes no lambda."""
-    echo = dict(dataclasses.asdict(cfg), q=q, seed=seed, **extra)
+def _config_echo(*configs, lam: float | None, **extra) -> dict:
+    """The report's config lines: every field of the ``configs`` and the
+    ``extra`` values; ``lam`` None (unknown) echoes no lambda."""
+    echo = dict(extra)
+    for cfg in configs:
+        echo.update(dataclasses.asdict(cfg))
     if lam is not None:
         echo["lambda"] = lam
     return echo
@@ -258,45 +264,33 @@ def cmd_refine(args) -> int:
 def cmd_infer(args) -> int:
     started = time.perf_counter()
     task, mask, mask_lam = _task_and_mask(args)
-    cfg = _engine_config(args)
-    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
+    cfg = _config(EngineConfig, args)
     labels = task.test_labels
     acc = dict.fromkeys(("zero_shot", "tip_adapter", "ape"))
-    if labels is not None:
+    if labels is None:
+        # Only the APE logits are written, so the baselines are not computed.
+        logits_path = f"{args.report}.logits.apef"
+        dataio.write_matrix(logits_path, ape_logits(task, mask, cfg))
+        print(f"task has no test labels; wrote logits to {logits_path}")
+    else:
         # Both baselines are scored before the APE cache term goes into zs.
+        zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
         acc["zero_shot"] = accuracy(zs, labels)
         tip = EngineConfig(cfg.alpha, cfg.beta, gamma=0.0, renormalize=False)
         acc["tip_adapter"] = accuracy(_ape_core(zs.copy(), task, refine.full_mask(task.d), tip), labels)
-    ape = _ape_core(zs, task, mask, cfg)
-    if labels is None:
-        # Only the APE logits are written, so the baseline is not computed.
-        logits_path = f"{args.report}.logits.apef"
-        dataio.write_matrix(logits_path, ape)
-        print(f"task has no test labels; wrote logits to {logits_path}")
-    else:
-        acc["ape"] = accuracy(ape, labels)
-    report = EvalReport(
+        acc["ape"] = accuracy(_ape_core(zs, task, mask, cfg), labels)
+    EvalReport(
         methods=[MethodResult(name, 0, value) for name, value in acc.items()],
-        config=_config_echo(cfg, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask),
+        config=_config_echo(cfg, lam=mask_lam, q=mask.q, seed=args.seed, task=args.task, mask=args.mask),
         wall_time_s=time.perf_counter() - started,
-    )
-    report.write(args.report)
-    print(report.render(), end="")
+    ).publish(args.report)
     return 0
 
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
     task, mask, mask_lam = _task_and_mask(args)
-    cfg = _engine_config(args)
-    optim = _validated(
-        trainer.OptimConfig,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
+    cfg, optim = _config(EngineConfig, args), _config(trainer.OptimConfig, args)
     state, history = trainer.train(task, mask, cfg, optim)
     trainer.save_checkpoint(args.out, state)
 
@@ -309,25 +303,12 @@ def cmd_train(args) -> int:
             MethodResult("ape", 0, history[0]["test_acc"]),
             MethodResult("ape_t", state.param_count(), history[-1]["test_acc"]),
         ]
-    report = EvalReport(
+    EvalReport(
         methods=methods,
-        config=_config_echo(
-            cfg,
-            args.seed,
-            mask_lam,
-            mask.q,
-            task=args.task,
-            mask=args.mask,
-            lr=optim.lr,
-            weight_decay=optim.weight_decay,
-            epochs=optim.epochs,
-            batch_size=optim.batch_size,
-        ),
+        config=_config_echo(cfg, optim, lam=mask_lam, q=mask.q, task=args.task, mask=args.mask),
         wall_time_s=time.perf_counter() - started,
         history=history,
-    )
-    report.write(args.report)
-    print(report.render(), end="")
+    ).publish(args.report)
     print(f"checkpoint -> {args.out}")
     return 0
 
@@ -337,23 +318,20 @@ def cmd_search(args) -> int:
     gammas = parse_grid(args.gamma_grid) if args.gamma_grid else None
     task, mask, mask_lam = _task_and_mask(args, args.val_task, holdout=not args.val_task)
     val_task = task if args.val_task else None  # its test split is the --val-task's
-    best, best_acc = grid_search(task, mask, _engine_config(args), alphas, betas, gammas, val_task)
+    best, best_acc = grid_search(task, mask, _config(EngineConfig, args), alphas, betas, gammas, val_task)
     found = {"alpha": best.alpha, "beta": best.beta, "gamma": best.gamma,
              "val_accuracy": 100.0 * best_acc}
     lines = [f"best.{key} = {value!r}" for key, value in found.items()]
     print("\n".join(lines))
     if args.report:
-        echo = _config_echo(best, args.seed, mask_lam, mask.q, task=args.task, mask=args.mask)
+        echo = _config_echo(best, lam=mask_lam, q=mask.q, seed=args.seed, task=args.task, mask=args.mask)
         lines += [f"config.{key} = {value}" for key, value in sorted(echo.items())]
         Path(args.report).write_text("\n".join([REPORT_HEADER, "", *lines]) + "\n", encoding="utf-8")
     return 0
 
 
 def cmd_synth(args) -> int:
-    try:
-        task = dataio.gen_synthetic(args.c, args.k, args.d, args.n_test, args.sigma, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    task = _validated(dataio.gen_synthetic, args.c, args.k, args.d, args.n_test, args.sigma, args.seed)
     manifest = dataio.save_task(task, args.out)
     print(f"manifest -> {manifest}")
     return 0
@@ -375,14 +353,12 @@ def cmd_eval(args) -> int:
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     logits = trainer.forward(state, task.test_features, task.test_norms)
-    report = EvalReport(
+    EvalReport(
         methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
-        config=_config_echo(state.cfg, args.seed, None, state.q, task=args.task, ckpt=args.ckpt),
+        config=_config_echo(state.cfg, lam=None, q=state.q, seed=args.seed, task=args.task, ckpt=args.ckpt),
         wall_time_s=time.perf_counter() - started,
         warned={"config_defaulted": defaulted} if defaulted else None,
-    )
-    report.write(args.report)
-    print(report.render(), end="")
+    ).publish(args.report)
     return 0
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "PROB_FLOOR",
     "ZeroRowWarning",
     "as_matrix",
-    "l2_normalize_rows",
 ]
 
 # Floor applied to probabilities before taking logarithms.  Bounds the
@@ -100,17 +99,6 @@ def _stored_blocks(m: np.ndarray):
         _release(m)
 
 
-def l2_normalize_rows(m) -> np.ndarray:
-    """Scale every row of ``m`` to unit Euclidean norm.
-
-    Zero rows cannot be normalized; they are returned unchanged and a
-    :class:`ZeroRowWarning` is emitted.  Rows already unit within 1e-12
-    also pass through unchanged, so applying the function twice is a
-    bitwise no-op.
-    """
-    return _normalize_rows_inplace(as_matrix(m, "m").copy())
-
-
 def _row_blocks(n: int, cols: int) -> list[slice]:
     """Consecutive row slices covering ``range(n)``, each of about
     ``_BLOCK_BYTES`` of float64 at ``cols`` columns.
@@ -155,10 +143,15 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows_inplace(m: np.ndarray, norms: np.ndarray | None = None, out=None) -> np.ndarray:
-    """:func:`l2_normalize_rows` that overwrites and returns ``m``, a 2-D
-    float64 matrix the caller owns (``norms``: its ``_row_norms``, if known).
-    Given a float64 ``out`` of ``m``'s shape, it writes the result there in
-    one pass instead, and ``m`` may be float32."""
+    """Scale every row of ``m``, a 2-D float64 matrix the caller owns, to
+    unit Euclidean norm in place and return it (``norms``: its
+    ``_row_norms``, if known).  Given a float64 ``out`` of ``m``'s shape, it
+    writes the result there in one pass instead, and ``m`` may be float32.
+
+    Zero rows cannot be normalized; they pass through unchanged and one
+    :class:`ZeroRowWarning` is emitted.  Rows already unit within 1e-12
+    also pass through unchanged, so normalizing twice is a bitwise no-op.
+    """
     if m.size == 0:
         raise ValueError("m must be nonempty")
     norms = _row_norms(m) if norms is None else norms

@@ -143,7 +143,7 @@ def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=
     is the same ``float64(x) / norm``, and no full-width float64 copy of
     ``m`` exists, and each block's file pages are dropped
     (``numkit._stored_blocks``) once taken.  Zero rows survive renormalization
-    unchanged (with a warning), matching :func:`ape.numkit.l2_normalize_rows`.
+    unchanged (with a warning), as in :func:`ape.numkit._normalize_rows_inplace`.
     """
     out = np.empty((m.shape[0], len(indices)))
     stored = m.dtype == np.float32

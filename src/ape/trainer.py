@@ -312,15 +312,10 @@ def adamw_step(state: TrainState, grads, lr_t: float, optim: OptimConfig) -> Tra
 
 def _support_affinity(s_ref, c: int, beta: float) -> np.ndarray:
     """The sharpened C*K x C*K affinity of the support rows ``s_ref`` to
-    themselves, each row block written by ``forward``'s tile GEMMs and
-    sharpened in place."""
-    n, k = len(s_ref), len(s_ref) // c
-    aff, (blocks, runs) = np.empty((n, n)), _tile_plan(n, c, k)
-    for rows in blocks:
-        for cls in runs:
-            keys = slice(k * cls.start, k * cls.stop)
-            np.matmul(s_ref[rows], s_ref[keys].T, out=aff[rows, keys])
-        _sharpen(aff[rows], beta, out=aff[rows])
+    themselves: each of ``forward``'s cosine tiles sharpened into its block."""
+    k, aff = len(s_ref) // c, np.empty((len(s_ref), len(s_ref)))
+    for rows, cls, _, cos in _cosine_tiles(s_ref, s_ref, c):
+        _sharpen(cos, beta, out=aff[rows, k * cls.start : k * cls.stop])
     return aff
 
 

@@ -8,8 +8,15 @@ from unittest import mock
 
 import numpy as np
 
-from ape import FewShotTask, accuracy, ape_logits, dataio, engine, l2_normalize_rows, numkit, refine, trainer
+from ape import FewShotTask, accuracy, ape_logits, dataio, engine, numkit, refine, trainer
 from ape.numkit import PROB_FLOOR
+
+
+def l2_normalize_rows(m):
+    """A checked float64 copy of ``m`` with every row scaled to unit
+    Euclidean norm by ``numkit._normalize_rows_inplace``: zero rows and rows
+    already unit within 1e-12 pass through unchanged."""
+    return numkit._normalize_rows_inplace(numkit.as_matrix(m, "m").copy())
 
 
 def unit_rows(rng, n, d):

@@ -214,7 +214,8 @@ class TestInferCommand:
 
     def test_tip_adapter_pass_only_with_labels(self, workspace):
         """The baseline runs only where its accuracy is reported; an
-        unlabelled task's logits file holds the APE logits."""
+        unlabelled task's logits file holds the APE logits, which
+        ``ape_logits`` builds through ``engine._ape_core``."""
         tmp_path, manifest, mask_path = workspace
         task = dataio.gen_synthetic(4, 2, 32, 3, 0.4, seed=2)
         task.test_labels = None
@@ -222,7 +223,7 @@ class TestInferCommand:
         for path, calls in ((unlabeled, 0), (manifest, 1)):
             report = tmp_path / f"tip{calls}.report"
             spy = mock.Mock(wraps=engine._ape_core)
-            with mock.patch.object(cli, "_ape_core", spy):
+            with mock.patch.object(cli, "_ape_core", spy), mock.patch.object(engine, "_ape_core", spy):
                 rc = main([
                     "infer", "--task", str(path), "--mask", str(mask_path),
                     "--report", str(report),
@@ -289,6 +290,27 @@ class TestTrainCommand:
         assert kv["params.ape_t"] == str(param_count(6, 24, 4))
         assert ckpt.exists()
         assert "epoch" in report.read_text()
+
+    def test_report_echoes_every_config_field(self, workspace):
+        """The report's ``config.*`` lines hold every field of ``EngineConfig``
+        and ``OptimConfig`` with the value its flag gave; a field added later
+        and not echoed fails."""
+        tmp_path, manifest, mask_path = workspace
+        report = tmp_path / "echo.report"
+        rc = main([
+            "train", "--task", str(manifest), "--mask", str(mask_path),
+            "--alpha", "0.5", "--beta", "3.25", "--gamma", "0.4", "--kl-sign", "-1",
+            "--kl-temperature", "0.7", "--no-renormalize", "--lr", "0.002",
+            "--weight-decay", "0.03", "--epochs", "2", "--batch-size", "5", "--seed", "9",
+            "--out", str(tmp_path / "echo.ckpt"), "--report", str(report),
+        ])
+        assert rc == 0
+        flags = {"alpha": 0.5, "beta": 3.25, "gamma": 0.4, "kl_sign": -1, "kl_temperature": 0.7,
+                 "renormalize": False, "lr": 0.002, "weight_decay": 0.03, "epochs": 2,
+                 "batch_size": 5, "seed": 9}
+        fields = [f.name for cls in (EngineConfig, trainer.OptimConfig) for f in dataclasses.fields(cls)]
+        kv = read_kv(report)
+        assert {name: kv.get(f"config.{name}") for name in fields} == {name: str(flags.get(name)) for name in fields}
 
     def test_zero_epochs_matches_training_free(self, workspace):
         tmp_path, manifest, mask_path = workspace

@@ -25,6 +25,7 @@ from ape.engine import EngineConfig
 from helpers import (
     block_budget,
     check_labels_reference,
+    l2_normalize_rows,
     load_task_float64,
     one_hot_labels,
     random_task,
@@ -491,7 +492,7 @@ class TestGenSynthetic:
         hits = total = 0
         for seed in range(20):
             task = dataio.gen_synthetic(8, 16, 32, 2, 0.6, seed=seed)
-            means = numkit.l2_normalize_rows(
+            means = l2_normalize_rows(
                 task.support_features.reshape(task.c, task.k, task.d).mean(axis=1)
             )
             sims = means @ task.text_features.T

@@ -9,9 +9,9 @@ from pathlib import Path
 import ape
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ape"
-# perfbench/test_perfbench.py rebinds these module attributes to check that
+# perfbench/test_perfbench.py rebinds this module attribute to check that
 # its tracer patches names bound with ``from .engine import ...``.
-REBOUND = {("cli", "ape_logits"), ("trainer", "cache_affinity")}
+REBOUND = {("trainer", "cache_affinity")}
 
 
 def unused_imports(source: str) -> set[str]:

@@ -16,59 +16,71 @@ from helpers import block_budget, kl_one_hot, softmax
 
 
 class TestL2NormalizeRows:
+    """Row normalization, :func:`numkit._normalize_rows_inplace`, on a copy
+    of each input that the test owns."""
+
+    @staticmethod
+    def normalized(m):
+        return numkit._normalize_rows_inplace(np.array(m, dtype=np.float64))
+
     def test_three_four_five_triangle(self):
-        out = numkit.l2_normalize_rows([[3.0, 4.0]])
+        out = self.normalized([[3.0, 4.0]])
         np.testing.assert_allclose(out, [[0.6, 0.8]], rtol=1e-15)
 
     def test_unit_row_unchanged_bitwise(self):
         m = np.array([[1.0, 0.0]])
-        out = numkit.l2_normalize_rows(m)
+        out = self.normalized(m)
         assert out.tobytes() == m.tobytes()
 
     def test_zero_row_passes_through_with_warning(self):
         with pytest.warns(numkit.ZeroRowWarning):
-            out = numkit.l2_normalize_rows([[0.0, 0.0], [3.0, 4.0]])
+            out = self.normalized([[0.0, 0.0], [3.0, 4.0]])
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
         np.testing.assert_allclose(out[1], [0.6, 0.8], rtol=1e-15)
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((40, 17))
-        once = numkit.l2_normalize_rows(m)
-        twice = numkit.l2_normalize_rows(once)
+        once = self.normalized(m)
+        twice = self.normalized(once)
         assert once.tobytes() == twice.tobytes()
 
     def test_unit_norms(self):
         rng = np.random.default_rng(1)
-        out = numkit.l2_normalize_rows(rng.standard_normal((30, 64)) * 10)
+        out = self.normalized(rng.standard_normal((30, 64)) * 10)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            numkit.l2_normalize_rows([[np.nan, 1.0]])
-        with pytest.raises(ValueError):
-            numkit.l2_normalize_rows([[np.inf, 1.0]])
+        """The helper checks nothing: rows are checked where they enter,
+        before any normalization."""
+        with pytest.raises(ValueError, match="non-finite"):
+            numkit.as_matrix([[np.nan, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            numkit.as_matrix([[np.inf, 1.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            numkit.l2_normalize_rows(np.zeros((0, 3)))
+            numkit._normalize_rows_inplace(np.zeros((0, 3)))
 
     def test_input_not_mutated(self):
+        """Given ``out``, the result goes there and ``m`` is left as it was."""
         m = np.random.default_rng(2).standard_normal((6, 5))
         before = m.copy()
-        numkit.l2_normalize_rows(m)
+        out = np.empty(m.shape)
+        assert numkit._normalize_rows_inplace(m, out=out) is out
         assert m.tobytes() == before.tobytes()
+        assert out.tobytes() == self.normalized(before).tobytes()
 
     def test_in_place_helper_overwrites_its_argument(self):
         m = np.random.default_rng(3).standard_normal((6, 5))
-        want = numkit.l2_normalize_rows(m)
+        want = numkit._normalize_rows_inplace(m, out=np.empty(m.shape))
         assert numkit._normalize_rows_inplace(m) is m
         assert m.tobytes() == want.tobytes()
 
     def test_zero_rows_warn_once_per_call(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            numkit.l2_normalize_rows([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+            self.normalized([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
         assert [(w.category, str(w.message)) for w in caught] == [
             (numkit.ZeroRowWarning, "2 zero row(s) passed through unnormalized")
         ]

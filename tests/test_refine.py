@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ape import numkit, refine
-from helpers import apply_mask, block_budget, unit_rows
+from helpers import apply_mask, block_budget, l2_normalize_rows, unit_rows
 
 
 def two_prototypes():
@@ -174,7 +174,7 @@ class TestSelectChannels:
         the lower index must be kept first."""
         rng = np.random.default_rng(seed)
         base = rng.standard_normal((c, d))
-        w = numkit.l2_normalize_rows(base[:, rng.integers(0, d, d)])
+        w = l2_normalize_rows(base[:, rng.integers(0, d, d)])
         s = refine.inter_class_similarity(w)
         v = refine.inter_class_variance(w)
         previous = set()
@@ -238,7 +238,7 @@ class TestTakeChannels:
         gathered = np.ascontiguousarray(m[:, idx])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", numkit.ZeroRowWarning)
-            want = numkit.l2_normalize_rows(gathered) if renormalize else gathered
+            want = l2_normalize_rows(gathered) if renormalize else gathered
             got = refine._take_channels(m, idx, renormalize)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()

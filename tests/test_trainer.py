@@ -30,6 +30,7 @@ from helpers import (
     frozen_checksum,
     grads,
     holds_support,
+    l2_normalize_rows,
     param_count,
     random_task,
     several_runs_instance,
@@ -301,7 +302,7 @@ class TestForward:
         state = trainer.init_state(task, mask, EngineConfig(alpha=0.0))
         f = task.test_features.copy()
         f[0, state.mask_idx] = 0.0
-        f = numkit.l2_normalize_rows(f)
+        f = l2_normalize_rows(f)
         with pytest.warns(numkit.ZeroRowWarning):
             base = trainer.forward(state, f)
             state.res[:] = rng.standard_normal(state.res.shape)
@@ -336,7 +337,7 @@ class TestForward:
         f = rng.standard_normal((b + 2, task.d))
         f[b, state.mask_idx] = 0.0
         f[b + 1] = np.where(np.isin(np.arange(task.d), state.mask_idx), f[b + 1], 0.0)
-        f = numkit.l2_normalize_rows(f)
+        f = l2_normalize_rows(f)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", numkit.ZeroRowWarning)
             f_ref, scale = trainer._refine(f, state.mask_idx, renormalize)
@@ -725,9 +726,9 @@ class TestTrain:
         task, mask, cfg = make_instance(rng, c=3, k=4)
         seen = []
 
-        def spy(f_ref, keys, c, plan):
+        def spy(f_ref, keys, c, plan=None):
             for rows, cls, q, blk in engine._cosine_tiles(f_ref, keys, c, plan):
-                seen.append((plan[0][-1].stop, rows, cls))
+                seen.append((plan[0][-1].stop if plan else len(f_ref), rows, cls))
                 yield rows, cls, q, blk
 
         held = mock.patch.object(trainer, "_support_affinity", wraps=trainer._support_affinity)
@@ -735,12 +736,13 @@ class TestTrain:
             _, history = trainer.train(task, mask, cfg, OptimConfig(epochs=epochs, batch_size=3))
             support_plan = engine._tile_plan(12, 3, 4)
         # A 3-row budget splits the keys: the 12 support rows take one block
-        # in 3 one-class tiles, which the held affinity is built from once;
-        # the 4 test rows take one block in runs of 2 and 1.
+        # in 3 one-class tiles, which the held affinity is built from once,
+        # before the steps; the 4 test rows take one block in runs of 2 and 1.
         support, test = slice(0, 12), slice(0, 4)
         assert build.call_count == 1
         assert support_plan == ([support], [slice(0, 1), slice(1, 2), slice(2, 3)])
-        assert seen == [(4, test, slice(0, 2)), (4, test, slice(2, 3))]
+        held_tiles = [(12, support, cls) for cls in support_plan[1]]
+        assert seen == held_tiles + [(4, test, slice(0, 2)), (4, test, slice(2, 3))]
         assert len(history) == epochs + 1
         fresh = trainer.init_state(task, mask, cfg)
         logits = trainer.forward(fresh, task.support_features)
@@ -785,7 +787,7 @@ class TestTrain:
         """With the support affinity held, the steps run no cosine GEMM (a
         product of the refined support rows with themselves) and no
         ``_sharpen``: the support tiles' GEMMs run once, and ``_sharpen``
-        once per support row block, whatever the epochs.  Over the budget,
+        once per support tile, whatever the epochs.  Over the budget,
         each step runs one of each."""
         rng = np.random.default_rng(49)
         task, mask, cfg = make_instance(rng, c=3, k=4)
@@ -813,10 +815,11 @@ class TestTrain:
             assert holds_support(12) == held
             trainer.train(task, mask, cfg, optim)
         # The 12 support rows take one row block in 3 one-class tiles, the
-        # held affinity's before the steps, the history's after them.
+        # held affinity's before the steps, the history's after them; each
+        # tile is sharpened once.
         steps = [] if held else [5, 5, 2] * epochs
         assert gemms == [12] * 3 + steps if held else steps + [12] * 3
-        assert spy.call_count == (1 if held else 3) + len(steps)
+        assert spy.call_count == 3 + len(steps)
 
     @settings(max_examples=60, deadline=None)
     @given(
