@@ -134,7 +134,7 @@ def _task_and_mask(args, split=None, holdout=False) -> tuple[FewShotTask, refine
 
 
 def _config(cls, args):
-    """The ``cls`` config of the fields the subcommand takes as flags; the rest keep their defaults."""
+    """The ``cls`` config of the field flags given; the rest keep their dataclass defaults."""
     fields = (f.name for f in dataclasses.fields(cls))
     return _validated(cls, **{name: getattr(args, name) for name in fields if hasattr(args, name)})
 
@@ -225,7 +225,7 @@ def grid_search(
 
     refine._check_width(mask, task.d)
     zs = zero_shot_logits(test, task.text_features, t_norms, task.text_norms)
-    f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)
+    f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)[0]
     top = np.full((alphas.size, betas.size, gammas.size, len(labels)), -np.inf)
     pred = np.zeros(top.shape, dtype=np.int64)
     for cls, plan, keys, score_sets in _support_runs(task, len(f_ref), mask, base_cfg, gammas, shots):
@@ -363,13 +363,14 @@ def cmd_eval(args) -> int:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser, grid_searched: bool = False) -> None:
+    # A config flag left out sets no attribute, so ``_config`` keeps the field's dataclass default.
     if not grid_searched:  # search takes alpha, beta and gamma as grids
-        p.add_argument("--alpha", type=float, default=1.0, help="cache term weight")
-        p.add_argument("--beta", type=float, default=5.5, help="affinity sharpness")
-        p.add_argument("--gamma", type=float, default=0.2, help="cache score smoothness")
-    p.add_argument("--kl-sign", type=int, choices=(1, -1), default=1, dest="kl_sign")
-    p.add_argument("--kl-temperature", type=float, default=1.0, dest="kl_temperature")
-    p.add_argument("--no-renormalize", action="store_false", dest="renormalize",
+        p.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="cache term weight")
+        p.add_argument("--beta", type=float, default=argparse.SUPPRESS, help="affinity sharpness")
+        p.add_argument("--gamma", type=float, default=argparse.SUPPRESS, help="cache score smoothness")
+    p.add_argument("--kl-sign", type=int, choices=(1, -1), default=argparse.SUPPRESS, dest="kl_sign")
+    p.add_argument("--kl-temperature", type=float, default=argparse.SUPPRESS, dest="kl_temperature")
+    p.add_argument("--no-renormalize", action="store_false", default=argparse.SUPPRESS, dest="renormalize",
                    help="skip re-normalizing rows after channel masking")
 
 
@@ -401,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--mask", required=True)
     _add_engine_flags(p)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=0.01, dest="weight_decay")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=256, dest="batch_size")
+    p.add_argument("--lr", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--weight-decay", type=float, default=argparse.SUPPRESS, dest="weight_decay")
+    p.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS, dest="batch_size")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_train)
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p, grid_searched=True)
     p.add_argument("--alpha-grid", required=True, dest="alpha_grid", help="a0:a1:steps")
     p.add_argument("--beta-grid", required=True, dest="beta_grid", help="b0:b1:steps")
-    p.add_argument("--gamma-grid", dest="gamma_grid", help="g0:g1:steps (default: 0.2)")
+    p.add_argument("--gamma-grid", dest="gamma_grid", help=f"g0:g1:steps (default: {EngineConfig.gamma})")
     p.add_argument("--val-task", dest="val_task",
                    help="manifest whose test split scores the grid "
                         "(default: hold out one shot per class)")

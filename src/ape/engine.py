@@ -227,9 +227,9 @@ def _cache_scores(s_ref, w_ref, cfg: EngineConfig, classes: slice, gammas) -> np
     The softmax runs in place on one reused block of the GEMM: only the
     true-class entry of each row is divided by its row sum, with the bits
     a whole-row softmax gives it.  The block takes about a quarter of
-    ``numkit._BLOCK_BYTES``, and a score's bits depend on it, so every
-    caller scores the runs of :func:`_run_plan`, whose keys and tile hold
-    the rest of the budget.
+    ``numkit._BLOCK_BYTES``, and a score's bits depend on it, so its one
+    caller, :func:`_support_runs`, scores the runs of :func:`_run_plan`,
+    whose keys and tile hold the rest of the budget.
     """
     gammas = [float(g) for g in gammas]
     n = s_ref.shape[0]
@@ -421,7 +421,7 @@ def _support_runs(task: FewShotTask, n: int, mask: refine.ChannelMask, cfg: Engi
     before the next, one run's keys (and its gather of fewer than K shots,
     whose file pages are dropped) exist at a time, never all C*K rows."""
     def take(m, norms):
-        return refine._take_channels(m, mask.selected, cfg.renormalize, norms)
+        return refine._take_channels(m, mask.selected, cfg.renormalize, norms)[0]
 
     w_ref = take(task.text_features, task.text_norms) if any(gammas) else None
     k = task.k if shots is None else shots
@@ -440,7 +440,7 @@ def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig
     against the task; each class run's keys serve its cache scores and
     tiles.  Under every channel, no renormalization and gamma = 0 this is
     the Tip-Adapter baseline."""
-    f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)
+    f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)[0]
     for cls, plan, keys, scores in _support_runs(task, len(f_ref), mask, cfg, [cfg.gamma]):
         _add_cache_term(zs[:, cls], f_ref, keys, scores[0], cfg.alpha, cfg.beta, plan=plan)
         del keys  # freed before the next run's keys are taken

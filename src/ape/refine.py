@@ -133,10 +133,12 @@ def select_channels(sim, var, lam: float, q: int) -> ChannelMask:
     return ChannelMask(selected=np.sort(np.argsort(scores, kind="stable")[:q]), scores=scores)
 
 
-def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=None) -> np.ndarray:
+def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=None) -> tuple[np.ndarray, np.ndarray]:
     """Keep the given columns of the float64 rows a checked 2-D ``m`` stands
     for (``numkit._unit64`` with ``norms``), optionally re-normalizing each
-    row; the indices must be in range.
+    row; the indices must be in range.  Returns the rows and each row's r,
+    what re-normalization divided it by (``numkit._divisors`` of the kept
+    channels' norms; 1 without it), so that r times a row is its kept channels.
 
     Float32 rows give up their columns first, one row block at a time, and
     only those are widened and divided by the full rows' norms: each entry
@@ -154,9 +156,10 @@ def _take_channels(m: np.ndarray, indices: np.ndarray, renormalize: bool, norms=
             numkit._normalize_rows_inplace(np.take(blk, indices, axis=1), norms[rows], out=out[rows])
         else:
             np.take(blk, indices, axis=1, out=out[rows])
-    if renormalize:
-        numkit._normalize_rows_inplace(out)
-    return out
+    if not renormalize:
+        return out, np.ones(len(out))
+    kept = numkit._row_norms(out)
+    return numkit._normalize_rows_inplace(out, kept), numkit._divisors(kept)
 
 
 def _check_width(mask: ChannelMask, d: int) -> None:

@@ -26,12 +26,11 @@ from .engine import (
     EngineConfig,
     FewShotTask,
     _add_cache_term,
-    _cache_scores,
     _class_sums,
     _cosine_tiles,
-    _run_plan,
     _score_cols,
     _sharpen,
+    _support_runs,
     _tile_plan,
     cache_affinity,  # unused; perfbench/test_perfbench.py rebinds it (ROADMAP item 1b)
     zero_shot_logits,
@@ -120,14 +119,14 @@ class TrainState:
     # derived from the frozen context above; not saved
     w: np.ndarray = field(init=False, repr=False)                  # C x D float64 prototypes
     f_support_refined: np.ndarray = field(init=False, repr=False)  # C*K x Q
-    support_scale: np.ndarray = field(init=False, repr=False)      # C*K r of the support rows (see _refine)
+    support_scale: np.ndarray = field(init=False, repr=False)      # C*K r of the support rows
 
     def __post_init__(self):
         c, q, n = len(self.text_features), len(self.mask_idx), len(self.support_features)
         if self.res.shape != (c, q) or self.scores.shape != (n,):
             raise ValueError("the learnables do not fit the frozen context: res must be C x Q and scores C*K")
         self.w = numkit._unit64(self.text_features, self.text_norms)
-        self.f_support_refined, self.support_scale = _refine(
+        self.f_support_refined, self.support_scale = refine._take_channels(
             self.support_features, self.mask_idx, self.cfg.renormalize, self.support_norms
         )
 
@@ -163,43 +162,29 @@ class TrainState:
 
 
 def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> TrainState:
-    """Fresh state: zero residuals and the cache scores of ``ape_logits``'s
-    class runs for the task's test rows (the text channels are not taken at
-    gamma = 0); its forward pass reproduces the training-free logits bitwise."""
+    """Fresh state: zero residuals and the cache scores that
+    ``engine._support_runs`` gives ``ape_logits`` for the task's test rows,
+    so its forward pass reproduces the training-free logits bitwise."""
     refine._check_width(mask, task.d)
-    w_ref = (refine._take_channels(task.text_features, mask.selected, cfg.renormalize, task.text_norms)
-             if cfg.gamma else None)
     zeros = {name: np.zeros(task.c * task.k if name.endswith("scores") else (task.c, mask.q)) for name in _LEARNED}
     state = TrainState(**zeros, step=0, mask_idx=mask.selected, text_features=task.text_features,
                        text_norms=task.text_norms, support_features=task.support_features,
                        support_norms=task.support_norms, cfg=cfg)
-    for cls in _run_plan(len(task.test_features), task.c, task.k, mask.q)[1]:
-        keys = slice(task.k * cls.start, task.k * cls.stop)
-        state.scores[keys] = _cache_scores(state.f_support_refined[keys], w_ref, cfg, cls, [cfg.gamma])[0]
+    for cls, _, _, scores in _support_runs(task, len(task.test_features), mask, cfg, [cfg.gamma]):
+        state.scores[task.k * cls.start : task.k * cls.stop] = scores[0]
     return state
-
-
-def _refine(m, mask_idx, renormalize: bool, norms=None) -> tuple[np.ndarray, np.ndarray]:
-    """``refine._take_channels`` of the rows ``m`` stands for, bit for bit,
-    and each row's r, what re-normalization divided it by (``numkit._divisors``;
-    1 without it), so that r * q is the row's kept channels."""
-    q = refine._take_channels(m, mask_idx, False, norms)
-    if not renormalize:
-        return q, np.ones(len(q))
-    kept = numkit._row_norms(q)
-    return numkit._normalize_rows_inplace(q, kept), numkit._divisors(kept)
 
 
 def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     """Logits of the residual-augmented classifier for a batch of full-width
     rows, under the state's own engine config.
 
-    The frozen zero-shot logits f @ w.T take the text shift r * p (r: see
-    :func:`_refine`), as if the padded residual shifted the prototypes, and
-    each class's sum of frozen cache affinities the gain exp(beta * p), as
-    if it shifted that class's keys; p = f_ref @ res.T is formed once per
-    row block.  Float32 rows are stored features: they are widened and
-    normalized by row blocks, as ``FewShotTask`` reads them, by ``norms``
+    The frozen zero-shot logits f @ w.T take the text shift r * p (r from
+    ``refine._take_channels``), as if the padded residual shifted the
+    prototypes, and each class's sum of frozen cache affinities the gain
+    exp(beta * p), as if it shifted that class's keys; p = f_ref @ res.T is
+    formed once per row block.  Float32 rows are stored features, widened
+    and normalized by row blocks as ``FewShotTask`` reads them, by ``norms``
     (their float64 row norms, such as a task's ``test_norms``) when given.
     """
     f_batch = numkit._as_features(f_batch, "f_batch", norms=norms)
@@ -208,7 +193,7 @@ def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     cfg = state.cfg
     if norms is None and f_batch.dtype == np.float32:
         norms = numkit._row_norms(f_batch)
-    f_ref, scale = _refine(f_batch, state.mask_idx, cfg.renormalize, norms)
+    f_ref, scale = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize, norms)
     zs = zero_shot_logits(f_batch, state.w, norms)
     return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res, scale)
 
@@ -226,10 +211,10 @@ def _ce_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=None):
     """The batch logits and the analytic gradients of the mean cross-entropy
     w.r.t. the learnables, from the batch's zero-shot logits ``zs``, refined
-    channels and r (see :func:`_refine`).  The batch's affinities are its
-    rows ``idx`` of the held support affinity ``aff`` (see :func:`train`),
-    else its own sharpened product; either is read by class chunks (a
-    gather of held rows), so no second B x C*K matrix exists.
+    channels and r (``refine._take_channels``).  Its affinities are the rows
+    ``idx`` of the held support affinity ``aff`` (see :func:`train`), else
+    its own sharpened product; either is read by class chunks (a gather of
+    held rows), so no second B x C*K matrix exists.
 
     Returns (logits, loss, d_res, d_scores): the batch's mean cross-entropy
     and the gradients shaped (C, Q) and (C*K,).  The residual gradient sums the text-shift path and the
@@ -428,7 +413,7 @@ def train(
         f, norms, scale = task.test_features, task.test_norms, np.empty(len(task.test_labels))
 
         def test_ref(rows):  # one test row block's channels and r, when its tiles need them
-            q, scale[rows] = _refine(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
+            q, scale[rows] = refine._take_channels(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
             return q
 
         *test_acc, zero_shot_acc = _snapshot_accuracies(

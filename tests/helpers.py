@@ -85,7 +85,7 @@ def apply_mask(m, mask, renormalize=True):
     re-normalized: the channel take the engine runs, for the tests' references."""
     m = numkit.as_matrix(m, "m")
     refine._check_width(mask, m.shape[1])
-    return refine._take_channels(m, mask.selected, renormalize)
+    return refine._take_channels(m, mask.selected, renormalize)[0]
 
 
 def param_count(c, q, k):
@@ -134,7 +134,7 @@ def grads(state, f_batch, label_ids):
     """(d_res, d_scores) of ``trainer._grad_parts`` on a float64 batch of
     full-width rows, refined (channels and r) as ``trainer.forward`` refines
     it, with its zero-shot logits f @ w.T and its own affinities."""
-    f_ref, scale = trainer._refine(f_batch, state.mask_idx, state.cfg.renormalize)
+    f_ref, scale = refine._take_channels(f_batch, state.mask_idx, state.cfg.renormalize)
     _, _, d_res, d_scores = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, label_ids)
     return d_res, d_scores
 
@@ -307,7 +307,7 @@ def shifted_keys_logits(state, f_batch):
     cfg = state.cfg
     padded = np.zeros_like(state.w)
     padded[:, state.mask_idx] = state.res
-    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)
+    f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)[0]
     keys = state.f_support_refined + np.repeat(state.res, state.k, axis=0)
     zs = f_batch @ (state.w + padded).T
     return cache_term_unblocked(zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta, state.c, state.k)

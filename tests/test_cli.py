@@ -907,6 +907,25 @@ class TestSeedFallback:
         assert capsys.readouterr().err.startswith("error: APE_SEED")
 
 
+class TestConfigDefaults:
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_left_out_flags_keep_the_config_defaults(self, workspace, monkeypatch, command):
+        """A config flag left out sets no attribute (``--seed``, which every
+        subcommand takes, falls back to APE_SEED), so the report echoes each
+        field's dataclass default."""
+        tmp_path, manifest, mask_path = workspace
+        monkeypatch.delenv("APE_SEED", raising=False)
+        configs = (EngineConfig, trainer.OptimConfig) if command == "train" else (EngineConfig,)
+        fields = [f for cls in configs for f in dataclasses.fields(cls)]
+        argv = [command, "--task", str(manifest), "--mask", str(mask_path), "--report", str(tmp_path / "d.report")]
+        argv += ["--out", str(tmp_path / "d.ckpt")] if command == "train" else []
+        args = cli.build_parser().parse_args(argv)
+        assert [f.name for f in fields if f.name != "seed" and hasattr(args, f.name)] == []
+        assert main(argv) == 0
+        kv = read_kv(tmp_path / "d.report")
+        assert {f.name: kv.get(f"config.{f.name}") for f in fields} == {f.name: str(f.default) for f in fields}
+
+
 class TestConfigErrors:
     def test_non_finite_beta_is_usage_error(self, workspace, capsys):
         tmp_path, manifest, mask_path = workspace

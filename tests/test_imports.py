@@ -12,6 +12,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ape"
 # perfbench/test_perfbench.py rebinds this module attribute to check that
 # its tracer patches names bound with ``from .engine import ...``.
 REBOUND = {("trainer", "cache_affinity")}
+# The only functions that may name each helper, so that each value has one
+# producer: the cache scores and their class runs come from
+# ``engine._support_runs``, a refined row's r from ``refine._take_channels``.
+PRODUCERS = {
+    "_cache_scores": {"engine._support_runs"},
+    "_run_plan": {"engine._support_runs"},
+    "_divisors": {"numkit._normalize_rows_inplace", "refine._take_channels"},
+}
 
 
 def unused_imports(source: str) -> set[str]:
@@ -59,6 +67,21 @@ def unexported_publics(sources, exported) -> set[str]:
     return listed - set(exported) - named
 
 
+def callers(sources: dict, names) -> dict:
+    """For each of ``names``, the ``module.function`` of every top-level
+    statement of the ``sources`` (module name to text) that names it, an
+    import included (``module.<module>``), other than its own definition."""
+    found = {name: set() for name in names}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
+                if name in found and name != own:
+                    found[name].add(f"{module}.{own or '<module>'}")
+    return found
+
+
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom . import dataio, numkit\nnp.zeros(numkit.X)\n"
     assert unused_imports(source) == {"os", "dataio"}
@@ -96,3 +119,19 @@ def test_library_publics_are_exported_or_used_in_the_library():
     library uses belongs in the tests: ``ape.__all__`` is the public surface."""
     sources = (path.read_text(encoding="utf-8") for path in SRC.glob("*.py") if path.name != "__init__.py")
     assert unexported_publics(sources, ape.__all__) == set()
+
+
+def test_callers_are_found():
+    one = "def _helper():\n    return _helper()\n\n\ndef run():\n    return _helper()\n"
+    other = "from .one import _helper\nfrom . import one\n\n\ndef use():\n    return one._helper()\n"
+    assert callers({"one": one, "other": other}, ["_helper"]) == {
+        "_helper": {"one.run", "other.<module>", "other.use"}
+    }
+
+
+def test_each_value_has_one_producer():
+    """Cache scores, their class runs and a refined row's r are each made by
+    one function, so a fresh training state gives ``ape_logits``'s logits by
+    construction, not by two copies of one rule kept equal by hand."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert callers(sources, PRODUCERS) == PRODUCERS

@@ -213,18 +213,18 @@ class TestSelectChannels:
 
 class TestTakeChannels:
     def test_single_channel_renormalizes_to_unit(self):
-        out = refine._take_channels(np.array([[0.6, 0.8]]), np.array([1]), renormalize=True)
+        out = refine._take_channels(np.array([[0.6, 0.8]]), np.array([1]), renormalize=True)[0]
         np.testing.assert_allclose(out, [[1.0]], rtol=1e-15)
 
     def test_identity_mask_bitwise(self):
         rng = np.random.default_rng(9)
         m = unit_rows(rng, 5, 6)
-        out = refine._take_channels(m, refine.full_mask(6).selected, renormalize=False)
+        out = refine._take_channels(m, refine.full_mask(6).selected, renormalize=False)[0]
         assert out.tobytes() == m.tobytes()
 
     def test_zero_row_warns(self):
         with pytest.warns(numkit.ZeroRowWarning):
-            out = refine._take_channels(np.array([[1.0, 0.0]]), np.array([1]), renormalize=True)
+            out = refine._take_channels(np.array([[1.0, 0.0]]), np.array([1]), renormalize=True)[0]
         np.testing.assert_array_equal(out, [[0.0]])
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -239,7 +239,7 @@ class TestTakeChannels:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", numkit.ZeroRowWarning)
             want = l2_normalize_rows(gathered) if renormalize else gathered
-            got = refine._take_channels(m, idx, renormalize)
+            got = refine._take_channels(m, idx, renormalize)[0]
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
         assert m.tobytes() == before.tobytes()
@@ -255,9 +255,9 @@ class TestTakeChannels:
         m[3, 7] = 1.0  # a unit row: widened, never divided
         norms = numkit._row_norms(m)
         idx = np.sort(rng.choice(20, 9, replace=False))
-        want = refine._take_channels(numkit._unit64(m, norms), idx, renormalize)
+        want = refine._take_channels(numkit._unit64(m, norms), idx, renormalize)[0]
         with block_budget(9, 4):
-            got = refine._take_channels(m, idx, renormalize, norms)
+            got = refine._take_channels(m, idx, renormalize, norms)[0]
         assert got.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self):

@@ -340,7 +340,7 @@ class TestForward:
         f = l2_normalize_rows(f)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", numkit.ZeroRowWarning)
-            f_ref, scale = trainer._refine(f, state.mask_idx, renormalize)
+            f_ref, scale = refine._take_channels(f, state.mask_idx, renormalize)
             want = shifted_keys_logits(state, f)
             got = trainer.forward(state, f)
         assert scale[b:].tolist() == ([0.0, 1.0] if renormalize else [1.0, 1.0])
@@ -457,7 +457,7 @@ class TestBackward:
         want = shifted_keys_logits(state, f_batch)
         got = trainer.forward(state, f_batch)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        f_ref, scale = trainer._refine(f_batch, state.mask_idx, renormalize)
+        f_ref, scale = refine._take_channels(f_batch, state.mask_idx, renormalize)
         y = rng.integers(0, c, b)
         step_logits, step_loss, _, _ = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, y)
         assert step_logits.tobytes() == got.tobytes()
@@ -802,16 +802,16 @@ class TestTrain:
                     kwargs["out"] = tuple(np.asarray(o) for o in out)
                 return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
-        refine_rows = trainer._refine  # only the state's support rows: the task has no test labels
+        take = refine._take_channels  # only support rows are Keys: the task has no test labels
 
-        def keys_spy(*args):
-            s_ref, scale = refine_rows(*args)
-            return s_ref.view(Keys), scale
+        def keys_spy(m, *args):
+            rows, scale = take(m, *args)
+            return rows.view(Keys) if np.shares_memory(m, task.support_features) else rows, scale
 
         optim = OptimConfig(epochs=epochs, batch_size=5)
         sharpen = mock.patch.object(trainer, "_sharpen", wraps=engine._sharpen)
         budget = block_budget(12, 3 if held else 2)
-        with mock.patch.object(trainer, "_refine", keys_spy), budget, sharpen as spy:
+        with mock.patch.object(refine, "_take_channels", keys_spy), budget, sharpen as spy:
             assert holds_support(12) == held
             trainer.train(task, mask, cfg, optim)
         # The 12 support rows take one row block in 3 one-class tiles, the
