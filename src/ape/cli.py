@@ -187,14 +187,16 @@ def grid_search(
     when given, otherwise one held-out shot per class.  Ties break toward
     the smaller alpha, then beta, then gamma.
 
-    The cache is frozen across candidates, so the search refines the split
-    and takes its zero-shot logits once, and walks the class runs of
+    The cache is frozen across candidates, so the search takes the split's
+    zero-shot logits once and walks the class runs of
     ``engine._support_runs`` as ``ape_logits`` does (the holdout's cache is
     the first K - 1 shots of each class): a run's keys serve one softmax for
     the scores of every gamma and the tiles over which ``engine._grid_run``
-    carries each candidate's top logit and argmax.  It holds the N x C
-    logits, the N x Q refined rows, those two per candidate and row, one
-    run's keys and scores and one tile with its weights.  Every candidate's
+    carries each candidate's top logit and argmax.  Each run refines the
+    split one tile row block at a time and drops a block before it refines
+    the next.  So it holds the N x C logits, those two per candidate and
+    row, one run's keys and scores, one row block of refined rows and one
+    tile with its weights: never the N x Q refined rows.  Every candidate's
     predictions equal ``ape_logits``'s bitwise, and its accuracy is the
     float ``accuracy`` returns.
 
@@ -225,10 +227,13 @@ def grid_search(
 
     refine._check_width(mask, task.d)
     zs = zero_shot_logits(test, task.text_features, t_norms, task.text_norms)
-    f_ref = refine._take_channels(test, mask.selected, base_cfg.renormalize, t_norms)[0]
+
+    def f_ref(rows):  # one row block's refined channels, when its tile needs them
+        return refine._take_channels(test[rows], mask.selected, base_cfg.renormalize, t_norms[rows])[0]
+
     top = np.full((alphas.size, betas.size, gammas.size, len(labels)), -np.inf)
     pred = np.zeros(top.shape, dtype=np.int64)
-    for cls, plan, keys, score_sets in _support_runs(task, len(f_ref), mask, base_cfg, gammas, shots):
+    for cls, plan, keys, score_sets in _support_runs(task, len(labels), mask, base_cfg, gammas, shots):
         _grid_run(top, pred, zs[:, cls], f_ref, keys, score_sets, alphas, betas, plan, cls.start)
         del keys, score_sets  # freed before the next run's keys are taken
     hits = np.count_nonzero(pred == labels, axis=-1)

@@ -321,7 +321,8 @@ def _cosine_tiles(f_ref, keys, c: int, plan=None):
     and a ``plan``) over the tiles of ``plan`` (default :func:`_tile_plan`),
     every class run of a row block before the next block.  Each tile is
     written into one reused buffer, so a caller is done with a tile when it
-    asks for the next."""
+    asks for the next.  A row block's ``q`` is dropped before the next one
+    is made, so a caller that drops it too holds one block at a time."""
     k = keys.shape[0] // c
     blocks, runs = _tile_plan(f_ref.shape[0], c, k) if plan is None else plan
     buf = np.empty(blocks[0].stop * (runs[0].stop * k))  # the first block and run are the largest
@@ -331,6 +332,7 @@ def _cosine_tiles(f_ref, keys, c: int, plan=None):
             out = buf[: (rows.stop - rows.start) * (cls.stop - cls.start) * k]
             out = out.reshape(rows.stop - rows.start, -1)
             yield rows, cls, q, np.matmul(q, keys[k * cls.start : k * cls.stop].T, out=out)
+        del q
 
 
 def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None, scale=None, plan=None):
@@ -368,7 +370,9 @@ def _grid_run(top, pred, zs, f_ref, keys, score_sets, alphas, betas, plan, first
     alphas x betas x score sets x N) in place by the logits of the class run
     ``first`` + range(C'): its zero-shot columns ``zs`` plus the
     ``_add_cache_term`` of ``keys`` at ``score_sets[g]`` (one C'*K row per
-    set), ``alphas[a]`` and ``betas[b]``, bitwise, over the tiles of ``plan``.
+    set), ``alphas[a]`` and ``betas[b]``, bitwise, over the tiles of ``plan``
+    for the refined rows ``f_ref`` (or a function of a row slice giving
+    them, as in :func:`_cosine_tiles`; each block is dropped with its tile).
 
     Each tile's gap 1 - cos is taken once, in place; :func:`_decay` makes it
     one reused tile of weights per beta, which :func:`_class_sums` takes into
@@ -380,7 +384,8 @@ def _grid_run(top, pred, zs, f_ref, keys, score_sets, alphas, betas, plan, first
     groups = [(lo, _score_cols(score_sets[lo : lo + _SCORE_COLS], c)) for lo in range(0, len(score_sets), _SCORE_COLS)]
     rows0 = plan[0][0].stop  # the first row block is the largest; both buffers are reused
     weights, buf = np.empty((rows0, len(keys))), np.empty(min(len(score_sets), _SCORE_COLS) * rows0 * c)
-    for rows, _, _, gap in _cosine_tiles(f_ref, keys, c, plan):
+    for rows, _, q, gap in _cosine_tiles(f_ref, keys, c, plan):
+        del q  # not read: dropped so that the next block is refined without it
         blk = weights[: len(gap)]
         np.subtract(1.0, gap, out=gap)
         for b, beta in enumerate(betas):
@@ -412,14 +417,18 @@ def _run_plan(n: int, c: int, k: int, q: int) -> tuple[list[slice], list[slice]]
     return blocks, runs
 
 
-def _support_runs(task: FewShotTask, n: int, mask: refine.ChannelMask, cfg: EngineConfig, gammas, shots=None):
+def _support_runs(task: FewShotTask, n: int, mask: refine.ChannelMask, cfg: EngineConfig, gammas, shots=None,
+                  refined=None):
     """Yield ``(classes, plan, keys, scores)`` for each class run of
     :func:`_run_plan` for ``n`` query rows: the refined first ``shots``
     (default: all K) support rows of each class of the run, their tiling and
     their ``_cache_scores`` at ``gammas``.  The text channels are taken once,
     and not if every gamma is 0.  Once the caller drops each run's keys
     before the next, one run's keys (and its gather of fewer than K shots,
-    whose file pages are dropped) exist at a time, never all C*K rows."""
+    whose file pages are dropped) exist at a time, never all C*K rows.
+    Given ``refined``, the C*K support rows already refined (bitwise what
+    the runs take, as refinement is per row), each run's keys are its slice
+    of them, all K shots, and no support row is taken."""
     def take(m, norms):
         return refine._take_channels(m, mask.selected, cfg.renormalize, norms)[0]
 
@@ -428,8 +437,11 @@ def _support_runs(task: FewShotTask, n: int, mask: refine.ChannelMask, cfg: Engi
     blocks, runs = _run_plan(n, task.c, k, mask.q)
     f, norms = task.support_features.reshape(task.c, task.k, -1), task.support_norms.reshape(task.c, task.k)
     for cls in runs:
-        keys = take(f[cls, :k].reshape(-1, f.shape[2]), norms[cls, :k].ravel())
-        numkit._release(task.support_features)
+        if refined is not None:
+            keys = refined[task.k * cls.start : task.k * cls.stop]
+        else:
+            keys = take(f[cls, :k].reshape(-1, f.shape[2]), norms[cls, :k].ravel())
+            numkit._release(task.support_features)
         yield cls, (blocks, [slice(0, cls.stop - cls.start)]), keys, _cache_scores(keys, w_ref, cfg, cls, gammas)
         del keys  # freed before the next run's keys are taken
 

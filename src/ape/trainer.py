@@ -164,13 +164,16 @@ class TrainState:
 def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> TrainState:
     """Fresh state: zero residuals and the cache scores that
     ``engine._support_runs`` gives ``ape_logits`` for the task's test rows,
-    so its forward pass reproduces the training-free logits bitwise."""
+    so its forward pass reproduces the training-free logits bitwise.  The
+    runs score the state's own refined support rows: the support channels
+    are taken once."""
     refine._check_width(mask, task.d)
     zeros = {name: np.zeros(task.c * task.k if name.endswith("scores") else (task.c, mask.q)) for name in _LEARNED}
     state = TrainState(**zeros, step=0, mask_idx=mask.selected, text_features=task.text_features,
                        text_norms=task.text_norms, support_features=task.support_features,
                        support_norms=task.support_norms, cfg=cfg)
-    for cls, _, _, scores in _support_runs(task, len(task.test_features), mask, cfg, [cfg.gamma]):
+    runs = _support_runs(task, len(task.test_features), mask, cfg, [cfg.gamma], refined=state.f_support_refined)
+    for cls, _, _, scores in runs:
         state.scores[task.k * cls.start : task.k * cls.stop] = scores[0]
     return state
 

@@ -668,6 +668,37 @@ class TestGridOracle:
                     tracemalloc.stop()
         assert peaks[2048] - peaks[512] <= 2 * (2048 - 512) * 8 * (c + q)
 
+    def test_peak_memory_grows_with_n_by_logits_and_candidates_only(self):
+        """Past one row block, each more validation row costs the search its
+        8 * C bytes of zero-shot logits and 16 bytes per candidate (top logit
+        and class id), not its 8 * Q refined channels: the split is refined
+        one tile row block at a time, and no refine call gets more rows."""
+        rng = np.random.default_rng(1)
+        c, k, d, q, n = 16, 8, 64, 64, 512
+        grids = ([0.0, 1.0], [1.0, 5.5], [0.1, 0.2])
+        candidates = np.prod([len(grid) for grid in grids])
+        task = random_task(rng, c=c, k=k, d=d, n_test=1)
+        mask = refine.ChannelMask(selected=np.arange(q), scores=np.zeros(d))
+        peaks = {}
+        for rows in (n, 4 * n):
+            val_task = random_task(rng, c=c, k=k, d=d, n_test=rows)
+            takes = mock.patch.object(refine, "_take_channels", wraps=refine._take_channels)
+            with block_budget(c * k, 64), takes as spy:
+                block = engine._tile_plan(rows, c, k)[0][0].stop
+                tracemalloc.start()
+                try:
+                    grid_search(task, mask, EngineConfig(), *grids, val_task)
+                    _, peaks[rows] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            taken = [len(call.args[0]) for call in spy.call_args_list
+                     if np.may_share_memory(call.args[0], val_task.test_features)]
+            assert taken and max(taken) <= block < rows
+        # Slack: the final hit count's bool per candidate and row, and allocator rounding.
+        grown, slack = 3 * n * (8 * c + 16 * candidates), 3 * n * 2 * candidates
+        assert slack < 3 * n * 8 * q
+        assert peaks[4 * n] - peaks[n] <= grown + slack
+
 
 class TestEvalCommand:
     def test_eval_on_training_task_matches_train_report(self, workspace):

@@ -38,6 +38,14 @@ class TestL2NormalizeRows:
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
         np.testing.assert_allclose(out[1], [0.6, 0.8], rtol=1e-15)
 
+    def test_rows_divide_alike_with_and_without_a_zero_row(self):
+        """Only a zero row sends the divide through its mask, which changes
+        no other row's bits."""
+        m = np.random.default_rng(4).standard_normal((9, 7))
+        with pytest.warns(numkit.ZeroRowWarning):
+            masked = self.normalized(np.vstack([m, np.zeros((1, 7))]))
+        assert self.normalized(m).tobytes() == masked[:-1].tobytes()
+
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((40, 17))

@@ -138,6 +138,17 @@ class TestInitState:
             if not gamma:
                 np.testing.assert_array_equal(state.scores, np.ones(task.c * task.k))
 
+    def test_support_channels_taken_once(self):
+        """A fresh state's cache scores come from its own refined support
+        rows, so each support row's channels are taken once, also where the
+        scores take several class runs."""
+        task, mask = several_runs_instance()
+        assert len(engine._run_plan(len(task.test_features), task.c, task.k, mask.q)[1]) > 1
+        with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
+            trainer.init_state(task, mask, EngineConfig())
+        taken = [call.args[0] for call in spy.call_args_list]
+        assert sum(len(m) for m in taken if np.may_share_memory(m, task.support_features)) == task.c * task.k
+
     def test_residuals_start_at_zero(self):
         rng = np.random.default_rng(31)
         task, mask, cfg = make_instance(rng)
