@@ -233,7 +233,7 @@ def grid_search(
 
     top = np.full((alphas.size, betas.size, gammas.size, len(labels)), -np.inf)
     pred = np.zeros(top.shape, dtype=np.int64)
-    for cls, plan, keys, score_sets in _support_runs(task, len(labels), mask, base_cfg, gammas, shots):
+    for cls, plan, keys, score_sets in _support_runs(task, len(labels), mask.selected, base_cfg, gammas, shots):
         _grid_run(top, pred, zs[:, cls], f_ref, keys, score_sets, alphas, betas, plan, cls.start)
         del keys, score_sets  # freed before the next run's keys are taken
     hits = np.count_nonzero(pred == labels, axis=-1)
@@ -282,8 +282,8 @@ def cmd_infer(args) -> int:
         zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
         acc["zero_shot"] = accuracy(zs, labels)
         tip = EngineConfig(cfg.alpha, cfg.beta, gamma=0.0, renormalize=False)
-        acc["tip_adapter"] = accuracy(_ape_core(zs.copy(), task, refine.full_mask(task.d), tip), labels)
-        acc["ape"] = accuracy(_ape_core(zs, task, mask, cfg), labels)
+        acc["tip_adapter"] = accuracy(_ape_core(zs.copy(), task, np.arange(task.d), tip), labels)
+        acc["ape"] = accuracy(_ape_core(zs, task, mask.selected, cfg), labels)
     EvalReport(
         methods=[MethodResult(name, 0, value) for name, value in acc.items()],
         config=_config_echo(cfg, lam=mask_lam, q=mask.q, seed=args.seed, task=args.task, mask=args.mask),
@@ -347,22 +347,20 @@ def cmd_eval(args) -> int:
     task = dataio.load_task(args.task)
     if task.test_labels is None:
         raise UsageError("eval task must provide test_labels")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", trainer._ConfigDefaultedWarning)
-        state = _validated(trainer.load_checkpoint, args.ckpt, task)
-    defaulted = 0
-    for w in caught:  # the v1 warning goes out as one line; any other passes through as raised
-        if w.category is trainer._ConfigDefaultedWarning:
-            defaulted += 1
-            print(f"warning: {w.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    logits = trainer.forward(state, task.test_features, task.test_norms)
+    with warnings.catch_warnings(record=True) as caught:  # the reader warns only of a v1 file
+        warnings.simplefilter("always")
+        ckpt = _validated(trainer._read_checkpoint, args.ckpt, task)
+    for w in caught:  # one line each, without Python's source echo
+        print(f"warning: {w.message}", file=sys.stderr)
+    learned, selected, cfg = (ckpt["res"], ckpt["scores"]), ckpt["mask_idx"], ckpt["cfg"]
+    del ckpt  # with its optimizer moments: eval holds no state, so no refined support either
+    zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
+    logits = _ape_core(zs, task, selected, cfg, learned)
     EvalReport(
-        methods=[MethodResult("ape_t", state.param_count(), accuracy(logits, task.test_labels))],
-        config=_config_echo(state.cfg, lam=None, q=state.q, seed=args.seed, task=args.task, ckpt=args.ckpt),
+        methods=[MethodResult("ape_t", sum(m.size for m in learned), accuracy(logits, task.test_labels))],
+        config=_config_echo(cfg, lam=None, q=len(selected), seed=args.seed, task=args.task, ckpt=args.ckpt),
         wall_time_s=time.perf_counter() - started,
-        warned={"config_defaulted": defaulted} if defaulted else None,
+        warned={"config_defaulted": len(caught)} if caught else None,
     ).publish(args.report)
     return 0
 

@@ -335,32 +335,25 @@ def _cosine_tiles(f_ref, keys, c: int, plan=None):
         del q
 
 
-def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, res=None, scale=None, plan=None):
-    """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T))
-    into the N x C ``zs`` in place, one cosine tile of ``plan`` (as in
-    :func:`_cosine_tiles`) at a time; returns ``zs``.
-
-    A C x Q residual ``res`` first adds its text shift ``scale * p`` (``scale``:
-    one factor per row) and then scales each class sum by the gain exp(beta *
-    p), where p = f_ref @ res.T is formed once per row block.  Only one tile
-    is alive at once.  Rows are independent and each class sum sees only its
-    own K columns, so the result is bitwise that of the whole matrix.
+def _add_cache_term(zs, f_ref, keys, scores, alpha: float, beta: float, gain=None, plan=None):
+    """Add alpha * class sums of scores * exp(-beta * (1 - f_ref @ keys.T)),
+    each scaled first by its entry of an N x C ``gain`` if given, into the
+    N x C ``zs`` in place, one cosine tile of ``plan`` (as in
+    :func:`_cosine_tiles`) at a time; returns ``zs``.  Rows are independent
+    and each class sum sees only its own K columns, so the result is
+    bitwise that of the whole matrix.
     """
     c = zs.shape[1]
     k = keys.shape[0] // c
     cols, buf = _score_cols(scores[None], c), None
-    for rows, cls, q, blk in _cosine_tiles(f_ref, keys, c, plan):
+    for rows, cls, _, blk in _cosine_tiles(f_ref, keys, c, plan):
         if buf is None:  # the first tile is the largest; its sums buffer is reused
             buf = np.empty(blk.size // k)
-        if res is not None and cls.start == 0:
-            p = q @ res.T
-            zs[rows] += scale[rows, None] * p
-            gain = np.exp(beta * p)
         _sharpen(blk, beta, out=blk)
         out = buf[: blk.size // k].reshape(1, len(blk), -1)
         sums = _class_sums(blk, cols[cls], 1, out)[0]
-        if res is not None:
-            sums *= gain[:, cls]
+        if gain is not None:
+            sums *= gain[rows, cls]
         zs[rows, cls] += alpha * sums
     return zs
 
@@ -417,24 +410,23 @@ def _run_plan(n: int, c: int, k: int, q: int) -> tuple[list[slice], list[slice]]
     return blocks, runs
 
 
-def _support_runs(task: FewShotTask, n: int, mask: refine.ChannelMask, cfg: EngineConfig, gammas, shots=None,
-                  refined=None):
+def _support_runs(task: FewShotTask, n: int, selected, cfg: EngineConfig, gammas, shots=None, refined=None):
     """Yield ``(classes, plan, keys, scores)`` for each class run of
-    :func:`_run_plan` for ``n`` query rows: the refined first ``shots``
-    (default: all K) support rows of each class of the run, their tiling and
-    their ``_cache_scores`` at ``gammas``.  The text channels are taken once,
-    and not if every gamma is 0.  Once the caller drops each run's keys
-    before the next, one run's keys (and its gather of fewer than K shots,
-    whose file pages are dropped) exist at a time, never all C*K rows.
-    Given ``refined``, the C*K support rows already refined (bitwise what
-    the runs take, as refinement is per row), each run's keys are its slice
-    of them, all K shots, and no support row is taken."""
+    :func:`_run_plan` for ``n`` query rows: the first ``shots`` (default:
+    all K) support rows of each class of the run refined to the channels
+    ``selected``, their tiling and their ``_cache_scores`` at ``gammas``.
+    The text channels are taken once, and not if every gamma is 0.  Once the
+    caller drops each run's keys before the next, one run's keys (and its
+    gather of fewer than K shots, whose file pages are dropped) exist at a
+    time, never all C*K rows.  Given ``refined``, the C*K support rows
+    already refined (bitwise what the runs take, as refinement is per row),
+    each run's keys are its slice of them, and no support row is taken."""
     def take(m, norms):
-        return refine._take_channels(m, mask.selected, cfg.renormalize, norms)[0]
+        return refine._take_channels(m, selected, cfg.renormalize, norms)[0]
 
     w_ref = take(task.text_features, task.text_norms) if any(gammas) else None
     k = task.k if shots is None else shots
-    blocks, runs = _run_plan(n, task.c, k, mask.q)
+    blocks, runs = _run_plan(n, task.c, k, len(selected))
     f, norms = task.support_features.reshape(task.c, task.k, -1), task.support_norms.reshape(task.c, task.k)
     for cls in runs:
         if refined is not None:
@@ -446,15 +438,31 @@ def _support_runs(task: FewShotTask, n: int, mask: refine.ChannelMask, cfg: Engi
         del keys  # freed before the next run's keys are taken
 
 
-def _ape_core(zs, task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> np.ndarray:
-    """:func:`ape_logits` built in the task's zero-shot logits ``zs``, which it
-    overwrites and returns, for a mask whose width the caller has checked
-    against the task; each class run's keys serve its cache scores and
-    tiles.  Under every channel, no renormalization and gamma = 0 this is
-    the Tip-Adapter baseline."""
-    f_ref = refine._take_channels(task.test_features, mask.selected, cfg.renormalize, task.test_norms)[0]
-    for cls, plan, keys, scores in _support_runs(task, len(f_ref), mask, cfg, [cfg.gamma]):
-        _add_cache_term(zs[:, cls], f_ref, keys, scores[0], cfg.alpha, cfg.beta, plan=plan)
+def _ape_core(zs, task: FewShotTask, selected, cfg: EngineConfig, learned=None, refined=None, queries=None):
+    """:func:`ape_logits` on the channels ``selected`` (checked by the
+    caller), built in the zero-shot logits ``zs`` of the task's test rows,
+    or of ``queries`` (rows and their norms), which it overwrites and
+    returns; each class run's keys serve its cache scores and tiles.  Under
+    every channel, no renormalization and gamma = 0 this is the Tip-Adapter
+    baseline.  A trained state's ``learned`` (res, scores) gives its scores,
+    with no softmax, and ``trainer.forward``'s logits: p = f_ref @ res.T per
+    :func:`_tile_plan` row block adds the text shift r * p into ``zs``, and
+    its gain exp(beta * p) scales each class sum; ``task`` may then be a
+    ``TrainState``, whose cache is all the walk reads."""
+    f, norms = (task.test_features, task.test_norms) if queries is None else queries
+    f_ref, scale = refine._take_channels(f, selected, cfg.renormalize, norms)
+    gain = run_gain = None
+    if learned is not None:
+        gain = np.empty(zs.shape)
+        for rows in _tile_plan(len(f_ref), task.c, task.k)[0]:
+            p = f_ref[rows] @ learned[0].T
+            zs[rows] += scale[rows, None] * p
+            np.exp(cfg.beta * p, out=gain[rows])
+    runs = _support_runs(task, len(f_ref), selected, cfg, [cfg.gamma] if gain is None else [], refined=refined)
+    for cls, plan, keys, scores in runs:
+        if gain is not None:
+            scores, run_gain = [learned[1][task.k * cls.start : task.k * cls.stop]], gain[:, cls]
+        _add_cache_term(zs[:, cls], f_ref, keys, scores[0], cfg.alpha, cfg.beta, run_gain, plan)
         del keys  # freed before the next run's keys are taken
     return zs
 
@@ -472,7 +480,7 @@ def ape_logits(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     """
     refine._check_width(mask, task.d)
     zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
-    return _ape_core(zs, task, mask, cfg)
+    return _ape_core(zs, task, mask.selected, cfg)
 
 
 def predict(logits) -> np.ndarray:

@@ -25,7 +25,7 @@ from . import dataio, numkit, refine
 from .engine import (
     EngineConfig,
     FewShotTask,
-    _add_cache_term,
+    _ape_core,
     _class_sums,
     _cosine_tiles,
     _score_cols,
@@ -62,10 +62,6 @@ _SNAPSHOT_GROUP = 4
 # ``train`` holds the C*K x C*K support affinity within this many
 # ``numkit._BLOCK_BYTES`` (C*K <= 2048 at 8 MiB); a step reads it in 8 class chunks.
 _HELD_BLOCKS, _STEP_CHUNKS = 4, 8
-
-
-class _ConfigDefaultedWarning(UserWarning):
-    """A v1 checkpoint, which stores no engine config, loaded under ``EngineConfig()``."""
 
 
 @dataclass(frozen=True)
@@ -150,10 +146,6 @@ class TrainState:
     def k(self) -> int:
         return self.scores.shape[0] // self.c
 
-    @property
-    def d_total(self) -> int:
-        return self.w.shape[1]
-
     def param_count(self) -> int:
         """Number of learnable scalars: C*Q residuals plus C*K cache scores."""
         if not (self.res.size and self.scores.size):
@@ -172,15 +164,16 @@ def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -
     state = TrainState(**zeros, step=0, mask_idx=mask.selected, text_features=task.text_features,
                        text_norms=task.text_norms, support_features=task.support_features,
                        support_norms=task.support_norms, cfg=cfg)
-    runs = _support_runs(task, len(task.test_features), mask, cfg, [cfg.gamma], refined=state.f_support_refined)
-    for cls, _, _, scores in runs:
+    n, refined = len(task.test_features), state.f_support_refined
+    for cls, _, _, scores in _support_runs(task, n, mask.selected, cfg, [cfg.gamma], refined=refined):
         state.scores[task.k * cls.start : task.k * cls.stop] = scores[0]
     return state
 
 
 def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     """Logits of the residual-augmented classifier for a batch of full-width
-    rows, under the state's own engine config.
+    rows, under the state's own engine config, by ``ape eval``'s walk
+    (``engine._ape_core``) over the state's refined support rows.
 
     The frozen zero-shot logits f @ w.T take the text shift r * p (r from
     ``refine._take_channels``), as if the padded residual shifted the
@@ -191,14 +184,11 @@ def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     (their float64 row norms, such as a task's ``test_norms``) when given.
     """
     f_batch = numkit._as_features(f_batch, "f_batch", norms=norms)
-    if f_batch.shape[1] != state.d_total:
-        raise ValueError(f"f_batch has {f_batch.shape[1]} columns, state expects {state.d_total}")
-    cfg = state.cfg
     if norms is None and f_batch.dtype == np.float32:
         norms = numkit._row_norms(f_batch)
-    f_ref, scale = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize, norms)
-    zs = zero_shot_logits(f_batch, state.w, norms)
-    return _add_cache_term(zs, f_ref, state.f_support_refined, state.scores, cfg.alpha, cfg.beta, state.res, scale)
+    zs = zero_shot_logits(f_batch, state.w, norms)  # raises on a width other than the state's
+    learned, refined = (state.res, state.scores), state.f_support_refined
+    return _ape_core(zs, state, state.mask_idx, state.cfg, learned, refined, (f_batch, norms))
 
 
 def _ce_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,6 +342,7 @@ def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref,
                 hits[e] += np.count_nonzero(z.argmax(axis=1) == labels[rows])  # as accuracy()
                 if e == 0 and terms is not None:
                     terms[rows] = _ce_terms(z, labels[rows])[0]
+        del q  # dropped with its block's last tile, so the next block is refined without it
     return [float(h / len(labels)) for h in hits]
 
 
@@ -446,18 +437,9 @@ def save_checkpoint(path, state: TrainState) -> None:
         fh.write(b"".join(parts))
 
 
-def load_checkpoint(path, task: FewShotTask) -> TrainState:
-    """Bind a checkpoint to a task sharing its class layout, under the engine
-    config it stores (a v1 file stores none: it loads under ``EngineConfig()``
-    with a ``UserWarning``).
-
-    The frozen context views ``task``'s rows under that config, so the task
-    must match the checkpoint's class count and shot count, and every mask
-    index must fit its width.
-
-    Raises:
-        ValueError: on class/shot/width mismatch, a bad config or a malformed file.
-    """
+def _read_checkpoint(path, task: FewShotTask) -> dict:
+    """The ``TrainState`` fields that a checkpoint stores, by name, checked as
+    :func:`load_checkpoint` says: the learnables, moments, step, mask and config."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith((CKPT_MAGIC, _CKPT_MAGIC_V1)):
@@ -492,9 +474,7 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
         except ValueError as exc:
             raise ValueError(f"checkpoint holds a bad engine config: {path}: {exc}") from None
     else:
-        warnings.warn(
-            f"{path} is a v1 checkpoint with no engine config; loading it under the defaults", _ConfigDefaultedWarning
-        )
+        warnings.warn(f"{path} is a v1 checkpoint with no engine config; loading it under the defaults")
         cfg = EngineConfig()
 
     def take_f64(shape) -> np.ndarray:
@@ -508,7 +488,20 @@ def load_checkpoint(path, task: FewShotTask) -> TrainState:
         raise ValueError(f"checkpoint holds non-finite values: {path}")
     if (learned["v_res"] < 0).any() or (learned["v_scores"] < 0).any():
         raise ValueError(f"checkpoint holds negative second moments: {path}")
+    return dict(learned, step=int(step), mask_idx=raw_idx.astype(np.int64), cfg=cfg)
 
-    return TrainState(**learned, step=int(step), mask_idx=raw_idx.astype(np.int64), text_features=task.text_features,
-                      text_norms=task.text_norms, support_features=task.support_features,
-                      support_norms=task.support_norms, cfg=cfg)
+
+def load_checkpoint(path, task: FewShotTask) -> TrainState:
+    """Bind a checkpoint to a task sharing its class layout, under the engine
+    config it stores (a v1 file stores none: it loads under ``EngineConfig()``
+    with a ``UserWarning``).
+
+    The frozen context views ``task``'s rows under that config, so the task
+    must match the checkpoint's class count and shot count, and every mask
+    index must fit its width.
+
+    Raises:
+        ValueError: on class/shot/width mismatch, a bad config or a malformed file.
+    """
+    return TrainState(**_read_checkpoint(path, task), text_features=task.text_features, text_norms=task.text_norms,
+                      support_features=task.support_features, support_norms=task.support_norms)

@@ -104,7 +104,7 @@ def tip_logits(task, alpha, beta):
     on the task's zero-shot logits, with every channel kept, gamma = 0 and no
     renormalization."""
     zs = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms)
-    return engine._ape_core(zs, task, refine.full_mask(task.d), tip_config(alpha, beta))
+    return engine._ape_core(zs, task, np.arange(task.d), tip_config(alpha, beta))
 
 
 def tip_reference(task, alpha, beta):
@@ -191,6 +191,41 @@ def shifted_forward_reference(f, w, f_ref, s_ref, state):
     cfg = state.cfg
     zs = f @ w.T + kept_scale(f, state.mask_idx, cfg.renormalize)[:, None] * (f_ref @ state.res.T)
     return cache_term_unblocked(zs, f_ref, s_ref, state.scores, cfg.alpha, cfg.beta, state.c, state.k, state.res)
+
+
+def forward_reference(state, f_batch, norms=None):
+    """Reference residual logits by one pass over the tiles of
+    ``engine._tile_plan`` of all the state's refined support rows: a row
+    block's first tile forms p = f_ref @ res.T at full width, adds the text
+    shift r * p and keeps the gain exp(beta * p) for the block's class sums.
+    ``trainer.forward`` and ``ape eval`` walk finer class runs and must give
+    these logits bit for bit."""
+    cfg, c, k = state.cfg, state.c, state.k
+    if norms is None and f_batch.dtype == np.float32:
+        norms = numkit._row_norms(f_batch)
+    f_ref, scale = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize, norms)
+    zs = engine.zero_shot_logits(f_batch, state.w, norms)
+    cols, buf = engine._score_cols(state.scores[None], c), None
+    for rows, cls, q, blk in engine._cosine_tiles(f_ref, state.f_support_refined, c):
+        if buf is None:
+            buf = np.empty(blk.size // k)
+        if cls.start == 0:
+            p = q @ state.res.T
+            zs[rows] += scale[rows, None] * p
+            gain = np.exp(cfg.beta * p)
+        engine._sharpen(blk, cfg.beta, out=blk)
+        sums = engine._class_sums(blk, cols[cls], 1, buf[: blk.size // k].reshape(1, len(blk), -1))[0]
+        sums *= gain[:, cls]
+        zs[rows, cls] += cfg.alpha * sums
+    return zs
+
+
+def eval_logits(task, state):
+    """The logits ``ape eval`` takes for a checkpoint of ``state`` on
+    ``task``: ``engine._ape_core`` on the task's test rows with the state's
+    mask, config and learnables, and no state of its own."""
+    zs = engine.zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
+    return engine._ape_core(zs, task, state.mask_idx, state.cfg, (state.res, state.scores))
 
 
 def check_labels_reference(labels, c, k):
@@ -329,7 +364,7 @@ def frozen_checksum(state):
     for arr in (state.mask_idx, state.text_features, state.text_norms, state.w, state.support_features,
                 state.support_norms, state.f_support_refined, state.support_scale):
         h.update(arr.tobytes())
-    h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.d_total))
+    h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.w.shape[1]))
     h.update(repr(astuple(state.cfg)).encode())
     return h.hexdigest()
 

@@ -19,7 +19,7 @@ from ape import dataio, engine, numkit, refine, trainer
 from ape.cli import grid_search
 from ape.engine import EngineConfig
 from ape.trainer import OptimConfig
-from helpers import cross_entropy, grads, param_count, random_task, tip_reference, unit_rows
+from helpers import cross_entropy, eval_logits, grads, param_count, random_task, tip_reference, unit_rows
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -321,6 +321,7 @@ def test_criterion_9_init_identity(tmp_path):
         state = trainer.init_state(task, mask, cfg)
         got = trainer.forward(state, task.test_features)
         assert got.tobytes() == want.tobytes()
+        assert eval_logits(task, state).tobytes() == want.tobytes()  # as ``ape eval`` scores its checkpoint
 
         trained, history = trainer.train(task, mask, cfg, OptimConfig(epochs=0))
         got = trainer.forward(trained, task.test_features)

@@ -230,7 +230,7 @@ class TestInferCommand:
                 ])
             baseline = [call for call in spy.call_args_list if call.args[3] == tip_config(1.0, 5.5)]
             assert rc == 0 and spy.call_count == calls + 1 and len(baseline) == calls
-            assert all(call.args[2].q == call.args[1].d for call in baseline)  # every channel kept
+            assert all(len(call.args[2]) == call.args[1].d for call in baseline)  # every channel kept
         loaded = dataio.load_task(unlabeled)
         mask, _ = refine.load_mask(mask_path)
         expected = engine.ape_logits(loaded, mask, EngineConfig()).astype(np.float32).astype(np.float64)
@@ -719,8 +719,8 @@ class TestEvalCommand:
         assert read_kv(eval_report)["accuracy.ape_t"] == read_kv(train_report)["accuracy.ape_t"]
 
     def test_eval_takes_the_test_rows_norms_once(self, workspace):
-        """The loaded task's ``test_norms`` serve ``forward``: one norm pass
-        over the 60 x 32 test rows, not a second one inside ``forward``."""
+        """The loaded task's ``test_norms`` serve the refined test rows: one
+        norm pass over the 60 x 32 test rows, not a second one in the walk."""
         tmp_path, manifest, mask_path = workspace
         ckpt = tmp_path / "model.ckpt"
         assert main([
@@ -732,6 +732,27 @@ class TestEvalCommand:
                          "--report", str(tmp_path / "e.report")]) == 0
         shapes = [call.args[0].shape for call in spy.call_args_list]
         assert shapes.count((60, 32)) == 1, shapes
+
+    def test_eval_never_holds_the_refined_support(self, tmp_path):
+        """``ape eval`` walks ``ape infer``'s class runs with the checkpoint's
+        learnables and builds no training state: with the keys split into 16
+        class runs its traced peak stays below the C*K x Q refined support
+        that a state holds whole."""
+        c, k, d, q = 32, 16, 256, 128
+        task = dataio.gen_synthetic(c, k, d, 2, 0.5, seed=4)
+        manifest, ckpt = dataio.save_task(task, tmp_path), tmp_path / "m.ckpt"
+        mask = refine.ChannelMask(selected=np.arange(q), scores=np.zeros(d))
+        trainer.save_checkpoint(ckpt, trainer.init_state(task, mask, EngineConfig()))
+        with block_budget(c * k, 16):
+            assert len(engine._run_plan(2 * c, c, k, q)[1]) == 16
+            tracemalloc.start()
+            try:
+                assert main(["eval", "--ckpt", str(ckpt), "--task", str(manifest),
+                             "--report", str(tmp_path / "e.report")]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * c * k * q
 
     def test_v1_checkpoint_counted_in_the_report_and_warned_on_one_line(self, workspace, capsys):
         """A v1 file loads under the default config: the eval report adds one
@@ -758,9 +779,9 @@ class TestEvalCommand:
         )
 
     def test_other_load_warnings_pass_through_uncounted(self, tmp_path, capsys):
-        """Rebuilding a v2 checkpoint's refined support rows warns of a row
-        that is zero on the kept channels: that warning is raised as it is,
-        and the report gains no warnings key."""
+        """Refining the support rows on a v2 checkpoint's channels warns of a
+        row that is zero on them: that warning is raised as it is, and the
+        report gains no warnings key."""
         rng = np.random.default_rng(5)
         task = random_task(rng, c=3, k=2, d=8, n_test=4)
         support = task.support_features.copy()
@@ -904,7 +925,7 @@ class TestEvalCommand:
         task.test_labels = None
         unlabelled = dataio.save_task(task, ws_path / "unlabelled")
         capsys.readouterr()
-        with mock.patch.object(trainer, "load_checkpoint", wraps=trainer.load_checkpoint) as spy:
+        with mock.patch.object(trainer, "_read_checkpoint", wraps=trainer._read_checkpoint) as spy:
             rc = main([
                 "eval", "--ckpt", str(ckpt), "--task", str(unlabelled),
                 "--report", str(ws_path / "e.report"),

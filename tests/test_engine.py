@@ -23,6 +23,8 @@ from helpers import (
     block_budget,
     cache_scores_unblocked,
     cache_term_unblocked,
+    eval_logits,
+    forward_reference,
     kl_one_hot,
     one_hot_labels,
     random_task,
@@ -457,21 +459,30 @@ class TestRowBlocks:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        c=st.integers(2, 6),
-        k=st.integers(1, 4),
+        c=st.integers(2, 8),
+        k=st.integers(1, 6),
         n=st.integers(1, 40),
         q=st.integers(1, 8),
         rows=st.integers(2, 3),
+        stored=st.booleans(),
+        renormalize=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(c=2, k=2, n=3, q=5, rows=2, seed=0)
-    @example(c=3, k=1, n=1, q=8, rows=2, seed=1)
-    @example(c=3, k=1, n=4, q=8, rows=3, seed=2)  # keys split: a run of one column would go to GEMV
-    @example(c=6, k=4, n=40, q=8, rows=2, seed=3)  # keys split: 5 row blocks x 6 one-class runs
-    def test_blocked_paths_equal_whole_matrix(self, c, k, n, q, rows, seed):
+    @example(c=2, k=2, n=3, q=5, rows=2, stored=False, renormalize=True, seed=0)
+    @example(c=3, k=1, n=1, q=8, rows=2, stored=False, renormalize=True, seed=1)
+    @example(c=3, k=1, n=4, q=8, rows=3, stored=False, renormalize=True, seed=2)  # a one-column run would be GEMV
+    @example(c=6, k=4, n=40, q=8, rows=2, stored=False, renormalize=True, seed=3)  # 5 row blocks x 6 one-class runs
+    @example(c=8, k=5, n=40, q=8, rows=2, stored=True, renormalize=False, seed=4)  # 4 blocks x 8 runs of 5 keys
+    @example(c=7, k=3, n=40, q=8, rows=2, stored=True, renormalize=True, seed=5)  # 7 runs; the tile plan has 4
+    def test_blocked_paths_equal_whole_matrix(self, c, k, n, q, rows, stored, renormalize, seed):
+        """Every logits path equals its whole-matrix reference bitwise, under
+        the default budget and one that splits the keys into class runs.  A
+        trained state's logits, by ``forward`` and by ``ape eval``'s walk, are
+        also bitwise those of the one-pass ``forward_reference`` under the
+        same budget."""
         rng = np.random.default_rng(seed)
         d = 8
-        task = random_task(rng, c=c, k=k, d=d, n_test=n)
+        task = (stored_task if stored else random_task)(rng, c=c, k=k, d=d, n_test=n)
         mask = refine.ChannelMask(
             selected=np.sort(rng.choice(d, q, replace=False)), scores=np.zeros(d)
         )
@@ -481,26 +492,28 @@ class TestRowBlocks:
             gamma=float(rng.uniform(0.0, 1.0)),
             kl_sign=int(rng.choice([1, -1])),
             kl_temperature=float(rng.uniform(0.5, 2.0)),
+            renormalize=renormalize,
         )
-        f, w = task.test_features, task.text_features
-        w_ref, s_ref, f_ref = (apply_mask(m, mask) for m in (w, task.support_features, f))
+        f, w, s = (widened(m) for m in (task.test_features, task.text_features, task.support_features))
+        w_ref, s_ref, f_ref = (apply_mask(m, mask, renormalize) for m in (w, s, f))
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.1 * rng.standard_normal(state.res.shape)
 
         scores = cache_scores_unblocked(s_ref, w_ref, cfg.gamma, cfg.kl_sign, cfg.kl_temperature)
         want = {
             "ape": cache_term_unblocked(f @ w.T, f_ref, s_ref, scores, cfg.alpha, cfg.beta, c, k),
-            "tip": cache_term_unblocked(
-                f @ w.T, f, task.support_features, 1.0, cfg.alpha, cfg.beta, c, k
-            ),
+            "tip": cache_term_unblocked(f @ w.T, f, s, 1.0, cfg.alpha, cfg.beta, c, k),
             "forward": shifted_forward_reference(f, w, f_ref, s_ref, state),
+            "eval": shifted_forward_reference(f, w, f_ref, s_ref, state),
         }
 
         def logits():
             return {
                 "ape": engine.ape_logits(task, mask, cfg),
                 "tip": tip_logits(task, cfg.alpha, cfg.beta),
-                "forward": trainer.forward(state, f),
+                "forward": trainer.forward(state, task.test_features, task.test_norms),
+                "eval": eval_logits(task, state),
+                "reference": forward_reference(state, task.test_features, task.test_norms),
             }
 
         default = logits()
@@ -509,6 +522,8 @@ class TestRowBlocks:
         for name, expected in want.items():
             assert default[name].tobytes() == expected.tobytes(), name
             assert blocked[name].tobytes() == expected.tobytes(), name
+        for got in (default, blocked):
+            assert got["forward"].tobytes() == got["eval"].tobytes() == got["reference"].tobytes()
 
         assert engine._cache_scores(s_ref, w_ref, cfg, slice(0, c), [cfg.gamma])[0].tobytes() == scores.tobytes()
         with block_budget(4 * c, rows):  # softmax blocks of a quarter budget: ``rows`` rows
@@ -693,7 +708,7 @@ class TestStoredRowsWidenedWhereUsed:
         whole = c * k * d * 8
         calls = {
             "ape": lambda: engine.ape_logits(task, mask, EngineConfig()),
-            "tip": lambda: engine._ape_core(zs.copy(), task, mask, tip_config(1.0, 5.5)),
+            "tip": lambda: engine._ape_core(zs.copy(), task, mask.selected, tip_config(1.0, 5.5)),
         }
         with block_budget(c * k, 32):
             assert len(engine._tile_plan(n, c, k)[1]) == 8
@@ -772,7 +787,7 @@ class TestSupportRuns:
             assert len(engine._tile_plan(n, c, k)[1]) == 1 and len(support_runs(task, n, q)) == 2
             tracemalloc.start()
             try:
-                engine._ape_core(zs, task, mask, EngineConfig())
+                engine._ape_core(zs, task, mask.selected, EngineConfig())
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

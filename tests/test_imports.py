@@ -14,12 +14,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ape"
 REBOUND = {("trainer", "cache_affinity")}
 # The only functions that may name each helper, so that each value has one
 # producer: the cache scores and their class runs come from
-# ``engine._support_runs``, a refined row's r from ``refine._take_channels``.
+# ``engine._support_runs``, a refined row's r from ``refine._take_channels``,
+# and every cache term from the class-run walk ``engine._ape_core``.
 PRODUCERS = {
     "_cache_scores": {"engine._support_runs"},
     "_run_plan": {"engine._support_runs"},
     "_divisors": {"numkit._normalize_rows_inplace", "refine._take_channels"},
+    "_add_cache_term": {"engine._ape_core"},
 }
+# ``ape eval`` and the checkpoint reader it calls, which may name none of the training state's names.
+EVAL_PATH = {"cli.cmd_eval", "trainer._read_checkpoint"}
+TRAINING_STATE = ["TrainState", "forward", "load_checkpoint"]
 
 
 def unused_imports(source: str) -> set[str]:
@@ -135,3 +140,13 @@ def test_each_value_has_one_producer():
     construction, not by two copies of one rule kept equal by hand."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     assert callers(sources, PRODUCERS) == PRODUCERS
+
+
+def test_eval_scores_on_the_walk_without_a_training_state():
+    """``ape eval`` reads its checkpoint through ``trainer._read_checkpoint``
+    and scores it on ``engine._ape_core``, naming no training state and no
+    ``forward``, so that a second logits kernel cannot come back unnoticed."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert "cli.cmd_eval" in callers(sources, ["_ape_core"])["_ape_core"]
+    found = callers(sources, TRAINING_STATE)
+    assert not any(users & EVAL_PATH for users in found.values()), found

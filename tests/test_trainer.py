@@ -182,7 +182,7 @@ class TestInitState:
         rng = np.random.default_rng(33)
         task, mask, cfg = make_instance(rng, c=4, k=3, d=9, q=5)
         state = trainer.init_state(task, mask, cfg)
-        assert (state.c, state.k, state.q, state.d_total) == (4, 3, 5, 9)
+        assert (state.c, state.k, state.q, state.w.shape[1]) == (4, 3, 5, 9)
         values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
         assert len(values) == 13  # learnables, moments, step, five frozen arrays and cfg
         with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
@@ -974,8 +974,8 @@ class TestTrain:
         assert peak < 0.5 * n * d * 8
 
     def test_forward_of_stored_rows_never_widens_them_whole(self):
-        """``forward`` (``ape eval``) takes the zero-shot term of float32 rows
-        through the blocked ``zero_shot_logits``: no N x D float64 rows."""
+        """``forward`` takes the zero-shot term of float32 rows through the
+        blocked ``zero_shot_logits``: no N x D float64 rows."""
         rng = np.random.default_rng(48)
         c, k, n, d = 4, 2, 4096, 256
         task = stored_task(rng, c=c, k=k, d=d, n_test=n)
