@@ -353,7 +353,7 @@ def cmd_eval(args) -> int:
     for w in caught:  # one line each, without Python's source echo
         print(f"warning: {w.message}", file=sys.stderr)
     learned, selected, cfg = (ckpt["res"], ckpt["scores"]), ckpt["mask_idx"], ckpt["cfg"]
-    del ckpt  # with its optimizer moments: eval holds no state, so no refined support either
+    del ckpt  # with its optimizer moments: eval holds only the learnables it scores
     zs = zero_shot_logits(task.test_features, task.text_features, task.test_norms, task.text_norms)
     logits = _ape_core(zs, task, selected, cfg, learned)
     EvalReport(

@@ -438,7 +438,7 @@ def _support_runs(task: FewShotTask, n: int, selected, cfg: EngineConfig, gammas
         del keys  # freed before the next run's keys are taken
 
 
-def _ape_core(zs, task: FewShotTask, selected, cfg: EngineConfig, learned=None, refined=None, queries=None):
+def _ape_core(zs, task: FewShotTask, selected, cfg: EngineConfig, learned=None, queries=None):
     """:func:`ape_logits` on the channels ``selected`` (checked by the
     caller), built in the zero-shot logits ``zs`` of the task's test rows,
     or of ``queries`` (rows and their norms), which it overwrites and
@@ -447,8 +447,7 @@ def _ape_core(zs, task: FewShotTask, selected, cfg: EngineConfig, learned=None, 
     baseline.  A trained state's ``learned`` (res, scores) gives its scores,
     with no softmax, and ``trainer.forward``'s logits: p = f_ref @ res.T per
     :func:`_tile_plan` row block adds the text shift r * p into ``zs``, and
-    its gain exp(beta * p) scales each class sum; ``task`` may then be a
-    ``TrainState``, whose cache is all the walk reads."""
+    its gain exp(beta * p) scales each class sum."""
     f, norms = (task.test_features, task.test_norms) if queries is None else queries
     f_ref, scale = refine._take_channels(f, selected, cfg.renormalize, norms)
     gain = run_gain = None
@@ -458,7 +457,7 @@ def _ape_core(zs, task: FewShotTask, selected, cfg: EngineConfig, learned=None, 
             p = f_ref[rows] @ learned[0].T
             zs[rows] += scale[rows, None] * p
             np.exp(cfg.beta * p, out=gain[rows])
-    runs = _support_runs(task, len(f_ref), selected, cfg, [cfg.gamma] if gain is None else [], refined=refined)
+    runs = _support_runs(task, len(f_ref), selected, cfg, [cfg.gamma] if gain is None else [])
     for cls, plan, keys, scores in runs:
         if gain is not None:
             scores, run_gain = [learned[1][task.k * cls.start : task.k * cls.stop]], gain[:, cls]

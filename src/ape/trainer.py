@@ -5,8 +5,9 @@ and the per-entry cache scores.  One Q-wide product p = f @ res.T serves
 both uses of the residual: the text shift r * p (the residual zero-padded
 and added to the prototypes) and the gain exp(beta * p) on each class's
 frozen cache affinities (its keys shifted, with no C*K x Q key matrix).
-Everything else -- prototypes, cache features, channel mask -- stays
-frozen and read-only.  Gradients are derived analytically and the update
+Everything else -- the task's prototypes and cache, the channel mask --
+stays frozen: a training state holds what a checkpoint stores, and the
+cache stays the task's.  Gradients are derived analytically and the update
 rule is AdamW with decoupled weight decay under a cosine learning-rate
 schedule.
 """
@@ -14,9 +15,10 @@ schedule.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -53,9 +55,8 @@ _CKPT_MAGIC_V1 = b"APE-CKPT v1\n"  # v2 without the config block
 _CFG_BLOCK = struct.Struct("<dddqd?")
 # The learnables and their moments in checkpoint order: each *res is C x Q, each *scores C*K.
 _LEARNED = ("res", "scores", "m_res", "v_res", "m_scores", "v_scores")
-# The frozen context: set once, at construction; its arrays are read-only views.
-_FROZEN = ("mask_idx", "text_features", "text_norms", "support_features", "support_norms", "cfg",
-           "w", "f_support_refined", "support_scale")
+# What the learnables were trained under: set once, at construction; the mask is a read-only view.
+_SET_ONCE = ("mask_idx", "cfg")
 # Snapshots per class-sum call in the history: at C=100 and 625-row tiles
 # their sums take 2 MB, where 8 (the padded width) raised a desk train's peak RSS by 4%.
 _SNAPSHOT_GROUP = 4
@@ -91,10 +92,10 @@ class OptimConfig:
 
 @dataclass(eq=False)
 class TrainState:
-    """Learnable tensors, their optimizer moments, and the read-only frozen
-    context with its engine config, from which every construction (``replace``
-    too) derives the float64 prototypes and the refined support rows; sizes
-    C, K, Q and D come from the arrays."""
+    """What a checkpoint stores: the learnable tensors, their optimizer
+    moments and step, and the channel mask and engine config they were
+    trained under.  The cache is the task's, which :func:`forward` scores a
+    state on; sizes C, K and Q come from the arrays."""
 
     # learnable
     res: np.ndarray        # C x Q class residuals
@@ -105,31 +106,18 @@ class TrainState:
     m_scores: np.ndarray
     v_scores: np.ndarray
     step: int
-    # frozen context: read-only views of the caller's arrays, never copies
-    mask_idx: np.ndarray           # Q selected channel indices
-    text_features: np.ndarray      # C x D text rows, float64 or stored float32
-    text_norms: np.ndarray         # C float64 norms of the text rows
-    support_features: np.ndarray   # C*K x D support rows, class-major
-    support_norms: np.ndarray      # C*K float64 norms of the support rows
-    cfg: EngineConfig              # alpha, beta and refinement of every pass
-    # derived from the frozen context above; not saved
-    w: np.ndarray = field(init=False, repr=False)                  # C x D float64 prototypes
-    f_support_refined: np.ndarray = field(init=False, repr=False)  # C*K x Q
-    support_scale: np.ndarray = field(init=False, repr=False)      # C*K r of the support rows
+    # what the learnables were trained under
+    mask_idx: np.ndarray   # Q selected channel indices
+    cfg: EngineConfig      # alpha, beta and refinement of every pass
 
     def __post_init__(self):
-        c, q, n = len(self.text_features), len(self.mask_idx), len(self.support_features)
-        if self.res.shape != (c, q) or self.scores.shape != (n,):
-            raise ValueError("the learnables do not fit the frozen context: res must be C x Q and scores C*K")
-        self.w = numkit._unit64(self.text_features, self.text_norms)
-        self.f_support_refined, self.support_scale = refine._take_channels(
-            self.support_features, self.mask_idx, self.cfg.renormalize, self.support_norms
-        )
+        if self.res.shape[1:] != self.mask_idx.shape or len(self.scores) % len(self.res):
+            raise ValueError("the learnables do not fit the mask: res must be C x Q and scores C*K")
 
     def __setattr__(self, name, value):
-        if name in _FROZEN and hasattr(self, name):
-            raise AttributeError(f"{name} is set at construction: the frozen context stays as built")
-        if name in _FROZEN and isinstance(value, np.ndarray):
+        if name in _SET_ONCE and hasattr(self, name):
+            raise AttributeError(f"{name} is set at construction: the learnables were trained under it")
+        if name == "mask_idx" and isinstance(value, np.ndarray):
             value = value.view()  # the caller's array keeps its flags
             value.flags.writeable = False
         super().__setattr__(name, value)
@@ -153,27 +141,44 @@ class TrainState:
         return self.res.size + self.scores.size
 
 
+def _check_fit(source: str, c: int, k: int, mask_idx: np.ndarray, task: FewShotTask) -> None:
+    """Raise a ValueError naming the mismatch unless learnables of ``c``
+    classes and ``k`` shots per class on the channels ``mask_idx`` fit the
+    task: its class count, its shot count and a nonempty mask of its width.
+    ``source`` names their holder, a checkpoint or a state."""
+    if c != task.c:
+        raise ValueError(f"{source} has {c} classes, task has {task.c}")
+    if k != task.k:
+        raise ValueError(f"{source} has {k} shots per class, task has {task.k}")
+    # range-checked as given, so corrupt unsigned indices cannot wrap negative
+    if not 1 <= len(mask_idx) <= task.d or mask_idx.min() < 0 or mask_idx.max() >= task.d:
+        raise ValueError(f"{source} mask does not fit a {task.d}-channel task")
+
+
 def init_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig) -> TrainState:
     """Fresh state: zero residuals and the cache scores that
     ``engine._support_runs`` gives ``ape_logits`` for the task's test rows,
-    so its forward pass reproduces the training-free logits bitwise.  The
-    runs score the state's own refined support rows: the support channels
-    are taken once."""
+    so its forward pass reproduces the training-free logits bitwise."""
     refine._check_width(mask, task.d)
+    return _fresh_state(task, mask, cfg)
+
+
+def _fresh_state(task: FewShotTask, mask: refine.ChannelMask, cfg: EngineConfig, refined=None) -> TrainState:
+    """:func:`init_state`'s state for a checked mask.  Given ``refined``, the
+    task's support rows already refined, the runs score their slices and
+    take no support channels (see ``engine._support_runs``)."""
     zeros = {name: np.zeros(task.c * task.k if name.endswith("scores") else (task.c, mask.q)) for name in _LEARNED}
-    state = TrainState(**zeros, step=0, mask_idx=mask.selected, text_features=task.text_features,
-                       text_norms=task.text_norms, support_features=task.support_features,
-                       support_norms=task.support_norms, cfg=cfg)
-    n, refined = len(task.test_features), state.f_support_refined
+    state = TrainState(**zeros, step=0, mask_idx=mask.selected, cfg=cfg)
+    n = len(task.test_features)
     for cls, _, _, scores in _support_runs(task, n, mask.selected, cfg, [cfg.gamma], refined=refined):
         state.scores[task.k * cls.start : task.k * cls.stop] = scores[0]
     return state
 
 
-def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
+def forward(state: TrainState, task: FewShotTask, f_batch, norms=None) -> np.ndarray:
     """Logits of the residual-augmented classifier for a batch of full-width
-    rows, under the state's own engine config, by ``ape eval``'s walk
-    (``engine._ape_core``) over the state's refined support rows.
+    rows, scored with the state's learnables on the task's cache, under the
+    state's own engine config, by ``ape eval``'s walk (``engine._ape_core``).
 
     The frozen zero-shot logits f @ w.T take the text shift r * p (r from
     ``refine._take_channels``), as if the padded residual shifted the
@@ -182,13 +187,14 @@ def forward(state: TrainState, f_batch, norms=None) -> np.ndarray:
     formed once per row block.  Float32 rows are stored features, widened
     and normalized by row blocks as ``FewShotTask`` reads them, by ``norms``
     (their float64 row norms, such as a task's ``test_norms``) when given.
+    A state that does not fit the task (:func:`_check_fit`) raises ValueError.
     """
+    _check_fit("state", state.c, state.k, state.mask_idx, task)
     f_batch = numkit._as_features(f_batch, "f_batch", norms=norms)
     if norms is None and f_batch.dtype == np.float32:
         norms = numkit._row_norms(f_batch)
-    zs = zero_shot_logits(f_batch, state.w, norms)  # raises on a width other than the state's
-    learned, refined = (state.res, state.scores), state.f_support_refined
-    return _ape_core(zs, state, state.mask_idx, state.cfg, learned, refined, (f_batch, norms))
+    zs = zero_shot_logits(f_batch, task.text_features, norms, task.text_norms)  # raises on another width
+    return _ape_core(zs, task, state.mask_idx, state.cfg, (state.res, state.scores), (f_batch, norms))
 
 
 def _ce_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,13 +207,14 @@ def _ce_terms(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return np.log(sums) - z[np.arange(len(y)), y], e, sums
 
 
-def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=None):
+def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, s_ref, aff=None, idx=None):
     """The batch logits and the analytic gradients of the mean cross-entropy
     w.r.t. the learnables, from the batch's zero-shot logits ``zs``, refined
     channels and r (``refine._take_channels``).  Its affinities are the rows
     ``idx`` of the held support affinity ``aff`` (see :func:`train`), else
-    its own sharpened product; either is read by class chunks (a gather of
-    held rows), so no second B x C*K matrix exists.
+    its own sharpened product with the refined support rows ``s_ref``;
+    either is read by class chunks (a gather of held rows), so no second
+    B x C*K matrix exists.
 
     Returns (logits, loss, d_res, d_scores): the batch's mean cross-entropy
     and the gradients shaped (C, Q) and (C*K,).  The residual gradient sums the text-shift path and the
@@ -216,7 +223,7 @@ def _grad_parts(state: TrainState, zs, f_ref, scale, label_ids, aff=None, idx=No
     y = np.asarray(label_ids, dtype=np.int64)
     b, c, k, cfg = len(zs), state.c, state.k, state.cfg
     if aff is None:
-        aff, idx = f_ref @ state.f_support_refined.T, slice(None)
+        aff, idx = f_ref @ s_ref.T, slice(None)
         _sharpen(aff, cfg.beta, out=aff)
     # The batch's affinities to each class chunk; the operations are forward's, bit for bit.
     chunks = [(cls, slice(k * cls.start, k * cls.stop)) for cls in numkit._even_slices(c, min(c, _STEP_CHUNKS))]
@@ -297,11 +304,12 @@ def _support_affinity(s_ref, c: int, beta: float) -> np.ndarray:
     return aff
 
 
-def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref, scale, labels, terms=None,
-                         aff=None, zs=None):
-    """Accuracy of ``forward`` under each snapshot ``(ress[e], scores[e])``
-    (``scores``: one row of C*K cache scores per residual), then that of the
-    zero-shot logits, on the full-width task rows ``f_batch`` (with their
+def _snapshot_accuracies(cfg: EngineConfig, w, s_ref, ress, scores, f_batch, norms, f_ref, scale, labels,
+                         terms=None, aff=None, zs=None):
+    """Accuracy of ``forward`` under ``cfg`` and each snapshot ``(ress[e],
+    scores[e])`` (``scores``: one row of C*K cache scores per residual), then
+    that of the zero-shot logits, on the cache of the float64 prototypes
+    ``w`` and refined support rows ``s_ref``, for the full-width task rows ``f_batch`` (with their
     ``norms``, widened one row block at a time), their refined channels
     ``f_ref`` (or a function of a row slice giving them, which may fill
     ``scale`` for it), their r ``scale`` and ``labels``; ``terms``, if
@@ -314,19 +322,19 @@ def _snapshot_accuracies(state: TrainState, ress, scores, f_batch, norms, f_ref,
     last tile), and a snapshot's Q-wide product gives its gain and text
     shift.  No logits matrix exists whole.
     """
-    cfg, c, k = state.cfg, state.c, state.k
+    c, k = len(w), len(s_ref) // len(w)
     hits = np.zeros(len(ress) + 1, dtype=np.int64)
     plan = _tile_plan(len(labels), c, k)
     size = len(ress) if len(plan[1]) > 1 else min(len(ress), _SNAPSHOT_GROUP)
     buf = np.empty(size * plan[0][0].stop * c)  # one for the pass: fresh sums per call took 5 MB more RSS
-    tiles = _cosine_tiles(f_ref, state.f_support_refined, c, plan) if aff is None else (
+    tiles = _cosine_tiles(f_ref, s_ref, c, plan) if aff is None else (
         (rows, cls, f_ref[rows], aff[rows, k * cls.start : k * cls.stop]) for rows in plan[0] for cls in plan[1]
     )
     for rows, cls, q, blk in tiles:
         if aff is None:
             _sharpen(blk, cfg.beta, out=blk)
         if cls.stop == c:
-            zs0 = numkit._unit64(f_batch, norms, rows) @ state.w.T if zs is None else zs[rows]
+            zs0 = numkit._unit64(f_batch, norms, rows) @ w.T if zs is None else zs[rows]
             hits[-1] += np.count_nonzero(zs0.argmax(axis=1) == labels[rows])
         for lo in range(0, len(ress), size):
             group = scores[lo : lo + size, k * cls.start : k * cls.stop]
@@ -366,9 +374,14 @@ def train(
     each tile's frozen affinities once for all epochs.  Row 0's loss
     averages per-row terms taken block by block, so the C*K x C support
     logits never exist whole.  Every history value is bitwise that of
-    ``forward``.
+    ``forward``.  The prototypes and the refined support rows with their r
+    are locals, not in the state: the support channels are taken once.
     """
-    state = init_state(task, mask, cfg)
+    refine._check_width(mask, task.d)
+    f, norms = task.support_features, task.support_norms
+    w = numkit._unit64(task.text_features, task.text_norms)
+    s_ref, s_scale = refine._take_channels(f, mask.selected, cfg.renormalize, norms)
+    state = _fresh_state(task, mask, cfg, s_ref)
 
     n = task.c * task.k
     y_support = task.support_class_ids()
@@ -377,19 +390,18 @@ def train(
     rng = np.random.default_rng(optim.seed)
     ress, scores, losses = [state.res.copy()], np.empty((optim.epochs + 1, n)), []
     scores[0] = state.scores
-    f, norms, s_ref = task.support_features, task.support_norms, state.f_support_refined
     aff = zs = None
     if 8 * n * n <= _HELD_BLOCKS * numkit._BLOCK_BYTES:
-        aff, zs = _support_affinity(s_ref, task.c, cfg.beta), zero_shot_logits(f, state.w, norms)
+        aff, zs = _support_affinity(s_ref, task.c, cfg.beta), zero_shot_logits(f, w, norms)
 
     for _ in range(optim.epochs):
         perm = rng.permutation(n)
         batch_losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
-            zb = numkit._unit64(f, norms, idx) @ state.w.T if zs is None else zs[idx]
+            zb = numkit._unit64(f, norms, idx) @ w.T if zs is None else zs[idx]
             yb = y_support[idx]
-            _, loss, d_res, d_scores = _grad_parts(state, zb, s_ref[idx], state.support_scale[idx], yb, aff, idx)
+            _, loss, d_res, d_scores = _grad_parts(state, zb, s_ref[idx], s_scale[idx], yb, s_ref, aff, idx)
             batch_losses.append(loss)
             lr_t = cosine_lr(state.step, total_steps, optim.lr)
             adamw_step(state, (d_res, d_scores), lr_t, optim)
@@ -398,20 +410,19 @@ def train(
         scores[len(losses)] = state.scores
 
     terms = np.empty(n)
-    *support_acc, _ = _snapshot_accuracies(
-        state, ress, scores, f, norms, s_ref, state.support_scale, y_support, terms, aff, zs
-    )
+    *support_acc, _ = _snapshot_accuracies(cfg, w, s_ref, ress, scores, f, norms, s_ref, s_scale, y_support, terms,
+                                           aff, zs)
     del aff, zs  # freed before the test pass
     test_acc, zero_shot_acc = [None] * len(ress), None
     if task.test_labels is not None:
         f, norms, scale = task.test_features, task.test_norms, np.empty(len(task.test_labels))
 
         def test_ref(rows):  # one test row block's channels and r, when its tiles need them
-            q, scale[rows] = refine._take_channels(f[rows], state.mask_idx, cfg.renormalize, norms[rows])
+            q, scale[rows] = refine._take_channels(f[rows], mask.selected, cfg.renormalize, norms[rows])
             return q
 
         *test_acc, zero_shot_acc = _snapshot_accuracies(
-            state, ress, scores, f, norms, test_ref, scale, task.test_labels
+            cfg, w, s_ref, ress, scores, f, norms, test_ref, scale, task.test_labels
         )
     rows = zip([float(terms.mean())] + losses, support_acc, test_acc)
     history = [{"epoch": e, "loss": loss, "support_acc": s, "test_acc": t} for e, (loss, s, t) in enumerate(rows)]
@@ -439,69 +450,60 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 def _read_checkpoint(path, task: FewShotTask) -> dict:
     """The ``TrainState`` fields that a checkpoint stores, by name, checked as
-    :func:`load_checkpoint` says: the learnables, moments, step, mask and config."""
+    :func:`load_checkpoint` says: the learnables, moments, step, mask and
+    config.  Each field is read from the file into its own array, after a
+    check that the file still holds its bytes; no copy of the file exists."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith((CKPT_MAGIC, _CKPT_MAGIC_V1)):
-        raise ValueError(f"not a checkpoint file: {path}")
-    off = len(CKPT_MAGIC)
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"checkpoint truncated: {path}")
-        out = blob[off : off + n]
-        off += n
-        return out
+        def take(count: int, dtype="<f8") -> np.ndarray:
+            if count * np.dtype(dtype).itemsize > size - fh.tell():
+                raise ValueError(f"checkpoint truncated: {path}")
+            out = np.empty(count, dtype)
+            fh.readinto(out)
+            return out
 
-    c, k, q = struct.unpack("<QQQ", take(24))
-    if c != task.c:
-        raise ValueError(f"checkpoint has {c} classes, task has {task.c}")
-    if k != task.k:
-        raise ValueError(f"checkpoint has {k} shots per class, task has {task.k}")
-    raw_idx = np.frombuffer(take(8 * q), dtype="<u8")
-    # range-check on the unsigned view so corrupt indices cannot wrap negative
-    if not 1 <= q <= task.d or raw_idx.max() >= task.d:
-        raise ValueError(f"checkpoint mask does not fit a {task.d}-channel task")
-    if len(np.unique(raw_idx)) != q:
-        raise ValueError("checkpoint mask indices are not distinct")
-    if blob.startswith(CKPT_MAGIC):
-        block = take(_CFG_BLOCK.size)
-        try:
-            if block[-1] > 1:  # unpacking "?" reads any nonzero byte as True
-                raise ValueError(f"renormalize must be 0 or 1, got {block[-1]}")
-            cfg = EngineConfig(*_CFG_BLOCK.unpack(block))
-        except ValueError as exc:
-            raise ValueError(f"checkpoint holds a bad engine config: {path}: {exc}") from None
-    else:
-        warnings.warn(f"{path} is a v1 checkpoint with no engine config; loading it under the defaults")
-        cfg = EngineConfig()
-
-    def take_f64(shape) -> np.ndarray:
-        return np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").astype(np.float64).reshape(shape)
-
-    learned = {name: take_f64(c * k if name.endswith("scores") else (c, q)) for name in _LEARNED}
-    (step,) = struct.unpack("<Q", take(8))
-    if off != len(blob):
-        raise ValueError(f"checkpoint has trailing bytes: {path}")
-    if not all(np.isfinite(a).all() for a in learned.values()):
+        magic = fh.read(len(CKPT_MAGIC))
+        if magic not in (CKPT_MAGIC, _CKPT_MAGIC_V1):
+            raise ValueError(f"not a checkpoint file: {path}")
+        c, k, q = take(3, "<u8").tolist()
+        raw_idx = take(q, "<u8")
+        _check_fit("checkpoint", c, k, raw_idx, task)
+        if len(np.unique(raw_idx)) != q:
+            raise ValueError("checkpoint mask indices are not distinct")
+        if magic == CKPT_MAGIC:
+            block = take(_CFG_BLOCK.size, np.uint8).tobytes()
+            try:
+                if block[-1] > 1:  # unpacking "?" reads any nonzero byte as True
+                    raise ValueError(f"renormalize must be 0 or 1, got {block[-1]}")
+                cfg = EngineConfig(*_CFG_BLOCK.unpack(block))
+            except ValueError as exc:
+                raise ValueError(f"checkpoint holds a bad engine config: {path}: {exc}") from None
+        else:
+            warnings.warn(f"{path} is a v1 checkpoint with no engine config; loading it under the defaults")
+            cfg = EngineConfig()
+        learned = {name: take(c * k) if name.endswith("scores") else take(c * q).reshape(c, q) for name in _LEARNED}
+        (step,) = take(1, "<u8").tolist()
+        if fh.tell() != size:
+            raise ValueError(f"checkpoint has trailing bytes: {path}")
+    extremes = np.array([(a.min(), a.max()) for a in learned.values()])  # NaN propagates; no mask of a tensor
+    if not np.isfinite(extremes).all():
         raise ValueError(f"checkpoint holds non-finite values: {path}")
-    if (learned["v_res"] < 0).any() or (learned["v_scores"] < 0).any():
+    if min(learned["v_res"].min(), learned["v_scores"].min()) < 0:
         raise ValueError(f"checkpoint holds negative second moments: {path}")
-    return dict(learned, step=int(step), mask_idx=raw_idx.astype(np.int64), cfg=cfg)
+    return dict(learned, step=step, mask_idx=raw_idx.astype(np.int64), cfg=cfg)
 
 
 def load_checkpoint(path, task: FewShotTask) -> TrainState:
-    """Bind a checkpoint to a task sharing its class layout, under the engine
-    config it stores (a v1 file stores none: it loads under ``EngineConfig()``
-    with a ``UserWarning``).
+    """The training state a checkpoint stores, under the engine config it
+    stores (a v1 file stores none: it loads under ``EngineConfig()`` with a
+    ``UserWarning``).
 
-    The frozen context views ``task``'s rows under that config, so the task
-    must match the checkpoint's class count and shot count, and every mask
-    index must fit its width.
+    The state holds no cache: :func:`forward` scores it on ``task``'s rows.
+    So the task must match the checkpoint's class count and shot count, and
+    every mask index must fit its width (:func:`_check_fit`).
 
     Raises:
         ValueError: on class/shot/width mismatch, a bad config or a malformed file.
     """
-    return TrainState(**_read_checkpoint(path, task), text_features=task.text_features, text_norms=task.text_norms,
-                      support_features=task.support_features, support_norms=task.support_norms)
+    return TrainState(**_read_checkpoint(path, task))

@@ -130,12 +130,24 @@ def cross_entropy(logits, label_ids) -> float:
     return float(trainer._ce_terms(z, y.astype(np.int64))[0].mean())
 
 
-def grads(state, f_batch, label_ids):
+def prototypes(task):
+    """The task's float64 prototypes, as ``trainer.train`` widens them."""
+    return numkit._unit64(task.text_features, task.text_norms)
+
+
+def refined_support(state, task):
+    """The task's support rows on the state's channels and their r, as ``trainer.train`` takes them."""
+    return refine._take_channels(task.support_features, state.mask_idx, state.cfg.renormalize, task.support_norms)
+
+
+def grads(state, task, f_batch, label_ids):
     """(d_res, d_scores) of ``trainer._grad_parts`` on a float64 batch of
     full-width rows, refined (channels and r) as ``trainer.forward`` refines
-    it, with its zero-shot logits f @ w.T and its own affinities."""
+    it, with its zero-shot logits f @ w.T and its own affinities to the
+    task's refined support rows."""
     f_ref, scale = refine._take_channels(f_batch, state.mask_idx, state.cfg.renormalize)
-    _, _, d_res, d_scores = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, label_ids)
+    zs, s_ref = f_batch @ prototypes(task).T, refined_support(state, task)[0]
+    _, _, d_res, d_scores = trainer._grad_parts(state, zs, f_ref, scale, label_ids, s_ref)
     return d_res, d_scores
 
 
@@ -161,11 +173,11 @@ def holds_support(n):
     return 8 * n * n <= trainer._HELD_BLOCKS * numkit._BLOCK_BYTES
 
 
-def support_affinity(state):
+def support_affinity(state, task):
     """Reference held affinity: ``engine.cache_affinity`` of each tile of the
-    support rows' plan, as ``forward`` tiles the support split, placed into
-    one C*K x C*K matrix."""
-    s, k = state.f_support_refined, state.k
+    task's refined support rows' plan, as ``forward`` tiles the support
+    split, placed into one C*K x C*K matrix."""
+    s, k = refined_support(state, task)[0], state.k
     blocks, runs = engine._tile_plan(len(s), state.c, k)
     aff = np.empty((len(s), len(s)))
     for rows in blocks:
@@ -193,9 +205,9 @@ def shifted_forward_reference(f, w, f_ref, s_ref, state):
     return cache_term_unblocked(zs, f_ref, s_ref, state.scores, cfg.alpha, cfg.beta, state.c, state.k, state.res)
 
 
-def forward_reference(state, f_batch, norms=None):
+def forward_reference(state, task, f_batch, norms=None):
     """Reference residual logits by one pass over the tiles of
-    ``engine._tile_plan`` of all the state's refined support rows: a row
+    ``engine._tile_plan`` of all the task's refined support rows: a row
     block's first tile forms p = f_ref @ res.T at full width, adds the text
     shift r * p and keeps the gain exp(beta * p) for the block's class sums.
     ``trainer.forward`` and ``ape eval`` walk finer class runs and must give
@@ -204,9 +216,9 @@ def forward_reference(state, f_batch, norms=None):
     if norms is None and f_batch.dtype == np.float32:
         norms = numkit._row_norms(f_batch)
     f_ref, scale = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize, norms)
-    zs = engine.zero_shot_logits(f_batch, state.w, norms)
+    zs = engine.zero_shot_logits(f_batch, prototypes(task), norms)
     cols, buf = engine._score_cols(state.scores[None], c), None
-    for rows, cls, q, blk in engine._cosine_tiles(f_ref, state.f_support_refined, c):
+    for rows, cls, q, blk in engine._cosine_tiles(f_ref, refined_support(state, task)[0], c):
         if buf is None:
             buf = np.empty(blk.size // k)
         if cls.start == 0:
@@ -335,16 +347,17 @@ def cache_term_unblocked(zs, f_ref, keys, scores, alpha, beta, c, k, res=None):
     return zs + alpha * sums
 
 
-def shifted_keys_logits(state, f_batch):
-    """Reference logits of a trained state by the shifted-keys formula:
-    the padded residual added to the prototypes, and every cached support
-    row of class c moved by res_c (``s_ref + repeat_K(res)``)."""
-    cfg = state.cfg
-    padded = np.zeros_like(state.w)
+def shifted_keys_logits(state, task, f_batch):
+    """Reference logits of a trained state on the task's cache by the
+    shifted-keys formula: the padded residual added to the prototypes, and
+    every cached support row of class c moved by res_c
+    (``s_ref + repeat_K(res)``)."""
+    cfg, w = state.cfg, prototypes(task)
+    padded = np.zeros_like(w)
     padded[:, state.mask_idx] = state.res
     f_ref = refine._take_channels(f_batch, state.mask_idx, cfg.renormalize)[0]
-    keys = state.f_support_refined + np.repeat(state.res, state.k, axis=0)
-    zs = f_batch @ (state.w + padded).T
+    keys = refined_support(state, task)[0] + np.repeat(state.res, state.k, axis=0)
+    zs = f_batch @ (w + padded).T
     return cache_term_unblocked(zs, f_ref, keys, state.scores, cfg.alpha, cfg.beta, state.c, state.k)
 
 
@@ -357,14 +370,16 @@ def cache_scores_unblocked(s_ref, w_ref, gamma, kl_sign=1, kl_temperature=1.0):
     return np.exp(kl_sign * gamma * -np.log(p_true))
 
 
-def frozen_checksum(state):
-    """Digest over the frozen context, the engine config included; it must
-    not change across training."""
+def frozen_checksum(task, state):
+    """Digest over what training must not write: the task's arrays and the
+    state's mask and engine config."""
     h = hashlib.sha256()
-    for arr in (state.mask_idx, state.text_features, state.text_norms, state.w, state.support_features,
-                state.support_norms, state.f_support_refined, state.support_scale):
+    for arr in (task.text_features, task.text_norms, task.support_features, task.support_norms,
+                task.test_features, task.test_norms, state.mask_idx):
         h.update(arr.tobytes())
-    h.update(struct.pack("<QQQQ", state.c, state.k, state.q, state.w.shape[1]))
+    if task.test_labels is not None:
+        h.update(task.test_labels.tobytes())
+    h.update(struct.pack("<QQQQ", state.c, state.k, state.q, task.d))
     h.update(repr(astuple(state.cfg)).encode())
     return h.hexdigest()
 
@@ -384,16 +399,16 @@ def train_reference(task, mask, cfg, optim):
     rng = np.random.default_rng(optim.seed)
     held = holds_support(n)
     if held:
-        aff = support_affinity(state)
+        aff, (s_ref, s_scale) = support_affinity(state, task), refined_support(state, task)
         zs = engine.zero_shot_logits(task.support_features, task.text_features, task.support_norms)
 
     def eval_row(epoch, loss=None):
-        support_logits = trainer.forward(state, task.support_features)
+        support_logits = trainer.forward(state, task, task.support_features)
         if loss is None:
             loss = cross_entropy(support_logits, y_support)
         test_acc = None
         if task.test_labels is not None:
-            test_acc = accuracy(trainer.forward(state, task.test_features), task.test_labels)
+            test_acc = accuracy(trainer.forward(state, task, task.test_features), task.test_labels)
         return {"epoch": epoch, "loss": loss,
                 "support_acc": accuracy(support_logits, y_support), "test_acc": test_acc}
 
@@ -409,12 +424,11 @@ def train_reference(task, mask, cfg, optim):
             idx = perm[b * optim.batch_size : (b + 1) * optim.batch_size]
             fb, yb = task.support_features[idx], y_support[idx]
             if held:
-                s_ref, scale = state.f_support_refined[idx], state.support_scale[idx]
-                logits, _, *step_grads = trainer._grad_parts(state, zs[idx], s_ref, scale, yb, aff, idx)
+                logits, _, *step_grads = trainer._grad_parts(state, zs[idx], s_ref[idx], s_scale[idx], yb, s_ref, aff, idx)
                 losses.append(cross_entropy(logits, yb))
             else:
-                losses.append(cross_entropy(trainer.forward(state, fb), yb))
-                step_grads = grads(state, fb, yb)
+                losses.append(cross_entropy(trainer.forward(state, task, fb), yb))
+                step_grads = grads(state, task, fb, yb)
             trainer.adamw_step(state, step_grads, trainer.cosine_lr(state.step, total_steps, optim.lr), optim)
         history.append(eval_row(epoch + 1, float(np.mean(losses))))
     return state, history

@@ -111,10 +111,10 @@ def test_criterion_3_gradient_check():
         state.scores += 0.1 * rng.standard_normal(state.scores.shape)
         f_batch = unit_rows(rng, b, d)
         y = rng.integers(0, c, b)
-        d_res, d_scores = grads(state, f_batch, y)
+        d_res, d_scores = grads(state, task, f_batch, y)
 
         def loss():
-            return cross_entropy(trainer.forward(state, f_batch), y)
+            return cross_entropy(trainer.forward(state, task, f_batch), y)
 
         for arr, grad in ((state.res, d_res), (state.scores, d_scores)):
             flat = arr.reshape(-1)
@@ -178,7 +178,7 @@ def test_criterion_5_desk_scale_ordering():
             task, mask, best, OptimConfig(lr=1e-3, epochs=20, batch_size=256, seed=seed)
         )
         apet_acc = engine.accuracy(
-            trainer.forward(state, task.test_features), task.test_labels
+            trainer.forward(state, task, task.test_features), task.test_labels
         )
         ape_wins += ape_acc >= zs_acc
         train_wins += apet_acc >= ape_acc
@@ -247,10 +247,6 @@ def test_criterion_7_scheduler_and_optimizer_contracts():
         v_scores=np.zeros(1),
         step=0,
         mask_idx=np.arange(1),
-        text_features=np.zeros((1, 1)),
-        text_norms=np.zeros(1),
-        support_features=np.ones((1, 1)),
-        support_norms=np.ones(1),
         cfg=EngineConfig(),
     )
     optim = OptimConfig(lr=1e-3, weight_decay=0.01)
@@ -319,12 +315,12 @@ def test_criterion_9_init_identity(tmp_path):
         want = engine.ape_logits(task, mask, cfg)
 
         state = trainer.init_state(task, mask, cfg)
-        got = trainer.forward(state, task.test_features)
+        got = trainer.forward(state, task, task.test_features)
         assert got.tobytes() == want.tobytes()
         assert eval_logits(task, state).tobytes() == want.tobytes()  # as ``ape eval`` scores its checkpoint
 
         trained, history = trainer.train(task, mask, cfg, OptimConfig(epochs=0))
-        got = trainer.forward(trained, task.test_features)
+        got = trainer.forward(trained, task, task.test_features)
         assert got.tobytes() == want.tobytes()
         assert history[0]["test_acc"] == engine.accuracy(want, task.test_labels)
 

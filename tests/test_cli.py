@@ -869,11 +869,11 @@ class TestEvalCommand:
                 train_task, mask, cfg,
                 trainer.OptimConfig(lr=1e-3, epochs=5, batch_size=16, seed=seed),
             )
-            in_acc = accuracy(forward(state, train_task.test_features), train_task.test_labels)
+            in_acc = accuracy(forward(state, train_task, train_task.test_features), train_task.test_labels)
             ckpt = tmp_path / f"shift{seed}.ckpt"
             save_checkpoint(ckpt, state)
             rebound = load_checkpoint(ckpt, shifted)
-            out_acc = accuracy(forward(rebound, shifted.test_features), shifted.test_labels)
+            out_acc = accuracy(forward(rebound, shifted, shifted.test_features), shifted.test_labels)
             held += out_acc <= in_acc
         assert held >= 8
 

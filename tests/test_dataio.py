@@ -582,7 +582,7 @@ class TestFloat32Task:
             trainer.save_checkpoint(tmp_path / f"{name}.ckpt", state)
             resumed = trainer.load_checkpoint(tmp_path / f"{name}.ckpt", loaded)
             checkpoints.append((repr(history), (tmp_path / f"{name}.ckpt").read_bytes(),
-                                trainer.forward(resumed, loaded.test_features).tobytes()))
+                                trainer.forward(resumed, loaded, loaded.test_features).tobytes()))
         assert checkpoints[0] == checkpoints[1]
 
     def test_replace_rederives_the_norms(self, tmp_path):

@@ -434,7 +434,7 @@ class TestRoutingOracle:
         keys = s_ref + np.repeat(state.res, k, axis=0)
         aff = engine.cache_affinity(f_ref, keys, cfg.beta)
         want = f @ (task.text_features + padded).T + cfg.alpha * (aff * state.scores) @ labels
-        got = trainer.forward(state, f)
+        got = trainer.forward(state, task, f)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -511,9 +511,9 @@ class TestRowBlocks:
             return {
                 "ape": engine.ape_logits(task, mask, cfg),
                 "tip": tip_logits(task, cfg.alpha, cfg.beta),
-                "forward": trainer.forward(state, task.test_features, task.test_norms),
+                "forward": trainer.forward(state, task, task.test_features, task.test_norms),
                 "eval": eval_logits(task, state),
-                "reference": forward_reference(state, task.test_features, task.test_norms),
+                "reference": forward_reference(state, task, task.test_features, task.test_norms),
             }
 
         default = logits()
@@ -691,7 +691,7 @@ class TestStoredRowsWidenedWhereUsed:
                                                      task.text_norms),
                 "ape": engine.ape_logits(task, mask, cfg),
                 "tip": tip_logits(task, cfg.alpha, cfg.beta),
-                "forward": trainer.forward(state, task.test_features),
+                "forward": trainer.forward(state, task, task.test_features),
             }
         for name, expected in want.items():
             assert got[name].tobytes() == expected.tobytes(), name

@@ -32,7 +32,9 @@ from helpers import (
     holds_support,
     l2_normalize_rows,
     param_count,
+    prototypes,
     random_task,
+    refined_support,
     several_runs_instance,
     shifted_keys_logits,
     stored_task,
@@ -51,11 +53,11 @@ def make_instance(rng, c=3, k=2, d=8, q=5, alpha=0.9, beta=3.0, gamma=0.3):
     return task, mask, cfg
 
 
-def numeric_grads(state, f_batch, y, h=1e-5):
+def numeric_grads(state, task, f_batch, y, h=1e-5):
     """Central finite differences of the batch loss w.r.t. res and scores."""
 
     def loss():
-        return cross_entropy(trainer.forward(state, f_batch), y)
+        return cross_entropy(trainer.forward(state, task, f_batch), y)
 
     num_res = np.zeros_like(state.res)
     for i in range(state.res.shape[0]):
@@ -110,7 +112,7 @@ class TestInitState:
         rng = np.random.default_rng(30)
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
-        got = trainer.forward(state, task.test_features)
+        got = trainer.forward(state, task, task.test_features)
         want = engine.ape_logits(task, mask, cfg)
         assert got.tobytes() == want.tobytes()
 
@@ -123,7 +125,7 @@ class TestInitState:
         assert len(engine._run_plan(len(task.test_features), task.c, task.k, mask.q)[1]) > 1
         for cfg in (EngineConfig(), EngineConfig(gamma=1.0, kl_sign=-1, kl_temperature=0.7)):
             state = trainer.init_state(task, mask, cfg)
-            got = trainer.forward(state, task.test_features, task.test_norms)
+            got = trainer.forward(state, task, task.test_features, task.test_norms)
             assert got.tobytes() == engine.ape_logits(task, mask, cfg).tobytes()
 
     def test_text_channels_not_taken_at_gamma_zero(self):
@@ -138,14 +140,19 @@ class TestInitState:
             if not gamma:
                 np.testing.assert_array_equal(state.scores, np.ones(task.c * task.k))
 
-    def test_support_channels_taken_once(self):
-        """A fresh state's cache scores come from its own refined support
-        rows, so each support row's channels are taken once, also where the
-        scores take several class runs."""
+    @pytest.mark.parametrize("build", ["init_state", "train"])
+    def test_support_channels_taken_once(self, build):
+        """Each support row's channels are taken once, also where the fresh
+        cache scores take several class runs: ``init_state``'s runs take
+        their own rows, and ``train`` takes all of them once, for its steps,
+        its history and the runs' slices."""
         task, mask = several_runs_instance()
         assert len(engine._run_plan(len(task.test_features), task.c, task.k, mask.q)[1]) > 1
         with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
-            trainer.init_state(task, mask, EngineConfig())
+            if build == "init_state":
+                trainer.init_state(task, mask, EngineConfig())
+            else:
+                trainer.train(task, mask, EngineConfig(), OptimConfig(epochs=1, batch_size=4096))
         taken = [call.args[0] for call in spy.call_args_list]
         assert sum(len(m) for m in taken if np.may_share_memory(m, task.support_features)) == task.c * task.k
 
@@ -182,11 +189,19 @@ class TestInitState:
         rng = np.random.default_rng(33)
         task, mask, cfg = make_instance(rng, c=4, k=3, d=9, q=5)
         state = trainer.init_state(task, mask, cfg)
-        assert (state.c, state.k, state.q, state.w.shape[1]) == (4, 3, 5, 9)
+        assert (state.c, state.k, state.q) == (4, 3, 5)
         values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
-        assert len(values) == 13  # learnables, moments, step, five frozen arrays and cfg
+        assert len(values) == 9  # learnables, moments, step, mask and cfg
         with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
             trainer.TrainState(**values, c=4)
+
+    def test_state_holds_what_a_checkpoint_stores(self):
+        """A state's fields are the learnables and moments, the step, the
+        mask and the config, all of which ``save_checkpoint`` writes: a
+        field of the task's cache cannot come back into it."""
+        fields = [f.name for f in dataclasses.fields(trainer.TrainState)]
+        assert fields == [*trainer._LEARNED, "step", "mask_idx", "cfg"]
+        assert all(f.init for f in dataclasses.fields(trainer.TrainState))
 
 
 class TestStateOwnsItsConfig:
@@ -200,21 +215,21 @@ class TestStateOwnsItsConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.cfg.alpha = 2.0
         # forward takes no engine config of its own
-        assert list(inspect.signature(trainer.forward).parameters) == ["state", "f_batch", "norms"]
+        assert list(inspect.signature(trainer.forward).parameters) == ["state", "task", "f_batch", "norms"]
 
     def test_config_cannot_be_reassigned(self):
-        """The frozen support rows were refined under ``cfg``; swapping it
-        would score queries refined one way against keys refined another."""
+        """The learnables were trained under ``cfg`` and the mask; swapping
+        either in place would score them under another refinement."""
         rng = np.random.default_rng(37)
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
-        before = trainer.forward(state, task.test_features)
+        before = trainer.forward(state, task, task.test_features)
         with pytest.raises(AttributeError, match="cfg is set at construction"):
             state.cfg = EngineConfig(renormalize=False, alpha=3.0)
-        with pytest.raises(AttributeError, match="f_support_refined is set at construction"):
-            state.f_support_refined = np.zeros_like(state.f_support_refined)
+        with pytest.raises(AttributeError, match="mask_idx is set at construction"):
+            state.mask_idx = np.arange(mask.q)
         assert state.cfg is cfg
-        assert trainer.forward(state, task.test_features).tobytes() == before.tobytes()
+        assert trainer.forward(state, task, task.test_features).tobytes() == before.tobytes()
         state.step = 5  # the learnables and the step stay settable
         assert state.step == 5
 
@@ -241,7 +256,7 @@ class TestStateOwnsItsConfig:
         task, mask, _ = make_instance(rng, c=4, k=3, d=9, q=5)
         cfg = EngineConfig(alpha, beta, gamma, kl_sign, kl_temperature, renormalize)
         state = trainer.init_state(task, mask, cfg)
-        got = trainer.forward(state, task.test_features)
+        got = trainer.forward(state, task, task.test_features)
         assert got.tobytes() == engine.ape_logits(task, mask, cfg).tobytes()
 
         state.res += 0.1 * rng.standard_normal(state.res.shape)
@@ -250,8 +265,8 @@ class TestStateOwnsItsConfig:
         trainer.save_checkpoint(path, state)
         loaded = trainer.load_checkpoint(path, task)
         assert loaded.cfg == cfg and type(loaded.cfg.renormalize) is bool and type(loaded.cfg.kl_sign) is int
-        want = trainer.forward(state, task.test_features)
-        assert trainer.forward(loaded, task.test_features).tobytes() == want.tobytes()
+        want = trainer.forward(state, task, task.test_features)
+        assert trainer.forward(loaded, task, task.test_features).tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -265,14 +280,13 @@ class TestStateOwnsItsConfig:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(alpha=3.0, beta=5.5, gamma=0.2, kl_sign=1, kl_temperature=1.0, renormalize=False, stored=False, seed=0)
-    def test_replace_derives_the_refined_rows_again(
+    def test_replace_scores_under_the_new_config_or_mask(
         self, alpha, beta, gamma, kl_sign, kl_temperature, renormalize, stored, seed
     ):
-        """``dataclasses.replace`` goes through the constructor, so a state
-        given another config, or another mask of the same Q, refines its
-        support rows under it: its forward is bitwise that of a fresh state
-        carrying the same learnables.  Refined rows cannot be passed in, nor
-        a mask or support rows that the learnables do not fit."""
+        """A state given another config, or another mask of the same Q, by
+        ``dataclasses.replace`` is scored under it: its forward is bitwise
+        that of a fresh state carrying the same learnables.  A mask that the
+        learnables do not fit cannot be passed in."""
         rng = np.random.default_rng(seed)
         task = (stored_task if stored else random_task)(rng, c=4, k=3, d=8, n_test=5)
         mask, other = (refine.ChannelMask(np.sort(rng.choice(8, 5, replace=False)), np.zeros(8)) for _ in "ab")
@@ -284,23 +298,17 @@ class TestStateOwnsItsConfig:
         def fresh(mask, cfg):
             want = trainer.init_state(task, mask, cfg)
             want.res[:], want.scores[:] = state.res, state.scores
-            return trainer.forward(want, task.test_features, task.test_norms)
+            return trainer.forward(want, task, task.test_features, task.test_norms)
 
         for moved, want in (
             (dataclasses.replace(state, cfg=cfg), fresh(mask, cfg)),
             (dataclasses.replace(state, mask_idx=other.selected), fresh(other, state.cfg)),
         ):
-            assert trainer.forward(moved, task.test_features, task.test_norms).tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="do not fit the frozen context"):
+            assert trainer.forward(moved, task, task.test_features, task.test_norms).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="do not fit the mask"):
             dataclasses.replace(state, mask_idx=other.selected[:4])  # res keeps Q = 5 columns
-        with pytest.raises(ValueError, match="do not fit the frozen context"):
-            dataclasses.replace(state, support_features=task.support_features[:9])  # scores keep C*K = 12
-        values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.init}
-        for name in ("w", "f_support_refined", "support_scale"):
-            with pytest.raises(TypeError, match=f"'{name}'"):
-                trainer.TrainState(**values, **{name: getattr(state, name)})
-            with pytest.raises(ValueError, match=f"field {name} "):
-                dataclasses.replace(state, **{name: getattr(state, name)})
+        with pytest.raises(ValueError, match="do not fit the mask"):
+            dataclasses.replace(state, scores=state.scores[:11])  # not C*K = 12
 
 
 class TestForward:
@@ -315,9 +323,9 @@ class TestForward:
         f[0, state.mask_idx] = 0.0
         f = l2_normalize_rows(f)
         with pytest.warns(numkit.ZeroRowWarning):
-            base = trainer.forward(state, f)
+            base = trainer.forward(state, task, f)
             state.res[:] = rng.standard_normal(state.res.shape)
-            shifted = trainer.forward(state, f)
+            shifted = trainer.forward(state, task, f)
         np.testing.assert_allclose(shifted - base, f[:, state.mask_idx] @ state.res.T, rtol=0, atol=1e-12)
         assert shifted[0].tobytes() == base[0].tobytes()
 
@@ -352,12 +360,13 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", numkit.ZeroRowWarning)
             f_ref, scale = refine._take_channels(f, state.mask_idx, renormalize)
-            want = shifted_keys_logits(state, f)
-            got = trainer.forward(state, f)
+            want = shifted_keys_logits(state, task, f)
+            got = trainer.forward(state, task, f)
         assert scale[b:].tolist() == ([0.0, 1.0] if renormalize else [1.0, 1.0])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         y = rng.integers(0, c, b + 2)
-        step_logits, step_loss, _, _ = trainer._grad_parts(state, f @ state.w.T, f_ref, scale, y)
+        s_ref = refined_support(state, task)[0]
+        step_logits, step_loss, _, _ = trainer._grad_parts(state, f @ prototypes(task).T, f_ref, scale, y, s_ref)
         assert step_logits.tobytes() == got.tobytes()
         assert step_loss == cross_entropy(step_logits, y)  # bitwise, from the step's own softmax
 
@@ -365,18 +374,40 @@ class TestForward:
         rng = np.random.default_rng(34)
         task, mask, cfg = make_instance(rng, c=4, k=2)
         state = trainer.init_state(task, mask, cfg)
-        base = trainer.forward(state, task.test_features)
+        base = trainer.forward(state, task, task.test_features)
         state.res[2] += 0.37
-        bumped = trainer.forward(state, task.test_features)
+        bumped = trainer.forward(state, task, task.test_features)
         changed = np.flatnonzero(np.any(base != bumped, axis=0))
         np.testing.assert_array_equal(changed, [2])
+
+    @pytest.mark.parametrize("source", ["state", "checkpoint"])
+    @pytest.mark.parametrize("other, message", [
+        ({"c": 4}, "has 3 classes, task has 4"),
+        ({"k": 3}, "has 2 shots per class, task has 3"),
+        ({"d": 6}, "mask does not fit a 6-channel task"),
+    ], ids=["classes", "shots", "width"])
+    def test_state_that_does_not_fit_the_task_rejected(self, tmp_path, source, other, message):
+        """``forward`` checks a state against the task by the checkpoint
+        reader's rule, with the same message: the class count, the shot
+        count and every mask index below the task's width."""
+        rng = np.random.default_rng(55)
+        task = random_task(rng, c=3, k=2, d=8)
+        mask = refine.ChannelMask(selected=[0, 2, 4, 7], scores=np.zeros(8))
+        state = trainer.init_state(task, mask, EngineConfig())
+        wrong = random_task(rng, **{"c": 3, "k": 2, "d": 8, **other})
+        trainer.save_checkpoint(tmp_path / "model.ckpt", state)
+        with pytest.raises(ValueError, match=f"^{source} {re.escape(message)}$"):
+            if source == "state":
+                trainer.forward(state, wrong, wrong.test_features)
+            else:
+                trainer.load_checkpoint(tmp_path / "model.ckpt", wrong)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(35)
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
         with pytest.raises(ValueError):
-            trainer.forward(state, np.zeros((2, task.d + 1)))
+            trainer.forward(state, task, np.zeros((2, task.d + 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(c=st.integers(2, 5), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -402,8 +433,8 @@ class TestForward:
         moved = trainer.init_state(permuted, mask, cfg)
         moved.res[:] = state.res[perm]
         moved.scores[:] = blocks(state.scores)
-        want = trainer.forward(state, task.test_features)[:, perm]
-        got = trainer.forward(moved, task.test_features)
+        want = trainer.forward(state, task, task.test_features)[:, perm]
+        got = trainer.forward(moved, permuted, task.test_features)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -422,7 +453,7 @@ class TestBackward:
         )
         cfg = EngineConfig(alpha=200.0, beta=30.0, gamma=0.0)
         state = trainer.init_state(task, refine.full_mask(d), cfg)
-        d_res, d_scores = grads(state, support, np.arange(c))
+        d_res, d_scores = grads(state, task, support, np.arange(c))
         assert np.abs(d_res).max() <= 1e-8
         assert np.abs(d_scores).max() <= 1e-8
 
@@ -437,8 +468,8 @@ class TestBackward:
         state.scores += 0.05 * rng.standard_normal(state.scores.shape)
         f_batch = unit_rows(rng, b, task.d)
         y = rng.integers(0, task.c, b)
-        d_res, d_scores = grads(state, f_batch, y)
-        num_res, num_scores = numeric_grads(state, f_batch, y)
+        d_res, d_scores = grads(state, task, f_batch, y)
+        num_res, num_scores = numeric_grads(state, task, f_batch, y)
         assert max_rel_err(d_res, num_res) < 1e-4
         assert max_rel_err(d_scores, num_scores) < 1e-4
 
@@ -465,12 +496,13 @@ class TestBackward:
         state.res += 0.3 * rng.standard_normal(state.res.shape)
         state.scores *= rng.uniform(0.2, 2.0, state.scores.shape)
         f_batch = unit_rows(rng, b, task.d)
-        want = shifted_keys_logits(state, f_batch)
-        got = trainer.forward(state, f_batch)
+        want = shifted_keys_logits(state, task, f_batch)
+        got = trainer.forward(state, task, f_batch)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         f_ref, scale = refine._take_channels(f_batch, state.mask_idx, renormalize)
         y = rng.integers(0, c, b)
-        step_logits, step_loss, _, _ = trainer._grad_parts(state, f_batch @ state.w.T, f_ref, scale, y)
+        s_ref = refined_support(state, task)[0]
+        step_logits, step_loss, _, _ = trainer._grad_parts(state, f_batch @ prototypes(task).T, f_ref, scale, y, s_ref)
         assert step_logits.tobytes() == got.tobytes()
         assert step_loss == cross_entropy(step_logits, y)
 
@@ -484,13 +516,14 @@ class TestBackward:
         state = trainer.init_state(task, mask, cfg)
         state.res += 0.05 * rng.standard_normal(state.res.shape)
         idx = rng.permutation(c * k)[:b]
-        fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], idx // k
-        zs, aff = task.support_features @ state.w.T, support_affinity(state) if held else None
+        (s_ref, s_scale), w = refined_support(state, task), prototypes(task)
+        fb, fb_ref, yb = task.support_features[idx], s_ref[idx], idx // k
+        zs, aff = task.support_features @ w.T, support_affinity(state, task) if held else None
         optim = OptimConfig()
         tracemalloc.start()
         try:
-            zb = zs[idx] if held else fb @ state.w.T
-            _, _, d_res, d_scores = trainer._grad_parts(state, zb, fb_ref, state.support_scale[idx], yb, aff, idx)
+            zb = zs[idx] if held else fb @ w.T
+            _, _, d_res, d_scores = trainer._grad_parts(state, zb, fb_ref, s_scale[idx], yb, s_ref, aff, idx)
             trainer.adamw_step(state, (d_res, d_scores), optim.lr, optim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -519,10 +552,11 @@ class TestBackward:
         task, mask, cfg = make_instance(rng, c=c, k=k, d=32, q=q)
         state = trainer.init_state(task, mask, cfg)
         idx = rng.permutation(c * k)[:b]
-        fb, fb_ref, yb = task.support_features[idx], state.f_support_refined[idx], idx // k
+        (s_ref, s_scale), w = refined_support(state, task), prototypes(task)
+        fb, fb_ref, yb = task.support_features[idx], s_ref[idx], idx // k
         tracemalloc.start()
         try:
-            trainer._grad_parts(state, fb @ state.w.T, fb_ref, state.support_scale[idx], yb)
+            trainer._grad_parts(state, fb @ w.T, fb_ref, s_scale[idx], yb, s_ref)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -537,12 +571,13 @@ class TestBackward:
         task, mask, cfg = make_instance(rng, c=c, k=k, d=32, q=q)
         state = trainer.init_state(task, mask, cfg)
         assert holds_support(c * k)
-        zs, aff = task.support_features @ state.w.T, support_affinity(state)
+        zs, aff = task.support_features @ prototypes(task).T, support_affinity(state, task)
         idx = rng.permutation(c * k)[:b]
-        fb_ref, scale, yb = state.f_support_refined[idx], state.support_scale[idx], idx // k
+        s_ref, s_scale = refined_support(state, task)
+        fb_ref, scale, yb = s_ref[idx], s_scale[idx], idx // k
         tracemalloc.start()
         try:
-            trainer._grad_parts(state, zs[idx], fb_ref, scale, yb, aff, idx)
+            trainer._grad_parts(state, zs[idx], fb_ref, scale, yb, s_ref, aff, idx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -556,9 +591,9 @@ class TestBackward:
         state.res += 0.1 * rng.standard_normal(state.res.shape)
         f_batch = unit_rows(rng, 4, task.d)
         y = rng.integers(0, task.c, 4)
-        d_res, d_scores = grads(state, f_batch, y)
+        d_res, d_scores = grads(state, task, f_batch, y)
         assert not d_scores.any()
-        num_res, _ = numeric_grads(state, f_batch, y)
+        num_res, _ = numeric_grads(state, task, f_batch, y)
         assert max_rel_err(d_res, num_res) < 1e-4
 
 
@@ -573,8 +608,6 @@ class TestCrossEntropy:
 
 class TestAdamWStep:
     def make_state(self, res, scores, cfg=EngineConfig()):
-        c, q = res.shape
-        k = scores.shape[0] // c
         return trainer.TrainState(
             res=res.astype(np.float64),
             scores=scores.astype(np.float64),
@@ -583,11 +616,7 @@ class TestAdamWStep:
             m_scores=np.zeros_like(scores, dtype=np.float64),
             v_scores=np.zeros_like(scores, dtype=np.float64),
             step=0,
-            mask_idx=np.arange(q),
-            text_features=np.zeros((c, q)),
-            text_norms=np.zeros(c),
-            support_features=np.full((c * k, q), max(q, 1) ** -0.5),
-            support_norms=np.ones(c * k),
+            mask_idx=np.arange(res.shape[1]),
             cfg=cfg,
         )
 
@@ -692,7 +721,7 @@ class TestTrain:
         rng = np.random.default_rng(39)
         task, mask, cfg = make_instance(rng)
         state, history = trainer.train(task, mask, cfg, OptimConfig(epochs=0))
-        got = trainer.forward(state, task.test_features)
+        got = trainer.forward(state, task, task.test_features)
         want = engine.ape_logits(task, mask, cfg)
         assert got.tobytes() == want.tobytes()
         assert len(history) == 1 and history[0]["epoch"] == 0
@@ -708,12 +737,13 @@ class TestTrain:
         assert h1 == h2
 
     def test_frozen_tensors_unchanged(self):
+        """``train`` writes nothing into the task, nor into the mask and config."""
         rng = np.random.default_rng(41)
         task, mask, cfg = make_instance(rng)
         state = trainer.init_state(task, mask, cfg)
-        before = frozen_checksum(state)
+        before = frozen_checksum(task, state)
         trained, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=3, batch_size=3))
-        assert frozen_checksum(trained) == before
+        assert frozen_checksum(task, trained) == before
 
     def test_synthetic_support_accuracy_improves(self):
         from ape import dataio
@@ -756,7 +786,7 @@ class TestTrain:
         assert seen == held_tiles + [(4, test, slice(0, 2)), (4, test, slice(2, 3))]
         assert len(history) == epochs + 1
         fresh = trainer.init_state(task, mask, cfg)
-        logits = trainer.forward(fresh, task.support_features)
+        logits = trainer.forward(fresh, task, task.support_features)
         y = task.support_class_ids()
         assert history[0]["loss"] == cross_entropy(logits, y)
         assert history[0]["support_acc"] == engine.accuracy(logits, y)
@@ -913,16 +943,16 @@ class TestTrain:
         state = trainer.init_state(task, mask, EngineConfig(alpha=0.9, beta=3.0, gamma=0.3, renormalize=renormalize))
         state.res += 0.3 * rng.standard_normal(state.res.shape)
         state.scores *= rng.uniform(0.2, 2.0, state.scores.shape)
-        n, s_ref, y = c * k, state.f_support_refined, task.support_class_ids()
+        n, (s_ref, s_scale), y = c * k, refined_support(state, task), task.support_class_ids()
         with block_budget(n, max(block_rows, -(-n // 4))):
             assert holds_support(n)
             plan = engine._tile_plan(n, c, k)
             aff = trainer._support_affinity(s_ref, c, state.cfg.beta)
-            zs = engine.zero_shot_logits(task.support_features, state.w, task.support_norms)
-            want = trainer.forward(state, task.support_features)
+            zs = engine.zero_shot_logits(task.support_features, prototypes(task), task.support_norms)
+            want = trainer.forward(state, task, task.support_features)
         for rows in plan[0]:
             idx = np.arange(rows.start, rows.stop)
-            got, loss, _, _ = trainer._grad_parts(state, zs[idx], s_ref[idx], state.support_scale[idx], y[idx], aff, idx)
+            got, loss, _, _ = trainer._grad_parts(state, zs[idx], s_ref[idx], s_scale[idx], y[idx], s_ref, aff, idx)
             assert got.tobytes() == want[rows].tobytes()
             assert loss == cross_entropy(got, y[idx])
 
@@ -984,35 +1014,22 @@ class TestTrain:
         with block_budget(d, 64):
             tracemalloc.start()
             try:
-                trainer.forward(state, task.test_features)
+                trainer.forward(state, task, task.test_features)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert peak < 0.25 * n * d * 8
 
-    def test_frozen_arrays_read_only_after_train(self):
+    def test_mask_read_only_after_train(self):
+        """The state's mask is a read-only view of the mask's indices, which keep their flags."""
         rng = np.random.default_rng(44)
         task, mask, cfg = make_instance(rng)
+        writeable = mask.selected.flags.writeable
         state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=1, batch_size=3))
+        assert np.shares_memory(state.mask_idx, mask.selected)
         with pytest.raises(ValueError):
-            state.w[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            state.f_support_refined += 1.0
-
-    def test_state_views_the_task_prototypes(self):
-        """The state's prototypes, support rows and their norms are
-        read-only views of the task's arrays, not copies; the task's own
-        arrays keep their flags."""
-        rng = np.random.default_rng(46)
-        task, mask, cfg = make_instance(rng)
-        names = {"w": "text_features", "text_features": "text_features", "text_norms": "text_norms",
-                 "support_features": "support_features", "support_norms": "support_norms"}
-        writeable = {name: getattr(task, name).flags.writeable for name in names.values()}
-        state, _ = trainer.train(task, mask, cfg, OptimConfig(epochs=1, batch_size=3))
-        for field, name in names.items():
-            assert np.shares_memory(getattr(state, field), getattr(task, name))
-            assert not getattr(state, field).flags.writeable
-            assert getattr(task, name).flags.writeable == writeable[name]
+            state.mask_idx[0] = 0
+        assert mask.selected.flags.writeable == writeable
 
     def test_refines_once_per_call(self):
         """The number of channel gathers does not grow with the epochs."""
@@ -1048,20 +1065,37 @@ class TestCheckpoint:
             np.testing.assert_array_equal(getattr(loaded, field), getattr(state, field))
         assert loaded.step == state.step
         np.testing.assert_array_equal(loaded.mask_idx, state.mask_idx)
-        got = trainer.forward(loaded, task.test_features)
-        want = trainer.forward(state, task.test_features)
+        got = trainer.forward(loaded, task, task.test_features)
+        want = trainer.forward(state, task, task.test_features)
         assert got.tobytes() == want.tobytes()
 
-    def test_load_refines_only_the_support_rows(self, tmp_path):
+    def test_load_takes_no_channels(self, tmp_path):
+        """A loaded state is what the file stores: the task's cache is refined only when scored."""
         rng = np.random.default_rng(50)
         task, mask, cfg = make_instance(rng)
         path = tmp_path / "model.ckpt"
         trainer.save_checkpoint(path, trainer.init_state(task, mask, cfg))
         with mock.patch.object(refine, "_take_channels", wraps=refine._take_channels) as spy:
             trainer.load_checkpoint(path, task)
-        assert spy.call_count == 1
-        rows = spy.call_args.args[0]  # the state's read-only view of the task's support rows, not a copy
-        assert np.shares_memory(rows, task.support_features) and rows.shape == task.support_features.shape
+        assert spy.call_count == 0
+
+    def test_reader_reads_each_tensor_straight_from_the_file(self, tmp_path):
+        """The reader's tracemalloc peak is the arrays it returns plus a
+        constant: no copy of the file exists.  Reading the whole file and
+        copying each tensor out of it peaked at about twice the arrays."""
+        rng = np.random.default_rng(54)
+        task, mask, cfg = make_instance(rng, c=20, k=16, d=320, q=256)
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(path, trainer.init_state(task, mask, cfg))
+        tracemalloc.start()
+        try:
+            fields = trainer._read_checkpoint(path, task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(value.nbytes for value in fields.values() if isinstance(value, np.ndarray))
+        assert held > 128 * 1024
+        assert peak <= held + 16 * 1024
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -1155,8 +1189,7 @@ class TestCheckpoint:
         assert loaded.cfg == EngineConfig() and loaded.step == state.step
         for name in trainer._LEARNED:
             assert getattr(loaded, name).tobytes() == getattr(state, name).tobytes(), name
-        want = trainer.init_state(task, mask, EngineConfig())
-        assert loaded.f_support_refined.tobytes() == want.f_support_refined.tobytes()
+        assert loaded.mask_idx.tobytes() == state.mask_idx.tobytes()
 
     @pytest.mark.parametrize("fields, message", [
         ((-1.0, 5.5, 0.2, 1, 1.0, 1), "alpha must be finite and >= 0, got -1.0"),
